@@ -21,18 +21,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import gammainc, gammaincc, logsumexp
 
 from .codes import DistanceSpectrum, Iowef, bit_weight_transform
-from .geometry import ConeGeometry, alpha_theta, delta_slope, rho_max_wh, rho_min_h, rho_ww
-from .numerics import (
-    Tolerance,
-    adaptive_integrate,
-    find_root,
-    log_q_function,
-    sin_power_integral,
-    wallis,
-)
+from .geometry import ConeGeometry, alpha_theta, beta_h, l_line, rho_max_wh, rho_min_h, rho_ww
+from .numerics import Tolerance, adaptive_integrate, log_q_function, sin_power_integral, wallis
 
 __all__ = [
     "ChannelPoint",
@@ -119,7 +113,7 @@ def _interior_weights(spec: DistanceSpectrum) -> list[int]:
     return [h for h in range(1, spec.n) if spec.log_a[h] > _NEG_INF]
 
 
-def solve_cone_radius(spec: DistanceSpectrum, tol: Tolerance | None = None) -> float:
+def solve_cone_radius(spec: DistanceSpectrum) -> float:
     """Radius r* balancing the per-weight angular masses against the full
     sphere: sum_h A_h * integral_0^theta_h sin^(n-3) = sqrt(pi)
     Gamma((n-2)/2) / Gamma((n-1)/2).
@@ -165,8 +159,7 @@ def solve_cone_radius(spec: DistanceSpectrum, tol: Tolerance | None = None) -> f
     lo = hi / 2.0
     while resid(lo) > 0:
         lo /= 2.0
-    tol = tol or Tolerance(abs_tol=1e-12, rel_tol=1e-14, max_iter=300)
-    return find_root(resid, lo, hi, tol)
+    return brentq(resid, lo, hi, xtol=1e-12, rtol=1e-14, maxiter=300)
 
 
 def _cone_radius_or_fallback(spec: DistanceSpectrum) -> float:
@@ -190,36 +183,48 @@ class _Term:
     log_tail: float
     converged: bool
 
+    def scaled(self, log_coeff: float) -> "_Term":
+        """The term multiplied by a coefficient given in log domain."""
+        return _Term(
+            log_coeff + self.log_value,
+            log_coeff + self.log_error,
+            log_coeff + self.log_tail,
+            self.converged,
+        )
+
 
 class _Engine:
-    """Shared quadrature state for one (spectrum, channel) pair: cone
-    geometry, per-weight inclusion, and cached term integrals."""
+    """Shared quadrature state for one (cone, channel) pair: the weights
+    whose codeword circles open inside the cone, and cached term integrals."""
 
-    def __init__(self, spec: DistanceSpectrum, ch: ChannelPoint, tol: Tolerance):
-        if spec.n < 3:
-            raise ValueError(f"need n >= 3, got n={spec.n}")
-        self.spec = spec
+    def __init__(
+        self, geo: ConeGeometry, ch: ChannelPoint, tol: Tolerance, weights=()
+    ):
+        self.geo = geo
         self.ch = ch
         self.tol = tol
-        self.n = spec.n
-        self.sqrt_n = math.sqrt(spec.n)
+        self.n = geo.n
+        self.sqrt_n = math.sqrt(geo.n)
         self.sigma = math.sqrt(ch.sigma_sq)
-        self.r = _cone_radius_or_fallback(spec)
-        self.geo = ConeGeometry(spec.n, self.r)
         self.geom_included = {
             h
-            for h in range(1, spec.n)
-            if (t := alpha_theta(h, self.geo)[1]) is not None and t > 0.0
+            for h in range(1, geo.n)
+            if (t := alpha_theta(h, geo)[1]) is not None and t > 0.0
         }
-        self.included = [
-            h for h in _interior_weights(spec) if h in self.geom_included
-        ]
+        self.included = [h for h in weights if h in self.geom_included]
         self.z1_lo = -10.0 * self.sigma
-        self.log_q_term = log_q_function(math.sqrt(2.0 * spec.n * ch.c))
+        self.log_q_term = log_q_function(math.sqrt(2.0 * geo.n * ch.c))
         self._pair_cache: dict[int, _Term] = {}
         self._triple_cache: dict[tuple, _Term] = {}
         self._cap: _Term | None = None
         self.trouble: list[str] = []
+
+    @classmethod
+    def for_spectrum(
+        cls, spec: DistanceSpectrum, ch: ChannelPoint, tol: Tolerance
+    ) -> "_Engine":
+        geo = ConeGeometry(spec.n, _cone_radius_or_fallback(spec))
+        return cls(geo, ch, tol, _interior_weights(spec))
 
     # -- scalar densities -------------------------------------------------
 
@@ -256,8 +261,7 @@ class _Engine:
     def _pair_given_z1(self, z1: np.ndarray, h: int) -> np.ndarray:
         """Pr(beta_h(z1) <= z2 <= r_z1, chi2_(n-2) mass below r^2 - z2^2)."""
         rz = np.asarray(self.geo.r_z1(z1), dtype=float)
-        beta = (self.sqrt_n - z1) * delta_slope(h, self.n)
-        a = np.minimum(beta, rz)
+        a = np.minimum(beta_h(z1, h, self.geo), rz)
         span = float(np.max(rz - a, initial=0.0))
         if span <= 0.0:
             return np.zeros_like(rz)
@@ -279,8 +283,7 @@ class _Engine:
         if rho <= -1.0 + 1e-12:
             return self._pair_given_z1(z1, h)
         rz = np.asarray(self.geo.r_z1(z1), dtype=float)
-        beta = (self.sqrt_n - z1) * delta_slope(h, self.n)
-        a = np.minimum(beta, rz)
+        a = np.minimum(beta_h(z1, h, self.geo), rz)
         span = float(np.max(rz - a, initial=0.0))
         if span <= 0.0:
             return np.zeros_like(rz)
@@ -304,7 +307,7 @@ class _Engine:
         two_ss = 2.0 * self.ch.sigma_sq
         s_sq = np.maximum(rz[:, None] ** 2 - z2**2, 0.0)
         s = np.sqrt(s_sq)
-        line = (beta_ref[:, None] - rho * z2) / math.sqrt(1.0 - rho * rho)
+        line = l_line(z2, beta_ref[:, None], rho)
         half_disk = 0.5 * self._g(0.5 * (self.n - 2), s_sq / two_ss)
         # Odd part over [0, min(|l|, s)] of the even z3 integrand.
         u = np.minimum(np.abs(line), s)
@@ -329,26 +332,23 @@ class _Engine:
         log_error = math.log(res.error) if res.error > 0.0 else _NEG_INF
         return _Term(log_value, log_error, _LOG_Q10 + tail_log_bound, res.converged)
 
+    def _tail_beyond(self, h: int) -> float:
+        # Log Gaussian mass of z2 past the weight-h threshold at z1_lo.
+        return log_q_function(float(beta_h(self.z1_lo, h, self.geo)) / self.sigma)
+
     def pair_term(self, h: int) -> _Term:
         if h not in self._pair_cache:
-            beta_cut = (self.sqrt_n - self.z1_lo) * delta_slope(h, self.n)
-            tail = log_q_function(beta_cut / self.sigma)
             self._pair_cache[h] = self._outer(
-                lambda z1: self._pair_given_z1(z1, h), tail, f"pair(h={h})"
+                lambda z1: self._pair_given_z1(z1, h), self._tail_beyond(h), f"pair(h={h})"
             )
         return self._pair_cache[h]
 
     def triple_term(self, h: int, w_ref: int, rho: float) -> _Term:
         key = (h, w_ref, rho)
         if key not in self._triple_cache:
-            slope_ref = delta_slope(w_ref, self.n)
-            beta_cut = (self.sqrt_n - self.z1_lo) * delta_slope(h, self.n)
-            tail = log_q_function(beta_cut / self.sigma)
             self._triple_cache[key] = self._outer(
-                lambda z1: self._triple_given_z1(
-                    z1, h, (self.sqrt_n - z1) * slope_ref, rho
-                ),
-                tail,
+                lambda z1: self._triple_given_z1(z1, h, beta_h(z1, w_ref, self.geo), rho),
+                self._tail_beyond(h),
                 f"conditioned(h={h}, ref={w_ref})",
             )
         return self._triple_cache[key]
@@ -365,47 +365,42 @@ class _Engine:
     def assemble(
         self,
         weighted: dict[int, float],
+        terms: list[_Term],
         include_q: bool = True,
         ahp_layer: int | None = None,
-        extra_terms: list[_Term] | None = None,
     ) -> BoundResult:
+        """Sum the weighted spectrum logs with the cap (and optionally the
+        apex tail); terms carry the error budgets behind the weighted logs."""
         cap = self.cap_term()
         logs = list(weighted.values()) + [cap.log_value]
         tail_terms = {"cap": cap.log_value, "q": self.log_q_term if include_q else _NEG_INF}
         if include_q:
             logs.append(self.log_q_term)
         log_value = float(logsumexp(logs)) if logs else _NEG_INF
-        err_logs = [t.log_error for t in (extra_terms or [])] + [
-            t.log_tail for t in (extra_terms or [])
-        ]
+        err_logs = [t.log_error for t in terms] + [t.log_tail for t in terms]
         err_logs += [cap.log_error, cap.log_tail]
         error = float(np.exp(logsumexp(err_logs))) if err_logs else 0.0
-        converged = cap.converged and all(t.converged for t in (extra_terms or []))
-        if self.trouble:
-            warnings.warn(
-                "quadrature did not converge for: " + ", ".join(sorted(set(self.trouble))),
-                RuntimeWarning,
-                stacklevel=3,
-            )
+        converged = cap.converged and all(t.converged for t in terms)
         return BoundResult(
             value=float(np.exp(log_value)),
             log_value=log_value,
             per_weight=weighted,
-            cone_radius=self.r,
+            cone_radius=self.geo.r,
             tail_terms=tail_terms,
             error_estimate=error,
             converged=converged,
             ahp_layer=ahp_layer,
         )
 
-
-def _weighted_error_logs(spec: DistanceSpectrum, terms: dict[int, _Term]) -> list[_Term]:
-    # Attach the spectrum coefficients to the error budgets as well.
-    out = []
-    for h, t in terms.items():
-        la = float(spec.log_a[h])
-        out.append(_Term(t.log_value, la + t.log_error, la + t.log_tail, t.converged))
-    return out
+    def finish(self, result: BoundResult) -> BoundResult:
+        """Return result after one warning naming every unconverged term."""
+        if self.trouble:
+            warnings.warn(
+                "quadrature did not converge for: " + ", ".join(sorted(set(self.trouble))),
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        return result
 
 
 def tsb_block(
@@ -416,14 +411,10 @@ def tsb_block(
     Sums the per-weight pair terms inside the optimized cone, the chi-square
     cap leakage, and the Gaussian tail beyond the apex.
     """
-    eng = _Engine(spec, ch, tol)
-    weighted: dict[int, float] = {}
-    raw: dict[int, _Term] = {}
-    for h in eng.included:
-        t = eng.pair_term(h)
-        raw[h] = t
-        weighted[h] = float(spec.log_a[h]) + t.log_value
-    return eng.assemble(weighted, extra_terms=_weighted_error_logs(spec, raw))
+    eng = _Engine.for_spectrum(spec, ch, tol)
+    terms = {h: eng.pair_term(h).scaled(float(spec.log_a[h])) for h in eng.included}
+    weighted = {h: t.log_value for h, t in terms.items()}
+    return eng.finish(eng.assemble(weighted, list(terms.values())))
 
 
 def tsb_bit(io: Iowef, ch: ChannelPoint, tol: Tolerance = BOUND_TOL) -> BoundResult:
@@ -447,70 +438,83 @@ def itsb(
     verify monotonicity); the default is the most negative admissible value
     against the anchor weight.
     """
-    eng = _Engine(spec, ch, tol)
+    eng = _Engine.for_spectrum(spec, ch, tol)
     d = spec.d_min
     if rho_fn is None:
         rho_fn = lambda h: rho_min_h(h, d, spec.n)
     weighted: dict[int, float] = {}
-    extras: list[_Term] = []
+    terms: list[_Term] = []
     anchor = eng.pair_term(d) if d < spec.n else None
     for h in eng.included:
         if h < d:
-            continue  # below the effective anchor weight; see ledger
+            # Weights below the effective d_min are skipped, not bounded
+            # (open item 5a in ROADMAP.md).
+            continue
         coeff = float(spec.log_a[h]) if h != d else _log_minus_one(float(spec.log_a[h]))
         parts = []
         if coeff > _NEG_INF:
-            t = eng.triple_term(h, d, float(rho_fn(h)))
-            parts.append(coeff + t.log_value)
-            extras.append(_Term(t.log_value, coeff + t.log_error, coeff + t.log_tail, t.converged))
+            t = eng.triple_term(h, d, float(rho_fn(h))).scaled(coeff)
+            parts.append(t.log_value)
+            terms.append(t)
         if h == d and anchor is not None:
             parts.append(anchor.log_value)
-            extras.append(anchor)
+            terms.append(anchor)
         if parts:
             weighted[h] = float(logsumexp(parts))
-    return eng.assemble(weighted, extra_terms=extras)
+    return eng.finish(eng.assemble(weighted, terms))
 
 
 def _layer_terms(
-    eng: _Engine, spec: DistanceSpectrum, w: int
-) -> tuple[dict[int, float], dict[int, float], list[_Term]]:
-    """Shared per-layer pieces: the anchor + spectrum terms (the envelope),
-    and the extension self-term (added by the full bound only)."""
+    eng: _Engine, spec: DistanceSpectrum, w: int, extend: bool
+) -> tuple[dict[int, float], list[_Term]]:
+    """Weighted logs and error terms of layer w: the anchor and spectrum
+    terms (the envelope), plus the extension self-term when extend is set.
+    The self-term's error enters the budget either way."""
     n = spec.n
-    envelope: dict[int, float] = {}
-    extras: list[_Term] = []
     if w == n:
         # Degenerate top layer: the anchor threshold sits beyond the cone
         # and the conditioning lines are vacuous, so every spectrum term is
         # a plain pair term and there is no extension pair.
-        for h in eng.included:
-            t = eng.pair_term(h)
-            la = float(spec.log_a[h])
-            envelope[h] = la + t.log_value
-            extras.append(_Term(t.log_value, la + t.log_error, la + t.log_tail, t.converged))
-        return envelope, {}, extras
+        terms = [eng.pair_term(h).scaled(float(spec.log_a[h])) for h in eng.included]
+        return {h: t.log_value for h, t in zip(eng.included, terms)}, terms
     anchor = eng.pair_term(w)
-    extras.append(anchor)
-    self_term: dict[int, float] = {}
-    log_count = math.log(math.comb(n, w))
+    terms = [anchor]
     # The extension pairs exist whether or not the code has weight-w words;
     # only the cone geometry can zero them out.
-    t_self = eng.triple_term(w, w, rho_ww(w, n)) if w in eng.geom_included else None
-    if t_self is not None:
-        self_term[w] = log_count + t_self.log_value
-        extras.append(
-            _Term(t_self.log_value, log_count + t_self.log_error,
-                  log_count + t_self.log_tail, t_self.converged)
-        )
+    self_term = None
+    if w in eng.geom_included:
+        self_term = eng.triple_term(w, w, rho_ww(w, n)).scaled(math.log(math.comb(n, w)))
+        terms.append(self_term)
+    weighted: dict[int, float] = {}
     for h in eng.included:
-        if h == w:
-            continue
-        la = float(spec.log_a[h])
-        t = eng.triple_term(h, w, rho_max_wh(w, h, n))
-        envelope[h] = la + t.log_value
-        extras.append(_Term(t.log_value, la + t.log_error, la + t.log_tail, t.converged))
-    envelope[w] = anchor.log_value
-    return envelope, self_term, extras
+        if h != w:
+            t = eng.triple_term(h, w, rho_max_wh(w, h, n)).scaled(float(spec.log_a[h]))
+            weighted[h] = t.log_value
+            terms.append(t)
+    weighted[w] = anchor.log_value
+    if extend and self_term is not None:
+        weighted[w] = float(logsumexp([anchor.log_value, self_term.log_value]))
+    return weighted, terms
+
+
+def _best_layer(eng: _Engine, spec: DistanceSpectrum, layers, extend: bool) -> BoundResult:
+    """Minimize the per-layer assembly over the layers.  extend selects the
+    added-hyper-plane bound (self-term, apex tail, top layer w = n allowed)
+    over the envelope."""
+    layers = list(layers) if layers is not None else list(range(1, spec.n))
+    if not layers:
+        raise ValueError("need at least one extension layer")
+    top, rel = (spec.n, "<=") if extend else (spec.n - 1, "<")
+    for w in layers:
+        if not 1 <= w <= top:
+            raise ValueError(f"layer must satisfy 1 <= w {rel} n, got {w}")
+    best = None
+    for w in layers:
+        weighted, terms = _layer_terms(eng, spec, w, extend)
+        cand = eng.assemble(weighted, terms, include_q=extend, ahp_layer=w)
+        if best is None or cand.log_value < best.log_value:
+            best = cand
+    return best
 
 
 def ahp(
@@ -525,22 +529,8 @@ def ahp(
     layers defaults to all interior weights; w = n is legal and degenerates
     to the plain tangential-sphere form (the extension word is antipodal).
     """
-    eng = _Engine(spec, ch, tol)
-    layers = list(layers) if layers is not None else list(range(1, spec.n))
-    if not layers:
-        raise ValueError("need at least one extension layer")
-    best = None
-    for w in layers:
-        if not 1 <= w <= spec.n:
-            raise ValueError(f"layer must satisfy 1 <= w <= n, got {w}")
-        envelope, self_term, extras = _layer_terms(eng, spec, w)
-        merged = dict(envelope)
-        for h, lv in self_term.items():
-            merged[h] = float(logsumexp([merged[h], lv])) if h in merged else lv
-        cand = eng.assemble(merged, include_q=True, ahp_layer=w, extra_terms=extras)
-        if best is None or cand.log_value < best.log_value:
-            best = cand
-    return best
+    eng = _Engine.for_spectrum(spec, ch, tol)
+    return eng.finish(_best_layer(eng, spec, layers, extend=True))
 
 
 def psi(
@@ -553,19 +543,8 @@ def psi(
     spectrum terms with neither the extension pair term nor the apex tail,
     minimized over the layer.  Not itself an upper bound on the error
     probability; it sandwiches the conditioned bounds from below."""
-    eng = _Engine(spec, ch, tol)
-    layers = list(layers) if layers is not None else list(range(1, spec.n))
-    if not layers:
-        raise ValueError("need at least one extension layer")
-    best = None
-    for w in layers:
-        if not 1 <= w < spec.n:
-            raise ValueError(f"layer must satisfy 1 <= w < n, got {w}")
-        envelope, _, extras = _layer_terms(eng, spec, w)
-        cand = eng.assemble(envelope, include_q=False, ahp_layer=w, extra_terms=extras)
-        if best is None or cand.log_value < best.log_value:
-            best = cand
-    return best
+    eng = _Engine.for_spectrum(spec, ch, tol)
+    return eng.finish(_best_layer(eng, spec, layers, extend=False))
 
 
 def triple_term(
@@ -590,14 +569,7 @@ def triple_term(
         raise ValueError(f"need rho < 1, got rho={rho}")
     if z1 >= math.sqrt(geo.n):
         return _NEG_INF
-    eng = _Engine.__new__(_Engine)
-    eng.ch = ch
-    eng.tol = tol
-    eng.n = geo.n
-    eng.sqrt_n = math.sqrt(geo.n)
-    eng.sigma = math.sqrt(ch.sigma_sq)
-    eng.r = geo.r
-    eng.geo = geo
+    eng = _Engine(geo, ch, tol)
     z1_arr = np.array([float(z1)])
     ref_arr = np.array([float(beta_ref)])
     value = float(eng._triple_given_z1(z1_arr, h, ref_arr, float(rho))[0])

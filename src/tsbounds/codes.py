@@ -186,16 +186,9 @@ class GrowthRate:
 
     @classmethod
     def from_spectrum(cls, spec: DistanceSpectrum) -> "GrowthRate":
-        if spec.kind == "ensemble":
-            return cls(
-                fn=lambda d, _s=spec: growth_rate(_s, d),
-                kind="ensemble",
-                n=spec.n,
-                rate=spec.rate,
-            )
         return cls(
             fn=lambda d, _s=spec: growth_rate(_s, d),
-            kind="code",
+            kind="ensemble" if spec.kind == "ensemble" else "code",
             n=spec.n,
             rate=spec.rate,
         )

@@ -29,7 +29,6 @@ from .numerics import Tolerance, adaptive_integrate, minimize_1d
 
 __all__ = [
     "ExponentResult",
-    "ChernoffParams",
     "e1",
     "e2",
     "g_fn",
@@ -79,35 +78,6 @@ class ExponentResult:
         """True when the minimized objective is negative, i.e. the bound
         certifies no exponential decay at this channel parameter."""
         return self.exponent < 0.0
-
-
-@dataclass(frozen=True)
-class ChernoffParams:
-    """Validated multiplier box for the exponential bounds.
-
-    t is the quadratic tilt, constrained to (-1/(2 eta), 1/2): the upper-tail
-    bound uses t >= 0 (conventionally named p), the joint lower-tail bounds
-    use t <= 0 (named q or t); both must stay clear of the prefactor pole at
-    -1/(2 eta) and of the moment blowup at 1/2.  s and k are the nonnegative
-    linear multipliers of the threshold events; eta = tan^2(theta) > 0.
-    """
-
-    t: float
-    eta: float
-    s: float = 0.0
-    k: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.eta > 0.0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        if not -0.5 / self.eta < self.t < 0.5:
-            raise ValueError(
-                f"tilt {self.t} outside (-1/(2 eta), 1/2) for eta={self.eta}"
-            )
-        if self.s < 0.0 or self.k < 0.0:
-            raise ValueError(
-                f"multipliers must be nonnegative, got s={self.s}, k={self.k}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +256,8 @@ def verify_kstar_zero(
     """
     if t is None:
         t = -0.25 / eta
-    ChernoffParams(t=t, eta=eta)  # validates the (t, eta) box
+    if not (eta > 0.0 and -0.5 / eta < t < 0.5):
+        raise ValueError(f"tilt {t} outside (-1/(2 eta), 1/2) for eta={eta}")
     if spec.n != n:
         raise ValueError(f"spectrum is for n={spec.n}, not n={n}")
     if not math.isfinite(float(spec.log_a[h])):

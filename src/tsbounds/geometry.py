@@ -16,11 +16,9 @@ import numpy as np
 
 __all__ = [
     "ConeGeometry",
-    "WeightGeometry",
     "beta_h",
     "delta_slope",
     "alpha_theta",
-    "weight_geometry",
     "rho_min_h",
     "rho_bounds",
     "rho_max_wh",
@@ -90,35 +88,6 @@ def alpha_theta(h: int, geo: ConeGeometry) -> tuple[float, float | None]:
     if arg >= 1.0:
         return alpha, 0.0
     return alpha, math.acos(arg)
-
-
-@dataclass(frozen=True)
-class WeightGeometry:
-    """Per-weight geometry bundle: slope of the half-distance line, Euclidean
-    distance, chord radius, and opening angle (None when excluded)."""
-
-    h: int
-    n: int
-    slope: float
-    distance: float
-    alpha: float
-    theta: float | None
-
-    @property
-    def included(self) -> bool:
-        return self.theta is not None and self.theta > 0.0
-
-
-def weight_geometry(h: int, geo: ConeGeometry) -> WeightGeometry:
-    alpha, theta = alpha_theta(h, geo)
-    return WeightGeometry(
-        h=h,
-        n=geo.n,
-        slope=delta_slope(h, geo.n),
-        distance=2.0 * math.sqrt(h),
-        alpha=alpha,
-        theta=theta,
-    )
 
 
 def rho_min_h(h: int, d_min: int, n: int) -> float:

@@ -1,11 +1,8 @@
-"""Shared numeric kernel: special functions, quadrature, root finding, 1-D minimization.
+"""Shared numeric kernel: Gaussian tail, sin-power integrals, quadrature,
+1-D minimization.
 
 Everything here is a pure function of its inputs and safe to call from any
-number of threads.  Scalar special functions are hand-rolled (series /
-continued fractions) so their accuracy is under our control; vectorized hot
-loops elsewhere in the package use scipy.special equivalents, which the test
-suite cross-checks against these implementations and against arbitrary
-precision oracles.
+number of threads.
 """
 
 from __future__ import annotations
@@ -20,26 +17,16 @@ import numpy as np
 __all__ = [
     "Tolerance",
     "QuadratureResult",
-    "BracketError",
-    "reg_lower_gamma",
-    "log_reg_lower_gamma",
-    "reg_upper_gamma",
-    "log_reg_upper_gamma",
     "q_function",
     "log_q_function",
     "sin_power_integral",
     "wallis",
     "adaptive_integrate",
-    "find_root",
     "minimize_1d",
 ]
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-
-
-class BracketError(ValueError):
-    """Raised when a root bracket does not straddle a sign change."""
 
 
 @dataclass(frozen=True)
@@ -71,94 +58,6 @@ class QuadratureResult:
     value: float
     error: float
     converged: bool
-
-
-# ---------------------------------------------------------------------------
-# Regularized incomplete gamma
-# ---------------------------------------------------------------------------
-
-
-def _gamma_series_log(a: float, x: float) -> float:
-    # ln P(a,x) via the standard power series, valid for x < a + 1.
-    ap = a
-    total = 1.0 / a
-    term = total
-    for _ in range(500):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return a * math.log(x) - x - math.lgamma(a) + math.log(total)
-
-
-def _gamma_cf_log(a: float, x: float) -> float:
-    # ln Q(a,x) via the Lentz continued fraction, valid for x >= a + 1.
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return a * math.log(x) - x - math.lgamma(a) + math.log(h)
-
-
-def _check_gamma_args(a: float, x: float) -> None:
-    if not a > 0:
-        raise ValueError(f"shape parameter must be positive, got a={a}")
-    if x < 0:
-        raise ValueError(f"argument must be nonnegative, got x={x}")
-
-
-def log_reg_lower_gamma(a: float, x: float) -> float:
-    """ln of the regularized lower incomplete gamma P(a, x)."""
-    _check_gamma_args(a, x)
-    if x == 0:
-        return -math.inf
-    if x < a + 1.0:
-        return _gamma_series_log(a, x)
-    log_q = _gamma_cf_log(a, x)
-    if log_q >= 0:  # numerical round-off at the branch point
-        return -math.inf
-    return math.log1p(-math.exp(log_q))
-
-
-def reg_lower_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) in [0, 1].
-
-    Monotone nondecreasing in x with P(a, 0) = 0 and limit 1 as x -> inf.
-    """
-    return math.exp(log_reg_lower_gamma(a, x))
-
-
-def log_reg_upper_gamma(a: float, x: float) -> float:
-    """ln of the regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    _check_gamma_args(a, x)
-    if x == 0:
-        return 0.0
-    if x >= a + 1.0:
-        return _gamma_cf_log(a, x)
-    log_p = _gamma_series_log(a, x)
-    if log_p >= 0:
-        return -math.inf
-    return math.log1p(-math.exp(log_p))
-
-
-def reg_upper_gamma(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) in [0, 1]."""
-    return math.exp(log_reg_upper_gamma(a, x))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +255,7 @@ def adaptive_integrate(
     b: float,
     tol: Tolerance = DEFAULT_TOL,
 ) -> QuadratureResult:
-    """Adaptively integrate f over [a, b] (endpoints may be infinite).
+    """Adaptively integrate f over the finite interval [a, b].
 
     f must accept a numpy array of abscissae and return the integrand values.
     Panels are bisected worst-error-first with a nested Gauss-Kronrod 15/7
@@ -364,39 +263,17 @@ def adaptive_integrate(
     subdivision budget runs out (the flag on the result reports which).
     Deterministic for fixed inputs.
     """
+    if math.isinf(a) or math.isinf(b):
+        raise ValueError(f"integration bounds must be finite: [{a}, {b}]")
     if a > b:
         raise ValueError(f"integration bounds out of order: [{a}, {b}]")
     if a == b:
         return QuadratureResult(0.0, 0.0, True)
 
-    g = f
-    lo, hi = a, b
-    if math.isinf(a) and math.isinf(b):
-        left = adaptive_integrate(f, a, 0.0, tol)
-        right = adaptive_integrate(f, 0.0, b, tol)
-        return QuadratureResult(
-            left.value + right.value,
-            left.error + right.error,
-            left.converged and right.converged,
-        )
-    if math.isinf(b):
-        # x = a + t/(1-t) maps t in [0,1) onto [a, inf).
-        def g(t, _f=f, _a=a):
-            u = 1.0 - t
-            return _f(_a + t / u) / (u * u)
-
-        lo, hi = 0.0, 1.0
-    elif math.isinf(a):
-        def g(t, _f=f, _b=b):
-            u = 1.0 - t
-            return _f(_b - t / u) / (u * u)
-
-        lo, hi = 0.0, 1.0
-
-    value, err = _gk15(g, lo, hi)
+    value, err = _gk15(f, a, b)
     # Heap of (-error, tiebreak, left, right, value, error).
     counter = 0
-    heap = [(-err, counter, lo, hi, value, err)]
+    heap = [(-err, counter, a, b, value, err)]
     total_value, total_error = value, err
     for _ in range(tol.max_iter):
         if total_error <= max(tol.abs_tol, tol.rel_tol * abs(total_value)):
@@ -408,8 +285,8 @@ def adaptive_integrate(
             counter += 1
             continue
         pm = 0.5 * (pa + pb)
-        lval, lerr = _gk15(g, pa, pm)
-        rval, rerr = _gk15(g, pm, pb)
+        lval, lerr = _gk15(f, pa, pm)
+        rval, rerr = _gk15(f, pm, pb)
         total_value += lval + rval - pval
         total_error += lerr + rerr - perr
         counter += 1
@@ -418,74 +295,6 @@ def adaptive_integrate(
         heapq.heappush(heap, (-rerr, counter, pm, pb, rval, rerr))
     converged = total_error <= max(tol.abs_tol, tol.rel_tol * abs(total_value))
     return QuadratureResult(total_value, total_error, converged)
-
-
-# ---------------------------------------------------------------------------
-# Root finding (Brent)
-# ---------------------------------------------------------------------------
-
-
-def find_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
-    """Root of f on the bracket [lo, hi] by Brent's method.
-
-    Requires f(lo) and f(hi) to straddle (or touch) zero, else BracketError.
-    Stops once |f| <= abs_tol or the bracket width drops below
-    rel_tol * |x| + abs_tol.
-    """
-    fa, fb = f(lo), f(hi)
-    if fa == 0.0:
-        return lo
-    if fb == 0.0:
-        return hi
-    if fa * fb > 0.0:
-        raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo)={fa}, f(hi)={fb}")
-    a, b = lo, hi
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(tol.max_iter):
-        if fb * fc > 0.0:
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * (tol.rel_tol * abs(b) + tol.abs_tol)
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or abs(fb) <= tol.abs_tol:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p = 2.0 * xm * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e = d
-                d = p / q
-            else:
-                d = xm
-                e = d
-        else:
-            d = xm
-            e = d
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = f(b)
-        if fb == 0.0:
-            return b
-    return b
 
 
 # ---------------------------------------------------------------------------

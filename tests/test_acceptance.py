@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 from mpmath import mp
-from scipy.special import logsumexp
+from scipy.special import gammainc, gammaincc, logsumexp
 
 from tsbounds.bounds import (
     ChannelPoint,
@@ -52,7 +52,6 @@ from tsbounds.mcsim import simulate_ml
 from tsbounds.numerics import (
     Tolerance,
     adaptive_integrate,
-    reg_lower_gamma,
     sin_power_integral,
     wallis,
 )
@@ -332,10 +331,13 @@ def test_criterion_09_numeric_kernel_oracles():
     for _ in range(500):
         a = float(rng.uniform(0.5, 60.0))
         x = float(rng.uniform(1e-6, 4.0 * a))
-        mine = reg_lower_gamma(a, x)
-        oracle = float(mp.gammainc(a, 0, x, regularized=True))
-        if abs(mine - oracle) > 1e-10 * max(abs(oracle), 1e-300):
-            failures.append(f"gamma({a:.3f},{x:.3f}): {mine!r} vs {oracle!r}")
+        # the bounds' chi-square masses: scipy's lower and upper kernels
+        for name, mine, oracle in (
+            ("P", float(gammainc(a, x)), float(mp.gammainc(a, 0, x, regularized=True))),
+            ("Q", float(gammaincc(a, x)), float(mp.gammainc(a, x, mp.inf, regularized=True))),
+        ):
+            if abs(mine - oracle) > 1e-10 * max(abs(oracle), 1e-300):
+                failures.append(f"gamma {name}({a:.3f},{x:.3f}): {mine!r} vs {oracle!r}")
     for i in range(500):
         m = int(rng.integers(0, 62))
         theta = float(rng.uniform(0.3, math.pi / 2.0))

@@ -189,10 +189,13 @@ def test_vacuous_value_reported(hamming_spec):
     assert res.value == pytest.approx(math.exp(res.log_value), rel=1e-15)
 
 
-def test_nonconvergence_warns(hamming_spec):
+@pytest.mark.parametrize("bound", [tsb_block, itsb, ahp, psi], ids=lambda f: f.__name__)
+def test_nonconvergence_warns(hamming_spec, bound):
+    # One warning per bound call, however many layers fail to converge.
     starved = Tolerance(abs_tol=1e-300, rel_tol=1e-14, max_iter=1)
-    with pytest.warns(RuntimeWarning, match="did not converge"):
-        res = tsb_block(hamming_spec, ChannelPoint.from_eb_n0_db(3.0, R_HAMMING), tol=starved)
+    with pytest.warns(RuntimeWarning, match="did not converge") as record:
+        res = bound(hamming_spec, ChannelPoint.from_eb_n0_db(3.0, R_HAMMING), tol=starved)
+    assert len(record) == 1
     assert not res.converged
 
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from tsbounds.bounds import ChannelPoint, tsb_block
 from tsbounds.codes import DistanceSpectrum, GrowthRate, random_ensemble_spectrum
 from tsbounds.exponents import (
-    ChernoffParams,
     ExponentResult,
     chernoff_psi,
     chernoff_tsb,
@@ -520,16 +519,11 @@ def test_result_dataclass_validation():
     ).vacuous
 
 
-def test_chernoff_params_validation():
-    ChernoffParams(t=0.0, eta=1.0)
-    ChernoffParams(t=-0.49, eta=1.0, s=2.0, k=3.0)
-    with pytest.raises(ValueError):
-        ChernoffParams(t=0.0, eta=0.0)
-    with pytest.raises(ValueError):
-        ChernoffParams(t=0.5, eta=1.0)
-    with pytest.raises(ValueError):
-        ChernoffParams(t=-0.5, eta=1.0)
-    with pytest.raises(ValueError):
-        ChernoffParams(t=0.0, eta=1.0, s=-1.0)
-    with pytest.raises(ValueError):
-        ChernoffParams(t=0.0, eta=1.0, k=-1.0)
+def test_chernoff_params_validation(half_rate_48):
+    # the tilt box -1/(2 eta) < t < 1/2 with eta > 0, checked before the
+    # multiplier search starts
+    for t in (0.0, -0.49):
+        verify_kstar_zero(0.8, 1.0, 10, 20, 48, half_rate_48, t=t)
+    for t, eta in ((0.0, 0.0), (0.5, 1.0), (-0.5, 1.0)):
+        with pytest.raises(ValueError, match="tilt"):
+            verify_kstar_zero(0.8, eta, 10, 20, 48, half_rate_48, t=t)

@@ -18,7 +18,6 @@ from tsbounds.geometry import (
     rho_max_wh,
     rho_min_h,
     rho_ww,
-    weight_geometry,
     zeta_wh,
 )
 
@@ -79,9 +78,6 @@ def test_alpha_theta_boundary_cases():
     # Narrow cone: the weight falls outside and is flagged excluded.
     _, theta = alpha_theta(h, ConeGeometry(n=n, r=0.5 * r_tangent))
     assert theta is None
-    wg = weight_geometry(h, ConeGeometry(n=n, r=0.5 * r_tangent))
-    assert not wg.included
-    assert wg.distance == pytest.approx(2 * math.sqrt(h), rel=1e-15)
 
 
 def test_rho_min_h_values():

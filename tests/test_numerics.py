@@ -1,4 +1,5 @@
-"""Tests for the scalar numeric kernel.
+"""Tests for the scalar numeric kernel and the scipy incomplete gamma the
+bounds integrate.
 
 Reference values were frozen from a 40-digit arbitrary precision run
 (mpmath) and are quoted to 20 significant digits.
@@ -10,19 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammainc, gammaincc
 
 from tsbounds.numerics import (
-    BracketError,
     Tolerance,
     adaptive_integrate,
-    find_root,
     log_q_function,
-    log_reg_lower_gamma,
-    log_reg_upper_gamma,
     minimize_1d,
     q_function,
-    reg_lower_gamma,
-    reg_upper_gamma,
     sin_power_integral,
     wallis,
 )
@@ -46,33 +42,19 @@ GAMMA_CASES = [
 
 @pytest.mark.parametrize("a,x,p,logp,q,logq", GAMMA_CASES)
 def test_reg_gamma_reference(a, x, p, logp, q, logq):
-    assert reg_lower_gamma(a, x) == pytest.approx(p, rel=1e-12)
-    assert reg_upper_gamma(a, x) == pytest.approx(q, rel=1e-12)
+    assert float(gammainc(a, x)) == pytest.approx(p, rel=1e-12)
+    assert float(gammaincc(a, x)) == pytest.approx(q, rel=1e-12)
     if logp is not None:
-        assert log_reg_lower_gamma(a, x) == pytest.approx(logp, rel=1e-12, abs=1e-15)
-    assert log_reg_upper_gamma(a, x) == pytest.approx(logq, rel=1e-12)
+        assert math.log(gammainc(a, x)) == pytest.approx(logp, rel=1e-12, abs=1e-15)
+    assert math.log(gammaincc(a, x)) == pytest.approx(logq, rel=1e-12)
 
 
 def test_reg_gamma_edges():
-    assert reg_lower_gamma(3.0, 0.0) == 0.0
-    assert reg_upper_gamma(3.0, 0.0) == 1.0
-    assert log_reg_lower_gamma(3.0, 0.0) == -math.inf
-    with pytest.raises(ValueError):
-        reg_lower_gamma(0.0, 1.0)
-    with pytest.raises(ValueError):
-        reg_lower_gamma(2.0, -1.0)
-
-
-def test_reg_gamma_matches_scipy():
-    # The vectorized integrands elsewhere use scipy; the two must agree.
-    from scipy.special import gammainc, gammaincc
-
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        a = float(rng.uniform(0.3, 80.0))
-        x = float(rng.uniform(0.0, 120.0))
-        assert reg_lower_gamma(a, x) == pytest.approx(float(gammainc(a, x)), rel=1e-11, abs=1e-280)
-        assert reg_upper_gamma(a, x) == pytest.approx(float(gammaincc(a, x)), rel=1e-11, abs=1e-280)
+    assert gammainc(3.0, 0.0) == 0.0
+    assert gammaincc(3.0, 0.0) == 1.0
+    # A negative argument gives NaN rather than an error, which is why the
+    # bounds clamp chi-square arguments at zero before the call.
+    assert math.isnan(gammainc(2.0, -1.0))
 
 
 @given(
@@ -83,10 +65,10 @@ def test_reg_gamma_matches_scipy():
 @settings(max_examples=200, deadline=None)
 def test_reg_lower_gamma_monotone_and_complementary(a, x1, x2):
     lo, hi = sorted((x1, x2))
-    p_lo, p_hi = reg_lower_gamma(a, lo), reg_lower_gamma(a, hi)
+    p_lo, p_hi = float(gammainc(a, lo)), float(gammainc(a, hi))
     assert 0.0 <= p_lo <= 1.0
     assert p_lo <= p_hi + 1e-13
-    assert p_hi + reg_upper_gamma(a, hi) == pytest.approx(1.0, abs=1e-12)
+    assert p_hi + float(gammaincc(a, hi)) == pytest.approx(1.0, abs=1e-12)
 
 
 Q_CASES = [
@@ -162,15 +144,18 @@ def test_sin_power_integral_monotone(m, t1, t2):
     assert sin_power_integral(m, lo) <= sin_power_integral(m, hi) * (1 + 1e-12) + 1e-300
 
 
+# Infinite intervals are truncated where the integrand is below 1e-300.
+
+
 def test_adaptive_integrate_gaussian_tail():
-    res = adaptive_integrate(lambda x: np.exp(-0.5 * x * x), 0.0, math.inf)
+    res = adaptive_integrate(lambda x: np.exp(-0.5 * x * x), 0.0, 40.0)
     assert res.converged
     assert res.value == pytest.approx(math.sqrt(math.pi / 2), rel=1e-12)
     assert res.error < 1e-8
 
 
 def test_adaptive_integrate_gamma_moment():
-    res = adaptive_integrate(lambda x: x**3 * np.exp(-x), 0.0, math.inf)
+    res = adaptive_integrate(lambda x: x**3 * np.exp(-x), 0.0, 800.0)
     assert res.converged
     assert res.value == pytest.approx(6.0, rel=1e-11)
 
@@ -179,7 +164,7 @@ def test_adaptive_integrate_finite_and_two_sided():
     res = adaptive_integrate(lambda x: np.sin(x) / x, 1e-300, 1.0)
     assert res.value == pytest.approx(0.94608307036718301494, rel=1e-10)
     norm = adaptive_integrate(
-        lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi), -math.inf, math.inf
+        lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi), -40.0, 40.0
     )
     assert norm.value == pytest.approx(1.0, rel=1e-11)
     assert adaptive_integrate(lambda x: x, 2.0, 2.0).value == 0.0
@@ -195,24 +180,10 @@ def test_adaptive_integrate_reports_nonconvergence():
 def test_adaptive_integrate_rejects_bad_interval():
     with pytest.raises(ValueError):
         adaptive_integrate(lambda x: x, 1.0, 0.0)
-
-
-def test_find_root_cosine():
-    root = find_root(math.cos, 0.0, 2.0, Tolerance(abs_tol=1e-14, rel_tol=1e-14, max_iter=100))
-    assert root == pytest.approx(math.pi / 2, abs=1e-12)
-
-
-def test_find_root_endpoint_and_bracket_error():
-    assert find_root(lambda x: x - 1.0, 1.0, 2.0) == 1.0
-    with pytest.raises(BracketError):
-        find_root(lambda x: x * x + 1.0, -1.0, 1.0)
-
-
-@given(shift=st.floats(-5.0, 5.0))
-@settings(max_examples=100, deadline=None)
-def test_find_root_affine(shift):
-    root = find_root(lambda x: 3.0 * (x - shift), shift - 7.0, shift + 9.0)
-    assert root == pytest.approx(shift, abs=1e-8)
+    with pytest.raises(ValueError, match="finite"):
+        adaptive_integrate(lambda x: np.exp(-x), 0.0, math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        adaptive_integrate(lambda x: np.exp(-x * x), -math.inf, 0.0)
 
 
 def test_minimize_1d_quadratic():
