@@ -258,11 +258,16 @@ class _Engine:
 
     # -- conditional (given z1) kernels -----------------------------------
 
-    def _pair_given_z1(self, z1: np.ndarray, h: int) -> np.ndarray:
-        """Pr(beta_h(z1) <= z2 <= r_z1, chi2_(n-2) mass below r^2 - z2^2)."""
+    def _z2_range(self, z1: np.ndarray, h: int):
+        """Per-z1 z2 limits [a, rz] = [beta_h(z1), r_z1] (empty once beta_h
+        passes the cone) and the widest span among them."""
         rz = np.asarray(self.geo.r_z1(z1), dtype=float)
         a = np.minimum(beta_h(z1, h, self.geo), rz)
-        span = float(np.max(rz - a, initial=0.0))
+        return rz, a, float(np.max(rz - a, initial=0.0))
+
+    def _pair_given_z1(self, z1: np.ndarray, h: int) -> np.ndarray:
+        """Pr(beta_h(z1) <= z2 <= r_z1, chi2_(n-2) mass below r^2 - z2^2)."""
+        rz, a, span = self._z2_range(z1, h)
         if span <= 0.0:
             return np.zeros_like(rz)
         z2, w2 = self._panel_nodes(a, rz, self._ksub(span))
@@ -282,9 +287,7 @@ class _Engine:
         the kernel degenerates to the pair kernel."""
         if rho <= -1.0 + 1e-12:
             return self._pair_given_z1(z1, h)
-        rz = np.asarray(self.geo.r_z1(z1), dtype=float)
-        a = np.minimum(beta_h(z1, h, self.geo), rz)
-        span = float(np.max(rz - a, initial=0.0))
+        rz, a, span = self._z2_range(z1, h)
         if span <= 0.0:
             return np.zeros_like(rz)
         # The regime of the z3 limit changes where the line crosses +-s;
@@ -412,9 +415,7 @@ def tsb_block(
     cap leakage, and the Gaussian tail beyond the apex.
     """
     eng = _Engine.for_spectrum(spec, ch, tol)
-    terms = {h: eng.pair_term(h).scaled(float(spec.log_a[h])) for h in eng.included}
-    weighted = {h: t.log_value for h, t in terms.items()}
-    return eng.finish(eng.assemble(weighted, list(terms.values())))
+    return eng.finish(eng.assemble(*_pair_terms(eng, spec)))
 
 
 def tsb_bit(io: Iowef, ch: ChannelPoint, tol: Tolerance = BOUND_TOL) -> BoundResult:
@@ -464,25 +465,31 @@ def itsb(
     return eng.finish(eng.assemble(weighted, terms))
 
 
+def _pair_terms(
+    eng: _Engine, spec: DistanceSpectrum
+) -> tuple[dict[int, float], list[_Term]]:
+    """Weighted logs and error terms of the plain pair terms A_h P_h."""
+    terms = {h: eng.pair_term(h).scaled(float(spec.log_a[h])) for h in eng.included}
+    return {h: t.log_value for h, t in terms.items()}, list(terms.values())
+
+
 def _layer_terms(
     eng: _Engine, spec: DistanceSpectrum, w: int, extend: bool
 ) -> tuple[dict[int, float], list[_Term]]:
     """Weighted logs and error terms of layer w: the anchor and spectrum
-    terms (the envelope), plus the extension self-term when extend is set.
-    The self-term's error enters the budget either way."""
+    terms (the envelope), plus the extension self-term when extend is set."""
     n = spec.n
     if w == n:
         # Degenerate top layer: the anchor threshold sits beyond the cone
         # and the conditioning lines are vacuous, so every spectrum term is
         # a plain pair term and there is no extension pair.
-        terms = [eng.pair_term(h).scaled(float(spec.log_a[h])) for h in eng.included]
-        return {h: t.log_value for h, t in zip(eng.included, terms)}, terms
+        return _pair_terms(eng, spec)
     anchor = eng.pair_term(w)
     terms = [anchor]
     # The extension pairs exist whether or not the code has weight-w words;
     # only the cone geometry can zero them out.
     self_term = None
-    if w in eng.geom_included:
+    if extend and w in eng.geom_included:
         self_term = eng.triple_term(w, w, rho_ww(w, n)).scaled(math.log(math.comb(n, w)))
         terms.append(self_term)
     weighted: dict[int, float] = {}
@@ -492,7 +499,7 @@ def _layer_terms(
             weighted[h] = t.log_value
             terms.append(t)
     weighted[w] = anchor.log_value
-    if extend and self_term is not None:
+    if self_term is not None:
         weighted[w] = float(logsumexp([anchor.log_value, self_term.log_value]))
     return weighted, terms
 

@@ -25,7 +25,7 @@ from scipy.special import logsumexp
 
 from .codes import DistanceSpectrum, GrowthRate
 from .geometry import rho_max_wh, rho_ww, zeta_wh
-from .numerics import Tolerance, adaptive_integrate, minimize_1d
+from .numerics import Tolerance, adaptive_integrate, minimize_1d, minimize_componentwise
 
 __all__ = [
     "ExponentResult",
@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Slope parameter search box (in ln eta) and the relative margin kept between
 # any tilt and the poles of its admissible interval.
 _ETA_LOG_LO, _ETA_LOG_HI = -6.0, 6.0
@@ -85,6 +84,13 @@ class ExponentResult:
 # ---------------------------------------------------------------------------
 
 
+def _moment_exponent(c, q, dsq, eta):
+    """e2's moment-bound exponent at tilt q with Delta^2 = dsq; dsq = 0 with
+    q >= 0 is e1.  Elementwise over arrays; no input checks."""
+    denom = 1.0 + 2.0 * q * eta + (1.0 - 2.0 * q) * dsq
+    return c * (1.0 - 1.0 / denom) + 0.5 * np.log1p(-2.0 * q)
+
+
 def e1(c: float, p: float, eta: float) -> float:
     """Exponent of the moment bound on the outside-the-cone event:
     2 p eta c / (1 + 2 p eta) + ln(1 - 2p) / 2."""
@@ -94,7 +100,7 @@ def e1(c: float, p: float, eta: float) -> float:
         raise ValueError(f"p must lie in [0, 1/2), got {p}")
     if eta <= 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
-    return 2.0 * p * eta * c / (1.0 + 2.0 * p * eta) + 0.5 * math.log1p(-2.0 * p)
+    return float(_moment_exponent(c, p, 0.0, eta))
 
 
 def e2(c: float, q: float, delta: float, eta: float) -> float:
@@ -112,9 +118,7 @@ def e2(c: float, q: float, delta: float, eta: float) -> float:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
     if not -0.5 / eta <= q <= 0.0:
         raise ValueError(f"q={q} outside [-1/(2 eta), 0] for eta={eta}")
-    dsq = delta / (1.0 - delta)
-    denom = 1.0 + 2.0 * q * eta + (1.0 - 2.0 * q) * dsq
-    return c * (1.0 - 1.0 / denom) + 0.5 * math.log1p(-2.0 * q)
+    return float(_moment_exponent(c, q, delta / (1.0 - delta), eta))
 
 
 def g_fn(
@@ -220,20 +224,17 @@ def _g2(c: float, t: float, xi: float, eta: float, w: int, n: int) -> float:
 
 def _xi_star(c: float, t: float, eta: float, w: int, n: int) -> float:
     al2 = _alpha_same_weight(w, n) ** 2
-    eps = al2 / (1.0 + al2)
-    dsq = w / (n - w)
-    b1 = 1.0 - 2.0 * t
-    a1 = 1.0 + 2.0 * t * eta
-    return math.sqrt(2.0 * n * c * dsq) * b1 / (dsq * b1 + eps * a1)
+    return _s_face(c, t, eta, w, n, al2 / (1.0 + al2))
 
 
-def _s_face(c: float, t: float, eta: float, h: int, n: int) -> float:
+def _s_face(c: float, t: float, eta: float, h: int, n: int, eps: float = 1.0) -> float:
     """Stationary linear multiplier on the k = 0 face, where the conditioned
-    exponent collapses to the pair exponent with the growth rate folded in."""
+    exponent collapses to the pair exponent with the growth rate folded in;
+    eps = alpha^2 / (1 + alpha^2) gives _g2's stationary xi instead."""
     dsq = h / (n - h)
     b1 = 1.0 - 2.0 * t
     a1 = 1.0 + 2.0 * t * eta
-    return math.sqrt(2.0 * n * c * dsq) * b1 / (dsq * b1 + a1)
+    return math.sqrt(2.0 * n * c * dsq) * b1 / (dsq * b1 + eps * a1)
 
 
 def verify_kstar_zero(
@@ -288,89 +289,31 @@ def verify_kstar_zero(
 # ---------------------------------------------------------------------------
 
 
-def _golden_min_vec(f, lo, hi, grid: int = 33, iters: int = 72):
-    """Componentwise minimum of f over per-component intervals [lo, hi]:
-    coarse grid seed, then golden-section run in lockstep.  f maps an
-    abscissa vector to a value vector.  Deterministic."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    ts = np.linspace(0.0, 1.0, grid)
-    xs = lo[None, :] + (hi - lo)[None, :] * ts[:, None]
-    vals = np.vstack([f(xs[i]) for i in range(grid)])
-    best = np.argmin(vals, axis=0)
-    idx = np.arange(lo.size)
-    a = xs[np.maximum(best - 1, 0), idx]
-    b = xs[np.minimum(best + 1, grid - 1), idx]
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        take = f1 <= f2
-        b = np.where(take, x2, b)
-        a = np.where(take, a, x1)
-        x1 = b - _INVPHI * (b - a)
-        x2 = a + _INVPHI * (b - a)
-        f1, f2 = f(x1), f(x2)
-    xm = 0.5 * (a + b)
-    fm = f(xm)
-    seed_v = vals[best, idx]
-    seed_x = xs[best, idx]
-    keep = fm <= seed_v
-    return np.where(keep, xm, seed_x), np.minimum(fm, seed_v)
-
-
-def _pair_log_terms(n: int, c: float, eta: float, dsq: np.ndarray) -> np.ndarray:
-    """Per-weight log of the optimized pair term, prefactor included:
-    min over the admissible tilt of ln sqrt((1-2q)/(1+2q eta)) - n E2.
-    dsq holds Delta^2 values; +inf (the all-ones weight) is allowed."""
-    dsq = np.asarray(dsq, dtype=float)
-    lo = np.full(dsq.shape, -0.5 / eta * _TILT_EDGE)
-    hi = np.zeros(dsq.shape)
-
-    def neg_exponent(q: np.ndarray) -> np.ndarray:
-        denom = 1.0 + 2.0 * q * eta + (1.0 - 2.0 * q) * dsq
-        e2v = c * (1.0 - 1.0 / denom) + 0.5 * np.log1p(-2.0 * q)
-        pref = 0.5 * (np.log1p(-2.0 * q) - np.log1p(2.0 * q * eta))
-        return pref - n * e2v
-
-    _, terms = _golden_min_vec(neg_exponent, lo, hi)
-    return terms
-
-
-def _cap_log_term(n: int, c: float, eta: float) -> float:
-    """Log of the optimized outside-the-cone term at slope eta."""
-
-    def neg_exponent(p: float) -> float:
-        pref = 0.5 * (math.log1p(-2.0 * p) - math.log1p(2.0 * p * eta))
-        return pref - n * e1(c, p, eta)
-
-    _, best = minimize_1d(neg_exponent, 0.0, 0.5 * _TILT_EDGE, grid_points=33)
-    return best
-
-
-def _weight_dsq(n: int, hs: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.where(hs < n, hs / np.maximum(n - hs, 1), np.inf)
-
-
 def _chernoff_log_total(
-    n: int,
-    c: float,
-    spec: DistanceSpectrum,
-    eta: float,
-    layer_dsq: np.ndarray | None = None,
+    n: int, c: float, spec: DistanceSpectrum, eta: float, layered: bool = False
 ) -> float:
     """Log of the assembled exponential bound at one slope: cap term plus the
     spectrum pair terms, plus (for the layered variant) the cheapest unit
-    reference pair term over the candidate layers."""
+    reference pair term over the layers w = 1..n-1."""
+    # terms[h] = min over the tilt of ln sqrt((1-2q)/(1+2q eta)) - n E: the
+    # cap at h = 0 (Delta^2 = 0, tilt in [0, 1/2)), the weight-h pair term
+    # for h >= 1 (tilt in [-1/(2 eta), 0]; Delta^2 = +inf at h = n).
+    hs = np.arange(n + 1)
+    dsq = np.where(hs < n, hs / np.maximum(n - hs, 1), np.inf)
+    lo = np.where(hs == 0, 0.0, -0.5 / eta * _TILT_EDGE)
+    hi = np.where(hs == 0, 0.5 * _TILT_EDGE, 0.0)
+
+    def neg_exponent(q: np.ndarray) -> np.ndarray:
+        pref = 0.5 * (np.log1p(-2.0 * q) - np.log1p(2.0 * q * eta))
+        return pref - n * _moment_exponent(c, q, dsq, eta)
+
+    _, terms = minimize_componentwise(neg_exponent, lo, hi, grid_points=33)
     log_a = np.asarray(spec.log_a, dtype=float)
-    hs = np.nonzero(np.isfinite(log_a[1:]))[0] + 1
-    terms = log_a[hs] + _pair_log_terms(n, c, eta, _weight_dsq(n, hs))
-    base = float(logsumexp(np.append(terms, _cap_log_term(n, c, eta))))
-    if layer_dsq is None:
+    ws = np.nonzero(np.isfinite(log_a[1:]))[0] + 1
+    base = float(logsumexp(np.append(log_a[ws] + terms[ws], terms[0])))
+    if not layered:
         return base
-    pair = _pair_log_terms(n, c, eta, layer_dsq)
-    return float(np.min(np.logaddexp(base, pair)))
+    return float(np.min(np.logaddexp(base, terms[1:n])))
 
 
 def _check_assembly_args(n: int, c: float, spec: DistanceSpectrum) -> None:
@@ -428,10 +371,8 @@ def chernoff_psi(n: int, c: float, spec: DistanceSpectrum) -> float:
     _check_assembly_args(n, c, spec)
     if n < 2:
         raise ValueError(f"need n >= 2 for a reference layer, got n={n}")
-    ws = np.arange(1, n)
-    layer_dsq = _weight_dsq(n, ws)
     return _optimize_eta(
-        lambda x: _chernoff_log_total(n, c, spec, math.exp(x), layer_dsq)
+        lambda x: _chernoff_log_total(n, c, spec, math.exp(x), layered=True)
     )
 
 
@@ -467,11 +408,12 @@ def _closed_form_pieces(
     return obj, gamma, c0
 
 
-def _minimize_exponent(rate_fn: GrowthRate, c: float, per_delta):
+def _minimize_exponent(rate_fn: GrowthRate, c: float, per_delta) -> ExponentResult:
     """Minimize per_delta(delta, r) over the admissible normalized weights
     {delta in (0, 1] : r(delta) >= 0}.  Finite code spectra are scanned at
     their exact weights; analytic growth rates get a dense grid plus a golden
-    refinement around the seed.  Ties resolve to the smallest delta."""
+    refinement around the seed.  Ties resolve to the smallest delta.  The
+    result carries the closed form's (gamma, c0) at the minimizing delta."""
     if c <= 0.0:
         raise ValueError(f"channel parameter must be positive, got c={c}")
     if rate_fn.kind == "code" and rate_fn.n:
@@ -489,32 +431,34 @@ def _minimize_exponent(rate_fn: GrowthRate, c: float, per_delta):
                 "no admissible normalized weight: every weight has a "
                 "negative log count"
             )
-        return best[1], best[0]
-    m = 4096
-    ds = np.linspace(0.0, 1.0, m + 1)[1:]
-    rs = np.array([rate_fn(float(d)) for d in ds])
-    adm = np.nonzero(rs >= 0.0)[0]
-    if adm.size == 0:
-        raise ValueError(
-            "no admissible normalized weight: the growth rate is negative "
-            "everywhere on (0, 1]"
+        v, d = best
+    else:
+        m = 4096
+        ds = np.linspace(0.0, 1.0, m + 1)[1:]
+        rs = np.array([rate_fn(float(d)) for d in ds])
+        adm = np.nonzero(rs >= 0.0)[0]
+        if adm.size == 0:
+            raise ValueError(
+                "no admissible normalized weight: the growth rate is negative "
+                "everywhere on (0, 1]"
+            )
+        vals = np.full(m, np.inf)
+        for i in adm:
+            vals[i] = per_delta(float(ds[i]), float(rs[i]))
+        i = int(np.argmin(vals))
+
+        def wrapped(d: float) -> float:
+            r = rate_fn(d)
+            return per_delta(d, r) if r >= 0.0 else math.inf
+
+        d, v = minimize_1d(
+            wrapped, float(ds[max(i - 1, 0)]), float(ds[min(i + 1, m - 1)]),
+            grid_points=17,
         )
-    vals = np.full(m, np.inf)
-    for i in adm:
-        vals[i] = per_delta(float(ds[i]), float(rs[i]))
-    i = int(np.argmin(vals))
-
-    def wrapped(d: float) -> float:
-        r = rate_fn(d)
-        return per_delta(d, r) if r >= 0.0 else math.inf
-
-    d2, v2 = minimize_1d(
-        wrapped, float(ds[max(i - 1, 0)]), float(ds[min(i + 1, m - 1)]),
-        grid_points=17,
-    )
-    if v2 < vals[i]:
-        return d2, v2
-    return float(ds[i]), float(vals[i])
+        if not v < vals[i]:
+            d, v = float(ds[i]), float(vals[i])
+    _, gamma, c0 = _closed_form_pieces(c, d, rate_fn(d))
+    return ExponentResult(exponent=v, delta_star=d, gamma_star=gamma, c0_star=c0)
 
 
 def tsb_exponent(rate_fn: GrowthRate, c: float) -> ExponentResult:
@@ -525,11 +469,9 @@ def tsb_exponent(rate_fn: GrowthRate, c: float) -> ExponentResult:
     result carries the minimizing delta and the (gamma, c0) parameters there.
     A negative exponent is reported as-is and flagged vacuous.
     """
-    d, v = _minimize_exponent(
+    return _minimize_exponent(
         rate_fn, c, lambda dd, rr: _closed_form_pieces(c, dd, rr)[0]
     )
-    _, gamma, c0 = _closed_form_pieces(c, d, rate_fn(d))
-    return ExponentResult(exponent=v, delta_star=d, gamma_star=gamma, c0_star=c0)
 
 
 def union_exponent(rate_fn: GrowthRate, c: float) -> ExponentResult:
@@ -539,9 +481,7 @@ def union_exponent(rate_fn: GrowthRate, c: float) -> ExponentResult:
     Reported with the same (gamma, c0) diagnostics as tsb_exponent so the two
     results line up (they describe the closed form at delta_star, not the
     union objective)."""
-    d, v = _minimize_exponent(rate_fn, c, lambda dd, rr: c * dd - rr)
-    _, gamma, c0 = _closed_form_pieces(c, d, rate_fn(d))
-    return ExponentResult(exponent=v, delta_star=d, gamma_star=gamma, c0_star=c0)
+    return _minimize_exponent(rate_fn, c, lambda dd, rr: c * dd - rr)
 
 
 def gallager_rce(rate: float, c: float) -> float:

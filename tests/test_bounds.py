@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc, logsumexp
 
+from tsbounds import bounds
 from tsbounds.bounds import (
     BOUND_TOL,
     ChannelPoint,
@@ -332,6 +333,26 @@ def test_psi_sandwich(hamming_spec):
         assert 0.0 <= p.value <= i.value * (1 + 1e-9)
         assert p.value <= a.value * (1 + 1e-9)
         assert p.tail_terms["q"] == NEG_INF  # apex tail excluded by design
+
+
+def test_psi_never_requests_self_term(hamming_spec, monkeypatch):
+    # psi's value leaves the extension self-term triple_term(w, w, .) out,
+    # so psi must not integrate it (nor carry its quadrature error); ahp
+    # still does, which shows the spy sees the requests.
+    calls = []
+    orig = bounds._Engine.triple_term
+
+    def spy(self, h, w_ref, rho):
+        calls.append((h, w_ref))
+        return orig(self, h, w_ref, rho)
+
+    monkeypatch.setattr(bounds._Engine, "triple_term", spy)
+    ch = ChannelPoint.from_eb_n0_db(4.0, R_HAMMING)
+    psi(hamming_spec, ch)
+    assert calls and all(h != w for h, w in calls)
+    calls.clear()
+    ahp(hamming_spec, ch)
+    assert any(h == w for h, w in calls)
 
 
 def test_psi_rejects_top_layer(hamming_spec):

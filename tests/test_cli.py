@@ -127,6 +127,23 @@ def test_bounds_spectrum_source_path_independent(gen_file, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# Frozen `bounds` CSV for the Hamming code: the regression oracle for
+# changes that must leave every bound value unchanged.
+HAMMING_BOUNDS_CSV = (
+    "eb_n0_db,c,tsb,log_tsb,itsb,log_itsb,ahp,log_ahp,psi,log_psi\n"
+    "2,0.90565325283492204,0.065356563010782229,-2.727897415327404,0.065356563010782229,-2.727897415327404,0.065356563010782229,-2.727897415327404,0.0332211472496498,-3.4045686404851225\n"
+    "4,1.4353636751483314,0.012058727537198799,-4.4179666042614842,0.012058727537198799,-4.4179666042614842,0.012058727537198799,-4.4179666042614842,0.0043577044420792851,-5.4358098643834083\n"
+)
+
+
+def test_bounds_csv_frozen(gen_file, tmp_path):
+    out = tmp_path / "b.csv"
+    argv = ["bounds", "--generator", gen_file, "--grid", "2:4:2",
+            "--bounds", "tsb,itsb,ahp,psi", "--out", str(out)]
+    assert run_cli(argv) == 0
+    assert out.read_text() == HAMMING_BOUNDS_CSV
+
+
 def test_bounds_usage_errors(gen_file, tmp_path):
     base = ["bounds", "--generator", gen_file, "--grid", "0:4:2"]
     assert run_cli(base + ["--bounds", ""]) == 2

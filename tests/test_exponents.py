@@ -339,6 +339,22 @@ def test_psi_assembly_adds_reference_layer():
         chernoff_psi(1, 0.8, DistanceSpectrum(n=1, log_a=np.array([0.0, 0.0]), d_min=1))
 
 
+# Frozen logs of the n = 64, rate-1/2 ensemble assemblies; at this length the
+# reference-layer term is already negligible, so the two coincide.
+CHERNOFF_64 = {
+    ("tsb", 1.0): -2.5599641459338764,
+    ("tsb", 1.5): -9.290262509046787,
+    ("psi", 1.0): -2.5599641459338764,
+    ("psi", 1.5): -9.290262509046787,
+}
+
+
+@pytest.mark.parametrize("kind, c", sorted(CHERNOFF_64))
+def test_chernoff_frozen_values(half_rate_64, kind, c):
+    fn = chernoff_tsb if kind == "tsb" else chernoff_psi
+    assert fn(64, c, half_rate_64) == pytest.approx(CHERNOFF_64[kind, c], rel=1e-12)
+
+
 def test_exponent_coincidence_moderate_length():
     # both assemblies converge to the same closed-form exponent; by n = 128
     # the reference-layer term is already far below the shared terms, so the

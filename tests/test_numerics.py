@@ -18,6 +18,7 @@ from tsbounds.numerics import (
     adaptive_integrate,
     log_q_function,
     minimize_1d,
+    minimize_componentwise,
     q_function,
     sin_power_integral,
     wallis,
@@ -203,6 +204,50 @@ def test_minimize_1d_multimodal_and_ties():
     # A constant lands on the smallest grid argument.
     xm, fm = minimize_1d(lambda x: 1.0, 0.0, 1.0)
     assert xm == 0.0 and fm == 1.0
+
+
+def test_minimize_componentwise_matches_scalar_calls():
+    # Each component must equal its own minimize_1d call bit for bit: a
+    # constant and two box-edge minima (grid seed kept), and interior minima
+    # whose brackets meet the tolerance after different iteration counts.
+    funcs = [
+        lambda x: 1.0,
+        lambda x: x,
+        lambda x: -x,
+        lambda x: (x - 0.37) ** 2 + 1.0,
+        lambda x: math.cos(3.0 * x) + 0.1 * x,
+        lambda x: (x - 1e-3) ** 2,
+        lambda x: (x - 2.5e3) ** 2,
+    ]
+    lo = [0.0, 0.0, 0.0, -1.0, -2.0, 0.0, 1e3]
+    hi = [1.0, 1.0, 1.0, 2.0, 5.0, 1.0, 4e3]
+
+    def vector_f(x):
+        return np.array([g(float(xi)) for g, xi in zip(funcs, x)])
+
+    for tol in (Tolerance(), Tolerance(abs_tol=1e-6, rel_tol=1e-6, max_iter=30)):
+        xs, vs = minimize_componentwise(vector_f, lo, hi, tol, grid_points=17)
+        evals = []
+        for i, g in enumerate(funcs):
+            count = [0]
+
+            def counted(x, g=g):
+                count[0] += 1
+                return g(x)
+
+            xm, fm = minimize_1d(counted, lo[i], hi[i], tol, grid_points=17)
+            assert (xm, fm) == (float(xs[i]), float(vs[i])), i
+            evals.append(count[0])
+        assert len(set(evals)) >= 3, evals
+    assert (xs[0], vs[0]) == (0.0, 1.0)
+    assert (xs[1], xs[2]) == (0.0, 1.0)
+
+
+def test_minimize_componentwise_validation():
+    with pytest.raises(ValueError):
+        minimize_componentwise(lambda x: x, [0.0, 1.0], [1.0, 1.0])
+    with pytest.raises(ValueError):
+        minimize_1d(lambda x: x, 0.0, 1.0, grid_points=2)
 
 
 def test_tolerance_validation():
