@@ -9,6 +9,11 @@ competing codeword, and (for the conditioned bounds) a third component z3.
 Every bound integrates Gaussian densities against chi-square tail masses
 inside a circular cone whose radius is optimized once per spectrum.
 
+A Plan holds that channel-free part (radius, geometry, included weights);
+plan.at(ch, tol) is the term cache for one channel point.  Bounds passed the
+same cache as `terms=` share every term integral, so a sweep solves the cone
+once and computes the terms common to several bounds once per point.
+
 All per-weight terms are accumulated in log domain; individual term
 integrals are evaluated in linear double precision (their magnitudes are
 probability-sized) and logged afterwards.
@@ -32,6 +37,7 @@ __all__ = [
     "ChannelPoint",
     "BoundResult",
     "NoSolutionError",
+    "Plan",
     "solve_cone_radius",
     "tsb_block",
     "tsb_bit",
@@ -182,6 +188,7 @@ class _Term:
     log_error: float
     log_tail: float
     converged: bool
+    label: str
 
     def scaled(self, log_coeff: float) -> "_Term":
         """The term multiplied by a coefficient given in log domain."""
@@ -190,41 +197,73 @@ class _Term:
             log_coeff + self.log_error,
             log_coeff + self.log_tail,
             self.converged,
+            self.label,
         )
 
 
+def _same_spectrum(a: DistanceSpectrum, b: DistanceSpectrum) -> bool:
+    return a is b or (
+        a.n == b.n and a.d_min == b.d_min and np.array_equal(a.log_a, b.log_a)
+    )
+
+
+class Plan:
+    """The channel-free part of every bound on one spectrum: the cone radius
+    r* (solved once), its geometry, the interior weights, and the weights
+    whose codeword circles open inside the cone.  Read-only once built, so
+    one plan serves any number of channel points and threads."""
+
+    def __init__(self, spec: DistanceSpectrum):
+        self.spec = spec
+        self.geo = ConeGeometry(spec.n, _cone_radius_or_fallback(spec))
+        self.geom_included = frozenset(
+            h
+            for h in range(1, spec.n)
+            if (t := alpha_theta(h, self.geo)[1]) is not None and t > 0.0
+        )
+        self.included = tuple(
+            h for h in _interior_weights(spec) if h in self.geom_included
+        )
+
+    def at(self, ch: ChannelPoint, tol: Tolerance = BOUND_TOL) -> "_Engine":
+        """A fresh term cache for one channel point.  Pass it as `terms=` to
+        the bounds on this spectrum (tsb_bit: on its bit spectrum) so they
+        share the term integrals; a cache is not thread-safe, so each
+        thread needs its own."""
+        return _Engine(self.geo, ch, tol, self)
+
+
 class _Engine:
-    """Shared quadrature state for one (cone, channel) pair: the weights
-    whose codeword circles open inside the cone, and cached term integrals."""
+    """Quadrature state and term cache for one (plan, channel point): every
+    pair, conditioned and cap integral is computed once and reused by each
+    bound assembled over the cache."""
 
     def __init__(
-        self, geo: ConeGeometry, ch: ChannelPoint, tol: Tolerance, weights=()
+        self, geo: ConeGeometry, ch: ChannelPoint, tol: Tolerance, plan: Plan | None = None
     ):
         self.geo = geo
         self.ch = ch
         self.tol = tol
+        self.plan = plan
         self.n = geo.n
         self.sqrt_n = math.sqrt(geo.n)
         self.sigma = math.sqrt(ch.sigma_sq)
-        self.geom_included = {
-            h
-            for h in range(1, geo.n)
-            if (t := alpha_theta(h, geo)[1]) is not None and t > 0.0
-        }
-        self.included = [h for h in weights if h in self.geom_included]
         self.z1_lo = -10.0 * self.sigma
         self.log_q_term = log_q_function(math.sqrt(2.0 * geo.n * ch.c))
-        self._pair_cache: dict[int, _Term] = {}
-        self._triple_cache: dict[tuple, _Term] = {}
-        self._cap: _Term | None = None
+        self._cache: dict[tuple, _Term] = {}
         self.trouble: list[str] = []
 
-    @classmethod
-    def for_spectrum(
-        cls, spec: DistanceSpectrum, ch: ChannelPoint, tol: Tolerance
-    ) -> "_Engine":
-        geo = ConeGeometry(spec.n, _cone_radius_or_fallback(spec))
-        return cls(geo, ch, tol, _interior_weights(spec))
+    def begin(self, spec: DistanceSpectrum, ch: ChannelPoint, tol: Tolerance) -> "_Engine":
+        """Check that the cache was built for this bound call's inputs and
+        start the call's record of unconverged terms."""
+        if self.plan is None or not _same_spectrum(self.plan.spec, spec):
+            raise ValueError("term cache was built for a different spectrum")
+        if self.ch != ch:
+            raise ValueError(f"term cache was built for {self.ch}, not {ch}")
+        if self.tol != tol:
+            raise ValueError(f"term cache was built for {self.tol}, not {tol}")
+        self.trouble = []
+        return self
 
     # -- scalar densities -------------------------------------------------
 
@@ -329,39 +368,44 @@ class _Engine:
     def _outer(self, inner, tail_log_bound: float, label: str) -> _Term:
         f = lambda z1: self._phi(z1) * inner(np.asarray(z1, dtype=float))
         res = adaptive_integrate(f, self.z1_lo, self.sqrt_n, self.tol)
-        if not res.converged:
-            self.trouble.append(label)
         log_value = math.log(res.value) if res.value > 0.0 else _NEG_INF
         log_error = math.log(res.error) if res.error > 0.0 else _NEG_INF
-        return _Term(log_value, log_error, _LOG_Q10 + tail_log_bound, res.converged)
+        return _Term(log_value, log_error, _LOG_Q10 + tail_log_bound, res.converged, label)
+
+    def _cached(self, key: tuple, compute) -> _Term:
+        """The cached term under key, computed on first use.  Every use of
+        an unconverged term is recorded, so each bound call names all the
+        unconverged terms it used, whichever call computed them."""
+        term = self._cache.get(key)
+        if term is None:
+            term = self._cache[key] = compute()
+        if not term.converged:
+            self.trouble.append(term.label)
+        return term
 
     def _tail_beyond(self, h: int) -> float:
         # Log Gaussian mass of z2 past the weight-h threshold at z1_lo.
         return log_q_function(float(beta_h(self.z1_lo, h, self.geo)) / self.sigma)
 
     def pair_term(self, h: int) -> _Term:
-        if h not in self._pair_cache:
-            self._pair_cache[h] = self._outer(
-                lambda z1: self._pair_given_z1(z1, h), self._tail_beyond(h), f"pair(h={h})"
-            )
-        return self._pair_cache[h]
+        return self._cached(("pair", h), lambda: self._outer(
+            lambda z1: self._pair_given_z1(z1, h), self._tail_beyond(h), f"pair(h={h})"
+        ))
 
     def triple_term(self, h: int, w_ref: int, rho: float) -> _Term:
-        key = (h, w_ref, rho)
-        if key not in self._triple_cache:
-            self._triple_cache[key] = self._outer(
-                lambda z1: self._triple_given_z1(z1, h, beta_h(z1, w_ref, self.geo), rho),
-                self._tail_beyond(h),
-                f"conditioned(h={h}, ref={w_ref})",
-            )
-        return self._triple_cache[key]
+        return self._cached(("triple", h, w_ref, rho), lambda: self._outer(
+            lambda z1: self._triple_given_z1(z1, h, beta_h(z1, w_ref, self.geo), rho),
+            self._tail_beyond(h),
+            f"conditioned(h={h}, ref={w_ref})",
+        ))
 
     def cap_term(self) -> _Term:
-        if self._cap is None:
+        def compute():
             cut = self._cap_given_z1(np.array([self.z1_lo]))[0]
             tail = math.log(cut) if cut > 0.0 else _NEG_INF
-            self._cap = self._outer(self._cap_given_z1, tail, "cap")
-        return self._cap
+            return self._outer(self._cap_given_z1, tail, "cap")
+
+        return self._cached(("cap",), compute)
 
     # -- assembly ----------------------------------------------------------
 
@@ -406,23 +450,36 @@ class _Engine:
         return result
 
 
+def _terms_for(
+    spec: DistanceSpectrum, ch: ChannelPoint, tol: Tolerance, terms: _Engine | None
+) -> _Engine:
+    """The caller's term cache, checked against this call's inputs, or a
+    fresh cache on a fresh plan.  Every bound takes `terms=plan.at(ch, tol)`
+    for its spectrum; bounds sharing one cache compute each term once."""
+    if terms is None:
+        return Plan(spec).at(ch, tol)
+    return terms.begin(spec, ch, tol)
+
+
 def tsb_block(
-    spec: DistanceSpectrum, ch: ChannelPoint, tol: Tolerance = BOUND_TOL
+    spec: DistanceSpectrum, ch: ChannelPoint, tol: Tolerance = BOUND_TOL, *, terms=None
 ) -> BoundResult:
     """Tangential-sphere bound on the block error probability.
 
     Sums the per-weight pair terms inside the optimized cone, the chi-square
     cap leakage, and the Gaussian tail beyond the apex.
     """
-    eng = _Engine.for_spectrum(spec, ch, tol)
+    eng = _terms_for(spec, ch, tol, terms)
     return eng.finish(eng.assemble(*_pair_terms(eng, spec)))
 
 
-def tsb_bit(io: Iowef, ch: ChannelPoint, tol: Tolerance = BOUND_TOL) -> BoundResult:
+def tsb_bit(
+    io: Iowef, ch: ChannelPoint, tol: Tolerance = BOUND_TOL, *, terms=None
+) -> BoundResult:
     """Tangential-sphere bound on the bit error probability: the block
-    pipeline run on the information-bit reweighted spectrum, including a
-    fresh cone-radius solve."""
-    return tsb_block(bit_weight_transform(io), ch, tol)
+    pipeline run on the information-bit reweighted spectrum, with that
+    spectrum's own cone radius; terms must come from a plan on it."""
+    return tsb_block(bit_weight_transform(io), ch, tol, terms=terms)
 
 
 def itsb(
@@ -430,6 +487,8 @@ def itsb(
     ch: ChannelPoint,
     tol: Tolerance = BOUND_TOL,
     rho_fn=None,
+    *,
+    terms=None,
 ) -> BoundResult:
     """Conditioned tangential-sphere bound: one minimum-weight codeword
     anchors the error events and every other pairwise event is intersected
@@ -439,14 +498,14 @@ def itsb(
     verify monotonicity); the default is the most negative admissible value
     against the anchor weight.
     """
-    eng = _Engine.for_spectrum(spec, ch, tol)
+    eng = _terms_for(spec, ch, tol, terms)
     d = spec.d_min
     if rho_fn is None:
         rho_fn = lambda h: rho_min_h(h, d, spec.n)
     weighted: dict[int, float] = {}
-    terms: list[_Term] = []
+    used: list[_Term] = []
     anchor = eng.pair_term(d) if d < spec.n else None
-    for h in eng.included:
+    for h in eng.plan.included:
         if h < d:
             # Weights below the effective d_min are skipped, not bounded
             # (open item 5a in ROADMAP.md).
@@ -456,20 +515,20 @@ def itsb(
         if coeff > _NEG_INF:
             t = eng.triple_term(h, d, float(rho_fn(h))).scaled(coeff)
             parts.append(t.log_value)
-            terms.append(t)
+            used.append(t)
         if h == d and anchor is not None:
             parts.append(anchor.log_value)
-            terms.append(anchor)
+            used.append(anchor)
         if parts:
             weighted[h] = float(logsumexp(parts))
-    return eng.finish(eng.assemble(weighted, terms))
+    return eng.finish(eng.assemble(weighted, used))
 
 
 def _pair_terms(
     eng: _Engine, spec: DistanceSpectrum
 ) -> tuple[dict[int, float], list[_Term]]:
     """Weighted logs and error terms of the plain pair terms A_h P_h."""
-    terms = {h: eng.pair_term(h).scaled(float(spec.log_a[h])) for h in eng.included}
+    terms = {h: eng.pair_term(h).scaled(float(spec.log_a[h])) for h in eng.plan.included}
     return {h: t.log_value for h, t in terms.items()}, list(terms.values())
 
 
@@ -489,11 +548,11 @@ def _layer_terms(
     # The extension pairs exist whether or not the code has weight-w words;
     # only the cone geometry can zero them out.
     self_term = None
-    if extend and w in eng.geom_included:
+    if extend and w in eng.plan.geom_included:
         self_term = eng.triple_term(w, w, rho_ww(w, n)).scaled(math.log(math.comb(n, w)))
         terms.append(self_term)
     weighted: dict[int, float] = {}
-    for h in eng.included:
+    for h in eng.plan.included:
         if h != w:
             t = eng.triple_term(h, w, rho_max_wh(w, h, n)).scaled(float(spec.log_a[h]))
             weighted[h] = t.log_value
@@ -529,6 +588,8 @@ def ahp(
     ch: ChannelPoint,
     tol: Tolerance = BOUND_TOL,
     layers=None,
+    *,
+    terms=None,
 ) -> BoundResult:
     """Added-hyper-plane bound: extend the code with every weight-w word,
     anchor on that layer, and keep the best layer.
@@ -536,7 +597,7 @@ def ahp(
     layers defaults to all interior weights; w = n is legal and degenerates
     to the plain tangential-sphere form (the extension word is antipodal).
     """
-    eng = _Engine.for_spectrum(spec, ch, tol)
+    eng = _terms_for(spec, ch, tol, terms)
     return eng.finish(_best_layer(eng, spec, layers, extend=True))
 
 
@@ -545,12 +606,14 @@ def psi(
     ch: ChannelPoint,
     tol: Tolerance = BOUND_TOL,
     layers=None,
+    *,
+    terms=None,
 ) -> BoundResult:
     """Lower envelope of the two conditioned bounds: the per-layer anchor and
     spectrum terms with neither the extension pair term nor the apex tail,
     minimized over the layer.  Not itself an upper bound on the error
     probability; it sandwiches the conditioned bounds from below."""
-    eng = _Engine.for_spectrum(spec, ch, tol)
+    eng = _terms_for(spec, ch, tol, terms)
     return eng.finish(_best_layer(eng, spec, layers, extend=False))
 
 

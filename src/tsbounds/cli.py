@@ -17,9 +17,10 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from .bounds import BOUND_TOL, ChannelPoint, ahp, itsb, psi, tsb_bit, tsb_block
+from .bounds import BOUND_TOL, ChannelPoint, Plan, ahp, itsb, psi, tsb_bit, tsb_block
 from .codes import (
     GrowthRate,
+    bit_weight_transform,
     enumerate_spectrum,
     load_generator,
     load_spectrum,
@@ -143,22 +144,33 @@ def cmd_bounds(args, sub) -> int:
     tol = Tolerance(
         abs_tol=args.tol_abs, rel_tol=args.tol_rel, max_iter=BOUND_TOL.max_iter
     )
+    # One plan per spectrum for the whole grid and one term cache per row,
+    # shared by the bounds of that row.  Without a plan (it could not be
+    # built) each cell builds its own and fails with the plan's error.
+    plan_of = {"tsb": "spec", "itsb": "spec", "ahp": "spec", "psi": "spec", "tsb-bit": "bit"}
+    plans = {}
+    for key in dict.fromkeys(plan_of[b] for b in names if b in plan_of):
+        try:
+            plans[key] = Plan(spec if key == "spec" else bit_weight_transform(io))
+        except Exception:
+            pass
     evals = {
-        "tsb": lambda ch: tsb_block(spec, ch, tol).log_value,
-        "tsb-bit": lambda ch: tsb_bit(io, ch, tol).log_value,
-        "itsb": lambda ch: itsb(spec, ch, tol).log_value,
-        "ahp": lambda ch: ahp(spec, ch, tol).log_value,
-        "psi": lambda ch: psi(spec, ch, tol).log_value,
-        "chernoff-tsb": lambda ch: chernoff_tsb(spec.n, ch.c, spec),
-        "chernoff-psi": lambda ch: chernoff_psi(spec.n, ch.c, spec),
+        "tsb": lambda ch, t: tsb_block(spec, ch, tol, terms=t.get("spec")).log_value,
+        "tsb-bit": lambda ch, t: tsb_bit(io, ch, tol, terms=t.get("bit")).log_value,
+        "itsb": lambda ch, t: itsb(spec, ch, tol, terms=t.get("spec")).log_value,
+        "ahp": lambda ch, t: ahp(spec, ch, tol, terms=t.get("spec")).log_value,
+        "psi": lambda ch, t: psi(spec, ch, tol, terms=t.get("spec")).log_value,
+        "chernoff-tsb": lambda ch, t: chernoff_tsb(spec.n, ch.c, spec),
+        "chernoff-psi": lambda ch, t: chernoff_psi(spec.n, ch.c, spec),
     }
 
     def row(db: float):
         ch = ChannelPoint.from_eb_n0_db(db, rate)
+        caches = {key: plan.at(ch, tol) for key, plan in plans.items()}
         cells, fails = [ch.c], []
         for name in names:
             try:
-                lv = evals[name](ch)
+                lv = evals[name](ch, caches)
                 cells.extend([math.exp(lv), lv])
             except Exception as exc:  # recorded per cell, sweep continues
                 cells.extend([math.nan, math.nan])
@@ -225,6 +237,7 @@ def cmd_simulate(args, sub) -> int:
     est = simulate_ml(
         g, ch, args.trials, args.seed, transmit=args.transmit, threads=args.threads
     )
+    lower, upper = est.block_error_ci()
     report = {
         "code": {"n": g.n, "k": g.k, "rate": g.rate},
         "channel": {"eb_n0_db": args.snr, "c": ch.c},
@@ -232,6 +245,7 @@ def cmd_simulate(args, sub) -> int:
         "seed": est.seed,
         "transmit": args.transmit,
         "block_error_rate": est.block_error_rate,
+        "block_error_ci": {"level": 0.95, "lower": lower, "upper": upper},
         "std_error": est.std_error,
         "bit_error_rate": est.bit_error_rate,
         "bit_std_error": est.bit_std_error,

@@ -13,12 +13,19 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betaincinv
 
 from .bounds import ChannelPoint
 from .codes import EnumerationCapError, GeneratorMatrix
 from .numerics import q_function
 
-__all__ = ["McEstimate", "simulate_ml", "exact_single_pairwise", "DECODING_CAP"]
+__all__ = [
+    "McEstimate",
+    "clopper_pearson",
+    "simulate_ml",
+    "exact_single_pairwise",
+    "DECODING_CAP",
+]
 
 # Full ML decoding evaluates 2^k correlations per trial.
 DECODING_CAP = 16
@@ -33,7 +40,9 @@ class McEstimate:
 
     std_error applies the binomial formula sqrt(p(1-p)/trials) to each rate
     with the trial count as denominator: `std_error` belongs to the block
-    error rate and `bit_std_error` to the bit error rate.
+    error rate and `bit_std_error` to the bit error rate.  It is 0 when no
+    trial erred; block_error_ci() is the interval that stays informative
+    there.
     """
 
     block_error_rate: float
@@ -47,6 +56,24 @@ class McEstimate:
         for p in (self.block_error_rate, self.bit_error_rate):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"rate outside [0, 1]: {p}")
+
+    def block_error_ci(self, alpha: float = 0.05) -> tuple[float, float]:
+        """Exact two-sided 1 - alpha interval for the block error rate."""
+        return clopper_pearson(round(self.block_error_rate * self.trials), self.trials, alpha)
+
+
+def clopper_pearson(errors: int, trials: int, alpha: float = 0.05) -> tuple[float, float]:
+    """Clopper-Pearson interval for a binomial rate seen as `errors` in
+    `trials`: the alpha/2 and 1 - alpha/2 beta quantiles, exact at every
+    count.  With no error the lower end is 0 and the upper end
+    1 - (alpha/2)^(1/trials); with every trial in error, symmetrically."""
+    if not 0 <= errors <= trials or trials < 1:
+        raise ValueError(f"need 0 <= errors <= trials and trials >= 1, got {errors}, {trials}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"need 0 < alpha < 1, got {alpha}")
+    lo = 0.0 if errors == 0 else float(betaincinv(errors, trials - errors + 1, alpha / 2))
+    hi = 1.0 if errors == trials else float(betaincinv(errors + 1, trials - errors, 1 - alpha / 2))
+    return lo, hi
 
 
 def _codeword_images(g: GeneratorMatrix) -> np.ndarray:

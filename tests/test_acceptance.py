@@ -21,6 +21,7 @@ from scipy.special import gammainc, gammaincc, logsumexp
 
 from tsbounds.bounds import (
     ChannelPoint,
+    Plan,
     ahp,
     itsb,
     psi,
@@ -78,19 +79,22 @@ def report(num: int, label: str, failures: list[str]) -> None:
 @pytest.fixture(scope="module")
 def finite_grid(hamming74, golay2312, hamming_spec, golay_spec):
     """All four bounds plus a one-million-trial ML simulation for both
-    reference codes at every grid SNR."""
+    reference codes at every grid SNR.  The bounds share one plan per code
+    and one term cache per SNR, as the bounds CLI does."""
     out = {}
     for name, g, spec in [
         ("hamming", hamming74, hamming_spec),
         ("golay", golay2312, golay_spec),
     ]:
+        plan = Plan(spec)
         for db in DB_GRID:
             ch = ChannelPoint.from_eb_n0_db(db, g.rate)
+            terms = plan.at(ch)
             out[name, db] = {
-                "tsb": tsb_block(spec, ch),
-                "itsb": itsb(spec, ch),
-                "ahp": ahp(spec, ch),
-                "psi": psi(spec, ch),
+                "tsb": tsb_block(spec, ch, terms=terms),
+                "itsb": itsb(spec, ch, terms=terms),
+                "ahp": ahp(spec, ch, terms=terms),
+                "psi": psi(spec, ch, terms=terms),
                 "mc": simulate_ml(g, ch, trials=MC_TRIALS, seed=MC_SEED, threads=4),
             }
     return out
@@ -403,3 +407,15 @@ def test_criterion_10_bit_error_sandwich(hamming_spec, hamming_iowef, finite_gri
         if not a_h / k * (1 - 1e-12) <= a_bit <= a_h * (1 + 1e-12):
             failures.append(f"h={h}: A'={a_bit:.6f} outside [{a_h / k:.6f}, {a_h:.6f}]")
     report(10, "bit-error bound below block bound; reweighting bracketed", failures)
+
+
+def test_shared_terms_match_separate_calls(hamming74, golay2312, hamming_spec, golay_spec,
+                                           finite_grid):
+    # The grid's bounds share one plan and one term cache per SNR; called on
+    # its own, each bound returns the same BoundResult in every field, bit
+    # for bit.
+    for name, g, spec in [("hamming", hamming74, hamming_spec), ("golay", golay2312, golay_spec)]:
+        for db in (2.0, 4.0):
+            ch = ChannelPoint.from_eb_n0_db(db, g.rate)
+            for key, bound in (("tsb", tsb_block), ("itsb", itsb), ("ahp", ahp), ("psi", psi)):
+                assert bound(spec, ch) == finite_grid[name, db][key], (name, db, key)

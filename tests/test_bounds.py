@@ -15,6 +15,7 @@ from tsbounds.bounds import (
     BOUND_TOL,
     ChannelPoint,
     NoSolutionError,
+    Plan,
     ahp,
     itsb,
     psi,
@@ -23,7 +24,7 @@ from tsbounds.bounds import (
     tsb_bit,
     tsb_block,
 )
-from tsbounds.codes import DistanceSpectrum, Iowef, random_ensemble_spectrum
+from tsbounds.codes import DistanceSpectrum, Iowef, bit_weight_transform, random_ensemble_spectrum
 from tsbounds.geometry import (
     ConeGeometry,
     alpha_theta,
@@ -198,6 +199,64 @@ def test_nonconvergence_warns(hamming_spec, bound):
         res = bound(hamming_spec, ChannelPoint.from_eb_n0_db(3.0, R_HAMMING), tol=starved)
     assert len(record) == 1
     assert not res.converged
+
+
+def test_nonconvergence_warns_once_per_call_on_shared_cache(hamming_spec):
+    # Terms an earlier call computed still count: every call on one starved
+    # cache warns once, naming what a call on its own cache would name.
+    starved = Tolerance(abs_tol=1e-300, rel_tol=1e-14, max_iter=1)
+    ch = ChannelPoint.from_eb_n0_db(3.0, R_HAMMING)
+    cache = Plan(hamming_spec).at(ch, starved)
+    for bound in (tsb_block, itsb, ahp, psi):
+        with pytest.warns(RuntimeWarning, match="did not converge") as alone:
+            bound(hamming_spec, ch, starved)
+        with pytest.warns(RuntimeWarning, match="did not converge") as record:
+            res = bound(hamming_spec, ch, starved, terms=cache)
+        assert len(record) == 1
+        assert str(record[0].message) == str(alone[0].message)
+        assert not res.converged
+
+
+# -- shared plan and term cache ---------------------------------------------
+
+
+def test_shared_cache_matches_separate_calls():
+    # Dense spectrum with non-vacuous wedges; the Hamming and Golay codes at
+    # 2 and 4 dB are checked against the acceptance grid, which shares caches.
+    spec = random_ensemble_spectrum(8, 0.5)
+    ch = ChannelPoint.from_eb_n0_db(4.0, 0.5)
+    cache = Plan(spec).at(ch)
+    for bound in (tsb_block, itsb, ahp, psi):
+        # every BoundResult field, bit for bit
+        assert bound(spec, ch, terms=cache) == bound(spec, ch)
+
+
+def test_terms_cache_guard(hamming_spec, golay_spec, hamming_iowef):
+    ch = ChannelPoint.from_eb_n0_db(4.0, R_HAMMING)
+    cache = Plan(hamming_spec).at(ch)
+    with pytest.raises(ValueError, match="spectrum"):
+        tsb_block(golay_spec, ch, terms=cache)
+    with pytest.raises(ValueError, match="ChannelPoint"):
+        itsb(hamming_spec, ChannelPoint.from_eb_n0_db(2.0, R_HAMMING), terms=cache)
+    with pytest.raises(ValueError, match="Tolerance"):
+        ahp(hamming_spec, ch, Tolerance(abs_tol=1e-300, rel_tol=1e-8, max_iter=260),
+            terms=cache)
+    with pytest.raises(ValueError, match="spectrum"):
+        tsb_bit(hamming_iowef, ch, terms=cache)
+    # a spectrum equal in value shares the cache: tsb_bit rebuilds its
+    # spectrum on every call
+    bit_cache = Plan(bit_weight_transform(hamming_iowef)).at(ch)
+    assert tsb_bit(hamming_iowef, ch, terms=bit_cache) == tsb_bit(hamming_iowef, ch)
+    assert psi(hamming_spec, ch, BOUND_TOL, terms=cache) == psi(hamming_spec, ch)
+
+
+def test_plan_holds_the_channel_free_part(golay_spec):
+    # Golay weights 7, 8, 11, 12, 15, 16, 23: only those whose codeword
+    # circles open inside the cone (weights 1..13 here) get terms
+    plan = Plan(golay_spec)
+    assert plan.geo.r == solve_cone_radius(golay_spec)
+    assert plan.geom_included == frozenset(range(1, 14))
+    assert plan.included == (7, 8, 11, 12)
 
 
 # -- bit-error variant -------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from tsbounds import bounds, cli
 from tsbounds.cli import main, parse_grid
 from tsbounds.codes import load_spectrum
 
@@ -144,6 +145,37 @@ def test_bounds_csv_frozen(gen_file, tmp_path):
     assert out.read_text() == HAMMING_BOUNDS_CSV
 
 
+def test_bounds_share_one_plan_and_row_cache(gen_file, tmp_path, monkeypatch):
+    # One cone solve per spectrum for the whole grid (the code's and the
+    # bit spectrum's), and psi reuses every layer term ahp computed in its
+    # row: it runs no outer integral of its own.
+    solves, outer, psi_outer = [], [], []
+    orig_solve, orig_outer, orig_psi = bounds.solve_cone_radius, bounds._Engine._outer, cli.psi
+
+    def solve_spy(spec):
+        solves.append(spec.kind)
+        return orig_solve(spec)
+
+    def outer_spy(self, inner, tail_log_bound, label):
+        outer.append(label)
+        return orig_outer(self, inner, tail_log_bound, label)
+
+    def psi_spy(*args, **kwargs):
+        before = len(outer)
+        res = orig_psi(*args, **kwargs)
+        psi_outer.append(len(outer) - before)
+        return res
+
+    monkeypatch.setattr(bounds, "solve_cone_radius", solve_spy)
+    monkeypatch.setattr(bounds._Engine, "_outer", outer_spy)
+    monkeypatch.setattr(cli, "psi", psi_spy)
+    argv = ["bounds", "--generator", gen_file, "--grid", "0:4:2",
+            "--bounds", "tsb,itsb,ahp,psi,tsb-bit", "--out", str(tmp_path / "b.csv")]
+    assert run_cli(argv) == 0
+    assert solves == ["code", "bit"]
+    assert outer and psi_outer == [0, 0, 0]
+
+
 def test_bounds_usage_errors(gen_file, tmp_path):
     base = ["bounds", "--generator", gen_file, "--grid", "0:4:2"]
     assert run_cli(base + ["--bounds", ""]) == 2
@@ -267,6 +299,19 @@ def test_simulate_reproducible_report(gen_file, tmp_path):
         math.sqrt(p * (1 - p) / 20000), rel=1e-12
     )
     assert 0.0 < p < 0.1  # 4 dB Hamming block error rate is ~1e-2
+
+
+def test_simulate_report_carries_exact_interval(gen_file, tmp_path):
+    out = tmp_path / "r.json"
+    assert run_cli(["simulate", "--generator", gen_file, "--snr", "4", "--trials", "20000",
+                    "--seed", "42", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert set(report) == {"code", "channel", "trials", "seed", "transmit",
+                           "block_error_rate", "block_error_ci", "std_error",
+                           "bit_error_rate", "bit_std_error"}
+    ci = report["block_error_ci"]
+    assert ci["level"] == 0.95
+    assert 0.0 < ci["lower"] < report["block_error_rate"] < ci["upper"] < 1.0
 
 
 def test_simulate_thread_count_does_not_change_estimate(gen_file, tmp_path):

@@ -339,6 +339,21 @@ def test_psi_assembly_adds_reference_layer():
         chernoff_psi(1, 0.8, DistanceSpectrum(n=1, log_a=np.array([0.0, 0.0]), d_min=1))
 
 
+def test_psi_assembly_gap_closes_with_n():
+    # The paper's coincidence of exponents at finite n: the reference-layer
+    # term keeps chernoff_psi at or above chernoff_tsb, and its share of the
+    # sum vanishes as n grows (log gaps ~1.3e-3, ~5.2e-7 and 0 in double
+    # precision at n = 8, 16, 32), which is why the two are equal at n >= 64.
+    gap = {}
+    for n in (8, 16, 32):
+        spec = random_ensemble_spectrum(n, 0.5)
+        lt, lp = chernoff_tsb(n, 1.0, spec), chernoff_psi(n, 1.0, spec)
+        assert lp >= lt
+        gap[n] = lp - lt
+    assert gap[8] > gap[16] >= gap[32] >= 0.0
+    assert gap[8] > 1e-4
+
+
 # Frozen logs of the n = 64, rate-1/2 ensemble assemblies; at this length the
 # reference-layer term is already negligible, so the two coincide.
 CHERNOFF_64 = {

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from tsbounds.bounds import ChannelPoint
 from tsbounds.codes import EnumerationCapError, GeneratorMatrix
-from tsbounds.mcsim import McEstimate, exact_single_pairwise, simulate_ml
+from tsbounds.mcsim import McEstimate, clopper_pearson, exact_single_pairwise, simulate_ml
 from tsbounds.numerics import q_function
 
 
@@ -32,6 +33,10 @@ def test_high_snr_error_free(hamming74):
     assert est.block_error_rate == 0.0
     assert est.bit_error_rate == 0.0
     assert est.std_error == 0.0
+    # the exact interval still bounds the rate from above
+    lo, hi = est.block_error_ci()
+    assert lo == 0.0
+    assert hi == pytest.approx(-math.expm1(math.log(0.025) / 100_000), rel=1e-14)
 
 
 def test_deterministic_across_runs_and_threads(hamming74):
@@ -96,3 +101,45 @@ def test_validation_errors(hamming74):
 def test_estimate_validation():
     with pytest.raises(ValueError):
         McEstimate(1.5, 0.0, 10_000, 0.0, 0.0, 1)
+
+
+@pytest.mark.parametrize("trials", [1, 10, 1000, 1_000_000])
+@pytest.mark.parametrize("alpha", [0.05, 0.01])
+def test_clopper_pearson_edges(trials, alpha):
+    # no errors: [0, 1 - (alpha/2)^(1/N)]; all errors: [(alpha/2)^(1/N), 1]
+    root = math.log(alpha / 2) / trials
+    lo, hi = clopper_pearson(0, trials, alpha)
+    assert lo == 0.0
+    assert hi == pytest.approx(-math.expm1(root), rel=1e-14)
+    lo, hi = clopper_pearson(trials, trials, alpha)
+    assert lo == pytest.approx(math.exp(root), rel=1e-14)
+    assert hi == 1.0
+
+
+def test_clopper_pearson_interior_matches_mpmath():
+    # 9 errors in 1e6 trials, the 6 dB Golay count where p - 3 se is ~0.
+    # The oracle inverts the binomial tails, finite sums of k + 1 terms:
+    # Pr(X >= k | lower) = alpha/2 and Pr(X <= k | upper) = alpha/2.
+    k, n, alpha = 9, 1_000_000, 0.05
+    lo, hi = clopper_pearson(k, n, alpha)
+    with mp.workdps(40):
+        def cdf(x, m):
+            return mp.fsum(mp.binomial(n, j) * x**j * (1 - x) ** (n - j) for j in range(m + 1))
+
+        want_lo = mp.findroot(lambda x: 1 - cdf(x, k - 1) - alpha / 2, (1e-6, 1e-5),
+                               solver="illinois")
+        want_hi = mp.findroot(lambda x: cdf(x, k) - alpha / 2, (1e-5, 1e-4), solver="illinois")
+    assert lo == pytest.approx(float(want_lo), rel=1e-10)
+    assert hi == pytest.approx(float(want_hi), rel=1e-10)
+    assert lo < k / n < hi
+
+
+def test_clopper_pearson_validation():
+    with pytest.raises(ValueError):
+        clopper_pearson(-1, 10)
+    with pytest.raises(ValueError):
+        clopper_pearson(11, 10)
+    with pytest.raises(ValueError):
+        clopper_pearson(0, 0)
+    with pytest.raises(ValueError):
+        clopper_pearson(1, 10, alpha=1.0)
