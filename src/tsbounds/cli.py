@@ -145,14 +145,18 @@ def cmd_bounds(args, sub) -> int:
         abs_tol=args.tol_abs, rel_tol=args.tol_rel, max_iter=BOUND_TOL.max_iter
     )
     # One plan per spectrum for the whole grid and one term cache per row,
-    # shared by the bounds of that row.  Without a plan (it could not be
-    # built) each cell builds its own and fails with the plan's error.
-    plan_of = {"tsb": "spec", "itsb": "spec", "ahp": "spec", "psi": "spec", "tsb-bit": "bit"}
+    # shared by the bounds of that row.  A plan that cannot be built (say
+    # n < 3) is left out; each cell then records that error itself.
     plans = {}
-    for key in dict.fromkeys(plan_of[b] for b in names if b in plan_of):
+    if {"tsb", "itsb", "ahp", "psi"} & set(names):
         try:
-            plans[key] = Plan(spec if key == "spec" else bit_weight_transform(io))
-        except Exception:
+            plans["spec"] = Plan(spec)
+        except ValueError:
+            pass
+    if "tsb-bit" in names:
+        try:
+            plans["bit"] = Plan(bit_weight_transform(io))
+        except ValueError:
             pass
     evals = {
         "tsb": lambda ch, t: tsb_block(spec, ch, tol, terms=t.get("spec")).log_value,
@@ -230,7 +234,7 @@ def cmd_exponent(args, sub) -> int:
 
 
 def cmd_simulate(args, sub) -> int:
-    from .mcsim import simulate_ml
+    from .mcsim import CI_ALPHA, simulate_ml
 
     g = load_generator(args.generator)
     ch = ChannelPoint.from_eb_n0_db(args.snr, g.rate)
@@ -245,7 +249,7 @@ def cmd_simulate(args, sub) -> int:
         "seed": est.seed,
         "transmit": args.transmit,
         "block_error_rate": est.block_error_rate,
-        "block_error_ci": {"level": 0.95, "lower": lower, "upper": upper},
+        "block_error_ci": {"level": 1.0 - CI_ALPHA, "lower": lower, "upper": upper},
         "std_error": est.std_error,
         "bit_error_rate": est.bit_error_rate,
         "bit_std_error": est.bit_std_error,

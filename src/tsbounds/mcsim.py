@@ -20,6 +20,7 @@ from .codes import EnumerationCapError, GeneratorMatrix
 from .numerics import q_function
 
 __all__ = [
+    "CI_ALPHA",
     "McEstimate",
     "clopper_pearson",
     "simulate_ml",
@@ -29,6 +30,9 @@ __all__ = [
 
 # Full ML decoding evaluates 2^k correlations per trial.
 DECODING_CAP = 16
+
+# Two-sided miss probability of the reported block-error interval (95 %).
+CI_ALPHA = 0.05
 
 _CHUNK = 8192
 _MASK64 = (1 << 64) - 1
@@ -57,12 +61,12 @@ class McEstimate:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"rate outside [0, 1]: {p}")
 
-    def block_error_ci(self, alpha: float = 0.05) -> tuple[float, float]:
-        """Exact two-sided 1 - alpha interval for the block error rate."""
-        return clopper_pearson(round(self.block_error_rate * self.trials), self.trials, alpha)
+    def block_error_ci(self) -> tuple[float, float]:
+        """Exact two-sided 1 - CI_ALPHA interval for the block error rate."""
+        return clopper_pearson(round(self.block_error_rate * self.trials), self.trials, CI_ALPHA)
 
 
-def clopper_pearson(errors: int, trials: int, alpha: float = 0.05) -> tuple[float, float]:
+def clopper_pearson(errors: int, trials: int, alpha: float = CI_ALPHA) -> tuple[float, float]:
     """Clopper-Pearson interval for a binomial rate seen as `errors` in
     `trials`: the alpha/2 and 1 - alpha/2 beta quantiles, exact at every
     count.  With no error the lower end is 0 and the upper end
