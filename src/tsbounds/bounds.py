@@ -323,7 +323,12 @@ class _Engine:
         """Pr(beta_h <= z2 <= r_z1, z3 <= l(z2), chi2_(n-3) mass below
         r^2 - z2^2 - z3^2), the conditioned kernel shared by the improved
         bounds.  rho at the -1 crossover makes the z3 constraint vacuous and
-        the kernel degenerates to the pair kernel."""
+        the kernel degenerates to the pair kernel.
+
+        gammainc runs only where its value is used: the (n-2)-dof half-disk
+        mass at live nodes (positive weight, l > -s), the 24-node z3 rule
+        with (n-3) dof at cut nodes (-s < l < s).  The mass is the full
+        disk where l >= s and zero where l <= -s or the weight is zero."""
         if rho <= -1.0 + 1e-12:
             return self._pair_given_z1(z1, h)
         rz, a, span = self._z2_range(z1, h)
@@ -350,17 +355,21 @@ class _Engine:
         s_sq = np.maximum(rz[:, None] ** 2 - z2**2, 0.0)
         s = np.sqrt(s_sq)
         line = l_line(z2, beta_ref[:, None], rho)
-        half_disk = 0.5 * self._g(0.5 * (self.n - 2), s_sq / two_ss)
-        # Odd part over [0, min(|l|, s)] of the even z3 integrand.
-        u = np.minimum(np.abs(line), s)
-        z3 = u[:, :, None] * (0.5 * (_GL_X + 1.0))[None, None, :]
-        w3 = (0.5 * u)[:, :, None] * _GL_W[None, None, :]
+        live = (w2 > 0.0) & (line > -s)
+        cut = live & (line < s)
+        half_disk = np.zeros_like(z2)
+        half_disk[live] = 0.5 * self._g(0.5 * (self.n - 2), s_sq[live] / two_ss)
+        hmass = 2.0 * half_disk
+        # Odd part over [0, |l|] of the even z3 integrand, |l| < s here.
+        l_cut, s_sq_cut = line[cut], s_sq[cut]
+        u = np.abs(l_cut)
+        z3 = u[:, None] * (0.5 * (_GL_X + 1.0))
+        w3 = (0.5 * u)[:, None] * _GL_W
         inner3 = np.sum(
-            w3 * self._phi(z3) * self._g(0.5 * (self.n - 3), (s_sq[:, :, None] - z3**2) / two_ss),
-            axis=2,
+            w3 * self._phi(z3) * self._g(0.5 * (self.n - 3), (s_sq_cut[:, None] - z3**2) / two_ss),
+            axis=1,
         )
-        partial = half_disk + np.sign(line) * inner3
-        hmass = np.where(line >= s, 2.0 * half_disk, np.where(line <= -s, 0.0, partial))
+        hmass[cut] = half_disk[cut] + np.sign(l_cut) * inner3
         return np.sum(w2 * self._phi(z2) * hmass, axis=1)
 
     # -- outer z1 integrals ------------------------------------------------
@@ -564,13 +573,13 @@ def _layer_terms(
 
 
 def _best_layer(eng: _Engine, spec: DistanceSpectrum, layers, extend: bool) -> BoundResult:
-    """Minimize the per-layer assembly over the layers.  extend selects the
-    added-hyper-plane bound (self-term, apex tail, top layer w = n allowed)
-    over the envelope."""
-    layers = list(layers) if layers is not None else list(range(1, spec.n))
+    """Minimize the per-layer assembly over the layers, by default every
+    allowed one.  extend selects the added-hyper-plane bound (self-term,
+    apex tail, top layer w = n allowed) over the envelope."""
+    top, rel = (spec.n, "<=") if extend else (spec.n - 1, "<")
+    layers = list(layers) if layers is not None else list(range(1, top + 1))
     if not layers:
         raise ValueError("need at least one extension layer")
-    top, rel = (spec.n, "<=") if extend else (spec.n - 1, "<")
     for w in layers:
         if not 1 <= w <= top:
             raise ValueError(f"layer must satisfy 1 <= w {rel} n, got {w}")
@@ -594,8 +603,9 @@ def ahp(
     """Added-hyper-plane bound: extend the code with every weight-w word,
     anchor on that layer, and keep the best layer.
 
-    layers defaults to all interior weights; w = n is legal and degenerates
-    to the plain tangential-sphere form (the extension word is antipodal).
+    layers defaults to every weight 1..n; w = n degenerates to the plain
+    tangential-sphere form (the extension word is antipodal), so the
+    default never exceeds tsb_block.
     """
     eng = _terms_for(spec, ch, tol, terms)
     return eng.finish(_best_layer(eng, spec, layers, extend=True))

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammainc, logsumexp
 
@@ -24,13 +26,24 @@ from tsbounds.bounds import (
     tsb_bit,
     tsb_block,
 )
-from tsbounds.codes import DistanceSpectrum, Iowef, bit_weight_transform, random_ensemble_spectrum
+from tsbounds.codes import (
+    DistanceSpectrum,
+    GeneratorMatrix,
+    Iowef,
+    bit_weight_transform,
+    enumerate_spectrum,
+    random_ensemble_spectrum,
+)
 from tsbounds.geometry import (
     ConeGeometry,
     alpha_theta,
+    beta_h,
     delta_slope,
+    l_line,
     rho_bounds,
     rho_max_wh,
+    rho_min_h,
+    rho_ww,
 )
 from tsbounds.mcsim import simulate_ml
 from tsbounds.numerics import Tolerance, q_function, sin_power_integral, wallis
@@ -383,6 +396,45 @@ def test_ahp_extension_layer_below_dmin_still_valid(hamming_spec, mc_hamming):
     assert res.per_weight[2] > res.per_weight[3]  # anchor + 21 extension pairs
 
 
+def test_ahp_default_layers_never_exceed_tsb():
+    # Regression: on this (5,2) code every layer below w = n loses to its
+    # extension term; before layer n joined ahp's default layers, ahp came
+    # out above tsb (0.019452 against 0.015320 at 4 dB).
+    bits = np.array([[1, 0, 1, 1, 0], [0, 1, 0, 1, 1]], dtype=np.uint8)
+    spec, _ = enumerate_spectrum(GeneratorMatrix(k=2, n=5, bits=bits))
+    ch = ChannelPoint.from_eb_n0_db(4.0, 2 / 5)
+    terms = Plan(spec).at(ch)
+    res = ahp(spec, ch, terms=terms)
+    assert res.ahp_layer == 5
+    assert res.value == tsb_block(spec, ch, terms=terms).value
+
+
+@st.composite
+def small_codes(draw):
+    """A systematic generator [I | P] with random parity part, n <= 10."""
+    n = draw(st.integers(5, 10))
+    k = draw(st.integers(2, min(4, n - 2)))
+    parity = draw(st.lists(st.integers(0, 1), min_size=k * (n - k), max_size=k * (n - k)))
+    p = np.array(parity, dtype=np.uint8).reshape(k, n - k)
+    return GeneratorMatrix(k=k, n=n, bits=np.hstack([np.eye(k, dtype=np.uint8), p]))
+
+
+@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@given(gm=small_codes(), db=st.sampled_from([2.0, 4.0, 6.0]))
+def test_bound_orderings_on_random_codes(gm, db):
+    spec, _ = enumerate_spectrum(gm)
+    ch = ChannelPoint.from_eb_n0_db(db, gm.rate)
+    terms = Plan(spec).at(ch)
+    ts, it, ah, ps = (f(spec, ch, terms=terms) for f in (tsb_block, itsb, ahp, psi))
+
+    def at_most(a, b):
+        return a.value <= b.value + a.error_estimate + b.error_estimate
+
+    assert at_most(it, ts)
+    assert at_most(ah, ts)
+    assert at_most(ps, it) and at_most(ps, ah)
+
+
 def test_psi_sandwich(hamming_spec):
     for db in (0.0, 2.0, 4.0):
         ch = ChannelPoint.from_eb_n0_db(db, R_HAMMING)
@@ -511,3 +563,109 @@ def test_triple_term_validation():
         triple_term(7, 1.0, 0.0, geo, ch, 0.0)
     with pytest.raises(ValueError):
         triple_term(3, 1.0, 1.0, geo, ch, 0.0)
+
+
+def _dense_triple_given_z1(eng, z1, h, beta_ref, rho):
+    """The conditioned kernel with gammainc at every node of the three z2
+    segments, masked afterwards: the reference for the engine's kernel,
+    which evaluates it only where the value is used."""
+    if rho <= -1.0 + 1e-12:
+        return eng._pair_given_z1(z1, h)
+    rz, a, span = eng._z2_range(z1, h)
+    if span <= 0.0:
+        return np.zeros_like(rz)
+    disc = (1.0 - rho * rho) * (rz**2 - beta_ref**2)
+    root = np.sqrt(np.maximum(disc, 0.0))
+    c_lo = np.clip(beta_ref * rho - root, a, rz)
+    c_hi = np.clip(beta_ref * rho + root, a, rz)
+    c_lo = np.where(disc >= 0.0, c_lo, a)
+    c_hi = np.where(disc >= 0.0, c_hi, a)
+    ksub = eng._ksub(span)
+    segs = [
+        eng._panel_nodes(a, c_lo, ksub),
+        eng._panel_nodes(c_lo, c_hi, ksub),
+        eng._panel_nodes(c_hi, rz, ksub),
+    ]
+    z2 = np.concatenate([s[0] for s in segs], axis=1)
+    w2 = np.concatenate([s[1] for s in segs], axis=1)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(24)
+
+    two_ss = 2.0 * eng.ch.sigma_sq
+    s_sq = np.maximum(rz[:, None] ** 2 - z2**2, 0.0)
+    s = np.sqrt(s_sq)
+    line = l_line(z2, beta_ref[:, None], rho)
+    half_disk = 0.5 * eng._g(0.5 * (eng.n - 2), s_sq / two_ss)
+    u = np.minimum(np.abs(line), s)
+    z3 = u[:, :, None] * (0.5 * (gl_x + 1.0))[None, None, :]
+    w3 = (0.5 * u)[:, :, None] * gl_w[None, None, :]
+    inner3 = np.sum(
+        w3 * eng._phi(z3) * eng._g(0.5 * (eng.n - 3), (s_sq[:, :, None] - z3**2) / two_ss),
+        axis=2,
+    )
+    partial = half_disk + np.sign(line) * inner3
+    hmass = np.where(line >= s, 2.0 * half_disk, np.where(line <= -s, 0.0, partial))
+    return np.sum(w2 * eng._phi(z2) * hmass, axis=1)
+
+
+@pytest.mark.parametrize("code", ["hamming", "golay", "ens12"])
+def test_triple_kernel_matches_dense_oracle(code, hamming_spec, golay_spec):
+    spec = {"hamming": hamming_spec, "golay": golay_spec,
+            "ens12": random_ensemble_spectrum(12, 0.5)}[code]
+    n = spec.n
+    plan = Plan(spec)
+    eng = plan.at(ChannelPoint.from_eb_n0_db(4.0, 0.5))
+    z1 = np.linspace(eng.z1_lo, math.sqrt(n), 37)[:-1]
+    rz = plan.geo.r_z1(z1)
+    assert n - 1 not in plan.geom_included
+    d, top = plan.included[0], max(plan.geom_included)
+    cases = [
+        # the bounds' own wedges: itsb, an in-cone and an out-of-cone ahp
+        # layer, and the extension self-term
+        (h, beta_h(z1, d, plan.geo), rho_min_h(h, d, n)) for h in plan.included
+    ] + [
+        (d, beta_h(z1, top, plan.geo), rho_max_wh(top, d, n)),
+        (d, beta_h(z1, n - 1, plan.geo), rho_max_wh(n - 1, d, n)),
+        (top, beta_h(z1, top, plan.geo), rho_ww(top, n)),
+        # rho = -1 dispatches to the pair kernel
+        (d, beta_h(z1, d, plan.geo), -1.0),
+        # the weight sits outside the cone: the z2 range is empty
+        (n - 1, beta_h(z1, d, plan.geo), 0.3),
+    ]
+    # Lines above the disk (beta_ref > r_z1 at rho = 0: disc < 0, so the
+    # first two segments have zero width), below it, and crossing it.
+    for scale in (-2.0, -0.5, 0.0, 0.5, 2.0):
+        for rho in (-0.9, -0.3, 0.0, 0.3, 0.9):
+            cases.append((d, scale * rz, rho))
+    nonzero = 0
+    for h, beta_ref, rho in cases:
+        want = _dense_triple_given_z1(eng, z1, h, beta_ref, rho)
+        got = eng._triple_given_z1(z1, h, beta_ref, rho)
+        assert np.array_equal(got, want), (h, rho)
+        nonzero += bool(np.any(want > 0.0))
+    assert 0 < nonzero < len(cases)
+
+
+def test_vacuous_conditioned_terms_cost_their_pair_nodes(golay_spec, monkeypatch):
+    # Out-of-cone ahp layer and itsb term on Golay at 4 dB: the line clears
+    # the disk everywhere, so the kernel evaluates only the half-disk mass,
+    # at exactly the nodes of the pair term, and the z3 rule at no node.
+    n = golay_spec.n
+    eng = Plan(golay_spec).at(ChannelPoint.from_eb_n0_db(4.0, 12 / 23))
+    seen = []
+
+    def spy(a, x):
+        seen.append((a, np.size(x)))
+        return gammainc(a, x)
+
+    monkeypatch.setattr(bounds, "gammainc", spy)
+
+    def nodes(term):
+        seen.clear()
+        term()
+        assert sum(m for a, m in seen if a == 0.5 * (n - 3)) == 0
+        return sum(m for a, m in seen if a == 0.5 * (n - 2))
+
+    pair = nodes(lambda: eng.pair_term(8))
+    assert pair == 9000
+    assert nodes(lambda: eng.triple_term(8, 14, rho_max_wh(14, 8, n))) == pair
+    assert nodes(lambda: eng.triple_term(8, 7, rho_min_h(8, 7, n))) == pair
