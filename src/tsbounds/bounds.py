@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -103,7 +103,11 @@ class BoundResult:
     bound is vacuous but still well defined), its natural log, per-weight
     log-domain contributions, the cone radius used, the two tail terms
     (log domain), and an additive error budget for the quadrature plus the
-    outer-integral truncation."""
+    outer-integral truncation.
+
+    ahp and psi also report their layer search: the chosen layer, how many
+    layers were assembled in full and how many were pruned unassembled, and
+    whether the chosen layer opens inside the cone (None for tsb and itsb)."""
 
     value: float
     log_value: float
@@ -113,6 +117,9 @@ class BoundResult:
     error_estimate: float
     converged: bool
     ahp_layer: int | None = None
+    layers_assembled: int | None = None
+    layers_pruned: int | None = None
+    layer_in_cone: bool | None = None
 
 
 def _interior_weights(spec: DistanceSpectrum) -> list[int]:
@@ -541,41 +548,98 @@ def _pair_terms(
     return {h: t.log_value for h, t in terms.items()}, list(terms.values())
 
 
+def _layer_parts(eng: _Engine, spec: DistanceSpectrum, w: int, extend: bool) -> list:
+    """The terms of layer w (w < n) besides its anchor pair_term(w), in
+    assembly order: the extension self-term when extend is set, then one
+    conditioned term per included weight.  Each is (h, log_coeff, term):
+    term() computes a conditioned term of weight h, which lies inside the
+    pair event of pair_term(h), and log_coeff is its multiplicity."""
+    n = spec.n
+    parts = []
+    # The extension pairs exist whether or not the code has weight-w words;
+    # only the cone geometry can zero them out.
+    if extend and w in eng.plan.geom_included:
+        parts.append((w, math.log(math.comb(n, w)), lambda: eng.triple_term(w, w, rho_ww(w, n))))
+    for h in eng.plan.included:
+        if h != w:
+            parts.append((h, float(spec.log_a[h]),
+                          lambda h=h: eng.triple_term(h, w, rho_max_wh(w, h, n))))
+    return parts
+
+
 def _layer_terms(
     eng: _Engine, spec: DistanceSpectrum, w: int, extend: bool
 ) -> tuple[dict[int, float], list[_Term]]:
     """Weighted logs and error terms of layer w: the anchor and spectrum
     terms (the envelope), plus the extension self-term when extend is set."""
-    n = spec.n
-    if w == n:
+    if w == spec.n:
         # Degenerate top layer: the anchor threshold sits beyond the cone
         # and the conditioning lines are vacuous, so every spectrum term is
         # a plain pair term and there is no extension pair.
         return _pair_terms(eng, spec)
     anchor = eng.pair_term(w)
     terms = [anchor]
-    # The extension pairs exist whether or not the code has weight-w words;
-    # only the cone geometry can zero them out.
-    self_term = None
-    if extend and w in eng.plan.geom_included:
-        self_term = eng.triple_term(w, w, rho_ww(w, n)).scaled(math.log(math.comb(n, w)))
-        terms.append(self_term)
     weighted: dict[int, float] = {}
-    for h in eng.plan.included:
-        if h != w:
-            t = eng.triple_term(h, w, rho_max_wh(w, h, n)).scaled(float(spec.log_a[h]))
+    self_term = None
+    for h, log_coeff, term in _layer_parts(eng, spec, w, extend):
+        t = term().scaled(log_coeff)
+        terms.append(t)
+        if h == w:
+            self_term = t
+        else:
             weighted[h] = t.log_value
-            terms.append(t)
     weighted[w] = anchor.log_value
     if self_term is not None:
         weighted[w] = float(logsumexp([anchor.log_value, self_term.log_value]))
     return weighted, terms
 
 
+# A layer is pruned once a partial sum of its terms exceeds the best
+# assembled layer by this much in log: far more than the rounding of either
+# sum (a few ulps of |log value| < 1e3), so no layer that would win or tie
+# is ever pruned.
+_PRUNE_MARGIN = 1e-12
+
+
+def _layer_exceeds(
+    eng: _Engine, spec: DistanceSpectrum, w: int, extend: bool, bound: float
+) -> bool:
+    """Whether layer w's assembly provably exceeds the log value bound.
+    Its terms are nonnegative, so every partial sum is a lower bound.  The
+    sum takes the cap, the apex tail and the anchor first, then the other
+    terms largest upper bound first, and stops as soon as it passes
+    bound + _PRUNE_MARGIN; it is kept relative to bound, in linear scale."""
+    limit = math.exp(_PRUNE_MARGIN)
+    total = 0.0
+
+    def passes(log_term: float) -> bool:
+        nonlocal total
+        if log_term > _NEG_INF:
+            total += math.exp(min(log_term - bound, 700.0))  # no overflow
+        return total > limit
+
+    if (passes(eng.cap_term().log_value) or (extend and passes(eng.log_q_term))
+            or passes(eng.pair_term(w).log_value)):
+        return True
+    parts = _layer_parts(eng, spec, w, extend)
+    parts.sort(key=lambda p: (-(p[1] + eng.pair_term(p[0]).log_value), p[0]))
+    return any(passes(c + term().log_value) for _, c, term in parts)
+
+
 def _best_layer(eng: _Engine, spec: DistanceSpectrum, layers, extend: bool) -> BoundResult:
     """Minimize the per-layer assembly over the layers, by default every
     allowed one.  extend selects the added-hyper-plane bound (self-term,
-    apex tail, top layer w = n allowed) over the envelope."""
+    apex tail, top layer w = n allowed) over the envelope.
+
+    Branch and bound, exact: the incumbent layer (n for ahp, d_min for psi,
+    else the first listed) is assembled first.  Every term of a layer is
+    nonnegative, so a partial sum bounds the layer's value from below; a
+    layer is pruned once that bound exceeds the best assembled value by
+    _PRUNE_MARGIN, more than the rounding of either sum, so no layer that
+    could win or tie is pruned.  The others are assembled in full and the
+    smallest value wins, ties going to the earliest layer listed, exactly
+    as when every layer is assembled.  Which layers are pruned depends only
+    on term values, never on what the cache held before."""
     top, rel = (spec.n, "<=") if extend else (spec.n - 1, "<")
     layers = list(layers) if layers is not None else list(range(1, top + 1))
     if not layers:
@@ -583,13 +647,27 @@ def _best_layer(eng: _Engine, spec: DistanceSpectrum, layers, extend: bool) -> B
     for w in layers:
         if not 1 <= w <= top:
             raise ValueError(f"layer must satisfy 1 <= w {rel} n, got {w}")
-    best = None
-    for w in layers:
+    first = top if extend else spec.d_min
+    if first not in layers:
+        first = layers[0]
+    rank: dict[int, int] = {}  # each layer's first position in layers
+    for i, w in enumerate(layers):
+        rank.setdefault(w, i)
+    found: dict[int, BoundResult] = {}
+    best = math.inf
+    for w in [first] + [w for w in rank if w != first]:
+        if w != first and _layer_exceeds(eng, spec, w, extend, best):
+            continue
         weighted, terms = _layer_terms(eng, spec, w, extend)
-        cand = eng.assemble(weighted, terms, include_q=extend, ahp_layer=w)
-        if best is None or cand.log_value < best.log_value:
-            best = cand
-    return best
+        found[w] = eng.assemble(weighted, terms, include_q=extend, ahp_layer=w)
+        best = min(best, found[w].log_value)
+    win = min(found, key=lambda w: (found[w].log_value, rank[w]))
+    return replace(
+        found[win],
+        layers_assembled=len(found),
+        layers_pruned=len(rank) - len(found),
+        layer_in_cone=win in eng.plan.geom_included,
+    )
 
 
 def ahp(
@@ -605,7 +683,10 @@ def ahp(
 
     layers defaults to every weight 1..n; w = n degenerates to the plain
     tangential-sphere form (the extension word is antipodal), so the
-    default never exceeds tsb_block.
+    default never exceeds tsb_block.  The search starts from layer n, whose
+    pair terms tsb_block shares, and assembles in full only the layers that
+    can still win (see _best_layer): the result is the one an exhaustive
+    search returns, and layers_assembled/layers_pruned report the work.
     """
     eng = _terms_for(spec, ch, tol, terms)
     return eng.finish(_best_layer(eng, spec, layers, extend=True))
@@ -622,7 +703,11 @@ def psi(
     """Lower envelope of the two conditioned bounds: the per-layer anchor and
     spectrum terms with neither the extension pair term nor the apex tail,
     minimized over the layer.  Not itself an upper bound on the error
-    probability; it sandwiches the conditioned bounds from below."""
+    probability; it sandwiches the conditioned bounds from below.
+
+    The search starts from layer d_min and prunes like ahp's, by psi's own
+    values, so psi after ahp on one cache may integrate terms of layers
+    that ahp pruned."""
     eng = _terms_for(spec, ch, tol, terms)
     return eng.finish(_best_layer(eng, spec, layers, extend=False))
 

@@ -175,66 +175,13 @@ def g_fn(
     )
 
 
-# -- same-weight stationary geometry (used by the k*-degeneracy check) -------
-
-
-def _alpha_same_weight(w: int, n: int) -> float:
-    rho = rho_ww(w, n)
-    return math.sqrt((1.0 + rho) / (1.0 - rho))
-
-
-def _g1(
-    c: float, t: float, xi: float, tau: float, eta: float, w: int, n: int
-) -> float:
-    """Same-weight conditioned exponent in the sheared multiplier
-    coordinates xi = s - k/sqrt(1-rho^2), tau = s - k rho/sqrt(1-rho^2)
-    (spectrum constant dropped; only the stationary geometry matters)."""
-    al2 = _alpha_same_weight(w, n) ** 2
-    dw = math.sqrt(w / (n - w))
-    a1 = 1.0 + 2.0 * t * eta
-    b1 = 1.0 - 2.0 * t
-    sq = math.sqrt(2.0 * n * c)
-    return (
-        (4.0 * t * eta * n * c + 2.0 * sq * xi * dw - (dw * xi) ** 2) / (2.0 * a1)
-        - tau * tau / (2.0 * b1)
-        - (xi - tau) ** 2 * al2 / (2.0 * b1)
-        + 0.5 * n * math.log(b1)
-    )
-
-
-def _tau_star(xi: float, w: int, n: int) -> float:
-    al2 = _alpha_same_weight(w, n) ** 2
-    return al2 * xi / (1.0 + al2)
-
-
-def _g2(c: float, t: float, xi: float, eta: float, w: int, n: int) -> float:
-    """_g1 with tau eliminated at its stationary value."""
-    al2 = _alpha_same_weight(w, n) ** 2
-    eps = al2 / (1.0 + al2)
-    dw = math.sqrt(w / (n - w))
-    a1 = 1.0 + 2.0 * t * eta
-    b1 = 1.0 - 2.0 * t
-    sq = math.sqrt(2.0 * n * c)
-    return (
-        (4.0 * t * eta * n * c + 2.0 * sq * xi * dw - (dw * xi) ** 2) / (2.0 * a1)
-        - eps * xi * xi / (2.0 * b1)
-        + 0.5 * n * math.log(b1)
-    )
-
-
-def _xi_star(c: float, t: float, eta: float, w: int, n: int) -> float:
-    al2 = _alpha_same_weight(w, n) ** 2
-    return _s_face(c, t, eta, w, n, al2 / (1.0 + al2))
-
-
-def _s_face(c: float, t: float, eta: float, h: int, n: int, eps: float = 1.0) -> float:
+def _s_face(c: float, t: float, eta: float, h: int, n: int) -> float:
     """Stationary linear multiplier on the k = 0 face, where the conditioned
-    exponent collapses to the pair exponent with the growth rate folded in;
-    eps = alpha^2 / (1 + alpha^2) gives _g2's stationary xi instead."""
+    exponent collapses to the pair exponent with the growth rate folded in."""
     dsq = h / (n - h)
     b1 = 1.0 - 2.0 * t
     a1 = 1.0 + 2.0 * t * eta
-    return math.sqrt(2.0 * n * c * dsq) * b1 / (dsq * b1 + eps * a1)
+    return math.sqrt(2.0 * n * c * dsq) * b1 / (dsq * b1 + a1)
 
 
 def verify_kstar_zero(

@@ -20,7 +20,6 @@ __all__ = [
     "delta_slope",
     "alpha_theta",
     "rho_min_h",
-    "rho_bounds",
     "rho_max_wh",
     "rho_ww",
     "zeta_wh",
@@ -102,18 +101,6 @@ def rho_min_h(h: int, d_min: int, n: int) -> float:
         raise ValueError(f"need h >= d_min, got h={h}, d_min={d_min}")
     s = math.sqrt((h * d_min) / ((n - h) * (n - d_min)))
     return -min(s, 1.0 / s)
-
-
-def rho_bounds(di: int, dj: int, n: int) -> tuple[float, float]:
-    """Admissible correlation interval between codewords of weights di, dj."""
-    _check_interior_weight(di, n, "di")
-    _check_interior_weight(dj, n, "dj")
-    s = math.sqrt((di * dj) / ((n - di) * (n - dj)))
-    lower = -min(s, 1.0 / s)
-    upper = (min(di, dj) * (n - max(di, dj))) / math.sqrt(
-        di * dj * (n - di) * (n - dj)
-    )
-    return lower, upper
 
 
 def rho_max_wh(w: int, h: int, n: int) -> float:

@@ -17,14 +17,12 @@ from scipy.special import betaincinv
 
 from .bounds import ChannelPoint
 from .codes import EnumerationCapError, GeneratorMatrix
-from .numerics import q_function
 
 __all__ = [
     "CI_ALPHA",
     "McEstimate",
     "clopper_pearson",
     "simulate_ml",
-    "exact_single_pairwise",
     "DECODING_CAP",
 ]
 
@@ -186,12 +184,3 @@ def simulate_ml(
         bit_std_error=math.sqrt(p_bit * (1.0 - p_bit) / trials),
         seed=seed,
     )
-
-
-def exact_single_pairwise(h: int, n: int, ch: ChannelPoint) -> float:
-    """Exact ML block error probability of a code whose only nonzero
-    codeword has weight h: Q(sqrt(2hc)).  The two signals differ in h
-    positions, at Euclidean distance 2*sqrt(h)."""
-    if not 0 < h <= n:
-        raise ValueError(f"need 0 < h <= n, got h={h}, n={n}")
-    return q_function(math.sqrt(2.0 * h * ch.c))

@@ -19,6 +19,7 @@ import pytest
 from mpmath import mp
 from scipy.special import gammainc, gammaincc, logsumexp
 
+from closed_forms import _g1, _g2, _tau_star, _xi_star, rho_bounds
 from tsbounds.bounds import (
     ChannelPoint,
     Plan,
@@ -36,10 +37,6 @@ from tsbounds.codes import (
     random_ensemble_spectrum,
 )
 from tsbounds.exponents import (
-    _g1,
-    _g2,
-    _tau_star,
-    _xi_star,
     chernoff_psi,
     chernoff_tsb,
     finite_n_exponent,
@@ -48,7 +45,7 @@ from tsbounds.exponents import (
     union_exponent,
     verify_kstar_zero,
 )
-from tsbounds.geometry import ConeGeometry, alpha_theta, delta_slope, rho_bounds
+from tsbounds.geometry import ConeGeometry, alpha_theta, delta_slope
 from tsbounds.mcsim import simulate_ml
 from tsbounds.numerics import (
     Tolerance,

@@ -4,6 +4,7 @@ independent quadrature and 3-D Monte-Carlo oracles."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammainc, logsumexp
 
+from closed_forms import rho_bounds
 from tsbounds import bounds
 from tsbounds.bounds import (
     BOUND_TOL,
@@ -40,7 +42,6 @@ from tsbounds.geometry import (
     beta_h,
     delta_slope,
     l_line,
-    rho_bounds,
     rho_max_wh,
     rho_min_h,
     rho_ww,
@@ -192,6 +193,8 @@ def test_bound_result_consistency(hamming_spec):
     assert res.value == pytest.approx(math.exp(res.log_value), rel=1e-15)
     assert set(res.tail_terms) == {"cap", "q"}
     assert res.ahp_layer is None
+    for r in (res, itsb(hamming_spec, ChannelPoint.from_eb_n0_db(3.0, R_HAMMING))):
+        assert r.layers_assembled is r.layers_pruned is r.layer_in_cone is None
     assert all(math.exp(v) >= 0.0 for v in res.per_weight.values())
     assert set(res.per_weight) == {3, 4}  # weight 7 lives in the Q tail
 
@@ -433,6 +436,113 @@ def test_bound_orderings_on_random_codes(gm, db):
     assert at_most(it, ts)
     assert at_most(ah, ts)
     assert at_most(ps, it) and at_most(ps, ah)
+    for bound in (ahp, psi):
+        _check_layer_search(bound, spec, ch, terms)
+
+
+# -- layer search ------------------------------------------------------------
+
+
+def _exhaustive_best_layer(eng, spec, layers, extend):
+    """The layer search with every layer assembled in full, the smallest
+    value winning and ties going to the earliest layer listed: the
+    reference for the pruned search, which must return the same result."""
+    top = spec.n if extend else spec.n - 1
+    best = None
+    for w in layers if layers is not None else range(1, top + 1):
+        weighted, terms = bounds._layer_terms(eng, spec, w, extend)
+        cand = eng.assemble(weighted, terms, include_q=extend, ahp_layer=w)
+        if best is None or cand.log_value < best.log_value:
+            best = cand
+    return best
+
+
+def _check_layer_search(bound, spec, ch, terms, layers=None):
+    """The pruned search equals the exhaustive one in every BoundResult
+    field but the layer accounting, which must add up.  Returns the result."""
+    extend = bound is ahp
+    want = _exhaustive_best_layer(terms, spec, layers, extend)
+    res = bound(spec, ch, layers=layers, terms=terms)
+    assert replace(res, layers_assembled=None, layers_pruned=None, layer_in_cone=None) == want
+    top = spec.n if extend else spec.n - 1
+    distinct = len(set(layers)) if layers is not None else top
+    assert res.layers_assembled >= 1
+    assert res.layers_assembled + res.layers_pruned == distinct
+    assert res.layer_in_cone == (res.ahp_layer in terms.plan.geom_included)
+    return res
+
+
+# Explicit layer lists per code at 4 dB: lists without the incumbent (layer
+# n for ahp, d_min for psi), and on Golay lists whose layers tie exactly
+# (every out-of-cone ahp layer, 14..23, and psi layer 14..22 has one value),
+# so the earliest one listed must win, duplicates included.
+EXPLICIT_LAYERS = {
+    "hamming": {ahp: [[2, 3, 5], [5, 1]], psi: [[1, 4, 5, 6], [6, 2]]},
+    "golay": {ahp: [[13, 8, 16, 7], [16, 14, 23], [23, 15, 15, 14]],
+              psi: [[12, 8, 16], [15, 14, 15]]},
+    "code52": {ahp: [[1, 2, 3]], psi: [[4, 1]]},
+}
+TIE_WINNERS = {(ahp, (16, 14, 23)): 16, (ahp, (23, 15, 15, 14)): 23, (psi, (15, 14, 15)): 15}
+
+
+@pytest.mark.parametrize("code", ["hamming", "golay", "code52"])
+def test_layer_search_matches_exhaustive_on_codes(code, hamming_spec, golay_spec):
+    if code == "code52":  # the (5,2) code of test_ahp_default_layers_never_exceed_tsb
+        bits = np.array([[1, 0, 1, 1, 0], [0, 1, 0, 1, 1]], dtype=np.uint8)
+        spec, _ = enumerate_spectrum(GeneratorMatrix(k=2, n=5, bits=bits))
+        rate = 2 / 5
+    else:
+        spec, rate = {"hamming": (hamming_spec, R_HAMMING), "golay": (golay_spec, 12 / 23)}[code]
+    pruned = 0
+    for db in (2.0, 4.0, 6.0):
+        ch = ChannelPoint.from_eb_n0_db(db, rate)
+        terms = Plan(spec).at(ch)
+        for bound in (ahp, psi):
+            pruned += _check_layer_search(bound, spec, ch, terms).layers_pruned
+        if db != 4.0:
+            continue
+        for bound, lists in EXPLICIT_LAYERS[code].items():
+            for layers in lists:
+                res = _check_layer_search(bound, spec, ch, terms, layers)
+                winner = TIE_WINNERS.get((bound, tuple(layers)))
+                assert winner is None or res.ahp_layer == winner
+    assert pruned > 0
+
+
+def test_layer_search_matches_exhaustive_on_ensembles():
+    for n in (6, 8, 10, 12, 14, 16):
+        spec = random_ensemble_spectrum(n, 0.5)
+        ch = ChannelPoint.from_eb_n0_db(4.0, 0.5)
+        terms = Plan(spec).at(ch)
+        for bound in (ahp, psi):
+            _check_layer_search(bound, spec, ch, terms)
+
+
+def test_layer_search_integrates_fewer_terms(monkeypatch):
+    # ahp then psi on one cache of the n=12 ensemble at 4 dB: 89 outer
+    # integrals when every layer is assembled, 73 with pruning (psi then
+    # integrates 18 terms of layers ahp pruned).  The out-of-cone layers
+    # 8..11 tie with layer n and are assembled in full either way.
+    labels = []
+    orig = bounds._Engine._outer
+
+    def spy(self, inner, tail_log_bound, label):
+        labels.append(label)
+        return orig(self, inner, tail_log_bound, label)
+
+    monkeypatch.setattr(bounds._Engine, "_outer", spy)
+    spec = random_ensemble_spectrum(12, 0.5)
+    ch = ChannelPoint.from_eb_n0_db(4.0, 0.5)
+    terms = Plan(spec).at(ch)
+    _exhaustive_best_layer(terms, spec, None, True)
+    _exhaustive_best_layer(terms, spec, None, False)
+    exhaustive = len(labels)
+    labels.clear()
+    terms = Plan(spec).at(ch)
+    ahp(spec, ch, terms=terms)
+    psi(spec, ch, terms=terms)
+    assert exhaustive == 89
+    assert len(labels) <= 0.85 * exhaustive
 
 
 def test_psi_sandwich(hamming_spec):

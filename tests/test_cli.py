@@ -147,33 +147,31 @@ def test_bounds_csv_frozen(gen_file, tmp_path):
 
 def test_bounds_share_one_plan_and_row_cache(gen_file, tmp_path, monkeypatch):
     # One cone solve per spectrum for the whole grid (the code's and the
-    # bit spectrum's), and psi reuses every layer term ahp computed in its
-    # row: it runs no outer integral of its own.
-    solves, outer, psi_outer = [], [], []
-    orig_solve, orig_outer, orig_psi = bounds.solve_cone_radius, bounds._Engine._outer, cli.psi
+    # bit spectrum's), and no term integrated twice within a row: the row's
+    # bounds share one term cache per spectrum.  Terms are told apart by
+    # their cache key (itsb's and ahp's conditioned terms share labels).
+    solves, computed = [], []
+    orig_solve, orig_cached = bounds.solve_cone_radius, bounds._Engine._cached
 
     def solve_spy(spec):
         solves.append(spec.kind)
         return orig_solve(spec)
 
-    def outer_spy(self, inner, tail_log_bound, label):
-        outer.append(label)
-        return orig_outer(self, inner, tail_log_bound, label)
+    def cached_spy(self, key, compute):
+        def counted():
+            computed.append((self.ch, self.plan.spec.kind, key))
+            return compute()
 
-    def psi_spy(*args, **kwargs):
-        before = len(outer)
-        res = orig_psi(*args, **kwargs)
-        psi_outer.append(len(outer) - before)
-        return res
+        return orig_cached(self, key, counted)
 
     monkeypatch.setattr(bounds, "solve_cone_radius", solve_spy)
-    monkeypatch.setattr(bounds._Engine, "_outer", outer_spy)
-    monkeypatch.setattr(cli, "psi", psi_spy)
+    monkeypatch.setattr(bounds._Engine, "_cached", cached_spy)
     argv = ["bounds", "--generator", gen_file, "--grid", "0:4:2",
             "--bounds", "tsb,itsb,ahp,psi,tsb-bit", "--out", str(tmp_path / "b.csv")]
     assert run_cli(argv) == 0
     assert solves == ["code", "bit"]
-    assert outer and psi_outer == [0, 0, 0]
+    assert len({(ch, kind) for ch, kind, _ in computed}) == 3 * 2  # rows x spectra
+    assert len(set(computed)) == len(computed)
 
 
 def test_bounds_usage_errors(gen_file, tmp_path):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closed_forms import _g1, _g2, _tau_star, _xi_star
 from tsbounds.bounds import ChannelPoint, tsb_block
 from tsbounds.codes import DistanceSpectrum, GrowthRate, random_ensemble_spectrum
 from tsbounds.exponents import (
@@ -27,7 +28,6 @@ from tsbounds.exponents import (
     union_exponent,
     verify_kstar_zero,
 )
-from tsbounds.exponents import _g1, _g2, _tau_star, _xi_star
 from tsbounds.numerics import log_q_function
 
 NEG_INF = -math.inf

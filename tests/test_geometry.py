@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closed_forms import rho_bounds
 from tsbounds.geometry import (
     ConeGeometry,
     alpha_theta,
     beta_h,
     delta_slope,
     l_line,
-    rho_bounds,
     rho_max_wh,
     rho_min_h,
     rho_ww,

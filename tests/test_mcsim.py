@@ -8,8 +8,17 @@ from mpmath import mp
 
 from tsbounds.bounds import ChannelPoint
 from tsbounds.codes import EnumerationCapError, GeneratorMatrix
-from tsbounds.mcsim import McEstimate, clopper_pearson, exact_single_pairwise, simulate_ml
+from tsbounds.mcsim import McEstimate, clopper_pearson, simulate_ml
 from tsbounds.numerics import q_function
+
+
+def exact_single_pairwise(h: int, n: int, ch: ChannelPoint) -> float:
+    """Exact ML block error probability of a code whose only nonzero
+    codeword has weight h: Q(sqrt(2hc)).  The two signals differ in h
+    positions, at Euclidean distance 2*sqrt(h)."""
+    if not 0 < h <= n:
+        raise ValueError(f"need 0 < h <= n, got h={h}, n={n}")
+    return q_function(math.sqrt(2.0 * h * ch.c))
 
 
 @pytest.fixture(scope="module")
