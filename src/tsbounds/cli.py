@@ -4,9 +4,9 @@ E_b/N_0 grid, and run the Monte-Carlo ML simulator.
 
 All sweeps emit CSV with 17-significant-digit floats, so a fixed command line
 reproduces byte-identical output.  Per-cell numeric failures become "nan"
-cells plus a JSON diagnostics sidecar next to the output file; the exit code
-is 3 only when every cell of a sweep failed.  Input and usage problems exit
-with code 2.
+cells; they and the bound cells whose quadrature did not converge are listed
+in a JSON diagnostics sidecar next to the output file.  The exit code is 3
+only when every cell of a sweep failed; usage and input problems exit 2.
 """
 
 from __future__ import annotations
@@ -96,10 +96,11 @@ def _write_text(out: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_diagnostics(out: str | None, failures: list[dict]) -> None:
-    if not failures:
+def _emit_diagnostics(out: str | None, failures: list[dict], unconverged=()) -> None:
+    if not failures and not unconverged:
         return
-    payload = json.dumps({"failures": failures}, indent=1, sort_keys=True) + "\n"
+    diag = {"failures": failures} | ({"unconverged": unconverged} if unconverged else {})
+    payload = json.dumps(diag, indent=1, sort_keys=True) + "\n"
     if out:
         with open(out + ".diag.json", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)
@@ -159,11 +160,11 @@ def cmd_bounds(args, sub) -> int:
         except ValueError:
             pass
     evals = {
-        "tsb": lambda ch, t: tsb_block(spec, ch, tol, terms=t.get("spec")).log_value,
-        "tsb-bit": lambda ch, t: tsb_bit(io, ch, tol, terms=t.get("bit")).log_value,
-        "itsb": lambda ch, t: itsb(spec, ch, tol, terms=t.get("spec")).log_value,
-        "ahp": lambda ch, t: ahp(spec, ch, tol, terms=t.get("spec")).log_value,
-        "psi": lambda ch, t: psi(spec, ch, tol, terms=t.get("spec")).log_value,
+        "tsb": lambda ch, t: tsb_block(spec, ch, tol, terms=t.get("spec")),
+        "tsb-bit": lambda ch, t: tsb_bit(io, ch, tol, terms=t.get("bit")),
+        "itsb": lambda ch, t: itsb(spec, ch, tol, terms=t.get("spec")),
+        "ahp": lambda ch, t: ahp(spec, ch, tol, terms=t.get("spec")),
+        "psi": lambda ch, t: psi(spec, ch, tol, terms=t.get("spec")),
         "chernoff-tsb": lambda ch, t: chernoff_tsb(spec.n, ch.c, spec),
         "chernoff-psi": lambda ch, t: chernoff_psi(spec.n, ch.c, spec),
     }
@@ -171,25 +172,29 @@ def cmd_bounds(args, sub) -> int:
     def row(db: float):
         ch = ChannelPoint.from_eb_n0_db(db, rate)
         caches = {key: plan.at(ch, tol) for key, plan in plans.items()}
-        cells, fails = [ch.c], []
+        cells, fails, unconv = [ch.c], [], []
         for name in names:
+            at = {"eb_n0_db": db, "bound": name}
             try:
-                lv = evals[name](ch, caches)
+                res = evals[name](ch, caches)
+                lv = getattr(res, "log_value", res)
                 cells.extend([math.exp(lv), lv])
+                if not getattr(res, "converged", True):  # chernoff-*: a bare log
+                    unconv.append(at | {"error_estimate": res.error_estimate})
             except Exception as exc:  # recorded per cell, sweep continues
                 cells.extend([math.nan, math.nan])
-                fails.append({"eb_n0_db": db, "bound": name, "error": str(exc)})
-        return cells, fails
+                fails.append(at | {"error": str(exc)})
+        return cells, fails, unconv
 
     results = _sweep(grid, row, args.threads)
     header = "eb_n0_db,c," + ",".join(f"{b},log_{b}" for b in names)
     lines = [header]
     failures: list[dict] = []
-    for db, (cells, fails) in zip(grid, results):
+    for db, (cells, fails, _) in zip(grid, results):
         failures.extend(fails)
         lines.append(",".join([_fmt(db)] + [_fmt(v) for v in cells]))
     _write_text(args.out, "\n".join(lines) + "\n")
-    _emit_diagnostics(args.out, failures)
+    _emit_diagnostics(args.out, failures, [u for *_, unconv in results for u in unconv])
     if len(failures) == len(grid) * len(names):
         return EXIT_NUMERIC
     return EXIT_OK

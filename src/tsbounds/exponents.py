@@ -25,7 +25,7 @@ from scipy.special import logsumexp
 
 from .codes import DistanceSpectrum, GrowthRate
 from .geometry import rho_max_wh, rho_ww, zeta_wh
-from .numerics import Tolerance, adaptive_integrate, minimize_1d, minimize_componentwise
+from .numerics import Tolerance, adaptive_integrate, minimize_1d
 
 __all__ = [
     "ExponentResult",
@@ -236,25 +236,60 @@ def verify_kstar_zero(
 # ---------------------------------------------------------------------------
 
 
+def _tilt_slope(q, n, c, u, eta):
+    """g = p f'(q) and dg/dq, elementwise, for the per-weight tilt objective
+    f(q) = ln sqrt((1-2q)/p) - n E(q), p = 1 + 2 q eta, E the moment exponent
+    at Delta^2 = (1-u)/u with u = 1 - h/n (finite at h = n).  f is strictly
+    convex on its box: with D = 1 + 2 q eta + (1-2q) Delta^2 > 0,
+    f'' = 2(n-1)/(1-2q)^2 + 2 eta^2/p^2 + 8 n c (eta - Delta^2)^2/D^3 > 0,
+    so its minimum is a box end or the one root of f'.  The factor p > 0
+    keeps the sign of f' and clears its pole at q = -1/(2 eta) for Newton."""
+    p, r = 1.0 + 2.0 * q * eta, 1.0 - 2.0 * q
+    k = u * (eta + 1.0) - 1.0
+    e = r + 2.0 * q * u * (eta + 1.0)  # u D
+    w = 2.0 * n * c * u * k
+    g = (n - 1) * p / r - eta - w * p / e**2
+    dg = 2.0 * (n - 1) * (eta + 1.0) / r**2 - 2.0 * w * (eta * e - 2.0 * p * k) / e**3
+    return g, dg
+
+
+def _tilt_terms(n: int, c: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-weight tilts q[h] and minima terms[h] = min over q of
+    ln sqrt((1-2q)/(1+2q eta)) - n E: the cap at h = 0 (Delta^2 = 0, tilt in
+    [0, 1/2)), the weight-h pair term for h >= 1 (tilt in [-1/(2 eta), 0];
+    Delta^2 = +inf at h = n).  Exact: the box end where f' keeps one sign,
+    else the root of f' by Newton steps on _tilt_slope, kept inside the sign
+    bracket [a, b] found by one pass over five tilts (else bisecting it)."""
+    hs = np.arange(n + 1)
+    lo = np.where(hs == 0, 0.0, -0.5 / eta * _TILT_EDGE)
+    hi = np.where(hs == 0, 0.5 * _TILT_EDGE, 0.0)
+    u = 1.0 - hs / n
+    qs = lo + np.linspace(0.0, 1.0, 5)[:, None] * (hi - lo)
+    gs, _ = _tilt_slope(qs, n, c, u, eta)
+    # a = b = the box end holding the minimum where f' keeps one sign
+    j = np.argmax(gs > 0.0, axis=0)
+    a = np.where(gs[-1] > 0.0, np.choose(np.maximum(j - 1, 0), qs), hi)
+    b = np.where(gs[-1] > 0.0, np.choose(j, qs), hi)
+    x = 0.5 * (a + b)
+    for _ in range(60):  # each step at worst halves the bracket
+        g, dg = _tilt_slope(x, n, c, u, eta)
+        a, b = np.where(g < 0.0, x, a), np.where(g > 0.0, x, b)
+        step = x - np.divide(g, dg, out=np.full_like(x, np.inf), where=dg != 0.0)
+        x, last = np.where((a <= step) & (step <= b), step, 0.5 * (a + b)), x
+        if np.all(np.abs(x - last) <= 1e-12 * (hi - lo)):
+            break
+    dsq = np.where(hs < n, hs / np.maximum(n - hs, 1), np.inf)
+    pref = 0.5 * (np.log1p(-2.0 * x) - np.log1p(2.0 * x * eta))
+    return x, pref - n * _moment_exponent(c, x, dsq, eta)
+
+
 def _chernoff_log_total(
     n: int, c: float, spec: DistanceSpectrum, eta: float, layered: bool = False
 ) -> float:
     """Log of the assembled exponential bound at one slope: cap term plus the
     spectrum pair terms, plus (for the layered variant) the cheapest unit
     reference pair term over the layers w = 1..n-1."""
-    # terms[h] = min over the tilt of ln sqrt((1-2q)/(1+2q eta)) - n E: the
-    # cap at h = 0 (Delta^2 = 0, tilt in [0, 1/2)), the weight-h pair term
-    # for h >= 1 (tilt in [-1/(2 eta), 0]; Delta^2 = +inf at h = n).
-    hs = np.arange(n + 1)
-    dsq = np.where(hs < n, hs / np.maximum(n - hs, 1), np.inf)
-    lo = np.where(hs == 0, 0.0, -0.5 / eta * _TILT_EDGE)
-    hi = np.where(hs == 0, 0.5 * _TILT_EDGE, 0.0)
-
-    def neg_exponent(q: np.ndarray) -> np.ndarray:
-        pref = 0.5 * (np.log1p(-2.0 * q) - np.log1p(2.0 * q * eta))
-        return pref - n * _moment_exponent(c, q, dsq, eta)
-
-    _, terms = minimize_componentwise(neg_exponent, lo, hi, grid_points=33)
+    _, terms = _tilt_terms(n, c, eta)
     log_a = np.asarray(spec.log_a, dtype=float)
     ws = np.nonzero(np.isfinite(log_a[1:]))[0] + 1
     base = float(logsumexp(np.append(log_a[ws] + terms[ws], terms[0])))
@@ -295,8 +330,8 @@ def chernoff_tsb(n: int, c: float, spec: DistanceSpectrum) -> float:
     optimized pair term per spectrum weight, minimized over the cone slope.
 
     Looser than tsb_block at any finite n but with identical asymptotics;
-    each term's tilt is optimized separately, prefactors included, and the
-    slope is searched over ln eta in [-6, 6].
+    each term's tilt is optimized separately and exactly, prefactors
+    included, and the slope is searched over ln eta in [-6, 6].
     """
     _check_assembly_args(n, c, spec)
     return _optimize_eta(
@@ -313,7 +348,7 @@ def chernoff_psi(n: int, c: float, spec: DistanceSpectrum) -> float:
     box: the unconstrained stationary point always has k < 0 (see
     verify_kstar_zero), and on that face the stationary linear multiplier
     collapses each conditioned exponent to the matching pair exponent, so the
-    spectrum terms are shared with chernoff_tsb exactly.
+    spectrum terms and their exact tilts are shared with chernoff_tsb.
     """
     _check_assembly_args(n, c, spec)
     if n < 2:

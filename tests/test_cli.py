@@ -143,6 +143,7 @@ def test_bounds_csv_frozen(gen_file, tmp_path):
             "--bounds", "tsb,itsb,ahp,psi", "--out", str(out)]
     assert run_cli(argv) == 0
     assert out.read_text() == HAMMING_BOUNDS_CSV
+    assert not (tmp_path / "b.csv.diag.json").exists()  # every cell converged
 
 
 def test_bounds_share_one_plan_and_row_cache(gen_file, tmp_path, monkeypatch):
@@ -221,6 +222,28 @@ def test_bounds_total_failure_exits_3_with_sidecar(tmp_path):
     assert len(diag["failures"]) == 3
     assert diag["failures"][0]["bound"] == "chernoff-psi"
     assert "n >= 2" in diag["failures"][0]["error"]
+
+
+def test_bounds_unconverged_cells_reach_sidecar(gen_file, tmp_path):
+    # a relative tolerance below double precision leaves the quadrature
+    # unconverged: the cells keep their values and the exit code stays 0,
+    # and the sidecar lists each such cell with its error estimate (the
+    # exponential assembly has no quadrature and is never listed)
+    out = tmp_path / "tight.csv"
+    argv = ["bounds", "--generator", gen_file, "--grid", "2:4:2",
+            "--bounds", "tsb,chernoff-tsb",
+            "--tol-rel", "1e-16", "--tol-abs", "0", "--out", str(out)]
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        assert run_cli(argv) == 0
+    _, rows = read_csv(out)
+    assert all(math.isfinite(v) for row in rows for v in row)
+    diag = json.loads((tmp_path / "tight.csv.diag.json").read_text())
+    assert diag["failures"] == []
+    assert [(u["bound"], u["eb_n0_db"]) for u in diag["unconverged"]] == [
+        ("tsb", 2.0), ("tsb", 4.0)]
+    for u in diag["unconverged"]:
+        assert set(u) == {"bound", "eb_n0_db", "error_estimate"}
+        assert u["error_estimate"] > 0.0
 
 
 def test_bounds_ensemble_source(tmp_path):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closed_forms import _g1, _g2, _tau_star, _xi_star
+from tsbounds import exponents
 from tsbounds.bounds import ChannelPoint, tsb_block
 from tsbounds.codes import DistanceSpectrum, GrowthRate, random_ensemble_spectrum
 from tsbounds.exponents import (
@@ -28,7 +29,7 @@ from tsbounds.exponents import (
     union_exponent,
     verify_kstar_zero,
 )
-from tsbounds.numerics import log_q_function
+from tsbounds.numerics import log_q_function, minimize_componentwise
 
 NEG_INF = -math.inf
 R_HAMMING = 4 / 7
@@ -383,6 +384,106 @@ def test_exponent_coincidence_moderate_length():
     assert lp >= lt
     assert abs(fp - ft) <= 5e-3
     assert abs(ft - E_HALF_08) < 0.01
+
+
+# ---------------------------------------------------------------------------
+# per-weight tilt solve of the assemblies
+# ---------------------------------------------------------------------------
+
+
+def tilt_box(n, eta):
+    """Tilt boxes of the assemblies' per-weight objectives: [0, 1/2) for the
+    cap at h = 0 and [-1/(2 eta), 0] for the pair terms, both kept 1e-9
+    (relative) off their poles."""
+    edge = 1.0 - 1e-9
+    hs = np.arange(n + 1)
+    return (np.where(hs == 0, 0.0, -0.5 / eta * edge),
+            np.where(hs == 0, 0.5 * edge, 0.0))
+
+
+def tilt_objective(n, c, eta):
+    """ln sqrt((1-2q)/(1+2q eta)) - n E(q) for every weight h at once, with
+    E the moment exponent at Delta^2 = h/(n-h) (+inf at h = n)."""
+    hs = np.arange(n + 1)
+    dsq = np.where(hs < n, hs / np.maximum(n - hs, 1), np.inf)
+
+    def f(q):
+        denom = 1.0 + 2.0 * q * eta + (1.0 - 2.0 * q) * dsq
+        e = c * (1.0 - 1.0 / denom) + 0.5 * np.log1p(-2.0 * q)
+        return 0.5 * (np.log1p(-2.0 * q) - np.log1p(2.0 * q * eta)) - n * e
+
+    return f
+
+
+def test_tilt_solve_matches_grid_golden_oracle():
+    # The exact per-weight solve against the search it replaced: a 33-point
+    # grid, then golden refinement, per weight.  Every minimum agrees to
+    # 1e-12 relative, so none sits above the oracle's by more.  The sweep
+    # covers the cap, h = n, and minima at both box ends and inside.
+    where = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (1, 2, 7, 23, 64, 512):
+            for c in (0.05, 0.3, 1.0, 5.0):
+                for log_eta in (-6.0, -3.0, 0.0, 3.0, 6.0):
+                    eta = math.exp(log_eta)
+                    lo, hi = tilt_box(n, eta)
+                    q, got = exponents._tilt_terms(n, c, eta)
+                    _, want = minimize_componentwise(
+                        tilt_objective(n, c, eta), lo, hi, grid_points=33
+                    )
+                    slack = 1e-12 * np.maximum(1.0, np.abs(want))
+                    assert np.all(np.abs(got - want) <= slack), (n, c, log_eta)
+                    assert np.all((lo <= q) & (q <= hi))
+                    at = np.where(q == lo, "lo", np.where(q == hi, "hi", "inside"))
+                    where.update(("any", a) for a in at)
+                    where.update({("cap", at[0]), ("h=n", at[n])})
+    # the cap's minimum sits at q -> 1/2 only for n = 1, where its slope is
+    # negative throughout; the h = n term's slope is negative at its lower end
+    assert where == {(at, end) for at in ("any", "cap") for end in ("lo", "hi", "inside")
+                     } | {("h=n", "hi"), ("h=n", "inside")}
+
+
+def test_tilt_solve_work_is_bounded(monkeypatch):
+    # One bracketing pass plus at most 12 Newton steps per slope at n = 512.
+    # Without the factor p the pole at the lower tilt edge drives Newton to
+    # bisection, and rejecting a step that lands exactly on a bracket end
+    # keeps bisecting after the root is found; either breaks this bound.
+    per_slope, calls = [], [0]
+    slope, total = exponents._tilt_slope, exponents._chernoff_log_total
+
+    def slope_spy(*args):
+        calls[0] += 1
+        return slope(*args)
+
+    def total_spy(*args, **kwargs):
+        calls[0] = 0
+        value = total(*args, **kwargs)
+        per_slope.append(calls[0])
+        return value
+
+    monkeypatch.setattr(exponents, "_tilt_slope", slope_spy)
+    monkeypatch.setattr(exponents, "_chernoff_log_total", total_spy)
+    chernoff_tsb(512, 1.0, random_ensemble_spectrum(512, 0.5))
+    assert len(per_slope) > 33
+    assert max(per_slope) <= 1 + 12
+
+
+def test_tilt_objective_slope_nondecreasing():
+    # f' = g / p from _tilt_slope never decreases across the tilt box of
+    # random (n, c, eta, h): the convexity that makes a box end or the one
+    # root of f' the exact minimum.
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(1, 600))
+        c = math.exp(rng.uniform(math.log(0.01), math.log(10.0)))
+        eta = math.exp(rng.uniform(-6.0, 6.0))
+        h = int(rng.integers(0, n + 1))
+        lo, hi = tilt_box(n, eta)
+        q = np.linspace(lo[h], hi[h], 2001)
+        g, _ = exponents._tilt_slope(q, n, c, 1.0 - h / n, eta)
+        fp = g / (1.0 + 2.0 * q * eta)
+        assert np.all(np.diff(fp) >= -1e-12 * np.abs(fp[1:])), (n, c, eta, h)
 
 
 # ---------------------------------------------------------------------------
