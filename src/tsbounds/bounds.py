@@ -486,7 +486,8 @@ def tsb_block(
     cap leakage, and the Gaussian tail beyond the apex.
     """
     eng = _terms_for(spec, ch, tol, terms)
-    return eng.finish(eng.assemble(*_pair_terms(eng, spec)))
+    # Layer n conditions nothing: its terms are the plain pair terms.
+    return eng.finish(eng.assemble(*_layer_terms(eng, spec, spec.n, extend=False)))
 
 
 def tsb_bit(
@@ -499,25 +500,16 @@ def tsb_bit(
 
 
 def itsb(
-    spec: DistanceSpectrum,
-    ch: ChannelPoint,
-    tol: Tolerance = BOUND_TOL,
-    rho_fn=None,
-    *,
-    terms=None,
+    spec: DistanceSpectrum, ch: ChannelPoint, tol: Tolerance = BOUND_TOL, *, terms=None
 ) -> BoundResult:
     """Conditioned tangential-sphere bound: one minimum-weight codeword
     anchors the error events and every other pairwise event is intersected
-    with the anchor's complement, shrinking each term by a z3 wedge.
-
-    rho_fn optionally overrides the per-weight correlation (used by tests to
-    verify monotonicity); the default is the most negative admissible value
-    against the anchor weight.
+    with the anchor's complement, shrinking each term by a z3 wedge.  Each
+    weight h takes rho_min_h(h, d_min, n), the most negative correlation
+    admissible against the anchor weight.
     """
     eng = _terms_for(spec, ch, tol, terms)
     d = spec.d_min
-    if rho_fn is None:
-        rho_fn = lambda h: rho_min_h(h, d, spec.n)
     weighted: dict[int, float] = {}
     used: list[_Term] = []
     anchor = eng.pair_term(d) if d < spec.n else None
@@ -529,7 +521,7 @@ def itsb(
         coeff = float(spec.log_a[h]) if h != d else _log_minus_one(float(spec.log_a[h]))
         parts = []
         if coeff > _NEG_INF:
-            t = eng.triple_term(h, d, float(rho_fn(h))).scaled(coeff)
+            t = eng.triple_term(h, d, rho_min_h(h, d, spec.n)).scaled(coeff)
             parts.append(t.log_value)
             used.append(t)
         if h == d and anchor is not None:
@@ -540,57 +532,66 @@ def itsb(
     return eng.finish(eng.assemble(weighted, used))
 
 
-def _pair_terms(
-    eng: _Engine, spec: DistanceSpectrum
-) -> tuple[dict[int, float], list[_Term]]:
-    """Weighted logs and error terms of the plain pair terms A_h P_h."""
-    terms = {h: eng.pair_term(h).scaled(float(spec.log_a[h])) for h in eng.plan.included}
-    return {h: t.log_value for h, t in terms.items()}, list(terms.values())
+def _layer_parts(
+    eng: _Engine, spec: DistanceSpectrum, w: int, extend: bool
+) -> tuple[_Term | None, list]:
+    """Layer w's anchor term and its other terms in assembly order.  Each
+    part is (h, log_coeff, term): term() computes a term of weight h that
+    lies inside the pair event of pair_term(h), and log_coeff is its
+    multiplicity.  A layer inside the cone has the anchor pair_term(w), the
+    extension self-term when extend is set, then one conditioned term per
+    included weight h != w.
 
-
-def _layer_parts(eng: _Engine, spec: DistanceSpectrum, w: int, extend: bool) -> list:
-    """The terms of layer w (w < n) besides its anchor pair_term(w), in
-    assembly order: the extension self-term when extend is set, then one
-    conditioned term per included weight.  Each is (h, log_coeff, term):
-    term() computes a conditioned term of weight h, which lies inside the
-    pair event of pair_term(h), and log_coeff is its multiplicity."""
+    A layer outside the cone (w not in plan.geom_included, as for w = n)
+    conditions nothing: it has no anchor and no extension pair, and each
+    conditioned term is its pair term, so its parts are tsb's pair terms.
+    Proof: beta_w(z1) = (sqrt(n) - z1) sqrt(w/(n-w)) and r(z1) =
+    (sqrt(n) - z1) r/sqrt(n) both scale with sqrt(n) - z1, so w lies
+    outside the cone exactly when beta_w(z1) >= r(z1) for every z1; their
+    ratio is sqrt(w)/alpha_w, the ratio alpha_theta tests.  On the
+    cross-section disk z2^2 + z3^2 <= r(z1)^2, Cauchy-Schwarz gives
+    rho z2 + sqrt(1 - rho^2) z3 <= r(z1) <= beta_w(z1), so the anchor
+    half-plane holds the whole disk: the anchor and extension pair events
+    are empty, and each line z3 <= l(z2) cuts nothing from a pair event.
+    """
     n = spec.n
-    parts = []
+    if w not in eng.plan.geom_included:
+        return None, [(h, float(spec.log_a[h]), lambda h=h: eng.pair_term(h))
+                      for h in eng.plan.included]
     # The extension pairs exist whether or not the code has weight-w words;
     # only the cone geometry can zero them out.
-    if extend and w in eng.plan.geom_included:
+    parts = []
+    if extend:
         parts.append((w, math.log(math.comb(n, w)), lambda: eng.triple_term(w, w, rho_ww(w, n))))
     for h in eng.plan.included:
         if h != w:
             parts.append((h, float(spec.log_a[h]),
                           lambda h=h: eng.triple_term(h, w, rho_max_wh(w, h, n))))
-    return parts
+    return eng.pair_term(w), parts
 
 
 def _layer_terms(
     eng: _Engine, spec: DistanceSpectrum, w: int, extend: bool
 ) -> tuple[dict[int, float], list[_Term]]:
     """Weighted logs and error terms of layer w: the anchor and spectrum
-    terms (the envelope), plus the extension self-term when extend is set."""
-    if w == spec.n:
-        # Degenerate top layer: the anchor threshold sits beyond the cone
-        # and the conditioning lines are vacuous, so every spectrum term is
-        # a plain pair term and there is no extension pair.
-        return _pair_terms(eng, spec)
-    anchor = eng.pair_term(w)
-    terms = [anchor]
+    terms (the envelope), plus the extension self-term when extend is set.
+    Layer n, like every layer outside the cone, is the plain pair terms
+    A_h P_h of tsb_block."""
+    anchor, parts = _layer_parts(eng, spec, w, extend)
+    terms = [] if anchor is None else [anchor]
     weighted: dict[int, float] = {}
     self_term = None
-    for h, log_coeff, term in _layer_parts(eng, spec, w, extend):
+    for h, log_coeff, term in parts:
         t = term().scaled(log_coeff)
         terms.append(t)
         if h == w:
             self_term = t
         else:
             weighted[h] = t.log_value
-    weighted[w] = anchor.log_value
-    if self_term is not None:
-        weighted[w] = float(logsumexp([anchor.log_value, self_term.log_value]))
+    if anchor is not None:
+        weighted[w] = anchor.log_value
+        if self_term is not None:
+            weighted[w] = float(logsumexp([anchor.log_value, self_term.log_value]))
     return weighted, terms
 
 
@@ -618,98 +619,79 @@ def _layer_exceeds(
             total += math.exp(min(log_term - bound, 700.0))  # no overflow
         return total > limit
 
+    anchor, parts = _layer_parts(eng, spec, w, extend)
     if (passes(eng.cap_term().log_value) or (extend and passes(eng.log_q_term))
-            or passes(eng.pair_term(w).log_value)):
+            or (anchor is not None and passes(anchor.log_value))):
         return True
-    parts = _layer_parts(eng, spec, w, extend)
     parts.sort(key=lambda p: (-(p[1] + eng.pair_term(p[0]).log_value), p[0]))
     return any(passes(c + term().log_value) for _, c, term in parts)
 
 
-def _best_layer(eng: _Engine, spec: DistanceSpectrum, layers, extend: bool) -> BoundResult:
-    """Minimize the per-layer assembly over the layers, by default every
-    allowed one.  extend selects the added-hyper-plane bound (self-term,
-    apex tail, top layer w = n allowed) over the envelope.
+def _best_layer(eng: _Engine, spec: DistanceSpectrum, extend: bool) -> BoundResult:
+    """Minimize the per-layer assembly over the layers 1..n when extend
+    selects the added-hyper-plane bound (self-term, apex tail), else over
+    the envelope's layers 1..n-1.
 
-    Branch and bound, exact: the incumbent layer (n for ahp, d_min for psi,
-    else the first listed) is assembled first.  Every term of a layer is
+    Branch and bound, exact: the incumbent layer (n for ahp; d_min for psi,
+    or 1 when d_min = n) is assembled first.  Every term of a layer is
     nonnegative, so a partial sum bounds the layer's value from below; a
     layer is pruned once that bound exceeds the best assembled value by
     _PRUNE_MARGIN, more than the rounding of either sum, so no layer that
     could win or tie is pruned.  The others are assembled in full and the
-    smallest value wins, ties going to the earliest layer listed, exactly
-    as when every layer is assembled.  Which layers are pruned depends only
-    on term values, never on what the cache held before."""
-    top, rel = (spec.n, "<=") if extend else (spec.n - 1, "<")
-    layers = list(layers) if layers is not None else list(range(1, top + 1))
-    if not layers:
-        raise ValueError("need at least one extension layer")
-    for w in layers:
-        if not 1 <= w <= top:
-            raise ValueError(f"layer must satisfy 1 <= w {rel} n, got {w}")
-    first = top if extend else spec.d_min
-    if first not in layers:
-        first = layers[0]
-    rank: dict[int, int] = {}  # each layer's first position in layers
-    for i, w in enumerate(layers):
-        rank.setdefault(w, i)
+    smallest value wins, ties going to the smallest layer, exactly as when
+    every layer is assembled.  Which layers are pruned depends only on term
+    values, never on what the cache held before."""
+    top = spec.n if extend else spec.n - 1
+    first = top if extend else (spec.d_min if spec.d_min <= top else 1)
     found: dict[int, BoundResult] = {}
     best = math.inf
-    for w in [first] + [w for w in rank if w != first]:
+    for w in [first] + [w for w in range(1, top + 1) if w != first]:
         if w != first and _layer_exceeds(eng, spec, w, extend, best):
             continue
         weighted, terms = _layer_terms(eng, spec, w, extend)
         found[w] = eng.assemble(weighted, terms, include_q=extend, ahp_layer=w)
         best = min(best, found[w].log_value)
-    win = min(found, key=lambda w: (found[w].log_value, rank[w]))
+    win = min(found, key=lambda w: (found[w].log_value, w))
     return replace(
         found[win],
         layers_assembled=len(found),
-        layers_pruned=len(rank) - len(found),
+        layers_pruned=top - len(found),
         layer_in_cone=win in eng.plan.geom_included,
     )
 
 
 def ahp(
-    spec: DistanceSpectrum,
-    ch: ChannelPoint,
-    tol: Tolerance = BOUND_TOL,
-    layers=None,
-    *,
-    terms=None,
+    spec: DistanceSpectrum, ch: ChannelPoint, tol: Tolerance = BOUND_TOL, *, terms=None
 ) -> BoundResult:
     """Added-hyper-plane bound: extend the code with every weight-w word,
-    anchor on that layer, and keep the best layer.
+    anchor on that layer, and keep the best layer w = 1..n.
 
-    layers defaults to every weight 1..n; w = n degenerates to the plain
-    tangential-sphere form (the extension word is antipodal), so the
-    default never exceeds tsb_block.  The search starts from layer n, whose
-    pair terms tsb_block shares, and assembles in full only the layers that
-    can still win (see _best_layer): the result is the one an exhaustive
-    search returns, and layers_assembled/layers_pruned report the work.
+    A layer outside the cone, w = n among them, conditions nothing and is
+    the plain tangential-sphere assembly (see _layer_parts), so ahp never
+    exceeds tsb_block.  The search starts from layer n, whose pair terms
+    tsb_block shares, and assembles in full only the layers that can still
+    win (see _best_layer): the result is the one an exhaustive search
+    returns, ties going to the smallest layer, and
+    layers_assembled/layers_pruned report the work.
     """
     eng = _terms_for(spec, ch, tol, terms)
-    return eng.finish(_best_layer(eng, spec, layers, extend=True))
+    return eng.finish(_best_layer(eng, spec, extend=True))
 
 
 def psi(
-    spec: DistanceSpectrum,
-    ch: ChannelPoint,
-    tol: Tolerance = BOUND_TOL,
-    layers=None,
-    *,
-    terms=None,
+    spec: DistanceSpectrum, ch: ChannelPoint, tol: Tolerance = BOUND_TOL, *, terms=None
 ) -> BoundResult:
     """Lower envelope of the two conditioned bounds: the per-layer anchor and
     spectrum terms with neither the extension pair term nor the apex tail,
-    minimized over the layer.  Not itself an upper bound on the error
-    probability; it sandwiches the conditioned bounds from below.
+    minimized over the layer w = 1..n-1.  Not itself an upper bound on the
+    error probability; it sandwiches the conditioned bounds from below.
+    A layer outside the cone is tsb's pair terms without the apex tail.
 
     The search starts from layer d_min and prunes like ahp's, by psi's own
     values, so psi after ahp on one cache may integrate terms of layers
     that ahp pruned."""
     eng = _terms_for(spec, ch, tol, terms)
-    return eng.finish(_best_layer(eng, spec, layers, extend=False))
+    return eng.finish(_best_layer(eng, spec, extend=False))
 
 
 def triple_term(

@@ -4,9 +4,10 @@ E_b/N_0 grid, and run the Monte-Carlo ML simulator.
 
 All sweeps emit CSV with 17-significant-digit floats, so a fixed command line
 reproduces byte-identical output.  Per-cell numeric failures become "nan"
-cells; they and the bound cells whose quadrature did not converge are listed
-in a JSON diagnostics sidecar next to the output file.  The exit code is 3
-only when every cell of a sweep failed; usage and input problems exit 2.
+cells; they, the bound cells whose quadrature did not converge and every
+warning a bound sweep raised are listed in a JSON diagnostics sidecar next
+to the output file.  The exit code is 3 only when every cell of a sweep
+failed; usage and input problems exit 2.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 from .bounds import BOUND_TOL, ChannelPoint, Plan, ahp, itsb, psi, tsb_bit, tsb_block
@@ -96,10 +98,14 @@ def _write_text(out: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_diagnostics(out: str | None, failures: list[dict], unconverged=()) -> None:
-    if not failures and not unconverged:
+def _emit_diagnostics(out: str | None, failures: list[dict], unconverged=(), warned=()) -> None:
+    if not (failures or unconverged or warned):
         return
-    diag = {"failures": failures} | ({"unconverged": unconverged} if unconverged else {})
+    diag = {"failures": failures}
+    if unconverged:
+        diag["unconverged"] = unconverged
+    if warned:
+        diag["warnings"] = warned
     payload = json.dumps(diag, indent=1, sort_keys=True) + "\n"
     if out:
         with open(out + ".diag.json", "w", encoding="utf-8", newline="\n") as fh:
@@ -186,7 +192,14 @@ def cmd_bounds(args, sub) -> int:
                 fails.append(at | {"error": str(exc)})
         return cells, fails, unconv
 
-    results = _sweep(grid, row, args.threads)
+    # One catch in this thread records every row's warnings: the warning
+    # filters are process-wide, and a catch per worker thread is not
+    # thread-safe.  Each is listed in the sidecar, then issued again.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = _sweep(grid, row, args.threads)
+    warned = [{"category": c, "message": m}
+              for c, m in sorted((w.category.__name__, str(w.message)) for w in caught)]
     header = "eb_n0_db,c," + ",".join(f"{b},log_{b}" for b in names)
     lines = [header]
     failures: list[dict] = []
@@ -194,7 +207,10 @@ def cmd_bounds(args, sub) -> int:
         failures.extend(fails)
         lines.append(",".join([_fmt(db)] + [_fmt(v) for v in cells]))
     _write_text(args.out, "\n".join(lines) + "\n")
-    _emit_diagnostics(args.out, failures, [u for *_, unconv in results for u in unconv])
+    unconverged = [u for *_, unconv in results for u in unconv]
+    _emit_diagnostics(args.out, failures, unconverged, warned)
+    for w in caught:  # no registry: each is shown, none deduplicated
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     if len(failures) == len(grid) * len(names):
         return EXIT_NUMERIC
     return EXIT_OK

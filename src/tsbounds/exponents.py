@@ -307,7 +307,9 @@ def _check_assembly_args(n: int, c: float, spec: DistanceSpectrum) -> None:
         raise ValueError("spectrum has no nonzero weights to bound")
 
 
-def _optimize_eta(total) -> float:
+def _optimize_eta(total, cell: str) -> float:
+    """Minimize total over ln eta in the slope box; a clipped optimum warns,
+    naming the cell (bound, n and c)."""
     x, val = minimize_1d(total, _ETA_LOG_LO, _ETA_LOG_HI, grid_points=33)
     if min(x - _ETA_LOG_LO, _ETA_LOG_HI - x) < 0.1:
         # Pinning at the box edge is routine at low SNR (the assembly
@@ -317,8 +319,8 @@ def _optimize_eta(total) -> float:
         inward = edge + 0.5 if edge == _ETA_LOG_LO else edge - 0.5
         if total(inward) - total(edge) > 1e-3:
             warnings.warn(
-                "slope-parameter search pinned at the box edge while still "
-                "descending; the bound is valid but loose",
+                f"{cell}: slope-parameter search pinned at the box edge while "
+                "still descending; the bound is valid but loose",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -335,7 +337,8 @@ def chernoff_tsb(n: int, c: float, spec: DistanceSpectrum) -> float:
     """
     _check_assembly_args(n, c, spec)
     return _optimize_eta(
-        lambda x: _chernoff_log_total(n, c, spec, math.exp(x))
+        lambda x: _chernoff_log_total(n, c, spec, math.exp(x)),
+        f"chernoff_tsb(n={n}, c={c:.17g})",
     )
 
 
@@ -354,7 +357,8 @@ def chernoff_psi(n: int, c: float, spec: DistanceSpectrum) -> float:
     if n < 2:
         raise ValueError(f"need n >= 2 for a reference layer, got n={n}")
     return _optimize_eta(
-        lambda x: _chernoff_log_total(n, c, spec, math.exp(x), layered=True)
+        lambda x: _chernoff_log_total(n, c, spec, math.exp(x), layered=True),
+        f"chernoff_psi(n={n}, c={c:.17g})",
     )
 
 

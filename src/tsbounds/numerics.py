@@ -1,6 +1,6 @@
 """Shared numeric kernel: Gaussian tail, sin-power integrals, quadrature,
-and the one 1-D minimizer (minimize_componentwise, with minimize_1d as its
-scalar face).
+and the one 1-D minimizer (minimize_1d: a grid scan, then golden-section
+refinement).
 
 Everything here is a pure function of its inputs and safe to call from any
 number of threads.
@@ -23,7 +23,6 @@ __all__ = [
     "sin_power_integral",
     "wallis",
     "adaptive_integrate",
-    "minimize_componentwise",
     "minimize_1d",
 ]
 
@@ -306,58 +305,6 @@ def adaptive_integrate(
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def minimize_componentwise(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo,
-    hi,
-    tol: Tolerance = DEFAULT_TOL,
-    grid_points: int = 129,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize each component of f over its own interval [lo[i], hi[i]];
-    component i of f's value vector may depend on abscissa i alone.
-
-    Per component: an evenly spaced grid scan, whose minimum (ties broken
-    toward the smallest argument) seeds a golden-section search on its
-    neighboring grid interval, stopped once the bracket meets tol or after
-    tol.max_iter steps.  Returns the minimizing abscissae and values.
-    Deterministic.
-    """
-    lo = np.array(lo, dtype=float, ndmin=1)
-    hi = np.array(hi, dtype=float, ndmin=1)
-    if not np.all(lo < hi):
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if grid_points < 3:
-        raise ValueError("grid_points must be at least 3")
-    xs = np.linspace(lo, hi, grid_points)
-    fs = np.array([f(x) for x in xs])
-    best = np.argmin(fs, axis=0)  # argmin returns the first (smallest-x) minimum
-    idx = np.arange(lo.size)
-    a = xs[np.maximum(best - 1, 0), idx]
-    b = xs[np.minimum(best + 1, grid_points - 1), idx]
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = np.array(f(x1), dtype=float), np.array(f(x2), dtype=float)
-    for _ in range(tol.max_iter):
-        live = b - a > tol.abs_tol + tol.rel_tol * (np.abs(a) + np.abs(b))
-        if not live.any():
-            break
-        # Shrink toward the lower interior value; the kept point becomes the
-        # other interior point and only the vacated one is evaluated anew.
-        take = f1 <= f2
-        left, right = live & take, live & ~take
-        b[left], x2[left], f2[left] = x2[left], x1[left], f1[left]
-        a[right], x1[right], f1[right] = x1[right], x2[right], f2[right]
-        x1[left] = b[left] - _GOLDEN * (b[left] - a[left])
-        x2[right] = a[right] + _GOLDEN * (b[right] - a[right])
-        fx = f(np.where(left, x1, x2))
-        f1[left] = fx[left]
-        f2[right] = fx[right]
-    xm = 0.5 * (a + b)
-    fm = f(xm)
-    seed = fs[best, idx] <= fm
-    return np.where(seed, xs[best, idx], xm), np.where(seed, fs[best, idx], fm)
-
-
 def minimize_1d(
     f: Callable[[float], float],
     lo: float,
@@ -365,9 +312,38 @@ def minimize_1d(
     tol: Tolerance = DEFAULT_TOL,
     grid_points: int = 129,
 ) -> tuple[float, float]:
-    """Global-ish 1-D minimization of a scalar function: the one-interval
-    case of minimize_componentwise (grid scan, then golden refinement)."""
-    x, v = minimize_componentwise(
-        lambda xv: np.array([f(float(xv[0]))]), lo, hi, tol, grid_points
-    )
-    return float(x[0]), float(v[0])
+    """Global-ish 1-D minimization of a scalar function over [lo, hi].
+
+    An evenly spaced grid scan, whose minimum (ties broken toward the
+    smallest argument) seeds a golden-section search on its neighboring
+    grid interval, stopped once the bracket meets tol or after tol.max_iter
+    steps.  Returns the bracket midpoint and its value, or the grid seed
+    when that is no worse.  Deterministic.
+    """
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if grid_points < 3:
+        raise ValueError("grid_points must be at least 3")
+    xs = [float(x) for x in np.linspace(lo, hi, grid_points)]
+    fs = [f(x) for x in xs]
+    best = int(np.argmin(fs))  # the first (smallest-x) minimum
+    a, b = xs[max(best - 1, 0)], xs[min(best + 1, grid_points - 1)]
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(tol.max_iter):
+        if not b - a > tol.abs_tol + tol.rel_tol * (abs(a) + abs(b)):
+            break
+        # Shrink toward the lower interior value; the kept point becomes the
+        # other interior point and only the vacated one is evaluated anew.
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = f(x2)
+    xm = 0.5 * (a + b)
+    fm = f(xm)
+    x, v = (xs[best], fs[best]) if fs[best] <= fm else (xm, fm)
+    return float(x), float(v)

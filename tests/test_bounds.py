@@ -68,6 +68,14 @@ def repetition_spectrum(n: int) -> DistanceSpectrum:
     return DistanceSpectrum(n=n, log_a=log_a, d_min=n)
 
 
+def assemble_layer(spec, ch, w: int, extend: bool = True, eng=None):
+    """Layer w of ahp (extend) or of psi alone, assembled as the layer
+    search assembles it, on eng or on a fresh cache."""
+    eng = eng if eng is not None else Plan(spec).at(ch)
+    weighted, terms = bounds._layer_terms(eng, spec, w, extend)
+    return eng.assemble(weighted, terms, include_q=extend, ahp_layer=w)
+
+
 def cone_residual(spec: DistanceSpectrum, r: float) -> float:
     """Log-domain residual of the radius equation, assembled independently
     of solve_cone_radius's internals."""
@@ -202,7 +210,7 @@ def test_bound_result_consistency(hamming_spec):
 def test_vacuous_value_reported(hamming_spec):
     # A forced low layer at near-zero SNR drives the extension terms past 1;
     # the result is reported as-is rather than clamped.
-    res = ahp(hamming_spec, ChannelPoint(c=1e-4, rate=R_HAMMING), layers=[1])
+    res = assemble_layer(hamming_spec, ChannelPoint(c=1e-4, rate=R_HAMMING), 1)
     assert res.value > 1.0
     assert res.value == pytest.approx(math.exp(res.log_value), rel=1e-15)
 
@@ -335,20 +343,23 @@ def test_itsb_strict_improvement_on_dense_spectrum():
     assert (b.value - a.value) / b.value > 1e-3
 
 
-def test_itsb_rho_zero_shrinks_terms(hamming_spec):
-    # The conditioned terms decrease in rho, and the default correlations
-    # are the most negative admissible ones, so forcing rho = 0 can only
-    # shrink the value; see the decisions ledger on the flipped example.
-    spec64 = random_ensemble_spectrum(64, 0.9)
-    ch64 = ChannelPoint.from_eb_n0_db(3.0, 0.9)
-    forced = itsb(spec64, ch64, rho_fn=lambda h: 0.0)
-    default = itsb(spec64, ch64)
-    assert forced.value <= default.value * (1 + 1e-9)
-    assert forced.value < default.value  # strict where the line cuts
-    ch = ChannelPoint.from_eb_n0_db(2.0, R_HAMMING)
-    assert itsb(hamming_spec, ch, rho_fn=lambda h: 0.0).value <= itsb(
-        hamming_spec, ch
-    ).value * (1 + 1e-9)
+def test_itsb_rho_zero_shrinks_terms():
+    # The conditioned terms decrease in rho, and itsb's correlations are the
+    # most negative admissible ones, so rho = 0 can only shrink each of its
+    # terms, strictly where the line cuts.
+    spec = random_ensemble_spectrum(64, 0.9)
+    ch = ChannelPoint.from_eb_n0_db(3.0, 0.9)
+    eng = Plan(spec).at(ch)
+    d = spec.d_min
+    strict = 0
+    for h in eng.plan.included:
+        if h < d:
+            continue
+        forced = eng.triple_term(h, d, 0.0).log_value
+        default = eng.triple_term(h, d, rho_min_h(h, d, spec.n)).log_value
+        assert forced <= default + 1e-9, h
+        strict += forced < default
+    assert strict >= 1
 
 
 def test_itsb_single_codeword_equals_tsb():
@@ -366,7 +377,7 @@ def test_itsb_single_codeword_equals_tsb():
 
 def test_ahp_layer_n_equals_tsb(hamming_spec):
     ch = ChannelPoint.from_eb_n0_db(2.0, R_HAMMING)
-    top = ahp(hamming_spec, ch, layers=[7])
+    top = assemble_layer(hamming_spec, ch, 7)
     ts = tsb_block(hamming_spec, ch)
     ps = psi(hamming_spec, ch)
     assert top.ahp_layer == 7
@@ -379,7 +390,7 @@ def test_ahp_min_at_most_fixed_layer(hamming_spec):
     best = ahp(hamming_spec, ch)
     assert best.ahp_layer in range(1, 7)
     for w in (2, 3, 5):
-        assert best.value <= ahp(hamming_spec, ch, layers=[w]).value * (1 + 1e-12)
+        assert best.value <= assemble_layer(hamming_spec, ch, w).value * (1 + 1e-12)
 
 
 def test_ahp_above_mc(hamming_spec, mc_hamming):
@@ -393,7 +404,7 @@ def test_ahp_extension_layer_below_dmin_still_valid(hamming_spec, mc_hamming):
     # weight-w words; dropping them once produced a "bound" below the true
     # error probability at w=2.
     est = mc_hamming[2.0]
-    res = ahp(hamming_spec, ChannelPoint.from_eb_n0_db(2.0, R_HAMMING), layers=[2])
+    res = assemble_layer(hamming_spec, ChannelPoint.from_eb_n0_db(2.0, R_HAMMING), 2)
     assert res.ahp_layer == 2
     assert res.value >= est.block_error_rate - 3.0 * est.std_error
     assert res.per_weight[2] > res.per_weight[3]  # anchor + 21 extension pairs
@@ -443,46 +454,31 @@ def test_bound_orderings_on_random_codes(gm, db):
 # -- layer search ------------------------------------------------------------
 
 
-def _exhaustive_best_layer(eng, spec, layers, extend):
+def _exhaustive_best_layer(eng, spec, extend):
     """The layer search with every layer assembled in full, the smallest
-    value winning and ties going to the earliest layer listed: the
-    reference for the pruned search, which must return the same result."""
+    value winning and ties going to the smallest layer: the reference for
+    the pruned search, which must return the same result."""
     top = spec.n if extend else spec.n - 1
     best = None
-    for w in layers if layers is not None else range(1, top + 1):
-        weighted, terms = bounds._layer_terms(eng, spec, w, extend)
-        cand = eng.assemble(weighted, terms, include_q=extend, ahp_layer=w)
+    for w in range(1, top + 1):
+        cand = assemble_layer(spec, eng.ch, w, extend, eng)
         if best is None or cand.log_value < best.log_value:
             best = cand
     return best
 
 
-def _check_layer_search(bound, spec, ch, terms, layers=None):
+def _check_layer_search(bound, spec, ch, terms):
     """The pruned search equals the exhaustive one in every BoundResult
     field but the layer accounting, which must add up.  Returns the result."""
     extend = bound is ahp
-    want = _exhaustive_best_layer(terms, spec, layers, extend)
-    res = bound(spec, ch, layers=layers, terms=terms)
+    want = _exhaustive_best_layer(terms, spec, extend)
+    res = bound(spec, ch, terms=terms)
     assert replace(res, layers_assembled=None, layers_pruned=None, layer_in_cone=None) == want
     top = spec.n if extend else spec.n - 1
-    distinct = len(set(layers)) if layers is not None else top
     assert res.layers_assembled >= 1
-    assert res.layers_assembled + res.layers_pruned == distinct
+    assert res.layers_assembled + res.layers_pruned == top
     assert res.layer_in_cone == (res.ahp_layer in terms.plan.geom_included)
     return res
-
-
-# Explicit layer lists per code at 4 dB: lists without the incumbent (layer
-# n for ahp, d_min for psi), and on Golay lists whose layers tie exactly
-# (every out-of-cone ahp layer, 14..23, and psi layer 14..22 has one value),
-# so the earliest one listed must win, duplicates included.
-EXPLICIT_LAYERS = {
-    "hamming": {ahp: [[2, 3, 5], [5, 1]], psi: [[1, 4, 5, 6], [6, 2]]},
-    "golay": {ahp: [[13, 8, 16, 7], [16, 14, 23], [23, 15, 15, 14]],
-              psi: [[12, 8, 16], [15, 14, 15]]},
-    "code52": {ahp: [[1, 2, 3]], psi: [[4, 1]]},
-}
-TIE_WINNERS = {(ahp, (16, 14, 23)): 16, (ahp, (23, 15, 15, 14)): 23, (psi, (15, 14, 15)): 15}
 
 
 @pytest.mark.parametrize("code", ["hamming", "golay", "code52"])
@@ -498,14 +494,11 @@ def test_layer_search_matches_exhaustive_on_codes(code, hamming_spec, golay_spec
         ch = ChannelPoint.from_eb_n0_db(db, rate)
         terms = Plan(spec).at(ch)
         for bound in (ahp, psi):
-            pruned += _check_layer_search(bound, spec, ch, terms).layers_pruned
-        if db != 4.0:
-            continue
-        for bound, lists in EXPLICIT_LAYERS[code].items():
-            for layers in lists:
-                res = _check_layer_search(bound, spec, ch, terms, layers)
-                winner = TIE_WINNERS.get((bound, tuple(layers)))
-                assert winner is None or res.ahp_layer == winner
+            res = _check_layer_search(bound, spec, ch, terms)
+            pruned += res.layers_pruned
+            if code == "golay" and db == 4.0 and bound is ahp:
+                # the out-of-cone layers 14..23 tie exactly; the smallest wins
+                assert res.ahp_layer == 14 and not res.layer_in_cone
     assert pruned > 0
 
 
@@ -519,10 +512,10 @@ def test_layer_search_matches_exhaustive_on_ensembles():
 
 
 def test_layer_search_integrates_fewer_terms(monkeypatch):
-    # ahp then psi on one cache of the n=12 ensemble at 4 dB: 89 outer
-    # integrals when every layer is assembled, 73 with pruning (psi then
-    # integrates 18 terms of layers ahp pruned).  The out-of-cone layers
-    # 8..11 tie with layer n and are assembled in full either way.
+    # ahp then psi on one cache of the n=12 ensemble at 4 dB: 57 outer
+    # integrals when every layer is assembled, fewer with pruning (psi then
+    # integrates terms of layers ahp pruned).  The out-of-cone layers 8..11
+    # are the plain pair terms of layer n and integrate nothing new.
     labels = []
     orig = bounds._Engine._outer
 
@@ -534,15 +527,84 @@ def test_layer_search_integrates_fewer_terms(monkeypatch):
     spec = random_ensemble_spectrum(12, 0.5)
     ch = ChannelPoint.from_eb_n0_db(4.0, 0.5)
     terms = Plan(spec).at(ch)
-    _exhaustive_best_layer(terms, spec, None, True)
-    _exhaustive_best_layer(terms, spec, None, False)
+    _exhaustive_best_layer(terms, spec, True)
+    _exhaustive_best_layer(terms, spec, False)
     exhaustive = len(labels)
     labels.clear()
     terms = Plan(spec).at(ch)
     ahp(spec, ch, terms=terms)
     psi(spec, ch, terms=terms)
-    assert exhaustive == 89
+    assert exhaustive == 57
     assert len(labels) <= 0.85 * exhaustive
+
+
+def _parent_layer_terms(eng, spec, w, extend):
+    """Layer w as assembled before out-of-cone layers were recognized: the
+    anchor pair term, the extension self-term when w opens inside the cone,
+    and a conditioned term against w for every included weight; only
+    w = n was the plain pair assembly."""
+    n = spec.n
+    if w == n:
+        terms = {h: eng.pair_term(h).scaled(float(spec.log_a[h])) for h in eng.plan.included}
+        return {h: t.log_value for h, t in terms.items()}, list(terms.values())
+    anchor = eng.pair_term(w)
+    terms, weighted = [anchor], {}
+    self_term = None
+    if extend and w in eng.plan.geom_included:
+        self_term = eng.triple_term(w, w, rho_ww(w, n)).scaled(math.log(math.comb(n, w)))
+        terms.append(self_term)
+    for h in eng.plan.included:
+        if h != w:
+            t = eng.triple_term(h, w, rho_max_wh(w, h, n)).scaled(float(spec.log_a[h]))
+            terms.append(t)
+            weighted[h] = t.log_value
+    weighted[w] = anchor.log_value
+    if self_term is not None:
+        weighted[w] = float(logsumexp([anchor.log_value, self_term.log_value]))
+    return weighted, terms
+
+
+@pytest.mark.parametrize("code", ["hamming", "golay", "ens12"])
+def test_out_of_cone_layers_are_the_plain_assembly(code, hamming_spec, golay_spec, monkeypatch):
+    # A layer outside the cone conditions nothing, so it is assembled from
+    # the plain pair terms: it matches the anchored formula within the two
+    # error budgets, while every layer inside the cone, with codewords of
+    # its weight or not (Golay layers 1-6, 9, 10, 13 have none), is that
+    # formula bit for bit.  ahp and psi never condition on an outside layer.
+    spec, rate = {
+        "hamming": (hamming_spec, R_HAMMING),
+        "golay": (golay_spec, 12 / 23),
+        "ens12": (random_ensemble_spectrum(12, 0.5), 0.5),
+    }[code]
+    refs = []
+    orig = bounds._Engine.triple_term
+
+    def spy(self, h, w_ref, rho):
+        refs.append(w_ref)
+        return orig(self, h, w_ref, rho)
+
+    outside = 0
+    for db in (2.0, 4.0, 6.0):
+        ch = ChannelPoint.from_eb_n0_db(db, rate)
+        eng = Plan(spec).at(ch)
+        with monkeypatch.context() as m:
+            m.setattr(bounds._Engine, "triple_term", spy)
+            ahp(spec, ch, terms=eng)
+            psi(spec, ch, terms=eng)
+        assert refs and set(refs) <= eng.plan.geom_included
+        for extend in (True, False):
+            for w in range(1, spec.n + 1 if extend else spec.n):
+                got = bounds._layer_terms(eng, spec, w, extend)
+                want = _parent_layer_terms(eng, spec, w, extend)
+                if w in eng.plan.geom_included:
+                    assert list(got[0].items()) == list(want[0].items()), (db, w)
+                    assert got[1] == want[1], (db, w)
+                    continue
+                outside += w != spec.n
+                a = eng.assemble(*got, include_q=extend)
+                b = eng.assemble(*want, include_q=extend)
+                assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate, (db, w)
+    assert outside > 0  # layers outside the cone besides layer n
 
 
 def test_psi_sandwich(hamming_spec):
@@ -574,12 +636,6 @@ def test_psi_never_requests_self_term(hamming_spec, monkeypatch):
     calls.clear()
     ahp(hamming_spec, ch)
     assert any(h == w for h, w in calls)
-
-
-def test_psi_rejects_top_layer(hamming_spec):
-    ch = ChannelPoint.from_eb_n0_db(2.0, R_HAMMING)
-    with pytest.raises(ValueError):
-        psi(hamming_spec, ch, layers=[7])
 
 
 # -- conditioned kernel ------------------------------------------------------

@@ -246,6 +246,32 @@ def test_bounds_unconverged_cells_reach_sidecar(gen_file, tmp_path):
         assert u["error_estimate"] > 0.0
 
 
+def test_bounds_warnings_reach_sidecar(tmp_path):
+    # one weight-3 word at n = 7: both exponential assemblies pin their slope
+    # search at the box edge at both grid points.  Each pin is shown as a
+    # warning, names its bound, n and c, and is listed in the sidecar; the
+    # CSV and the exit code do not change.
+    log_a = [0.0, "-inf", "-inf", 0.0, "-inf", "-inf", "-inf", "-inf"]
+    spec_json = tmp_path / "one.json"
+    spec_json.write_text(json.dumps(
+        {"kind": "code", "n": 7, "d_min": 3, "rate": 3 / 7, "log_a": log_a}))
+    out = tmp_path / "f.csv"
+    argv = ["bounds", "--spectrum", str(spec_json), "--grid=-3:0:3",
+            "--bounds", "chernoff-tsb,chernoff-psi", "--out", str(out)]
+    with pytest.warns(RuntimeWarning, match="pinned at the box edge") as record:
+        assert run_cli(argv) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 2 and all(math.isfinite(v) for row in rows for v in row)
+    diag = json.loads((tmp_path / "f.csv.diag.json").read_text())
+    assert diag["failures"] == [] and "unconverged" not in diag
+    entries = diag["warnings"]
+    assert sorted(str(w.message) for w in record) == [e["message"] for e in entries]
+    assert all(e["category"] == "RuntimeWarning" for e in entries)
+    for bound in ("chernoff_tsb", "chernoff_psi"):
+        cells = [e["message"] for e in entries if e["message"].startswith(bound + "(n=7, c=")]
+        assert len(cells) == 2 and len(set(cells)) == 2
+
+
 def test_bounds_ensemble_source(tmp_path):
     out = tmp_path / "ens.csv"
     rc = run_cli(["bounds", "--ensemble", "32,0.5", "--grid", "3:3:1",

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closed_forms import _g1, _g2, _tau_star, _xi_star
+from closed_forms import _g1, _g2, _tau_star, _xi_star, minimize_componentwise
 from tsbounds import exponents
 from tsbounds.bounds import ChannelPoint, tsb_block
 from tsbounds.codes import DistanceSpectrum, GrowthRate, random_ensemble_spectrum
@@ -29,7 +29,7 @@ from tsbounds.exponents import (
     union_exponent,
     verify_kstar_zero,
 )
-from tsbounds.numerics import log_q_function, minimize_componentwise
+from tsbounds.numerics import log_q_function
 
 NEG_INF = -math.inf
 R_HAMMING = 4 / 7
