@@ -304,79 +304,71 @@ class _Engine:
 
     # -- conditional (given z1) kernels -----------------------------------
 
-    def _z2_range(self, z1: np.ndarray, h: int):
-        """Per-z1 z2 limits [a, rz] = [beta_h(z1), r_z1] (empty once beta_h
-        passes the cone) and the widest span among them."""
-        rz = np.asarray(self.geo.r_z1(z1), dtype=float)
-        a = np.minimum(beta_h(z1, h, self.geo), rz)
-        return rz, a, float(np.max(rz - a, initial=0.0))
-
-    def _pair_given_z1(self, z1: np.ndarray, h: int) -> np.ndarray:
-        """Pr(beta_h(z1) <= z2 <= r_z1, chi2_(n-2) mass below r^2 - z2^2)."""
-        rz, a, span = self._z2_range(z1, h)
-        if span <= 0.0:
-            return np.zeros_like(rz)
-        z2, w2 = self._panel_nodes(a, rz, self._ksub(span))
-        mass = self._g(0.5 * (self.n - 2), (rz[:, None] ** 2 - z2**2) / (2.0 * self.ch.sigma_sq))
-        return np.sum(w2 * self._phi(z2) * mass, axis=1)
-
     def _cap_given_z1(self, z1: np.ndarray) -> np.ndarray:
         rz = np.asarray(self.geo.r_z1(z1), dtype=float)
         return gammaincc(0.5 * (self.n - 1), rz**2 / (2.0 * self.ch.sigma_sq))
 
     def _triple_given_z1(
-        self, z1: np.ndarray, h: int, beta_ref: np.ndarray, rho: float
+        self, z1: np.ndarray, h: int, beta_ref: np.ndarray | None = None, rho: float = -1.0
     ) -> np.ndarray:
         """Pr(beta_h <= z2 <= r_z1, z3 <= l(z2), chi2_(n-3) mass below
-        r^2 - z2^2 - z3^2), the conditioned kernel shared by the improved
-        bounds.  rho at the -1 crossover makes the z3 constraint vacuous and
-        the kernel degenerates to the pair kernel.
+        r^2 - z2^2 - z3^2): the one kernel of every term but the cap.  With
+        no line (beta_ref None, or rho at the -1 crossover, where the z3
+        constraint is vacuous) it is the pair kernel Pr(beta_h <= z2 <= r_z1,
+        chi2_(n-2) mass below r^2 - z2^2) on the one segment [beta_h, r_z1],
+        where 2 * (half-disk) is that mass exactly.
+
+        With a line, the z2 range splits where the line crosses +-s, and
+        only segments of positive width get nodes.  beta_h, r_z1, beta_ref
+        and so both crossings all scale with sqrt(n) - z1, so a segment is
+        empty in every z1 row or in none: no node carries zero weight.
 
         gammainc runs only where its value is used: the (n-2)-dof half-disk
         mass at live nodes (positive weight, l > -s), the 24-node z3 rule
         with (n-3) dof at cut nodes (-s < l < s).  The mass is the full
         disk where l >= s and zero where l <= -s or the weight is zero."""
-        if rho <= -1.0 + 1e-12:
-            return self._pair_given_z1(z1, h)
-        rz, a, span = self._z2_range(z1, h)
+        rz = np.asarray(self.geo.r_z1(z1), dtype=float)
+        a = np.minimum(beta_h(z1, h, self.geo), rz)  # empty once beta_h passes the cone
+        span = float(np.max(rz - a, initial=0.0))
         if span <= 0.0:
             return np.zeros_like(rz)
-        # The regime of the z3 limit changes where the line crosses +-s;
-        # those crossings are roots of a quadratic in z2.
-        disc = (1.0 - rho * rho) * (rz**2 - beta_ref**2)
-        root = np.sqrt(np.maximum(disc, 0.0))
-        c_lo = np.clip(beta_ref * rho - root, a, rz)
-        c_hi = np.clip(beta_ref * rho + root, a, rz)
-        c_lo = np.where(disc >= 0.0, c_lo, a)
-        c_hi = np.where(disc >= 0.0, c_hi, a)
+        has_line = beta_ref is not None and rho > -1.0 + 1e-12
+        edges = [a, rz]
+        if has_line:
+            # The regime of the z3 limit changes where the line crosses +-s;
+            # those crossings are roots of a quadratic in z2.
+            disc = (1.0 - rho * rho) * (rz**2 - beta_ref**2)
+            root = np.sqrt(np.maximum(disc, 0.0))
+            c_lo = np.where(disc >= 0.0, np.clip(beta_ref * rho - root, a, rz), a)
+            c_hi = np.where(disc >= 0.0, np.clip(beta_ref * rho + root, a, rz), a)
+            edges = [a, c_lo, c_hi, rz]
         ksub = self._ksub(span)
-        segs = [
-            self._panel_nodes(a, c_lo, ksub),
-            self._panel_nodes(c_lo, c_hi, ksub),
-            self._panel_nodes(c_hi, rz, ksub),
-        ]
+        segs = [self._panel_nodes(lo, hi, ksub)
+                for lo, hi in zip(edges, edges[1:]) if np.any(hi > lo)]
         z2 = np.concatenate([s[0] for s in segs], axis=1)
         w2 = np.concatenate([s[1] for s in segs], axis=1)
 
         two_ss = 2.0 * self.ch.sigma_sq
         s_sq = np.maximum(rz[:, None] ** 2 - z2**2, 0.0)
         s = np.sqrt(s_sq)
-        line = l_line(z2, beta_ref[:, None], rho)
+        line = l_line(z2, beta_ref[:, None], rho) if has_line else np.inf  # no line cuts nothing
         live = (w2 > 0.0) & (line > -s)
         cut = live & (line < s)
         half_disk = np.zeros_like(z2)
         half_disk[live] = 0.5 * self._g(0.5 * (self.n - 2), s_sq[live] / two_ss)
         hmass = 2.0 * half_disk
-        # Odd part over [0, |l|] of the even z3 integrand, |l| < s here.
-        l_cut, s_sq_cut = line[cut], s_sq[cut]
-        u = np.abs(l_cut)
-        z3 = u[:, None] * (0.5 * (_GL_X + 1.0))
-        w3 = (0.5 * u)[:, None] * _GL_W
-        inner3 = np.sum(
-            w3 * self._phi(z3) * self._g(0.5 * (self.n - 3), (s_sq_cut[:, None] - z3**2) / two_ss),
-            axis=1,
-        )
-        hmass[cut] = half_disk[cut] + np.sign(l_cut) * inner3
+        if np.any(cut):
+            # Odd part over [0, |l|] of the even z3 integrand, |l| < s here.
+            l_cut, s_sq_cut = line[cut], s_sq[cut]
+            u = np.abs(l_cut)
+            z3 = u[:, None] * (0.5 * (_GL_X + 1.0))
+            w3 = (0.5 * u)[:, None] * _GL_W
+            inner3 = np.sum(
+                w3 * self._phi(z3)
+                * self._g(0.5 * (self.n - 3), (s_sq_cut[:, None] - z3**2) / two_ss),
+                axis=1,
+            )
+            hmass[cut] = half_disk[cut] + np.sign(l_cut) * inner3
         return np.sum(w2 * self._phi(z2) * hmass, axis=1)
 
     # -- outer z1 integrals ------------------------------------------------
@@ -404,8 +396,10 @@ class _Engine:
         return log_q_function(float(beta_h(self.z1_lo, h, self.geo)) / self.sigma)
 
     def pair_term(self, h: int) -> _Term:
+        """Pr(beta_h <= z2 <= r_z1, inside the cone): the conditioned kernel
+        with no z3 line, integrated over z1."""
         return self._cached(("pair", h), lambda: self._outer(
-            lambda z1: self._pair_given_z1(z1, h), self._tail_beyond(h), f"pair(h={h})"
+            lambda z1: self._triple_given_z1(z1, h), self._tail_beyond(h), f"pair(h={h})"
         ))
 
     def triple_term(self, h: int, w_ref: int, rho: float) -> _Term:
@@ -709,11 +703,13 @@ def triple_term(
 
     This is the building block the improved bounds integrate over z1; it is
     exposed for direct inspection (monotonicity in rho, oracle comparisons).
+    It needs -1 <= rho < 1; at rho = -1 the line is vacuous and the value is
+    the pair kernel's.
     """
     if not 0 < h < geo.n:
         raise ValueError(f"need 0 < h < n, got h={h}")
-    if rho >= 1.0:
-        raise ValueError(f"need rho < 1, got rho={rho}")
+    if not -1.0 <= rho < 1.0:
+        raise ValueError(f"need -1 <= rho < 1, got rho={rho}")
     if z1 >= math.sqrt(geo.n):
         return _NEG_INF
     eng = _Engine(geo, ch, tol)

@@ -1,6 +1,6 @@
-"""Acceptance gate: ten package-level criteria, one printed PASS/FAIL line
-each (run with `pytest tests/test_acceptance.py -v -s` to see the lines as
-they complete).
+"""Acceptance gate: eleven package-level criteria, one printed PASS/FAIL
+line each (run with `pytest tests/test_acceptance.py -v -s` to see the lines
+as they complete).
 
 The criteria pin the package's claims end to end: the finite-length bounds
 sit above a large Monte-Carlo ML simulation, the conditioned bounds never
@@ -9,7 +9,9 @@ exponential assemblies share one asymptotic exponent, the multiplier
 degeneracy and kernel monotonicity hold over randomized parameters, the cone
 radius equation is solved exactly and channel-independently, the exponent
 curves order correctly with a rate-growing gap, the numeric kernels match
-arbitrary-precision oracles, and the bit-error variant is sandwiched."""
+arbitrary-precision oracles, the bit-error variant is sandwiched, and the
+integrated TSB's finite-length exponent falls to the closed-form exponent
+from above while the Chernoff assembly's rises to it from below."""
 
 import math
 import warnings
@@ -404,6 +406,36 @@ def test_criterion_10_bit_error_sandwich(hamming_spec, hamming_iowef, finite_gri
         if not a_h / k * (1 - 1e-12) <= a_bit <= a_h * (1 + 1e-12):
             failures.append(f"h={h}: A'={a_bit:.6f} outside [{a_h / k:.6f}, {a_h:.6f}]")
     report(10, "bit-error bound below block bound; reweighting bracketed", failures)
+
+
+def test_criterion_11_integrated_tsb_exponent():
+    # The paper's theorem on the integrated bound: -ln(tsb)/n falls strictly
+    # toward the closed-form exponent from above, while the Chernoff
+    # assembly's exponent rises strictly toward it from below, so the
+    # bracket narrows with n.
+    failures = []
+    for rate, c in ((0.5, 0.8), (0.5, 1.0), (0.9, 2.8)):
+        gr = GrowthRate.from_spectrum(random_ensemble_spectrum(64, rate))
+        limit = tsb_exponent(gr, c).exponent
+        ch = ChannelPoint(c=c, rate=rate)
+        upper, lower = [], []
+        for n in (64, 128, 256, 512):
+            spec = random_ensemble_spectrum(n, rate)
+            res = tsb_block(spec, ch)
+            if not res.converged:
+                failures.append(f"R={rate} c={c} n={n}: tsb did not converge")
+            upper.append(finite_n_exponent(res.log_value, n))
+            lower.append(finite_n_exponent(chernoff_tsb(n, c, spec), n))
+        where = f"R={rate} c={c}"
+        if not all(b < a for a, b in zip(upper, upper[1:])):
+            failures.append(f"{where}: tsb exponents not decreasing {upper}")
+        if not all(b > a for a, b in zip(lower, lower[1:])):
+            failures.append(f"{where}: chernoff exponents not increasing {lower}")
+        if not lower[-1] < limit < upper[-1]:
+            failures.append(
+                f"{where}: limit {limit:.4f} outside [{lower[-1]:.4f}, {upper[-1]:.4f}]"
+            )
+    report(11, "integrated TSB exponent falls to the limit, Chernoff rises to it", failures)
 
 
 def test_shared_terms_match_separate_calls(hamming74, golay2312, hamming_spec, golay_spec,

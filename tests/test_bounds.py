@@ -729,15 +729,40 @@ def test_triple_term_validation():
         triple_term(7, 1.0, 0.0, geo, ch, 0.0)
     with pytest.raises(ValueError):
         triple_term(3, 1.0, 1.0, geo, ch, 0.0)
+    for rho in (-1.5, -7.0, math.nan):
+        with pytest.raises(ValueError):
+            triple_term(3, 1.0, rho, geo, ch, 0.0)
+    # rho = -1 is the crossover: the line is vacuous and the kernel is the
+    # pair kernel
+    pair = _parent_pair_given_z1(bounds._Engine(geo, ch, BOUND_TOL), np.array([0.0]), 3)[0]
+    assert triple_term(3, 1.0, -1.0, geo, ch, 0.0) == math.log(pair)
 
 
-def _dense_triple_given_z1(eng, z1, h, beta_ref, rho):
-    """The conditioned kernel with gammainc at every node of the three z2
+def _parent_pair_given_z1(eng, z1, h):
+    """The pair kernel as a kernel of its own, with gammainc at every node
+    of the one segment [beta_h, r_z1]: the reference for the conditioned
+    kernel's no-line case."""
+    rz = np.asarray(eng.geo.r_z1(z1), dtype=float)
+    a = np.minimum(beta_h(z1, h, eng.geo), rz)
+    span = float(np.max(rz - a, initial=0.0))
+    if span <= 0.0:
+        return np.zeros_like(rz)
+    z2, w2 = eng._panel_nodes(a, rz, eng._ksub(span))
+    mass = eng._g(0.5 * (eng.n - 2), (rz[:, None] ** 2 - z2**2) / (2.0 * eng.ch.sigma_sq))
+    return np.sum(w2 * eng._phi(z2) * mass, axis=1)
+
+
+def _dense_triple_given_z1(eng, z1, h, beta_ref, rho, keep_empty=False):
+    """The conditioned kernel with gammainc at every node of its z2
     segments, masked afterwards: the reference for the engine's kernel,
-    which evaluates it only where the value is used."""
-    if rho <= -1.0 + 1e-12:
-        return eng._pair_given_z1(z1, h)
-    rz, a, span = eng._z2_range(z1, h)
+    which evaluates it only where the value is used.  keep_empty also
+    builds the segments of zero width, whose nodes all carry zero weight,
+    so the result differs from the kernel's only in summation order."""
+    if beta_ref is None or rho <= -1.0 + 1e-12:
+        return _parent_pair_given_z1(eng, z1, h)
+    rz = np.asarray(eng.geo.r_z1(z1), dtype=float)
+    a = np.minimum(beta_h(z1, h, eng.geo), rz)
+    span = float(np.max(rz - a, initial=0.0))
     if span <= 0.0:
         return np.zeros_like(rz)
     disc = (1.0 - rho * rho) * (rz**2 - beta_ref**2)
@@ -747,11 +772,9 @@ def _dense_triple_given_z1(eng, z1, h, beta_ref, rho):
     c_lo = np.where(disc >= 0.0, c_lo, a)
     c_hi = np.where(disc >= 0.0, c_hi, a)
     ksub = eng._ksub(span)
-    segs = [
-        eng._panel_nodes(a, c_lo, ksub),
-        eng._panel_nodes(c_lo, c_hi, ksub),
-        eng._panel_nodes(c_hi, rz, ksub),
-    ]
+    edges = [a, c_lo, c_hi, rz]
+    segs = [eng._panel_nodes(lo, hi, ksub)
+            for lo, hi in zip(edges, edges[1:]) if keep_empty or np.any(hi > lo)]
     z2 = np.concatenate([s[0] for s in segs], axis=1)
     w2 = np.concatenate([s[1] for s in segs], axis=1)
     gl_x, gl_w = np.polynomial.legendre.leggauss(24)
@@ -789,10 +812,13 @@ def test_triple_kernel_matches_dense_oracle(code, hamming_spec, golay_spec):
         # layer, and the extension self-term
         (h, beta_h(z1, d, plan.geo), rho_min_h(h, d, n)) for h in plan.included
     ] + [
+        # the pair terms: no line
+        (h, None, -1.0) for h in plan.included
+    ] + [
         (d, beta_h(z1, top, plan.geo), rho_max_wh(top, d, n)),
         (d, beta_h(z1, n - 1, plan.geo), rho_max_wh(n - 1, d, n)),
         (top, beta_h(z1, top, plan.geo), rho_ww(top, n)),
-        # rho = -1 dispatches to the pair kernel
+        # rho = -1 makes the line vacuous: the pair kernel
         (d, beta_h(z1, d, plan.geo), -1.0),
         # the weight sits outside the cone: the z2 range is empty
         (n - 1, beta_h(z1, d, plan.geo), 0.3),
@@ -807,8 +833,40 @@ def test_triple_kernel_matches_dense_oracle(code, hamming_spec, golay_spec):
         want = _dense_triple_given_z1(eng, z1, h, beta_ref, rho)
         got = eng._triple_given_z1(z1, h, beta_ref, rho)
         assert np.array_equal(got, want), (h, rho)
+        # With every segment built, zero-width ones too, the sum is the
+        # same up to its order.
+        old = _dense_triple_given_z1(eng, z1, h, beta_ref, rho, keep_empty=True)
+        assert np.max(np.abs(got - old)) <= 1e-14 * np.max(np.abs(old)), (h, rho)
         nonzero += bool(np.any(want > 0.0))
     assert 0 < nonzero < len(cases)
+
+
+def test_no_zero_weight_z2_nodes(golay_spec, monkeypatch):
+    # Every z2 segment the kernel builds has positive width in every z1 row:
+    # a Golay row at 4 dB (tsb, itsb, ahp, psi on one cache) and the n=12
+    # ensemble at 4 dB (each bound on its own cache).  Building the
+    # zero-width segments too would add 319,320 and 528,120 zero weights.
+    orig = bounds._Engine._panel_nodes
+    weights = []
+
+    def spy(self, a, b, ksub):
+        z, w = orig(self, a, b, ksub)
+        weights.append(w)
+        return z, w
+
+    monkeypatch.setattr(bounds._Engine, "_panel_nodes", spy)
+    ch = ChannelPoint.from_eb_n0_db(4.0, 12 / 23)
+    terms = Plan(golay_spec).at(ch)
+    for bound in (tsb_block, itsb, ahp, psi):
+        bound(golay_spec, ch, terms=terms)
+    golay = weights[:]
+    weights.clear()
+    spec = random_ensemble_spectrum(12, 0.5)
+    for bound in (tsb_block, itsb, ahp, psi):
+        bound(spec, ChannelPoint.from_eb_n0_db(4.0, 0.5))
+    for found, total in ((golay, 666_720), (weights, 1_257_480)):
+        assert sum(w.size for w in found) == total
+        assert all(np.all(w > 0.0) for w in found)
 
 
 def test_vacuous_conditioned_terms_cost_their_pair_nodes(golay_spec, monkeypatch):

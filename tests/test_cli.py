@@ -137,13 +137,26 @@ HAMMING_BOUNDS_CSV = (
 )
 
 
-def test_bounds_csv_frozen(gen_file, tmp_path):
-    out = tmp_path / "b.csv"
-    argv = ["bounds", "--generator", gen_file, "--grid", "2:4:2",
-            "--bounds", "tsb,itsb,ahp,psi", "--out", str(out)]
-    assert run_cli(argv) == 0
-    assert out.read_text() == HAMMING_BOUNDS_CSV
-    assert not (tmp_path / "b.csv.diag.json").exists()  # every cell converged
+# The same for the Golay code at 4 dB: the golay-sweep row of the benchmark.
+GOLAY_BOUNDS_CSV = (
+    "eb_n0_db,c,tsb,log_tsb,itsb,log_itsb,ahp,log_ahp,psi,log_psi\n"
+    "4,1.3105494425267374,0.0026093711074148553,-5.9486460416953237,0.0026093711074148553,-5.9486460416953237,0.0026093711074148553,-5.9486460416953237,0.00080255146891985854,-7.1277145692910304\n"
+)
+
+
+def test_bounds_csv_frozen(gen_file, golay2312, tmp_path):
+    golay_file = tmp_path / "golay.gen"
+    golay_file.write_text(
+        "12 23\n" + "".join("".join(map(str, row)) + "\n" for row in golay2312.bits)
+    )
+    for name, source, grid, want in (("hamming", gen_file, "2:4:2", HAMMING_BOUNDS_CSV),
+                                      ("golay", str(golay_file), "4", GOLAY_BOUNDS_CSV)):
+        out = tmp_path / f"{name}.csv"
+        argv = ["bounds", "--generator", source, "--grid", grid,
+                "--bounds", "tsb,itsb,ahp,psi", "--out", str(out)]
+        assert run_cli(argv) == 0
+        assert out.read_text() == want
+        assert not (tmp_path / f"{name}.csv.diag.json").exists()  # every cell converged
 
 
 def test_bounds_share_one_plan_and_row_cache(gen_file, tmp_path, monkeypatch):
