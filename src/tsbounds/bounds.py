@@ -59,6 +59,10 @@ BOUND_TOL = Tolerance(abs_tol=1e-300, rel_tol=1e-10, max_iter=260)
 # like 1/radius).
 _FALLBACK_RADIUS_FACTOR = 400.0
 
+# At or below this correlation the z3 line of a conditioned term is vacuous
+# (itsb's crossover at h = n - d): the term is its pair term.
+_RHO_NO_LINE = -1.0 + 1e-12
+
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
 _LOG_Q10 = log_q_function(10.0)
 
@@ -332,7 +336,7 @@ class _Engine:
         span = float(np.max(rz - a, initial=0.0))
         if span <= 0.0:
             return np.zeros_like(rz)
-        has_line = beta_ref is not None and rho > -1.0 + 1e-12
+        has_line = beta_ref is not None and rho > _RHO_NO_LINE
         edges = [a, rz]
         if has_line:
             # The regime of the z3 limit changes where the line crosses +-s;
@@ -403,6 +407,10 @@ class _Engine:
         ))
 
     def triple_term(self, h: int, w_ref: int, rho: float) -> _Term:
+        """The conditioned term; with no line (rho at the crossover) it is
+        pair_term(h) itself, so the cache integrates it once."""
+        if rho <= _RHO_NO_LINE:
+            return self.pair_term(h)
         return self._cached(("triple", h, w_ref, rho), lambda: self._outer(
             lambda z1: self._triple_given_z1(z1, h, beta_h(z1, w_ref, self.geo), rho),
             self._tail_beyond(h),

@@ -274,6 +274,7 @@ def cmd_simulate(args, sub) -> int:
         "std_error": est.std_error,
         "bit_error_rate": est.bit_error_rate,
         "bit_std_error": est.bit_std_error,
+        "full_decodes": est.full_decodes,
     }
     _write_text(args.out, json.dumps(report, indent=1, sort_keys=True) + "\n")
     return EXIT_OK

@@ -1,9 +1,10 @@
-"""Acceptance gate: eleven package-level criteria, one printed PASS/FAIL
+"""Acceptance gate: twelve package-level criteria, one printed PASS/FAIL
 line each (run with `pytest tests/test_acceptance.py -v -s` to see the lines
 as they complete).
 
 The criteria pin the package's claims end to end: the finite-length bounds
-sit above a large Monte-Carlo ML simulation, the conditioned bounds never
+sit above a large Monte-Carlo ML simulation (its estimate minus three sigma,
+and the exact lower confidence limit), the conditioned bounds never
 exceed the plain one, the envelope sits below both conditioned bounds, the
 exponential assemblies share one asymptotic exponent, the multiplier
 degeneracy and kernel monotonicity hold over randomized parameters, the cone
@@ -436,6 +437,20 @@ def test_criterion_11_integrated_tsb_exponent():
                 f"{where}: limit {limit:.4f} outside [{lower[-1]:.4f}, {upper[-1]:.4f}]"
             )
     report(11, "integrated TSB exponent falls to the limit, Chernoff rises to it", failures)
+
+
+def test_criterion_12_bounds_above_exact_lower_limit(finite_grid):
+    # Criterion 1's floor p - 3se is 0 or below once errors are rare; the
+    # Clopper-Pearson lower limit stays positive while any trial errs.
+    failures = []
+    for (name, db), data in finite_grid.items():
+        lower, _ = data["mc"].block_error_ci()
+        for bound in ("tsb", "itsb", "ahp"):
+            if data[bound].value < lower:
+                failures.append(
+                    f"{name} {db} dB: {bound}={data[bound].value:.3e} < cp-lower={lower:.3e}"
+                )
+    report(12, "TSB/ITSB/AHP above the exact lower confidence limit of ML", failures)
 
 
 def test_shared_terms_match_separate_calls(hamming74, golay2312, hamming_spec, golay_spec,

@@ -893,3 +893,33 @@ def test_vacuous_conditioned_terms_cost_their_pair_nodes(golay_spec, monkeypatch
     assert pair == 9000
     assert nodes(lambda: eng.triple_term(8, 14, rho_max_wh(14, 8, n))) == pair
     assert nodes(lambda: eng.triple_term(8, 7, rho_min_h(8, 7, n))) == pair
+
+
+def test_itsb_crossover_term_is_the_cached_pair_term(monkeypatch):
+    # At h = n - d the anchor correlation reaches -1, the z3 line is vacuous
+    # and the conditioned term is pair_term(h) itself: on the n=6 and n=7
+    # ensembles at 4 dB, itsb after tsb on one cache integrates only the
+    # conditioned terms below the crossover (2 and 3 of them, not 3 and 4),
+    # and the crossover term is the cached pair term, bit for bit.
+    labels = []
+    orig = bounds._Engine._outer
+
+    def spy(self, inner, tail_log_bound, label):
+        labels.append(label)
+        return orig(self, inner, tail_log_bound, label)
+
+    monkeypatch.setattr(bounds._Engine, "_outer", spy)
+    for n in (6, 7):
+        spec = random_ensemble_spectrum(n, 0.5)
+        d = spec.d_min
+        ch = ChannelPoint.from_eb_n0_db(4.0, 0.5)
+        terms = Plan(spec).at(ch)
+        tsb_block(spec, ch, terms=terms)
+        labels.clear()
+        itsb(spec, ch, terms=terms)
+        assert labels == [f"conditioned(h={h}, ref={d})" for h in range(d, n - d)], n
+        labels.clear()
+        h = n - d
+        assert rho_min_h(h, d, n) == -1.0
+        assert terms.triple_term(h, d, rho_min_h(h, d, n)) is terms.pair_term(h)
+        assert not labels

@@ -368,7 +368,7 @@ def test_simulate_report_carries_exact_interval(gen_file, tmp_path):
     report = json.loads(out.read_text())
     assert set(report) == {"code", "channel", "trials", "seed", "transmit",
                            "block_error_rate", "block_error_ci", "std_error",
-                           "bit_error_rate", "bit_std_error"}
+                           "bit_error_rate", "bit_std_error", "full_decodes"}
     ci = report["block_error_ci"]
     assert ci["level"] == 0.95
     assert 0.0 < ci["lower"] < report["block_error_rate"] < ci["upper"] < 1.0

@@ -1,11 +1,14 @@
-"""Monte-Carlo ML simulator: exactness anchors, determinism, symmetry."""
+"""Monte-Carlo ML simulator: exactness anchors, determinism, symmetry, and
+the full correlation decoder as the oracle of the screened one."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from mpmath import mp
 
+from tsbounds import mcsim
 from tsbounds.bounds import ChannelPoint
 from tsbounds.codes import EnumerationCapError, GeneratorMatrix
 from tsbounds.mcsim import McEstimate, clopper_pearson, simulate_ml
@@ -21,9 +24,164 @@ def exact_single_pairwise(h: int, n: int, ch: ChannelPoint) -> float:
     return q_function(math.sqrt(2.0 * h * ch.c))
 
 
+def oracle_decide(y: np.ndarray, sent: np.ndarray, images: np.ndarray) -> tuple[int, int]:
+    """Block and bit errors of the full correlation decoder: every received
+    word against all 2^k images, ties going to the rival."""
+    rows = np.arange(len(y))
+    corr = y @ images.T
+    corr_sent = corr[rows, sent].copy()
+    corr[rows, sent] = -np.inf
+    rival = np.argmax(corr, axis=1)
+    err = corr[rows, rival] >= corr_sent
+    flips = np.bitwise_xor(rival[err], sent[err])
+    return int(np.count_nonzero(err)), int(np.sum(np.bitwise_count(flips.astype(np.uint64))))
+
+
+def oracle_estimate(g: GeneratorMatrix, ch: ChannelPoint, trials: int, seed: int,
+                    transmit: str) -> McEstimate:
+    """simulate_ml with every trial fully decoded: the same counter-based
+    draws per chunk, decided by oracle_decide in sub-chunks of 32 (a
+    (32, 2^16) correlation block stays in cache)."""
+    images = mcsim._codeword_images(g)
+    sigma = math.sqrt(ch.sigma_sq)
+    block_errors = bit_errors = 0
+    for idx, start in enumerate(range(0, trials, mcsim._CHUNK)):
+        m = min(mcsim._CHUNK, trials - start)
+        rng = np.random.Generator(np.random.Philox(key=[seed, idx]))
+        noise = rng.normal(0.0, sigma, size=(m, g.n))
+        if transmit == "random":
+            sent = rng.integers(0, 1 << g.k, size=m, dtype=np.int64)
+        else:
+            sent = np.zeros(m, dtype=np.int64)
+        for lo in range(0, m, 32):
+            b, e = oracle_decide(noise[lo:lo + 32] + images[sent[lo:lo + 32]],
+                                 sent[lo:lo + 32], images)
+            block_errors += b
+            bit_errors += e
+    p_block = block_errors / trials
+    p_bit = bit_errors / (trials * g.k)
+    return McEstimate(
+        block_error_rate=p_block,
+        bit_error_rate=p_bit,
+        trials=trials,
+        std_error=math.sqrt(p_block * (1.0 - p_block) / trials),
+        bit_std_error=math.sqrt(p_bit * (1.0 - p_bit) / trials),
+        seed=seed,
+        full_decodes=trials,
+    )
+
+
 @pytest.fixture(scope="module")
 def repetition3():
     return GeneratorMatrix(1, 3, np.array([[1, 1, 1]], dtype=np.uint8))
+
+
+ORACLE_CODES = ("repetition3", "hamming74", "golay2312", "identity4", "random16_20")
+ORACLE_DB = (-2.0, 0.0, 2.0, 4.0, 6.0, 8.0)
+
+
+@pytest.fixture(scope="module")
+def oracle_codes(repetition3, hamming74, golay2312):
+    # d = 3, 3, 7, 1 and 2: the identity code has no screen to speak of
+    # (d = 1), and the random code is dense with 2^16 images.
+    dense = np.random.default_rng(4).integers(0, 2, size=(16, 20), dtype=np.uint8)
+    return {
+        "repetition3": repetition3,
+        "hamming74": hamming74,
+        "golay2312": golay2312,
+        "identity4": GeneratorMatrix(4, 4, np.eye(4, dtype=np.uint8)),
+        "random16_20": GeneratorMatrix(16, 20, dense),
+    }
+
+
+@pytest.fixture(scope="module")
+def oracle_grid(oracle_codes):
+    cache = {}
+
+    def get(name, db, transmit):
+        key = name, db, transmit
+        if key not in cache:
+            g = oracle_codes[name]
+            ch = ChannelPoint.from_eb_n0_db(db, g.rate)
+            trials = 10_000 if g.k > 8 else 20_000
+            cache[key] = oracle_estimate(g, ch, trials, 101, transmit)
+        return cache[key]
+
+    return get
+
+
+@pytest.mark.parametrize("name,threads", [
+    (name, threads) for name in ORACLE_CODES for threads in (1, 2)
+    # Chunks are drawn and decided alike in any thread; the dense code's
+    # 2^16-wide full decodes run once, in one thread.
+    if (name, threads) != ("random16_20", 2)
+])
+@pytest.mark.parametrize("transmit", ["zero", "random"])
+def test_screened_decoder_matches_full_decoder(oracle_codes, oracle_grid, name, threads,
+                                               transmit):
+    # The screen only skips trials the full decoder would decode error-free,
+    # so every field but full_decodes is the full decoder's, bit for bit.
+    g = oracle_codes[name]
+    for db in ORACLE_DB:
+        want = oracle_grid(name, db, transmit)
+        ch = ChannelPoint.from_eb_n0_db(db, g.rate)
+        est = simulate_ml(g, ch, want.trials, want.seed, transmit=transmit, threads=threads)
+        assert est == dataclasses.replace(want, full_decodes=est.full_decodes), (name, db)
+        assert 0 <= est.full_decodes <= est.trials
+        if est.block_error_rate > 0.0:
+            assert est.full_decodes > 0
+
+
+def _crafted_word(images: np.ndarray, d: int, sent: int, delta: float):
+    """A received word that agrees with image `sent` by 1 everywhere except
+    on the support of a weight-d difference, where the agreements are
+    1, -1/2 and -1/2 + delta and 1 beyond: the rival at distance d loses by
+    exactly 2 * delta."""
+    diff = np.count_nonzero(images != images[sent], axis=1)
+    rival = int(np.flatnonzero(diff == d)[0])
+    support = np.flatnonzero(images[rival] != images[sent])
+    v = np.ones(images.shape[1])
+    v[support[1]] = -0.5
+    v[support[2]] = -0.5 + delta
+    return v * images[sent], rival
+
+
+@pytest.mark.parametrize("sent", [0, 5])
+def test_screen_boundary_matches_full_decoder(hamming74, sent):
+    images = mcsim._codeword_images(hamming74)
+    d = mcsim._min_weight(images)
+    assert d == 3
+    eps = np.finfo(np.float64).eps
+    margin = 4.0 * 7 * eps * 6.0  # sum|y| = 4 + 1 + 1/2 + 1/2 at delta = 0
+    cases = [
+        # (delta, full decodes, block errors)
+        (0.0, 1, 1),               # exact tie: the rival wins
+        (-margin / 4, 1, 1),       # near-tie that the rival wins by a hair
+        (margin / 4, 1, 0),        # near-tie inside the margin: decoded in full
+        (4 * margin, 0, 0),        # just outside the margin: screened
+        (1.0, 0, 0),
+    ]
+    words = []
+    for delta, full, block in cases:
+        y, rival = _crafted_word(images, d, sent, delta)
+        words.append(y)
+        got = mcsim._decide(y[None, :], np.array([sent]), images, d)
+        want = oracle_decide(y[None, :], np.array([sent]), images)
+        assert got == want + (full,), delta
+        assert got[0] == block, delta
+        if block:
+            assert got[1] == int(np.bitwise_count(np.uint64(rival ^ sent)))
+    # the same words in one batch, so the gathered rows keep their order
+    y = np.array(words)
+    sents = np.full(len(words), sent)
+    batch = mcsim._decide(y, sents, images, d)
+    assert batch == oracle_decide(y, sents, images) + (3,)
+
+
+def test_golay_high_snr_rarely_reaches_full_decoder(golay2312):
+    ch = ChannelPoint.from_eb_n0_db(8.0, 12 / 23)
+    est = simulate_ml(golay2312, ch, trials=100_000, seed=9)
+    assert est.full_decodes < 1_000
 
 
 def test_repetition_matches_exact_pairwise(repetition3):
@@ -109,7 +267,7 @@ def test_validation_errors(hamming74):
 
 def test_estimate_validation():
     with pytest.raises(ValueError):
-        McEstimate(1.5, 0.0, 10_000, 0.0, 0.0, 1)
+        McEstimate(1.5, 0.0, 10_000, 0.0, 0.0, 1, 0)
 
 
 @pytest.mark.parametrize("trials", [1, 10, 1000, 1_000_000])
