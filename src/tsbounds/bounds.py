@@ -63,6 +63,11 @@ _FALLBACK_RADIUS_FACTOR = 400.0
 # (itsb's crossover at h = n - d): the term is its pair term.
 _RHO_NO_LINE = -1.0 + 1e-12
 
+# Coarse relative tolerances each term run meets before its exact one; the
+# layer search prunes on their lower estimates first (see _layer_exceeds).
+_LADDER = (1e-2, 1e-5)
+_KAPPA = 10.0
+
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
 _LOG_Q10 = log_q_function(10.0)
 
@@ -262,6 +267,8 @@ class _Engine:
         self.z1_lo = -10.0 * self.sigma
         self.log_q_term = log_q_function(math.sqrt(2.0 * geo.n * ch.c))
         self._cache: dict[tuple, _Term] = {}
+        self.levels = [replace(tol, rel_tol=r) for r in _LADDER if r > tol.rel_tol] + [tol]
+        self._runs: dict[tuple, list] = {}
         self.trouble: list[str] = []
 
     def begin(self, spec: DistanceSpectrum, ch: ChannelPoint, tol: Tolerance) -> "_Engine":
@@ -377,53 +384,77 @@ class _Engine:
 
     # -- outer z1 integrals ------------------------------------------------
 
-    def _outer(self, inner, tail_log_bound: float, label: str) -> _Term:
-        f = lambda z1: self._phi(z1) * inner(np.asarray(z1, dtype=float))
-        res = adaptive_integrate(f, self.z1_lo, self.sqrt_n, self.tol)
+    def _integrand(self, key: tuple):
+        # The Gaussian density of z1 times the kernel of term key given z1.
+        if key[0] == "cap":
+            inner = self._cap_given_z1
+        elif key[0] == "pair":
+            inner = lambda z1: self._triple_given_z1(z1, key[1])
+        else:
+            _, h, w_ref, rho = key
+            inner = lambda z1: self._triple_given_z1(z1, h, beta_h(z1, w_ref, self.geo), rho)
+        return lambda z1: self._phi(z1) * inner(np.asarray(z1, dtype=float))
+
+    def _refined(self, key: tuple, level: int):
+        """Term key's run refined to self.levels[level].  Started through
+        adaptive_integrate, the run meets every level in turn and keeps its
+        result as of each, so that result depends on the term alone."""
+        done = self._runs.setdefault(key, [])
+        while len(done) <= level:
+            tol = self.levels[len(done)]
+            done.append(done[-1].run.refine(tol) if done else adaptive_integrate(
+                self._integrand(key), self.z1_lo, self.sqrt_n, tol))
+            if len(done) == len(self.levels):  # finished: free its heap and integrand
+                done[:] = [replace(res, run=None) for res in done]
+        return done[level]
+
+    def lower(self, key: tuple, level: int) -> float:
+        """Log of a lower estimate of term key: its run's max(0, value -
+        _KAPPA * error) as of a coarse level (0 if unconverged), else exact."""
+        if level == len(self.levels) - 1:
+            return self.term(key).log_value
+        res = self._refined(key, level)
+        low = res.value - _KAPPA * res.error if res.converged else 0.0
+        return math.log(low) if low > 0.0 else _NEG_INF
+
+    def _outer(self, key: tuple) -> _Term:
+        # The exact term; below z1_lo, the cap's tail or z2's past beta_h.
+        res = self._refined(key, len(self.levels) - 1)
+        if key[0] == "cap":
+            cut = self._cap_given_z1(np.array([self.z1_lo]))[0]
+            tail, label = (math.log(cut) if cut > 0.0 else _NEG_INF), "cap"
+        else:
+            tail = log_q_function(float(beta_h(self.z1_lo, key[1], self.geo)) / self.sigma)
+            label = (f"pair(h={key[1]})" if key[0] == "pair"
+                     else f"conditioned(h={key[1]}, ref={key[2]})")
         log_value = math.log(res.value) if res.value > 0.0 else _NEG_INF
         log_error = math.log(res.error) if res.error > 0.0 else _NEG_INF
-        return _Term(log_value, log_error, _LOG_Q10 + tail_log_bound, res.converged, label)
+        return _Term(log_value, log_error, _LOG_Q10 + tail, res.converged, label)
 
-    def _cached(self, key: tuple, compute) -> _Term:
-        """The cached term under key, computed on first use.  Every use of
-        an unconverged term is recorded, so each bound call names all the
-        unconverged terms it used, whichever call computed them."""
+    def term(self, key: tuple) -> _Term:
+        """The exact term under key, ("cap",), ("pair", h) or ("triple", h,
+        w_ref, rho), computed on first use.  Every use of an unconverged term
+        is recorded, so each bound call names all the unconverged terms it
+        used, whichever call computed them."""
         term = self._cache.get(key)
         if term is None:
-            term = self._cache[key] = compute()
+            term = self._cache[key] = self._outer(key)
         if not term.converged:
             self.trouble.append(term.label)
         return term
 
-    def _tail_beyond(self, h: int) -> float:
-        # Log Gaussian mass of z2 past the weight-h threshold at z1_lo.
-        return log_q_function(float(beta_h(self.z1_lo, h, self.geo)) / self.sigma)
-
     def pair_term(self, h: int) -> _Term:
         """Pr(beta_h <= z2 <= r_z1, inside the cone): the conditioned kernel
         with no z3 line, integrated over z1."""
-        return self._cached(("pair", h), lambda: self._outer(
-            lambda z1: self._triple_given_z1(z1, h), self._tail_beyond(h), f"pair(h={h})"
-        ))
+        return self.term(("pair", h))
 
     def triple_term(self, h: int, w_ref: int, rho: float) -> _Term:
         """The conditioned term; with no line (rho at the crossover) it is
         pair_term(h) itself, so the cache integrates it once."""
-        if rho <= _RHO_NO_LINE:
-            return self.pair_term(h)
-        return self._cached(("triple", h, w_ref, rho), lambda: self._outer(
-            lambda z1: self._triple_given_z1(z1, h, beta_h(z1, w_ref, self.geo), rho),
-            self._tail_beyond(h),
-            f"conditioned(h={h}, ref={w_ref})",
-        ))
+        return self.term(("pair", h) if rho <= _RHO_NO_LINE else ("triple", h, w_ref, rho))
 
     def cap_term(self) -> _Term:
-        def compute():
-            cut = self._cap_given_z1(np.array([self.z1_lo]))[0]
-            tail = math.log(cut) if cut > 0.0 else _NEG_INF
-            return self._outer(self._cap_given_z1, tail, "cap")
-
-        return self._cached(("cap",), compute)
+        return self.term(("cap",))
 
     # -- assembly ----------------------------------------------------------
 
@@ -536,11 +567,11 @@ def itsb(
 
 def _layer_parts(
     eng: _Engine, spec: DistanceSpectrum, w: int, extend: bool
-) -> tuple[_Term | None, list]:
-    """Layer w's anchor term and its other terms in assembly order.  Each
-    part is (h, log_coeff, term): term() computes a term of weight h that
-    lies inside the pair event of pair_term(h), and log_coeff is its
-    multiplicity.  A layer inside the cone has the anchor pair_term(w), the
+) -> tuple[tuple | None, list]:
+    """The cache keys of layer w's anchor term and of its other terms in
+    assembly order.  Each part is (h, log_coeff, key): key names a term of
+    weight h that lies inside the pair event of pair_term(h), and log_coeff
+    is its multiplicity.  A layer inside the cone has the anchor pair_term(w), the
     extension self-term when extend is set, then one conditioned term per
     included weight h != w.
 
@@ -558,18 +589,16 @@ def _layer_parts(
     """
     n = spec.n
     if w not in eng.plan.geom_included:
-        return None, [(h, float(spec.log_a[h]), lambda h=h: eng.pair_term(h))
-                      for h in eng.plan.included]
+        return None, [(h, float(spec.log_a[h]), ("pair", h)) for h in eng.plan.included]
     # The extension pairs exist whether or not the code has weight-w words;
     # only the cone geometry can zero them out.
     parts = []
     if extend:
-        parts.append((w, math.log(math.comb(n, w)), lambda: eng.triple_term(w, w, rho_ww(w, n))))
+        parts.append((w, math.log(math.comb(n, w)), ("triple", w, w, rho_ww(w, n))))
     for h in eng.plan.included:
         if h != w:
-            parts.append((h, float(spec.log_a[h]),
-                          lambda h=h: eng.triple_term(h, w, rho_max_wh(w, h, n))))
-    return eng.pair_term(w), parts
+            parts.append((h, float(spec.log_a[h]), ("triple", h, w, rho_max_wh(w, h, n))))
+    return ("pair", w), parts
 
 
 def _layer_terms(
@@ -579,12 +608,13 @@ def _layer_terms(
     terms (the envelope), plus the extension self-term when extend is set.
     Layer n, like every layer outside the cone, is the plain pair terms
     A_h P_h of tsb_block."""
-    anchor, parts = _layer_parts(eng, spec, w, extend)
+    anchor_key, parts = _layer_parts(eng, spec, w, extend)
+    anchor = None if anchor_key is None else eng.term(anchor_key)
     terms = [] if anchor is None else [anchor]
     weighted: dict[int, float] = {}
     self_term = None
-    for h, log_coeff, term in parts:
-        t = term().scaled(log_coeff)
+    for h, log_coeff, key in parts:
+        t = eng.term(key).scaled(log_coeff)
         terms.append(t)
         if h == w:
             self_term = t
@@ -608,10 +638,14 @@ def _layer_exceeds(
     eng: _Engine, spec: DistanceSpectrum, w: int, extend: bool, bound: float
 ) -> bool:
     """Whether layer w's assembly provably exceeds the log value bound.
-    Its terms are nonnegative, so every partial sum is a lower bound.  The
-    sum takes the cap, the apex tail and the anchor first, then the other
-    terms largest upper bound first, and stops as soon as it passes
-    bound + _PRUNE_MARGIN; it is kept relative to bound, in linear scale."""
+    Its terms are nonnegative, so a partial sum of lower estimates of them
+    bounds it from below.  The sum takes the cap, the apex tail and the
+    anchor first, then the other terms largest upper bound first, and stops
+    once it passes bound + _PRUNE_MARGIN (kept relative to bound, in linear
+    scale).  It is tried on the runs' coarse estimates level by level, then
+    on the exact terms, which continue the same runs.  An estimate is below
+    its term when the run's true error is within _KAPPA times its GK15
+    error estimate, which overstates it by orders of magnitude here."""
     limit = math.exp(_PRUNE_MARGIN)
     total = 0.0
 
@@ -622,11 +656,14 @@ def _layer_exceeds(
         return total > limit
 
     anchor, parts = _layer_parts(eng, spec, w, extend)
-    if (passes(eng.cap_term().log_value) or (extend and passes(eng.log_q_term))
-            or (anchor is not None and passes(anchor.log_value))):
-        return True
-    parts.sort(key=lambda p: (-(p[1] + eng.pair_term(p[0]).log_value), p[0]))
-    return any(passes(c + term().log_value) for _, c, term in parts)
+    order = lambda p: (-(p[1] + eng.pair_term(p[0]).log_value), p[0])
+    for level in range(len(eng.levels)):
+        total = 0.0
+        if (passes(eng.cap_term().log_value) or (extend and passes(eng.log_q_term))
+                or (anchor is not None and passes(eng.lower(anchor, level)))
+                or any(passes(c + eng.lower(k, level)) for _, c, k in sorted(parts, key=order))):
+            return True
+    return False
 
 
 def _best_layer(eng: _Engine, spec: DistanceSpectrum, extend: bool) -> BoundResult:
@@ -634,15 +671,17 @@ def _best_layer(eng: _Engine, spec: DistanceSpectrum, extend: bool) -> BoundResu
     selects the added-hyper-plane bound (self-term, apex tail), else over
     the envelope's layers 1..n-1.
 
-    Branch and bound, exact: the incumbent layer (n for ahp; d_min for psi,
-    or 1 when d_min = n) is assembled first.  Every term of a layer is
+    Branch and bound: the incumbent layer (n for ahp; d_min for psi, or 1
+    when d_min = n) is assembled first.  Every term of a layer is
     nonnegative, so a partial sum bounds the layer's value from below; a
     layer is pruned once that bound exceeds the best assembled value by
     _PRUNE_MARGIN, more than the rounding of either sum, so no layer that
-    could win or tie is pruned.  The others are assembled in full and the
-    smallest value wins, ties going to the smallest layer, exactly as when
-    every layer is assembled.  Which layers are pruned depends only on term
-    values, never on what the cache held before."""
+    could win or tie is pruned.  The sums try coarse lower estimates of the
+    term runs first and exact terms last (see _layer_exceeds).  The others
+    are assembled in full and the smallest value wins, ties going to the
+    smallest layer, exactly as when every layer is assembled.  Which layers
+    are pruned depends only on term values, never on what the cache held
+    before: an estimate is taken as of its level, not from the run's state."""
     top = spec.n if extend else spec.n - 1
     first = top if extend else (spec.d_min if spec.d_min <= top else 1)
     found: dict[int, BoundResult] = {}
@@ -690,8 +729,8 @@ def psi(
     A layer outside the cone is tsb's pair terms without the apex tail.
 
     The search starts from layer d_min and prunes like ahp's, by psi's own
-    values, so psi after ahp on one cache may integrate terms of layers
-    that ahp pruned."""
+    values; after ahp on one cache it continues the term runs that ahp's
+    pruning left at a coarse level."""
     eng = _terms_for(spec, ch, tol, terms)
     return eng.finish(_best_layer(eng, spec, extend=False))
 

@@ -16,6 +16,7 @@ nats per channel symbol; "log" values are natural logs of probabilities.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -253,7 +254,22 @@ def _tilt_slope(q, n, c, u, eta):
     return g, dg
 
 
-def _tilt_terms(n: int, c: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
+_TILTS = threading.local()
+
+
+def _tilt_terms(n: int, c: float, eta: float) -> np.ndarray:
+    """The minima terms of _solve_tilts(n, c, eta), kept read-only per thread
+    for the latest (n, c) only: chernoff_tsb and chernoff_psi at one (n, c)
+    search the same slopes."""
+    if getattr(_TILTS, "nc", None) != (n, c):
+        _TILTS.nc, _TILTS.by_eta = (n, c), {}
+    if eta not in _TILTS.by_eta:
+        _TILTS.by_eta[eta] = terms = _solve_tilts(n, c, eta)[1]
+        terms.flags.writeable = False  # shared by every caller
+    return _TILTS.by_eta[eta]
+
+
+def _solve_tilts(n: int, c: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-weight tilts q[h] and minima terms[h] = min over q of
     ln sqrt((1-2q)/(1+2q eta)) - n E: the cap at h = 0 (Delta^2 = 0, tilt in
     [0, 1/2)), the weight-h pair term for h >= 1 (tilt in [-1/(2 eta), 0];
@@ -289,7 +305,7 @@ def _chernoff_log_total(
     """Log of the assembled exponential bound at one slope: cap term plus the
     spectrum pair terms, plus (for the layered variant) the cheapest unit
     reference pair term over the layers w = 1..n-1."""
-    _, terms = _tilt_terms(n, c, eta)
+    terms = _tilt_terms(n, c, eta)
     log_a = np.asarray(spec.log_a, dtype=float)
     ws = np.nonzero(np.isfinite(log_a[1:]))[0] + 1
     base = float(logsumexp(np.append(log_a[ws] + terms[ws], terms[0])))

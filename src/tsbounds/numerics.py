@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -22,6 +22,7 @@ __all__ = [
     "log_q_function",
     "sin_power_integral",
     "wallis",
+    "AdaptiveRun",
     "adaptive_integrate",
     "minimize_1d",
 ]
@@ -59,6 +60,7 @@ class QuadratureResult:
     value: float
     error: float
     converged: bool
+    run: "AdaptiveRun | None" = field(default=None, compare=False, repr=False)  # to refine
 
 
 # ---------------------------------------------------------------------------
@@ -250,52 +252,55 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[fl
     return kron, abs(kron - gauss)
 
 
-def adaptive_integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    tol: Tolerance = DEFAULT_TOL,
-) -> QuadratureResult:
-    """Adaptively integrate f over the finite interval [a, b].
+class AdaptiveRun:
+    """A resumable adaptive integration of f over the finite interval [a, b].
 
     f must accept a numpy array of abscissae and return the integrand values.
     Panels are bisected worst-error-first with a nested Gauss-Kronrod 15/7
-    rule until the summed error estimate meets the tolerance or the
-    subdivision budget runs out (the flag on the result reports which).
-    Deterministic for fixed inputs.
-    """
-    if math.isinf(a) or math.isinf(b):
-        raise ValueError(f"integration bounds must be finite: [{a}, {b}]")
-    if a > b:
-        raise ValueError(f"integration bounds out of order: [{a}, {b}]")
-    if a == b:
-        return QuadratureResult(0.0, 0.0, True)
+    rule.  refine(tol) bisects until the summed error estimate meets tol or
+    the run has made tol.max_iter bisections in all, so refining to finer
+    and finer tolerances with one max_iter returns exactly what one refine
+    to the last of them does.  Deterministic for fixed inputs."""
 
-    value, err = _gk15(f, a, b)
-    # Heap of (-error, tiebreak, left, right, value, error).
-    counter = 0
-    heap = [(-err, counter, a, b, value, err)]
-    total_value, total_error = value, err
-    for _ in range(tol.max_iter):
-        if total_error <= max(tol.abs_tol, tol.rel_tol * abs(total_value)):
-            return QuadratureResult(total_value, total_error, True)
-        neg_err, _, pa, pb, pval, perr = heapq.heappop(heap)
-        if pb - pa < 1e-15 * max(abs(pa), abs(pb), 1.0):
-            # Panel cannot be meaningfully split; keep its estimate.
-            heapq.heappush(heap, (0.0, counter + 1, pa, pb, pval, perr))
-            counter += 1
-            continue
-        pm = 0.5 * (pa + pb)
-        lval, lerr = _gk15(f, pa, pm)
-        rval, rerr = _gk15(f, pm, pb)
-        total_value += lval + rval - pval
-        total_error += lerr + rerr - perr
-        counter += 1
-        heapq.heappush(heap, (-lerr, counter, pa, pm, lval, lerr))
-        counter += 1
-        heapq.heappush(heap, (-rerr, counter, pm, pb, rval, rerr))
-    converged = total_error <= max(tol.abs_tol, tol.rel_tol * abs(total_value))
-    return QuadratureResult(total_value, total_error, converged)
+    def __init__(self, f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
+        if math.isinf(a) or math.isinf(b):
+            raise ValueError(f"integration bounds must be finite: [{a}, {b}]")
+        if a > b:
+            raise ValueError(f"integration bounds out of order: [{a}, {b}]")
+        self.f = f
+        self.value, self.error = _gk15(f, a, b) if a < b else (0.0, 0.0)
+        # Heap of (-error, tiebreak, left, right, value, error).
+        self.heap = [(-self.error, 0, a, b, self.value, self.error)]
+        self.counter = self.iterations = 0
+
+    def refine(self, tol: Tolerance = DEFAULT_TOL) -> QuadratureResult:
+        while True:
+            converged = self.error <= max(tol.abs_tol, tol.rel_tol * abs(self.value))
+            if converged or self.iterations >= tol.max_iter:
+                return QuadratureResult(self.value, self.error, converged, self)
+            self.iterations += 1
+            neg_err, _, pa, pb, pval, perr = heapq.heappop(self.heap)
+            if pb - pa < 1e-15 * max(abs(pa), abs(pb), 1.0):
+                # Panel cannot be meaningfully split; keep its estimate.
+                self.counter += 1
+                heapq.heappush(self.heap, (0.0, self.counter, pa, pb, pval, perr))
+                continue
+            pm = 0.5 * (pa + pb)
+            lval, lerr = _gk15(self.f, pa, pm)
+            rval, rerr = _gk15(self.f, pm, pb)
+            self.value += lval + rval - pval
+            self.error += lerr + rerr - perr
+            self.counter += 2
+            heapq.heappush(self.heap, (-lerr, self.counter - 1, pa, pm, lval, lerr))
+            heapq.heappush(self.heap, (-rerr, self.counter, pm, pb, rval, rerr))
+
+
+def adaptive_integrate(
+    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: Tolerance = DEFAULT_TOL
+) -> QuadratureResult:
+    """Adaptively integrate f over [a, b]: AdaptiveRun(f, a, b).refine(tol).
+    The flag on the result reports whether the estimate met tol in budget."""
+    return AdaptiveRun(f, a, b).refine(tol)
 
 
 # ---------------------------------------------------------------------------

@@ -511,31 +511,96 @@ def test_layer_search_matches_exhaustive_on_ensembles():
             _check_layer_search(bound, spec, ch, terms)
 
 
+def _pruned_search(bound, spec, ch, monkeypatch):
+    """bound on a fresh cache, and each layer it pruned, mapped to whether
+    a partial sum of coarse estimates pruned it (else exact terms did)."""
+    pruned, levels = {}, []
+    exceeds, lower = bounds._layer_exceeds, bounds._Engine.lower
+
+    def lower_spy(self, key, level):
+        levels.append(level)
+        return lower(self, key, level)
+
+    def exceeds_spy(eng, spec, w, extend, log_bound):
+        levels.clear()
+        out = exceeds(eng, spec, w, extend, log_bound)
+        if out:  # the cap or the apex tail alone passes at the first level
+            pruned[w] = max(levels, default=0) < len(eng.levels) - 1
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(bounds, "_layer_exceeds", exceeds_spy)
+        m.setattr(bounds._Engine, "lower", lower_spy)
+        return bound(spec, ch, terms=Plan(spec).at(ch)), pruned
+
+
+@pytest.mark.parametrize("case", ["hamming", "golay", "ensembles", "ens32"])
+def test_pruned_search_on_fresh_cache(case, hamming_spec, golay_spec, monkeypatch):
+    # The pruned search first, on a fresh cache, so that it prunes on the
+    # coarse estimates of term runs, not on exact cached terms.  Every layer
+    # pruned on estimates is one the exact terms prune too (the exact-only
+    # search, with the coarse ladder emptied), and the result, its layer
+    # accounting included, is the exact-only search's, bit for bit; that
+    # search is the one the tests above check against the exhaustive one.
+    if case in ("hamming", "golay"):
+        spec, rate = {"hamming": (hamming_spec, R_HAMMING), "golay": (golay_spec, 12 / 23)}[case]
+        points = [(spec, ChannelPoint.from_eb_n0_db(db, rate)) for db in (2.0, 4.0, 6.0)]
+    elif case == "ensembles":
+        points = [(random_ensemble_spectrum(n, 0.5), ChannelPoint.from_eb_n0_db(4.0, 0.5))
+                  for n in (6, 8, 10, 12, 14, 16)]
+    else:
+        points = [(random_ensemble_spectrum(32, 0.5), ChannelPoint.from_eb_n0_db(3.0, 0.5))]
+    coarse = 0
+    for spec, ch in points:
+        for bound in (ahp, psi):
+            res, pruned = _pruned_search(bound, spec, ch, monkeypatch)
+            with monkeypatch.context() as m:
+                m.setattr(bounds, "_LADDER", ())
+                want, exact = _pruned_search(bound, spec, ch, monkeypatch)
+            assert {w for w, on_estimates in pruned.items() if on_estimates} <= set(exact)
+            assert set(pruned) == set(exact) and not any(exact.values())
+            assert res == want
+            coarse += sum(pruned.values())
+    assert coarse > 0
+
+
+def _count_panels(monkeypatch) -> list[int]:
+    """Count the GK15 panels of every term run the bounds start, the later
+    refinements of a run included: [panels], updated in place."""
+    panels = [0]
+    orig = bounds.adaptive_integrate
+
+    def spy(f, *args):
+        def counted(z1):
+            panels[0] += 1
+            return f(z1)
+
+        return orig(counted, *args)
+
+    monkeypatch.setattr(bounds, "adaptive_integrate", spy)
+    return panels
+
+
 def test_layer_search_integrates_fewer_terms(monkeypatch):
-    # ahp then psi on one cache of the n=12 ensemble at 4 dB: 57 outer
-    # integrals when every layer is assembled, fewer with pruning (psi then
-    # integrates terms of layers ahp pruned).  The out-of-cone layers 8..11
+    # ahp then psi on one cache of the n=12 ensemble at 4 dB: 979 GK15
+    # panels over 57 term integrals when every layer is assembled, 447 with
+    # pruning (711 when layers were pruned on exact terms only).  Runs can
+    # stop at a coarse level, so panels, not integrals, measure the work;
+    # psi continues the runs ahp left partway.  The out-of-cone layers 8..11
     # are the plain pair terms of layer n and integrate nothing new.
-    labels = []
-    orig = bounds._Engine._outer
-
-    def spy(self, inner, tail_log_bound, label):
-        labels.append(label)
-        return orig(self, inner, tail_log_bound, label)
-
-    monkeypatch.setattr(bounds._Engine, "_outer", spy)
+    panels = _count_panels(monkeypatch)
     spec = random_ensemble_spectrum(12, 0.5)
     ch = ChannelPoint.from_eb_n0_db(4.0, 0.5)
     terms = Plan(spec).at(ch)
     _exhaustive_best_layer(terms, spec, True)
     _exhaustive_best_layer(terms, spec, False)
-    exhaustive = len(labels)
-    labels.clear()
+    exhaustive = panels[0]
+    panels[0] = 0
     terms = Plan(spec).at(ch)
     ahp(spec, ch, terms=terms)
     psi(spec, ch, terms=terms)
-    assert exhaustive == 57
-    assert len(labels) <= 0.85 * exhaustive
+    assert exhaustive == 979
+    assert panels[0] <= 447
 
 
 def _parent_layer_terms(eng, spec, w, extend):
@@ -577,18 +642,19 @@ def test_out_of_cone_layers_are_the_plain_assembly(code, hamming_spec, golay_spe
         "ens12": (random_ensemble_spectrum(12, 0.5), 0.5),
     }[code]
     refs = []
-    orig = bounds._Engine.triple_term
+    orig = bounds._Engine._refined
 
-    def spy(self, h, w_ref, rho):
-        refs.append(w_ref)
-        return orig(self, h, w_ref, rho)
+    def spy(self, key, level):
+        if key[0] == "triple":
+            refs.append(key[2])
+        return orig(self, key, level)
 
     outside = 0
     for db in (2.0, 4.0, 6.0):
         ch = ChannelPoint.from_eb_n0_db(db, rate)
         eng = Plan(spec).at(ch)
         with monkeypatch.context() as m:
-            m.setattr(bounds._Engine, "triple_term", spy)
+            m.setattr(bounds._Engine, "_refined", spy)
             ahp(spec, ch, terms=eng)
             psi(spec, ch, terms=eng)
         assert refs and set(refs) <= eng.plan.geom_included
@@ -620,16 +686,18 @@ def test_psi_sandwich(hamming_spec):
 
 def test_psi_never_requests_self_term(hamming_spec, monkeypatch):
     # psi's value leaves the extension self-term triple_term(w, w, .) out,
-    # so psi must not integrate it (nor carry its quadrature error); ahp
-    # still does, which shows the spy sees the requests.
+    # so psi must not integrate it, not even to a coarse level (nor carry
+    # its quadrature error); ahp still does, which shows the spy sees the
+    # requests.
     calls = []
-    orig = bounds._Engine.triple_term
+    orig = bounds._Engine._refined
 
-    def spy(self, h, w_ref, rho):
-        calls.append((h, w_ref))
-        return orig(self, h, w_ref, rho)
+    def spy(self, key, level):
+        if key[0] == "triple":
+            calls.append(key[1:3])
+        return orig(self, key, level)
 
-    monkeypatch.setattr(bounds._Engine, "triple_term", spy)
+    monkeypatch.setattr(bounds._Engine, "_refined", spy)
     ch = ChannelPoint.from_eb_n0_db(4.0, R_HAMMING)
     psi(hamming_spec, ch)
     assert calls and all(h != w for h, w in calls)
@@ -845,7 +913,9 @@ def test_no_zero_weight_z2_nodes(golay_spec, monkeypatch):
     # Every z2 segment the kernel builds has positive width in every z1 row:
     # a Golay row at 4 dB (tsb, itsb, ahp, psi on one cache) and the n=12
     # ensemble at 4 dB (each bound on its own cache).  Building the
-    # zero-width segments too would add 319,320 and 528,120 zero weights.
+    # zero-width segments too would add zero weights: 319,320 and 528,120
+    # of them when the totals were 666,720 and 1,257,480, before layers were
+    # pruned on coarse estimates of the term runs.
     orig = bounds._Engine._panel_nodes
     weights = []
 
@@ -864,7 +934,7 @@ def test_no_zero_weight_z2_nodes(golay_spec, monkeypatch):
     spec = random_ensemble_spectrum(12, 0.5)
     for bound in (tsb_block, itsb, ahp, psi):
         bound(spec, ChannelPoint.from_eb_n0_db(4.0, 0.5))
-    for found, total in ((golay, 666_720), (weights, 1_257_480)):
+    for found, total in ((golay, 390_240), (weights, 795_240)):
         assert sum(w.size for w in found) == total
         assert all(np.all(w > 0.0) for w in found)
 
@@ -904,9 +974,10 @@ def test_itsb_crossover_term_is_the_cached_pair_term(monkeypatch):
     labels = []
     orig = bounds._Engine._outer
 
-    def spy(self, inner, tail_log_bound, label):
-        labels.append(label)
-        return orig(self, inner, tail_log_bound, label)
+    def spy(self, key):
+        term = orig(self, key)
+        labels.append(term.label)
+        return term
 
     monkeypatch.setattr(bounds._Engine, "_outer", spy)
     for n in (6, 7):

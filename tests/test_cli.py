@@ -165,21 +165,18 @@ def test_bounds_share_one_plan_and_row_cache(gen_file, tmp_path, monkeypatch):
     # bounds share one term cache per spectrum.  Terms are told apart by
     # their cache key (itsb's and ahp's conditioned terms share labels).
     solves, computed = [], []
-    orig_solve, orig_cached = bounds.solve_cone_radius, bounds._Engine._cached
+    orig_solve, orig_outer = bounds.solve_cone_radius, bounds._Engine._outer
 
     def solve_spy(spec):
         solves.append(spec.kind)
         return orig_solve(spec)
 
-    def cached_spy(self, key, compute):
-        def counted():
-            computed.append((self.ch, self.plan.spec.kind, key))
-            return compute()
-
-        return orig_cached(self, key, counted)
+    def outer_spy(self, key):
+        computed.append((self.ch, self.plan.spec.kind, key))
+        return orig_outer(self, key)
 
     monkeypatch.setattr(bounds, "solve_cone_radius", solve_spy)
-    monkeypatch.setattr(bounds._Engine, "_cached", cached_spy)
+    monkeypatch.setattr(bounds._Engine, "_outer", outer_spy)
     argv = ["bounds", "--generator", gen_file, "--grid", "0:4:2",
             "--bounds", "tsb,itsb,ahp,psi,tsb-bit", "--out", str(tmp_path / "b.csv")]
     assert run_cli(argv) == 0

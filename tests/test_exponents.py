@@ -5,6 +5,7 @@ assemblies against the exact finite-length bounds, and the asymptotic closed
 forms against dense-grid and random-coding oracles."""
 
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -428,7 +429,7 @@ def test_tilt_solve_matches_grid_golden_oracle():
                 for log_eta in (-6.0, -3.0, 0.0, 3.0, 6.0):
                     eta = math.exp(log_eta)
                     lo, hi = tilt_box(n, eta)
-                    q, got = exponents._tilt_terms(n, c, eta)
+                    q, got = exponents._solve_tilts(n, c, eta)
                     _, want = minimize_componentwise(
                         tilt_objective(n, c, eta), lo, hi, grid_points=33
                     )
@@ -462,11 +463,41 @@ def test_tilt_solve_work_is_bounded(monkeypatch):
         per_slope.append(calls[0])
         return value
 
+    monkeypatch.setattr(exponents, "_TILTS", threading.local())  # no solve remembered
     monkeypatch.setattr(exponents, "_tilt_slope", slope_spy)
     monkeypatch.setattr(exponents, "_chernoff_log_total", total_spy)
     chernoff_tsb(512, 1.0, random_ensemble_spectrum(512, 0.5))
     assert len(per_slope) > 33
     assert max(per_slope) <= 1 + 12
+
+
+def test_chernoff_psi_reuses_chernoff_tsb_tilt_solves(monkeypatch):
+    # At one (n, c) both assemblies search the same slopes, so chernoff_psi
+    # after chernoff_tsb solves no tilt: 88 + 0 solves at n = 256, c = 1
+    # (88 + 88 when each solved its own).  The solves are kept per thread,
+    # as read-only arrays, for the latest (n, c) only.
+    solves = []
+    solve = exponents._solve_tilts
+
+    def spy(n, c, eta):
+        solves.append(eta)
+        return solve(n, c, eta)
+
+    monkeypatch.setattr(exponents, "_TILTS", threading.local())
+    monkeypatch.setattr(exponents, "_solve_tilts", spy)
+    spec = random_ensemble_spectrum(256, 0.5)
+    chernoff_tsb(256, 1.0, spec)
+    tsb = len(solves)
+    chernoff_psi(256, 1.0, spec)
+    assert (tsb, len(solves) - tsb) == (88, 0)
+    assert not exponents._tilt_terms(256, 1.0, solves[0]).flags.writeable
+    worker = threading.Thread(target=chernoff_psi, args=(256, 1.0, spec))
+    worker.start()
+    worker.join()
+    assert len(solves) == 2 * 88  # another thread solves its own
+    exponents._tilt_terms(128, 1.0, solves[0])
+    exponents._tilt_terms(256, 1.0, solves[0])
+    assert len(solves) == 2 * 88 + 2  # another (n, c) replaced the memo
 
 
 def test_tilt_objective_slope_nondecreasing():

@@ -6,6 +6,7 @@ Reference values were frozen from a 40-digit arbitrary precision run
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,10 @@ from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincc
 
 from closed_forms import minimize_componentwise
+from tsbounds.cli import parse_grid
+from tsbounds.exponents import gallager_rce
 from tsbounds.numerics import (
+    QuadratureResult,
     Tolerance,
     adaptive_integrate,
     log_q_function,
@@ -176,6 +180,45 @@ def test_adaptive_integrate_reports_nonconvergence():
     res = adaptive_integrate(hard, 0.0, 3.0, Tolerance(abs_tol=1e-14, rel_tol=0.0, max_iter=3))
     assert not res.converged
     assert res.error > 0.0
+
+
+def _refined_in_steps(f, a, b, tol):
+    """One run of f over [a, b] refined to rel 1e-1, then 1e-4, then tol:
+    the result and the run's bisection count after each step."""
+    res = adaptive_integrate(f, a, b, replace(tol, rel_tol=1e-1))
+    steps = [(res, res.run.iterations)]
+    for step in (replace(tol, rel_tol=1e-4), tol):
+        steps.append((res.run.refine(step), res.run.iterations))
+    return steps
+
+
+def test_refining_a_run_in_steps_equals_one_call():
+    # Stepwise refinement continues the same heap, totals and bisection
+    # budget, so it returns exactly what one adaptive_integrate call does:
+    # converged, stopped by max_iter across the steps, and on an empty range.
+    kink = lambda x: np.sqrt(np.abs(x))
+    converged = Tolerance(abs_tol=0.0, rel_tol=1e-14, max_iter=200)
+    (coarse, i1), (mid, i2), (last, i3) = _refined_in_steps(kink, -1.0, 2.0, converged)
+    assert last == adaptive_integrate(kink, -1.0, 2.0, converged) and last.converged
+    assert coarse.converged and mid.converged and 0 <= i1 < i2 < i3 < 200
+    assert abs(mid.value - last.value) <= 1e-4 * last.value
+    starved = replace(converged, max_iter=20)
+    *_, (last, i3) = _refined_in_steps(kink, -1.0, 2.0, starved)
+    assert last == adaptive_integrate(kink, -1.0, 2.0, starved)
+    assert not last.converged and i3 == 20
+    *_, (last, i3) = _refined_in_steps(kink, 2.0, 2.0, converged)
+    assert last == adaptive_integrate(kink, 2.0, 2.0) == QuadratureResult(0.0, 0.0, True)
+    assert i3 == 0
+
+
+def test_gallager_rce_rows_unchanged():
+    # The exponent sweep's e_rce column at R = 1/2 on 1/(Eb/N0) = 0.45..0.85,
+    # recorded before adaptive_integrate became a run refined once: the
+    # quadrature it integrates is bit for bit the same.
+    want = [0.06700331512756857, 0.04712762747737867, 0.03276760607721321,
+            0.022334437277906738, 0.014764117149819886, 0.009321956442346721,
+            0.005487468614484556, 0.002883790827165021, 0.0012328967922080394]
+    assert [gallager_rce(0.5, 0.5 / x) for x in parse_grid("0.45:0.85:0.05")] == want
 
 
 def test_adaptive_integrate_rejects_bad_interval():
