@@ -2,12 +2,15 @@
 
 Ground-truth oracle for the analytic bounds: exact ML decoding, with
 counter-based random numbers so the estimate is bit-identical for a fixed
-seed regardless of worker count or scheduling.  A trial whose d smallest
-agreements with the sent codeword (d the minimum weight) sum past a rounding
-margin cannot err, and is decided without the codebook: the soft-decision
-optimality test of Taipale & Pursley (IEEE Trans. IT, 1991), made exact in
-floating point.  Only the other trials are correlated against all 2^k
-codeword images.
+seed regardless of worker count or scheduling.  A rival codeword at Hamming
+distance w from the sent one can tie or win only if the w smallest
+agreements with the sent codeword sum to at most a rounding margin: the
+soft-decision optimality test of Taipale & Pursley (IEEE Trans. IT, 1991),
+made exact in floating point.  A trial whose d smallest agreements (d the
+minimum weight) sum past the margin cannot err and is decided without the
+codebook; each other trial is correlated only against the codewords within
+its distance bound, as in the candidate pruning of ordered-statistics
+decoding (Fossorier & Lin, IEEE Trans. IT, 1995).
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ __all__ = [
     "DECODING_CAP",
 ]
 
-# A full decode, for each trial the screen cannot settle, evaluates 2^k
-# correlations; the codebook of images is 2^k * n doubles.
+# A full decode, for each trial the screen cannot settle, evaluates up to
+# 2^k correlations; the codebook of images is 2^k * n doubles, held twice.
 DECODING_CAP = 16
 
 # Two-sided miss probability of the reported block-error interval (95 %).
@@ -51,9 +54,11 @@ class McEstimate:
     trial erred; block_error_ci() is the interval that stays informative
     there.
 
-    full_decodes counts the trials that reached the correlation decoder,
-    the ones the exact screen could not settle; like the rates it depends
-    only on the inputs and the seed, not on the thread count.
+    full_decodes counts the trials that the first, minimum-distance screen
+    could not settle, each of which is correlated against the codewords
+    within its distance bound (none, when that bound is below d); like the
+    rates it depends only on the inputs and the seed, not on the thread
+    count.
     """
 
     block_error_rate: float
@@ -95,70 +100,119 @@ def _codeword_images(g: GeneratorMatrix) -> np.ndarray:
     return 2.0 * cw.astype(np.float64) - 1.0
 
 
-def _min_weight(images: np.ndarray) -> int:
-    # Image bit +1 is a codeword 1; image 0 is the zero codeword.
-    return int(np.min(np.count_nonzero(images[1:] > 0.0, axis=1)))
+@dataclass(frozen=True)
+class _Codebook:
+    """A code's images by message index, and its codewords in weight order
+    for candidate decoding.  Built once per simulate_ml call and shared
+    read-only by the worker threads."""
+
+    images: np.ndarray  # (2^k, n), +1 at a codeword 1; row 0 is the zero codeword
+    d: int  # minimum weight, >= 1 as the generator has full rank
+    msgs: np.ndarray  # message indices by (weight, index), the zero codeword first
+    agree: np.ndarray  # -images[msgs]: row i turns agreements into corr(s xor msgs[i])
+    within: np.ndarray  # within[t]: the number of codewords of weight <= t
 
 
-def _decide(
-    y: np.ndarray, sent: np.ndarray, images: np.ndarray, d: int
-) -> tuple[int, int, int]:
+def _codebook(g: GeneratorMatrix) -> _Codebook:
+    images = _codeword_images(g)
+    weights = np.count_nonzero(images > 0.0, axis=1)
+    msgs = np.argsort(weights, kind="stable")
+    within = np.cumsum(np.bincount(weights, minlength=g.n + 1))
+    return _Codebook(images, int(weights[msgs[1]]), msgs, -images[msgs], within)
+
+
+def _decode_block(
+    v: np.ndarray, sent: np.ndarray, book: _Codebook, size: int
+) -> tuple[int, int]:
+    """Block and bit errors of the trials with agreements v, sent as the
+    messages `sent`, decoded against the first `size` codewords in weight
+    order, the zero codeword (the sent word itself) among them."""
+    corr = v @ book.agree[:size].T
+    best = np.max(corr[:, 1:], axis=1)
+    # Ties go to the rival: decoding that lands on the boundary counts as
+    # an error.
+    err = best >= corr[:, 0]
+    if not err.any():
+        return 0, 0
+    # The rival is the first best one in weight order, unless rivals tie
+    # each other: the full decoder's argmax then takes the smallest
+    # message index, sent xor c by linearity.
+    sent = sent[err]
+    hit = corr[err, 1:] == best[err, None]
+    first = np.argmax(hit, axis=1)
+    rival = sent ^ book.msgs[1 + first]
+    hit[np.arange(len(sent)), first] = False
+    tied = np.flatnonzero(np.any(hit, axis=1))
+    row, col = np.nonzero(hit[tied])
+    np.minimum.at(rival, tied[row], sent[tied[row]] ^ book.msgs[1 + col])
+    flips = np.bitwise_xor(rival, sent)
+    return int(np.count_nonzero(err)), int(np.sum(np.bitwise_count(flips.astype(np.uint64))))
+
+
+def _decide(y: np.ndarray, sent: np.ndarray, book: _Codebook) -> tuple[int, int, int]:
     """Block errors, bit errors and full decodes of ML decoding the
-    received words y (m, n), sent as the images indexed by `sent`, of a
-    code of minimum weight d (d >= 1, as the generator has full rank).
+    received words y (m, n), sent as the images indexed by `sent`.
 
-    Screen.  Let v_j = y_j * s_j be the agreement with the sent image s
-    (exact, as s_j = +-1) and S_d the sum of the d smallest v_j.  For any
-    rival image c, corr(s) - corr(c) = 2 * (sum of v_j over the positions D
-    where they differ), and |D| >= d by linearity.  When S_d > 0 the d-th
-    smallest v_j is positive, so that sum is at least S_d.
+    Distance bound.  Let v_j = y_j * s_j be the agreement with the sent
+    image s (exact, as s_j = +-1) and S_w the sum of the w smallest v_j.
+    For a rival image c at Hamming distance w from s, corr(s) - corr(c) =
+    2 * (sum of v_j over the w positions where they differ) >= 2 * S_w.
 
     Rounding, with u = eps/2 and gamma_m = m*u / (1 - m*u).  Each computed
     correlation is within gamma_(n-1) * sum|y_j| of its exact value in any
     summation order (the products by +-1 are exact), so every computed
-    rival stays strictly below the computed sent correlation once the exact
-    S_d exceeds gamma_(n-1) * sum|y_j|.  The computed S_d is within
-    gamma_(d-1) * sum|y_j| of the exact one, and the two errors together,
-    (gamma_(n-1) + gamma_(d-1)) * sum|y_j| < 2 * n * eps * sum|y_j|, are
-    below half the margin 4 * n * eps * sum|y_j| (taken on the computed
-    sum, low by a factor of at most 1 - gamma_(n-1)).  So on a trial whose
-    computed S_d exceeds the margin, the full decoder's `>=` test below is
-    False for every rival: it is decoded error-free without the codebook.
+    rival at distance w stays strictly below the computed sent correlation
+    once the exact S_w exceeds gamma_(n-1) * sum|y_j|.  A sum of w of the
+    v_j, computed in any order, is within gamma_(w-1) * sum|y_j| of the
+    exact one, and the two errors together, (gamma_(n-1) + gamma_(w-1)) *
+    sum|y_j| < 2 * n * eps * sum|y_j| for every w <= n, are below half the
+    margin 4 * n * eps * sum|y_j| (taken on the computed sum, low by a
+    factor of at most 1 - gamma_(n-1)).  So a rival at distance w whose
+    computed S_w exceeds the margin never passes the `>=` test of
+    correlation decoding: the decoder can skip it.
 
-    Only the other trials, the full decodes, are correlated against all
-    2^k images, sub-chunked; ties there go to the rival and count as
-    errors."""
-    v = y * images[sent]
+    Screen.  Every rival is at distance w >= d, the minimum weight, by
+    linearity; when S_d > 0 the d-th smallest v_j is positive, so S_w >=
+    S_d for every such w, and the bound at w = d covers them all.  A trial
+    whose computed S_d (a partition sum) exceeds the margin is decoded
+    error-free without the codebook.
+
+    Candidates.  Each other trial, a full decode, takes t, the largest w
+    whose computed cumulative sum of sorted agreements S_w is within the
+    margin (0 if none), and is decoded against the codewords c of weight
+    <= t only: in agreement space corr(s xor c) = -sum_j v_j * img(c)_j,
+    each product being y_j * img(s xor c)_j exactly, so one candidate
+    matrix serves every sent word.  The set is empty, and the trial error-
+    free, when t < d.  Trials are grouped by candidate count and decoded in
+    blocks of rows; ties go to the rival and count as errors."""
+    d, n = book.d, y.shape[1]
+    v = y * book.images[sent]
     s_d = np.sum(np.partition(v, d - 1, axis=1)[:, :d], axis=1)
-    margin = 4.0 * y.shape[1] * np.finfo(np.float64).eps * np.sum(np.abs(y), axis=1)
+    margin = 4.0 * n * np.finfo(np.float64).eps * np.sum(np.abs(y), axis=1)
     full = np.flatnonzero(~(s_d > margin))
-    y, sent = y[full], sent[full]
-    k = images.shape[0].bit_length() - 1
+    v, sent, margin = v[full], sent[full], margin[full]
+    s_w = np.cumsum(np.sort(v, axis=1), axis=1)
+    t = np.max(np.where(s_w <= margin[:, None], np.arange(1, n + 1), 0), axis=1)
+    sizes = book.within[t]
     block_errors = 0
     bit_errors = 0
-    # Sub-chunk the correlation GEMM to keep the (m_sub, 2^k) block modest.
-    m_sub = max(32, min(2048, (1 << 24) >> k))
-    for lo in range(0, len(full), m_sub):
-        hi = min(lo + m_sub, len(full))
-        corr = y[lo:hi] @ images.T
-        r = np.arange(hi - lo)
-        corr_sent = corr[r, sent[lo:hi]].copy()
-        corr[r, sent[lo:hi]] = -np.inf
-        rival = np.argmax(corr, axis=1)
-        # Ties go to the rival: decoding that lands on the boundary counts
-        # as an error.
-        err = corr[r, rival] >= corr_sent
-        block_errors += int(np.count_nonzero(err))
-        flips = np.bitwise_xor(rival[err], sent[lo:hi][err])
-        bit_errors += int(np.sum(np.bitwise_count(flips.astype(np.uint64))))
+    for size in np.unique(sizes[sizes > 1]).tolist():
+        rows = np.flatnonzero(sizes == size)
+        # 2^19 doubles (4 MB) a correlation block: the fastest measured on
+        # Golay and on a dense k = 16 code (CHANGES.md).
+        step = max(1, (1 << 19) // size)
+        for lo in range(0, len(rows), step):
+            r = rows[lo:lo + step]
+            b, e = _decode_block(v[r], sent[r], book, size)
+            block_errors += b
+            bit_errors += e
     return block_errors, bit_errors, len(full)
 
 
 def _chunk_counts(
     chunk_idx: int,
     m: int,
-    images: np.ndarray,
-    d: int,
+    book: _Codebook,
     sigma: float,
     seed: int,
     random_transmit: bool,
@@ -166,13 +220,15 @@ def _chunk_counts(
     rng = np.random.Generator(
         np.random.Philox(key=[seed & _MASK64, chunk_idx & _MASK64])
     )
+    images = book.images
     n = images.shape[1]
     noise = rng.normal(0.0, sigma, size=(m, n))
     if random_transmit:
         sent = rng.integers(0, images.shape[0], size=m, dtype=np.int64)
     else:
         sent = np.zeros(m, dtype=np.int64)
-    return _decide(noise + images[sent], sent, images, d)
+    noise += images[sent]
+    return _decide(noise, sent, book)
 
 
 def simulate_ml(
@@ -189,9 +245,10 @@ def simulate_ml(
     so this loses no generality; transmit="random" draws a uniform message
     per trial as a linearity sanity check), adds white Gaussian noise with
     sigma^2 = 1/(2c), and decodes by maximum correlation over all 2^k
-    codeword images, skipping the correlations on trials that an exact
-    screen proves error-free (`_decide`).  Bit errors are counted on the
-    information bits of the decoded codeword.
+    codeword images, skipping the trials that an exact screen proves
+    error-free and the rivals that a distance bound proves losing
+    (`_decide`).  Bit errors are counted on the information bits of the
+    decoded codeword.
 
     Randomness is counter-based, keyed by (seed, chunk index), so results
     are reproducible and independent of the thread count.
@@ -207,8 +264,7 @@ def simulate_ml(
     if threads < 1:
         raise ValueError(f"need threads >= 1, got {threads}")
 
-    images = _codeword_images(g)
-    d = _min_weight(images)
+    book = _codebook(g)
     sigma = math.sqrt(ch.sigma_sq)
     random_transmit = transmit == "random"
     sizes = [
@@ -216,7 +272,7 @@ def simulate_ml(
         for idx, start in enumerate(range(0, trials, _CHUNK))
     ]
     work = lambda job: _chunk_counts(
-        job[0], job[1], images, d, sigma, seed, random_transmit
+        job[0], job[1], book, sigma, seed, random_transmit
     )
     if threads == 1:
         counts = [work(job) for job in sizes]

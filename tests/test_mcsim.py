@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from tsbounds import mcsim
@@ -148,8 +150,8 @@ def _crafted_word(images: np.ndarray, d: int, sent: int, delta: float):
 
 @pytest.mark.parametrize("sent", [0, 5])
 def test_screen_boundary_matches_full_decoder(hamming74, sent):
-    images = mcsim._codeword_images(hamming74)
-    d = mcsim._min_weight(images)
+    book = mcsim._codebook(hamming74)
+    images, d = book.images, book.d
     assert d == 3
     eps = np.finfo(np.float64).eps
     margin = 4.0 * 7 * eps * 6.0  # sum|y| = 4 + 1 + 1/2 + 1/2 at delta = 0
@@ -165,7 +167,7 @@ def test_screen_boundary_matches_full_decoder(hamming74, sent):
     for delta, full, block in cases:
         y, rival = _crafted_word(images, d, sent, delta)
         words.append(y)
-        got = mcsim._decide(y[None, :], np.array([sent]), images, d)
+        got = mcsim._decide(y[None, :], np.array([sent]), book)
         want = oracle_decide(y[None, :], np.array([sent]), images)
         assert got == want + (full,), delta
         assert got[0] == block, delta
@@ -174,8 +176,144 @@ def test_screen_boundary_matches_full_decoder(hamming74, sent):
     # the same words in one batch, so the gathered rows keep their order
     y = np.array(words)
     sents = np.full(len(words), sent)
-    batch = mcsim._decide(y, sents, images, d)
+    batch = mcsim._decide(y, sents, book)
     assert batch == oracle_decide(y, sents, images) + (3,)
+
+
+@pytest.fixture
+def decoded_blocks(monkeypatch):
+    """(rows, candidates) of every block that _decide correlates."""
+    blocks = []
+    decode = mcsim._decode_block
+
+    def spy(v, sent, book, size):
+        blocks.append((len(v), size))
+        return decode(v, sent, book, size)
+
+    monkeypatch.setattr(mcsim, "_decode_block", spy)
+    return blocks
+
+
+def _far_word(images: np.ndarray, w: int, sent: int, delta: float, off: float):
+    """A received word whose agreements with image `sent` are `off` outside
+    the support of the first difference of weight w, and 1, -1, 1, ... on
+    it, the last one set so that the support sums to delta: that rival
+    loses by exactly 2 * delta, and each other rival by at least 2 as long
+    as it meets the support in fewer positions than it has outside it
+    times `off`."""
+    diff = np.count_nonzero(images != images[sent], axis=1)
+    rival = int(np.flatnonzero(diff == w)[0])
+    support = np.flatnonzero(images[rival] != images[sent])
+    v = np.full(images.shape[1], off)
+    v[support] = (-1.0) ** np.arange(w)
+    v[support[-1]] = delta - np.sum(v[support[:-1]])
+    return v * images[sent], rival
+
+
+@pytest.mark.parametrize("code,w,off,sent", [
+    ("hamming74", 4, 3.0, 0), ("hamming74", 4, 3.0, 5),
+    ("golay2312", 8, 8.0, 0), ("golay2312", 11, 8.0, 1234), ("golay2312", 12, 8.0, 77),
+])
+def test_rival_beyond_min_distance_matches_full_decoder(request, decoded_blocks, code, w,
+                                                        off, sent):
+    # The rival that ties or wins sits at distance w > d.  With S_w within
+    # the margin the candidates reach weight w; just past it they stop
+    # short of w, and the rival, which loses there, is never correlated.
+    g = request.getfixturevalue(code)
+    book = mcsim._codebook(g)
+    assert book.d < w
+    eps = np.finfo(np.float64).eps
+    y0, _ = _far_word(book.images, w, sent, 0.0, off)
+    margin = 4.0 * g.n * eps * np.sum(np.abs(y0))
+    for delta, block, reach in [
+        (0.0, 1, True),              # exact tie: the rival wins
+        (-margin / 4, 1, True),      # the rival wins by a hair
+        (margin / 4, 0, True),       # S_w just inside the margin
+        (4 * margin, 0, False),      # S_w just outside: the rival is skipped
+    ]:
+        y, rival = _far_word(book.images, w, sent, delta, off)
+        decoded_blocks.clear()
+        got = mcsim._decide(y[None, :], np.array([sent]), book)
+        assert got == oracle_decide(y[None, :], np.array([sent]), book.images) + (1,), delta
+        assert got[0] == block, delta
+        if block:
+            assert got[1] == int(np.bitwise_count(np.uint64(rival ^ sent)))
+        assert (decoded_blocks[0][1] >= book.within[w]) == reach, delta
+
+
+def test_rivals_tied_beyond_min_distance(hamming74):
+    # Agreement -1 on the union of two weight-4 supports and 3 on the one
+    # position outside it: the two rivals and their sum, all at distance 4,
+    # gain 8 on the sent word and tie each other; every other rival gains at
+    # most 6.  The full decoder takes the smallest message index among them.
+    book = mcsim._codebook(hamming74)
+    weights = np.count_nonzero(book.images > 0.0, axis=1)
+    a, b = np.flatnonzero(weights == 4)[:2]
+    v = np.where((book.images[a] > 0.0) | (book.images[b] > 0.0), -1.0, 3.0)
+    sent = np.arange(1 << hamming74.k)
+    y = v * book.images[sent]
+    got = mcsim._decide(y, sent, book)
+    assert got == oracle_decide(y, sent, book.images) + (len(sent),)
+    assert got[0] == len(sent)
+    # all-zero received words tie every rival with the sent word
+    y = np.zeros((len(sent), hamming74.n))
+    assert mcsim._decide(y, sent, book) == oracle_decide(y, sent, book.images) + (len(sent),)
+
+
+def test_screen_miss_with_no_candidates(decoded_blocks):
+    # Length-8 repetition code, d = 8: np.sum adds the partition's eight
+    # agreements pairwise, the cumulative sum adds them in sorted order.
+    # Agreements -1, 0 (5 times), u = 0.3 ulp(1) and 1 + L: pairwise, u is
+    # lost in 1 + L and S_8 = L, at the margin, so the screen fails; in
+    # order, -1 + u rounds to -1 + ulp(1)/2 and S_8 = L + ulp(1)/2, past the
+    # margin.  No weight is left to correlate: decoded error-free.
+    g = GeneratorMatrix(1, 8, np.ones((1, 8), dtype=np.uint8))
+    book = mcsim._codebook(g)
+    eps = np.finfo(np.float64).eps
+    v = np.array([-1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.3 * eps, 1.0 + 64 * eps])
+    assert 64 * eps <= 4.0 * 8 * eps * np.sum(np.abs(v)) < 64.5 * eps
+    for sent in (0, 1):
+        y = v * book.images[sent]
+        got = mcsim._decide(y[None, :], np.array([sent]), book)
+        assert got == oracle_decide(y[None, :], np.array([sent]), book.images) + (1,)
+    assert decoded_blocks == []
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8), extra=st.integers(0, 8),
+       db=st.floats(-2.0, 8.0), transmit=st.sampled_from(["zero", "random"]))
+@settings(max_examples=100, deadline=None)
+def test_candidate_decoder_matches_full_decoder(seed, k, extra, db, transmit):
+    # A random full-rank code with k <= 8 and n <= 16: block and bit errors
+    # are the full decoder's, and the full decodes the first screen's.
+    rng = np.random.default_rng(seed)
+    n = k + extra
+    while True:
+        try:
+            g = GeneratorMatrix(k, n, rng.integers(0, 2, size=(k, n), dtype=np.uint8))
+            break
+        except ValueError:
+            pass
+    book = mcsim._codebook(g)
+    assert book.d == np.min(np.count_nonzero(book.images[1:] > 0.0, axis=1))
+    ch = ChannelPoint.from_eb_n0_db(db, g.rate)
+    m = 256
+    sent = (rng.integers(0, 1 << k, size=m) if transmit == "random"
+            else np.zeros(m, dtype=np.int64))
+    y = rng.normal(0.0, math.sqrt(ch.sigma_sq), size=(m, n)) + book.images[sent]
+    got = mcsim._decide(y, sent, book)
+    assert got[:2] == oracle_decide(y, sent, book.images)
+    v = y * book.images[sent]
+    s_d = np.sum(np.partition(v, book.d - 1, axis=1)[:, :book.d], axis=1)
+    margin = 4.0 * n * np.finfo(np.float64).eps * np.sum(np.abs(y), axis=1)
+    assert got[2] == np.count_nonzero(~(s_d > margin))
+
+
+def test_golay_candidates_are_a_fraction_of_the_codebook(golay2312, decoded_blocks):
+    # At 3 dB the unsettled trials need about 15 % of the 2^k correlations.
+    ch = ChannelPoint.from_eb_n0_db(3.0, golay2312.rate)
+    est = simulate_ml(golay2312, ch, trials=20_000, seed=1)
+    correlations = sum(rows * size for rows, size in decoded_blocks)
+    assert correlations <= 0.2 * (1 << golay2312.k) * est.full_decodes
 
 
 def test_golay_high_snr_rarely_reaches_full_decoder(golay2312):
