@@ -5,9 +5,9 @@ E_b/N_0 grid, and run the Monte-Carlo ML simulator.
 All sweeps emit CSV with 17-significant-digit floats, so a fixed command line
 reproduces byte-identical output.  Per-cell numeric failures become "nan"
 cells; they, the bound cells whose quadrature did not converge and every
-warning a bound sweep raised are listed in a JSON diagnostics sidecar next
-to the output file.  The exit code is 3 only when every cell of a sweep
-failed; usage and input problems exit 2.
+warning a sweep raised are listed in a JSON diagnostics sidecar next to the
+output file, and each warning is then issued again.  The exit code is 3 only
+when every cell of a sweep failed; usage and input problems exit 2.
 """
 
 from __future__ import annotations
@@ -84,10 +84,18 @@ def _resolve_source(args, sub):
 
 
 def _sweep(grid, worker, threads: int):
-    if threads <= 1:
-        return [worker(x) for x in grid]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, grid))
+    """Run worker on every grid point; returns the results and every warning
+    the rows raised.  One catch in this thread records them all: the warning
+    filters are process-wide, and a catch per worker thread is not
+    thread-safe."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if threads <= 1:
+            results = [worker(x) for x in grid]
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(worker, grid))
+    return results, caught
 
 
 def _write_text(out: str | None, text: str) -> None:
@@ -98,20 +106,26 @@ def _write_text(out: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_diagnostics(out: str | None, failures: list[dict], unconverged=(), warned=()) -> None:
-    if not (failures or unconverged or warned):
-        return
-    diag = {"failures": failures}
-    if unconverged:
-        diag["unconverged"] = unconverged
-    if warned:
-        diag["warnings"] = warned
-    payload = json.dumps(diag, indent=1, sort_keys=True) + "\n"
-    if out:
-        with open(out + ".diag.json", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
-    else:
-        sys.stderr.write(payload)
+def _emit_diagnostics(out: str | None, failures: list[dict], unconverged=(), caught=()) -> None:
+    """Write the sidecar, listing every caught warning, then issue each of
+    them again (no registry: each is shown, none deduplicated)."""
+    if failures or unconverged or caught:
+        diag = {"failures": failures}
+        if unconverged:
+            diag["unconverged"] = unconverged
+        if caught:
+            diag["warnings"] = [
+                {"category": c, "message": m}
+                for c, m in sorted((w.category.__name__, str(w.message)) for w in caught)
+            ]
+        payload = json.dumps(diag, indent=1, sort_keys=True) + "\n"
+        if out:
+            with open(out + ".diag.json", "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(payload)
+        else:
+            sys.stderr.write(payload)
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +206,7 @@ def cmd_bounds(args, sub) -> int:
                 fails.append(at | {"error": str(exc)})
         return cells, fails, unconv
 
-    # One catch in this thread records every row's warnings: the warning
-    # filters are process-wide, and a catch per worker thread is not
-    # thread-safe.  Each is listed in the sidecar, then issued again.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        results = _sweep(grid, row, args.threads)
-    warned = [{"category": c, "message": m}
-              for c, m in sorted((w.category.__name__, str(w.message)) for w in caught)]
+    results, caught = _sweep(grid, row, args.threads)
     header = "eb_n0_db,c," + ",".join(f"{b},log_{b}" for b in names)
     lines = [header]
     failures: list[dict] = []
@@ -208,9 +215,7 @@ def cmd_bounds(args, sub) -> int:
         lines.append(",".join([_fmt(db)] + [_fmt(v) for v in cells]))
     _write_text(args.out, "\n".join(lines) + "\n")
     unconverged = [u for *_, unconv in results for u in unconv]
-    _emit_diagnostics(args.out, failures, unconverged, warned)
-    for w in caught:  # no registry: each is shown, none deduplicated
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    _emit_diagnostics(args.out, failures, unconverged, caught)
     if len(failures) == len(grid) * len(names):
         return EXIT_NUMERIC
     return EXIT_OK
@@ -241,14 +246,14 @@ def cmd_exponent(args, sub) -> int:
             fails.append({"inv_eb_n0": inv, "column": "e_rce", "error": str(exc)})
         return (inv, e_ub, e_tsb, e_rce, d_star), fails
 
-    results = _sweep(grid, row, args.threads)
+    results, caught = _sweep(grid, row, args.threads)
     lines = ["inv_eb_n0,e_ub,e_tsb,e_rce,delta_star"]
     failures: list[dict] = []
     for cells, fails in results:
         failures.extend(fails)
         lines.append(",".join(_fmt(v) for v in cells))
     _write_text(args.out, "\n".join(lines) + "\n")
-    _emit_diagnostics(args.out, failures)
+    _emit_diagnostics(args.out, failures, caught=caught)
     if len(failures) == 2 * len(grid):
         return EXIT_NUMERIC
     return EXIT_OK

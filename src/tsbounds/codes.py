@@ -171,17 +171,20 @@ class Iowef:
 class GrowthRate:
     """Normalized log spectrum evaluator r(delta) = ln A_{delta n} / n.
 
-    kind tags the provenance: "code" (finite spectrum; n is set and the
-    evaluator is a step lookup), "ensemble" (closed form; rate is set), or
-    any user-defined tag for a custom analytic r(delta).
+    fn maps a normalized weight to r, and a 1-D array of them to the array
+    of r elementwise (a value that broadcasts to it, such as a constant, is
+    accepted); growth_rate is such a function.  kind tags the provenance:
+    "code" (finite spectrum; n is set and the evaluator is a step lookup),
+    "ensemble" (closed form; rate is set), or any user-defined tag for a
+    custom analytic r(delta).
     """
 
-    fn: Callable[[float], float]
+    fn: Callable
     kind: str
     n: int | None = None
     rate: float | None = None
 
-    def __call__(self, delta: float) -> float:
+    def __call__(self, delta):
         return self.fn(delta)
 
     @classmethod
@@ -275,23 +278,36 @@ def bit_weight_transform(io: Iowef) -> DistanceSpectrum:
     return DistanceSpectrum(n=io.n, log_a=log_a, d_min=d_min, kind="bit", rate=io.k / io.n)
 
 
-def growth_rate(spec: DistanceSpectrum, delta: float) -> float:
+def growth_rate(spec: DistanceSpectrum, delta):
     """Normalized log spectrum r(delta) = ln A_h / n at h = delta * n.
 
     Finite spectra use the nearest weight; ensemble spectra use the closed
     form H(delta) - (1-R) ln 2 with H the natural-log binary entropy.
-    Returns -inf where the spectrum is empty.
+    Returns -inf where the spectrum is empty.  delta is a float (a float is
+    returned, in math-module arithmetic) or a 1-D array (an array is
+    returned, elementwise in numpy arithmetic, whose logarithms may differ
+    from the math module's in the last bit).
     """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0,1], got {delta}")
+    if np.ndim(delta) == 0:
+        if not 0.0 < delta <= 1.0:
+            raise ValueError(f"delta must lie in (0,1], got {delta}")
+        if spec.kind == "ensemble":
+            if delta == 1.0:
+                ent = 0.0
+            else:
+                ent = -delta * math.log(delta) - (1.0 - delta) * math.log1p(-delta)
+            return ent - (1.0 - spec.rate) * _LN2
+        h = int(round(delta * spec.n))
+        return float(spec.log_a[h]) / spec.n
+    d = np.asarray(delta, dtype=float)
+    outside = ~((0.0 < d) & (d <= 1.0))
+    if outside.any():
+        raise ValueError(f"delta must lie in (0,1], got {d[outside][0]}")
     if spec.kind == "ensemble":
-        if delta == 1.0:
-            ent = 0.0
-        else:
-            ent = -delta * math.log(delta) - (1.0 - delta) * math.log1p(-delta)
-        return ent - (1.0 - spec.rate) * _LN2
-    h = int(round(delta * spec.n))
-    return float(spec.log_a[h]) / spec.n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ent = -d * np.log(d) - (1.0 - d) * np.log1p(-d)
+        return np.where(d == 1.0, 0.0, ent) - (1.0 - spec.rate) * _LN2
+    return np.asarray(spec.log_a, dtype=float)[np.rint(d * spec.n).astype(int)] / spec.n
 
 
 def save_spectrum(spec: DistanceSpectrum, path: str) -> None:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize as _box_minimize
-from scipy.special import logsumexp
 
 from .codes import DistanceSpectrum, GrowthRate
 from .geometry import rho_max_wh, rho_ww, zeta_wh
@@ -257,42 +256,56 @@ def _tilt_slope(q, n, c, u, eta):
 _TILTS = threading.local()
 
 
-def _tilt_terms(n: int, c: float, eta: float) -> np.ndarray:
-    """The minima terms of _solve_tilts(n, c, eta), kept read-only per thread
-    for the latest (n, c) only: chernoff_tsb and chernoff_psi at one (n, c)
-    search the same slopes."""
+def _tilt_terms(n: int, c: float, eta: np.ndarray) -> np.ndarray:
+    """Rows of the minima terms of _solve_tilts(n, c, eta), one per slope in
+    the 1-D array eta, as a new array.  Rows are kept per thread for the
+    latest (n, c) only, and the slopes not yet kept are solved in one batch:
+    chernoff_tsb and chernoff_psi at one (n, c) search the same slopes."""
     if getattr(_TILTS, "nc", None) != (n, c):
         _TILTS.nc, _TILTS.by_eta = (n, c), {}
-    if eta not in _TILTS.by_eta:
-        _TILTS.by_eta[eta] = terms = _solve_tilts(n, c, eta)[1]
-        terms.flags.writeable = False  # shared by every caller
-    return _TILTS.by_eta[eta]
+    kept, keys = _TILTS.by_eta, eta.tolist()
+    missing = [e for e in dict.fromkeys(keys) if e not in kept]
+    if missing:
+        kept.update(zip(missing, _solve_tilts(n, c, np.array(missing))[1]))
+    return np.array([kept[e] for e in keys])
 
 
-def _solve_tilts(n: int, c: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-weight tilts q[h] and minima terms[h] = min over q of
+def _solve_tilts(n: int, c: float, eta) -> tuple[np.ndarray, np.ndarray]:
+    """Per-weight tilts q[..., h] and minima terms[..., h] = min over q of
     ln sqrt((1-2q)/(1+2q eta)) - n E: the cap at h = 0 (Delta^2 = 0, tilt in
     [0, 1/2)), the weight-h pair term for h >= 1 (tilt in [-1/(2 eta), 0];
-    Delta^2 = +inf at h = n).  Exact: the box end where f' keeps one sign,
-    else the root of f' by Newton steps on _tilt_slope, kept inside the sign
-    bracket [a, b] found by one pass over five tilts (else bisecting it)."""
+    Delta^2 = +inf at h = n).  eta is one slope (rows of n+1) or a 1-D array
+    of m slopes ((m, n+1) arrays).  Exact: the box end where f' keeps one
+    sign, else the root of f' by Newton steps on _tilt_slope, kept inside the
+    sign bracket [a, b] found by one pass over five tilts (else bisecting
+    it).  A row stops stepping once all its tilts settle, so each row is
+    what solving its slope alone gives."""
+    eta = np.asarray(eta, dtype=float)[..., None]
     hs = np.arange(n + 1)
     lo = np.where(hs == 0, 0.0, -0.5 / eta * _TILT_EDGE)
     hi = np.where(hs == 0, 0.5 * _TILT_EDGE, 0.0)
     u = 1.0 - hs / n
-    qs = lo + np.linspace(0.0, 1.0, 5)[:, None] * (hi - lo)
+    qs = lo + np.linspace(0.0, 1.0, 5).reshape((5,) + (1,) * lo.ndim) * (hi - lo)
     gs, _ = _tilt_slope(qs, n, c, u, eta)
     # a = b = the box end holding the minimum where f' keeps one sign
     j = np.argmax(gs > 0.0, axis=0)
-    a = np.where(gs[-1] > 0.0, np.choose(np.maximum(j - 1, 0), qs), hi)
-    b = np.where(gs[-1] > 0.0, np.choose(j, qs), hi)
+
+    def pick(k: np.ndarray) -> np.ndarray:
+        return np.take_along_axis(qs, k[None], axis=0)[0]
+
+    a = np.where(gs[-1] > 0.0, pick(np.maximum(j - 1, 0)), hi)
+    b = np.where(gs[-1] > 0.0, pick(j), hi)
     x = 0.5 * (a + b)
+    settled = np.zeros(eta.shape[:-1], dtype=bool)
     for _ in range(60):  # each step at worst halves the bracket
         g, dg = _tilt_slope(x, n, c, u, eta)
         a, b = np.where(g < 0.0, x, a), np.where(g > 0.0, x, b)
         step = x - np.divide(g, dg, out=np.full_like(x, np.inf), where=dg != 0.0)
-        x, last = np.where((a <= step) & (step <= b), step, 0.5 * (a + b)), x
-        if np.all(np.abs(x - last) <= 1e-12 * (hi - lo)):
+        nxt = np.where((a <= step) & (step <= b), step, 0.5 * (a + b))
+        done = np.all(np.abs(nxt - x) <= 1e-12 * (hi - lo), axis=-1)
+        x = np.where(settled[..., None], x, nxt)
+        settled = settled | done
+        if np.all(settled):
             break
     dsq = np.where(hs < n, hs / np.maximum(n - hs, 1), np.inf)
     pref = 0.5 * (np.log1p(-2.0 * x) - np.log1p(2.0 * x * eta))
@@ -300,18 +313,21 @@ def _solve_tilts(n: int, c: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chernoff_log_total(
-    n: int, c: float, spec: DistanceSpectrum, eta: float, layered: bool = False
-) -> float:
-    """Log of the assembled exponential bound at one slope: cap term plus the
-    spectrum pair terms, plus (for the layered variant) the cheapest unit
-    reference pair term over the layers w = 1..n-1."""
+    n: int, c: float, spec: DistanceSpectrum, eta: np.ndarray, layered: bool = False
+) -> np.ndarray:
+    """Log of the assembled exponential bound at each slope of the 1-D array
+    eta: cap term plus the spectrum pair terms, plus (for the layered
+    variant) the cheapest unit reference pair term over the layers
+    w = 1..n-1."""
     terms = _tilt_terms(n, c, eta)
     log_a = np.asarray(spec.log_a, dtype=float)
     ws = np.nonzero(np.isfinite(log_a[1:]))[0] + 1
-    base = float(logsumexp(np.append(log_a[ws] + terms[ws], terms[0])))
+    parts = np.concatenate([log_a[ws] + terms[:, ws], terms[:, :1]], axis=1)
+    top = parts.max(axis=1)  # finite: every term is
+    base = np.log(np.exp(parts - top[:, None]).sum(axis=1)) + top
     if not layered:
         return base
-    return float(np.min(np.logaddexp(base, terms[1:n])))
+    return np.min(np.logaddexp(base[:, None], terms[:, 1:n]), axis=1)
 
 
 def _check_assembly_args(n: int, c: float, spec: DistanceSpectrum) -> None:
@@ -324,8 +340,8 @@ def _check_assembly_args(n: int, c: float, spec: DistanceSpectrum) -> None:
 
 
 def _optimize_eta(total, cell: str) -> float:
-    """Minimize total over ln eta in the slope box; a clipped optimum warns,
-    naming the cell (bound, n and c)."""
+    """Minimize total, an array function of ln eta, over the slope box; a
+    clipped optimum warns, naming the cell (bound, n and c)."""
     x, val = minimize_1d(total, _ETA_LOG_LO, _ETA_LOG_HI, grid_points=33)
     if min(x - _ETA_LOG_LO, _ETA_LOG_HI - x) < 0.1:
         # Pinning at the box edge is routine at low SNR (the assembly
@@ -333,7 +349,8 @@ def _optimize_eta(total, cell: str) -> float:
         # descent at the edge signals a meaningfully clipped optimum.
         edge = _ETA_LOG_LO if x - _ETA_LOG_LO < _ETA_LOG_HI - x else _ETA_LOG_HI
         inward = edge + 0.5 if edge == _ETA_LOG_LO else edge - 0.5
-        if total(inward) - total(edge) > 1e-3:
+        at_edge, inside = total(np.array([edge, inward]))
+        if inside - at_edge > 1e-3:
             warnings.warn(
                 f"{cell}: slope-parameter search pinned at the box edge while "
                 "still descending; the bound is valid but loose",
@@ -353,7 +370,7 @@ def chernoff_tsb(n: int, c: float, spec: DistanceSpectrum) -> float:
     """
     _check_assembly_args(n, c, spec)
     return _optimize_eta(
-        lambda x: _chernoff_log_total(n, c, spec, math.exp(x)),
+        lambda x: _chernoff_log_total(n, c, spec, np.exp(x)),
         f"chernoff_tsb(n={n}, c={c:.17g})",
     )
 
@@ -373,7 +390,7 @@ def chernoff_psi(n: int, c: float, spec: DistanceSpectrum) -> float:
     if n < 2:
         raise ValueError(f"need n >= 2 for a reference layer, got n={n}")
     return _optimize_eta(
-        lambda x: _chernoff_log_total(n, c, spec, math.exp(x), layered=True),
+        lambda x: _chernoff_log_total(n, c, spec, np.exp(x), layered=True),
         f"chernoff_psi(n={n}, c={c:.17g})",
     )
 
@@ -410,12 +427,29 @@ def _closed_form_pieces(
     return obj, gamma, c0
 
 
+def _closed_form_value(c: float, delta, r):
+    """The objective of _closed_form_pieces, elementwise: a float pair takes
+    its scalar arithmetic, arrays the same formulas in numpy, whose
+    transcendentals may differ from the scalar ones in the last bit."""
+    if np.ndim(delta) == 0:
+        return _closed_form_pieces(c, delta, r)[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c0 = (1.0 - np.exp(-2.0 * r)) * (1.0 - delta) / (2.0 * delta)
+        x = np.sqrt(c / c0 + (1.0 + c) ** 2 - 1.0) - (1.0 + c)
+        gamma = x * (1.0 - delta) / delta  # +inf at zero growth: the boundary
+        inner = 0.5 * np.log1p(-2.0 * c0 * x) + c * x / (1.0 + x)
+    obj = np.where((gamma >= 0.0) & (gamma <= 1.0), inner, c * delta - r)
+    return np.where(delta >= 1.0, c, obj)
+
+
 def _minimize_exponent(rate_fn: GrowthRate, c: float, per_delta) -> ExponentResult:
     """Minimize per_delta(delta, r) over the admissible normalized weights
-    {delta in (0, 1] : r(delta) >= 0}.  Finite code spectra are scanned at
-    their exact weights; analytic growth rates get a dense grid plus a golden
-    refinement around the seed.  Ties resolve to the smallest delta.  The
-    result carries the closed form's (gamma, c0) at the minimizing delta."""
+    {delta in (0, 1] : r(delta) >= 0}; per_delta is elementwise over arrays
+    and takes scalar arithmetic on floats.  Finite code spectra are scanned
+    at their exact weights; analytic growth rates get a dense grid, one array
+    evaluation, plus a golden refinement around the seed in scalar
+    arithmetic.  Ties resolve to the smallest delta.  The result carries the
+    closed form's (gamma, c0) at the minimizing delta."""
     if c <= 0.0:
         raise ValueError(f"channel parameter must be positive, got c={c}")
     if rate_fn.kind == "code" and rate_fn.n:
@@ -437,28 +471,36 @@ def _minimize_exponent(rate_fn: GrowthRate, c: float, per_delta) -> ExponentResu
     else:
         m = 4096
         ds = np.linspace(0.0, 1.0, m + 1)[1:]
-        rs = np.array([rate_fn(float(d)) for d in ds])
-        adm = np.nonzero(rs >= 0.0)[0]
-        if adm.size == 0:
+        rs = np.broadcast_to(np.asarray(rate_fn(ds), dtype=float), ds.shape)
+        adm = rs >= 0.0
+        if not adm.any():
             raise ValueError(
                 "no admissible normalized weight: the growth rate is negative "
                 "everywhere on (0, 1]"
             )
         vals = np.full(m, np.inf)
-        for i in adm:
-            vals[i] = per_delta(float(ds[i]), float(rs[i]))
+        vals[adm] = per_delta(ds[adm], rs[adm])
         i = int(np.argmin(vals))
 
-        def wrapped(d: float) -> float:
+        def scalar(d: float) -> float:
             r = rate_fn(d)
             return per_delta(d, r) if r >= 0.0 else math.inf
+
+        # The array values differ from the scalar ones by rounding only, far
+        # less than between neighboring grid points, so the seed is the
+        # scalar scan's; its value is taken in the refinement's scalar
+        # arithmetic.
+        seed = scalar(float(ds[i]))
+
+        def wrapped(x: np.ndarray) -> np.ndarray:
+            return np.array([scalar(d) for d in x.tolist()])
 
         d, v = minimize_1d(
             wrapped, float(ds[max(i - 1, 0)]), float(ds[min(i + 1, m - 1)]),
             grid_points=17,
         )
-        if not v < vals[i]:
-            d, v = float(ds[i]), float(vals[i])
+        if not v < seed:
+            d, v = float(ds[i]), seed
     _, gamma, c0 = _closed_form_pieces(c, d, rate_fn(d))
     return ExponentResult(exponent=v, delta_star=d, gamma_star=gamma, c0_star=c0)
 
@@ -471,9 +513,7 @@ def tsb_exponent(rate_fn: GrowthRate, c: float) -> ExponentResult:
     result carries the minimizing delta and the (gamma, c0) parameters there.
     A negative exponent is reported as-is and flagged vacuous.
     """
-    return _minimize_exponent(
-        rate_fn, c, lambda dd, rr: _closed_form_pieces(c, dd, rr)[0]
-    )
+    return _minimize_exponent(rate_fn, c, lambda dd, rr: _closed_form_value(c, dd, rr))
 
 
 def union_exponent(rate_fn: GrowthRate, c: float) -> ExponentResult:
@@ -492,7 +532,10 @@ def gallager_rce(rate: float, c: float) -> float:
 
     E0 comes from quadrature of the (1+rho)-power of the tilted two-mass
     output density, truncated twelve standard deviations past the signal
-    points."""
+    points.  The integrand is even in the output (bit for bit: negating u
+    swaps the two exponentials), so it is integrated over the positive half
+    and doubled.  An E0 quadrature that misses _GALLAGER_TOL raises
+    RuntimeError naming rho and c."""
     if not 0.0 < rate < 1.0:
         raise ValueError(f"rate must lie in (0,1), got {rate}")
     if c <= 0.0:
@@ -509,12 +552,18 @@ def gallager_rce(rate: float, c: float) -> float:
 
         # the (2 pi)^{-1/(2(1+rho))} normalization of each tilted density
         # reassembles to exactly (2 pi)^{-1/2} after the outer power
-        quad = adaptive_integrate(f, -(a + 12.0), a + 12.0, _GALLAGER_TOL)
-        return 0.5 * math.log(2.0 * math.pi) - math.log(quad.value)
+        quad = adaptive_integrate(f, 0.0, a + 12.0, _GALLAGER_TOL)
+        if not quad.converged:
+            raise RuntimeError(
+                f"gallager_rce: E0 quadrature at rho={rho!r}, c={c!r} missed "
+                f"its tolerance (error estimate {quad.error:.3g})"
+            )
+        return 0.5 * math.log(2.0 * math.pi) - math.log(2.0 * quad.value)
 
-    _, neg = minimize_1d(
-        lambda rho: rho * rate * _LN2 - e0(rho), 0.0, 1.0, grid_points=33
-    )
+    def objective(rhos: np.ndarray) -> np.ndarray:
+        return np.array([rho * rate * _LN2 - e0(rho) for rho in rhos.tolist()])
+
+    _, neg = minimize_1d(objective, 0.0, 1.0, grid_points=33)
     return -neg
 
 

@@ -2,6 +2,10 @@
 and the one 1-D minimizer (minimize_1d: a grid scan, then golden-section
 refinement).
 
+Integrands and objectives share one array contract: each maps a 1-D numpy
+array of abscissae to an array of values, one per abscissa, so a whole
+quadrature panel or grid scan is one call.
+
 Everything here is a pure function of its inputs and safe to call from any
 number of threads.
 """
@@ -311,30 +315,33 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def minimize_1d(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     tol: Tolerance = DEFAULT_TOL,
     grid_points: int = 129,
 ) -> tuple[float, float]:
-    """Global-ish 1-D minimization of a scalar function over [lo, hi].
+    """Global-ish 1-D minimization of f over [lo, hi].
 
-    An evenly spaced grid scan, whose minimum (ties broken toward the
-    smallest argument) seeds a golden-section search on its neighboring
-    grid interval, stopped once the bracket meets tol or after tol.max_iter
-    steps.  Returns the bracket midpoint and its value, or the grid seed
-    when that is no worse.  Deterministic.
+    f maps a 1-D array of abscissae to the array of its values there.  An
+    evenly spaced grid scan (one call on the whole grid), whose minimum
+    (ties broken toward the smallest argument) seeds a golden-section search
+    on its neighboring grid interval: one call on the two first interior
+    points, then one call on a one-element array per step, stopped once the
+    bracket meets tol or after tol.max_iter steps.  Returns the bracket
+    midpoint and its value, or the grid seed when that is no worse.
+    Deterministic.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
-    xs = [float(x) for x in np.linspace(lo, hi, grid_points)]
-    fs = [f(x) for x in xs]
+    xs = np.linspace(lo, hi, grid_points)
+    fs = f(xs)
     best = int(np.argmin(fs))  # the first (smallest-x) minimum
-    a, b = xs[max(best - 1, 0)], xs[min(best + 1, grid_points - 1)]
+    a, b = float(xs[max(best - 1, 0)]), float(xs[min(best + 1, grid_points - 1)])
     x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
+    f1, f2 = f(np.array((x1, x2))).tolist()
     for _ in range(tol.max_iter):
         if not b - a > tol.abs_tol + tol.rel_tol * (abs(a) + abs(b)):
             break
@@ -343,12 +350,12 @@ def minimize_1d(
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
+            (f1,) = f(np.array((x1,))).tolist()
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
+            (f2,) = f(np.array((x2,))).tolist()
     xm = 0.5 * (a + b)
-    fm = f(xm)
+    (fm,) = f(np.array((xm,))).tolist()
     x, v = (xs[best], fs[best]) if fs[best] <= fm else (xm, fm)
     return float(x), float(v)

@@ -1,15 +1,16 @@
 """Closed forms and search routines that only the tests use as references:
 the admissible correlation interval between two weights, the same-weight
 sheared exponent profile whose stationary points the k = 0 face degeneracy
-check verifies, and the vector grid-plus-golden minimizer that the scalar
-minimize_1d and the exact Chernoff tilt solve are checked against."""
+check verifies, the vector grid-plus-golden minimizer that minimize_1d and
+the exact Chernoff tilt solve are checked against, and the scalar weight
+scan that the exponents' array scan is checked against."""
 
 import math
 
 import numpy as np
 
 from tsbounds.geometry import rho_ww
-from tsbounds.numerics import DEFAULT_TOL, Tolerance
+from tsbounds.numerics import DEFAULT_TOL, Tolerance, minimize_1d
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -121,3 +122,24 @@ def minimize_componentwise(f, lo, hi, tol: Tolerance = DEFAULT_TOL, grid_points:
     fm = f(xm)
     seed = fs[best, idx] <= fm
     return np.where(seed, xs[best, idx], xm), np.where(seed, fs[best, idx], fm)
+
+
+def scalar_scan_exponent(rate_fn, per_delta):
+    """The asymptotic exponents' minimization over normalized weights with
+    every grid point evaluated alone, in scalar arithmetic: a 4096-point
+    scan of the admissible weights (r >= 0), then minimize_1d over the
+    neighboring grid interval of its first minimum, 17 points, each
+    evaluated alone too.  Returns (value, delta)."""
+    m = 4096
+    ds = np.linspace(0.0, 1.0, m + 1)[1:]
+    rs = [rate_fn(float(d)) for d in ds]
+    vals = [per_delta(float(d), r) if r >= 0.0 else math.inf for d, r in zip(ds, rs)]
+    i = int(np.argmin(vals))
+
+    def one_by_one(x):
+        return np.array([per_delta(d, rate_fn(d)) if rate_fn(d) >= 0.0 else math.inf
+                         for d in x.tolist()])
+
+    d, v = minimize_1d(one_by_one, float(ds[max(i - 1, 0)]), float(ds[min(i + 1, m - 1)]),
+                       grid_points=17)
+    return (d, v) if v < vals[i] else (float(ds[i]), vals[i])

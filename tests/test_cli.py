@@ -3,10 +3,12 @@ stability, byte determinism, per-cell failure handling, and exit codes."""
 
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import pytest
 
-from tsbounds import bounds, cli
+from tsbounds import bounds, cli, exponents
 from tsbounds.cli import main, parse_grid
 from tsbounds.codes import load_spectrum
 
@@ -308,6 +310,82 @@ def test_exponent_columns_and_ordering(tmp_path):
         assert e_ub <= e_tsb + 1e-6
         assert e_tsb <= e_rce + 1e-6
         assert 0.0 < d_star <= 1.0
+
+
+# The rows of `exponent --ensemble 64,0.5 --grid 0.45:0.85:0.05` recorded for
+# the exponent-assembly benchmark, when every scan ran in scalar arithmetic
+# and E0 was integrated over the whole output line.
+EXPONENT_ROWS_64 = [
+    [0.45, 0.06200160829370094, 0.06608871068472544, 0.06700331512756857, 0.22002098847332688],
+    [0.5, 0.03331190276174978, 0.04584683883416618, 0.04712762747737867, 0.22002098847332688],
+    [0.55, 0.008038966464072428, 0.03135216705454773, 0.03276760607721321, 0.22002098847332688],
+    [0.6000000000000001, -0.01431122565423082, 0.020930320478002182, 0.022334437277906738,
+     0.22002098847332688],
+    [0.65, -0.03416797373408262, 0.013464572274193176, 0.014764117149819886, 0.22002098847332688],
+    [0.7, -0.05189487131981385, 0.008186735232247076, 0.009321956442346721, 0.22002098847332688],
+    [0.75, -0.06779649657209944, 0.004554514138745636, 0.005487468614484556, 0.22002098847332688],
+    [0.8, -0.08212708799654594, 0.0021765725883240612, 0.002883790827165021, 0.22002098847332688],
+    [0.8500000000000001, -0.09509896038301272, 0.0007651371291541864, 0.0012328967922080394,
+     0.22002098847332688],
+]
+
+
+def test_exponent_rows_frozen(tmp_path):
+    # The array scans and the half-line E0 move no value past rounding:
+    # every column within 1e-12 relative of the recorded rows.  delta_star is
+    # the argmax of a flat c0(delta), where a different search path moves it
+    # by ~1e-8, so it is held to 1e-9.
+    out = tmp_path / "exp.csv"
+    assert run_cli(["exponent", "--ensemble", "64,0.5", "--grid", "0.45:0.85:0.05",
+                    "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == len(EXPONENT_ROWS_64)
+    for got, want in zip(rows, EXPONENT_ROWS_64):
+        for col, (g, w) in enumerate(zip(got, want)):
+            assert abs(g - w) <= 1e-12 * abs(w), (want[0], col, g, w)
+        assert abs(got[4] - want[4]) <= 1e-9 * want[4]
+
+
+def test_exponent_warnings_reach_sidecar(tmp_path, monkeypatch):
+    # every warning a row raises, in any worker thread, is listed in the
+    # sidecar and then shown; the CSV and the exit code do not change
+    rce = cli.gallager_rce
+
+    def warning_rce(rate, c):
+        warnings.warn(f"probe at c={c!r}", RuntimeWarning)
+        return rce(rate, c)
+
+    monkeypatch.setattr(cli, "gallager_rce", warning_rce)
+    out = tmp_path / "exp.csv"
+    argv = ["exponent", "--ensemble", "64,0.5", "--grid", "0.6:0.8:0.1",
+            "--threads", "2", "--out", str(out)]
+    with pytest.warns(RuntimeWarning, match="probe at c=") as record:
+        assert run_cli(argv) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 3 and all(math.isfinite(v) for row in rows for v in row)
+    diag = json.loads((tmp_path / "exp.csv.diag.json").read_text())
+    assert diag["failures"] == []
+    assert [e["message"] for e in diag["warnings"]] == sorted(str(w.message) for w in record)
+    assert len(diag["warnings"]) == 3
+    assert all(e["category"] == "RuntimeWarning" for e in diag["warnings"])
+
+
+def test_exponent_unconverged_e0_reaches_sidecar(tmp_path, monkeypatch):
+    # an E0 quadrature that misses its tolerance leaves that row's e_rce nan
+    # and lists it, naming rho and c; the other columns keep their values
+    monkeypatch.setattr(exponents, "_GALLAGER_TOL",
+                        replace(exponents._GALLAGER_TOL, max_iter=1))
+    out = tmp_path / "exp.csv"
+    assert run_cli(["exponent", "--ensemble", "64,0.5", "--grid", "0.6:0.8:0.1",
+                    "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert all(math.isnan(row[3]) for row in rows)
+    assert all(math.isfinite(v) for row in rows for v in row[:3] + row[4:])
+    diag = json.loads((tmp_path / "exp.csv.diag.json").read_text())
+    assert [(f["inv_eb_n0"], f["column"]) for f in diag["failures"]] == [
+        (row[0], "e_rce") for row in rows]
+    for f, row in zip(diag["failures"], rows):
+        assert f"c={0.5 / row[0]!r}" in f["error"] and "rho=" in f["error"]
 
 
 def test_exponent_single_point_and_code_source(gen_file, tmp_path):

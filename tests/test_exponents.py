@@ -13,7 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closed_forms import _g1, _g2, _tau_star, _xi_star, minimize_componentwise
+from closed_forms import (
+    _g1,
+    _g2,
+    _tau_star,
+    _xi_star,
+    minimize_componentwise,
+    scalar_scan_exponent,
+)
 from tsbounds import exponents
 from tsbounds.bounds import ChannelPoint, tsb_block
 from tsbounds.codes import DistanceSpectrum, GrowthRate, random_ensemble_spectrum
@@ -30,7 +37,7 @@ from tsbounds.exponents import (
     union_exponent,
     verify_kstar_zero,
 )
-from tsbounds.numerics import log_q_function
+from tsbounds.numerics import Tolerance, log_q_function
 
 NEG_INF = -math.inf
 R_HAMMING = 4 / 7
@@ -446,41 +453,62 @@ def test_tilt_solve_matches_grid_golden_oracle():
 
 
 def test_tilt_solve_work_is_bounded(monkeypatch):
-    # One bracketing pass plus at most 12 Newton steps per slope at n = 512.
-    # Without the factor p the pole at the lower tilt edge drives Newton to
-    # bisection, and rejecting a step that lands exactly on a bracket end
-    # keeps bisecting after the root is found; either breaks this bound.
-    per_slope, calls = [], [0]
+    # One bracketing pass plus at most 12 Newton steps per objective call at
+    # n = 512, the grid scan's batch of 33 slopes included (a batch steps
+    # until its last slope settles).  Without the factor p the pole at the
+    # lower tilt edge drives Newton to bisection, and rejecting a step that
+    # lands exactly on a bracket end keeps bisecting after the root is found;
+    # either breaks this bound.
+    per_slope, batches, calls = [], [], [0]
     slope, total = exponents._tilt_slope, exponents._chernoff_log_total
 
     def slope_spy(*args):
         calls[0] += 1
         return slope(*args)
 
-    def total_spy(*args, **kwargs):
+    def total_spy(n, c, spec, eta, **kwargs):
         calls[0] = 0
-        value = total(*args, **kwargs)
+        value = total(n, c, spec, eta, **kwargs)
         per_slope.append(calls[0])
+        batches.append(eta.size)
         return value
 
     monkeypatch.setattr(exponents, "_TILTS", threading.local())  # no solve remembered
     monkeypatch.setattr(exponents, "_tilt_slope", slope_spy)
     monkeypatch.setattr(exponents, "_chernoff_log_total", total_spy)
     chernoff_tsb(512, 1.0, random_ensemble_spectrum(512, 0.5))
-    assert len(per_slope) > 33
+    assert len(per_slope) > 33 and batches[0] == 33 and max(batches[1:]) <= 2
     assert max(per_slope) <= 1 + 12
+
+
+def test_batched_tilt_solves_match_one_slope_solves():
+    # A column of slopes solved at once (the slope search's grid scan) gives
+    # row by row what solving each slope alone gives, to 1e-12 relative, and
+    # every batched tilt stays inside its box.
+    etas = np.exp(np.linspace(-6.0, 6.0, 33))
+    for n in (1, 7, 64, 512):
+        for c in (0.05, 1.0, 5.0):
+            q, terms = exponents._solve_tilts(n, c, etas)
+            assert q.shape == terms.shape == (33, n + 1)
+            for k, eta in enumerate(etas.tolist()):
+                q1, t1 = exponents._solve_tilts(n, c, eta)
+                lo, hi = tilt_box(n, eta)
+                assert np.all(np.abs(terms[k] - t1) <= 1e-12 * np.maximum(1.0, np.abs(t1)))
+                assert np.all(np.abs(q[k] - q1) <= 1e-12 * (hi - lo))
+                assert np.all((lo <= q[k]) & (q[k] <= hi)), (n, c, eta)
 
 
 def test_chernoff_psi_reuses_chernoff_tsb_tilt_solves(monkeypatch):
     # At one (n, c) both assemblies search the same slopes, so chernoff_psi
-    # after chernoff_tsb solves no tilt: 88 + 0 solves at n = 256, c = 1
-    # (88 + 88 when each solved its own).  The solves are kept per thread,
-    # as read-only arrays, for the latest (n, c) only.
+    # after chernoff_tsb solves no tilt: 88 + 0 slopes solved at n = 256,
+    # c = 1 (88 + 88 when each solved its own), counted per slope since one
+    # solve takes a batch.  The solves are kept per thread, for the latest
+    # (n, c) only, and a caller gets a copy of them.
     solves = []
     solve = exponents._solve_tilts
 
     def spy(n, c, eta):
-        solves.append(eta)
+        solves.extend(eta.tolist())
         return solve(n, c, eta)
 
     monkeypatch.setattr(exponents, "_TILTS", threading.local())
@@ -490,13 +518,16 @@ def test_chernoff_psi_reuses_chernoff_tsb_tilt_solves(monkeypatch):
     tsb = len(solves)
     chernoff_psi(256, 1.0, spec)
     assert (tsb, len(solves) - tsb) == (88, 0)
-    assert not exponents._tilt_terms(256, 1.0, solves[0]).flags.writeable
+    assert len(set(solves)) == len(solves)  # no slope solved twice
+    kept = exponents._TILTS.by_eta[solves[0]].copy()
+    exponents._tilt_terms(256, 1.0, np.array(solves[:1]))[:] = 0.0
+    assert np.array_equal(exponents._TILTS.by_eta[solves[0]], kept)
     worker = threading.Thread(target=chernoff_psi, args=(256, 1.0, spec))
     worker.start()
     worker.join()
     assert len(solves) == 2 * 88  # another thread solves its own
-    exponents._tilt_terms(128, 1.0, solves[0])
-    exponents._tilt_terms(256, 1.0, solves[0])
+    exponents._tilt_terms(128, 1.0, np.array(solves[:1]))
+    exponents._tilt_terms(256, 1.0, np.array(solves[:1]))
     assert len(solves) == 2 * 88 + 2  # another (n, c) replaced the memo
 
 
@@ -546,6 +577,24 @@ def test_tsb_exponent_dense_grid_oracle(half_rate_fn):
     res = tsb_exponent(half_rate_fn, c)
     assert res.exponent <= grid_min + 1e-12
     assert grid_min - res.exponent <= 1e-5
+
+
+def test_exponent_array_scan_matches_scalar_scan():
+    # The weight scan runs on arrays, whose numpy logarithms may differ from
+    # the math module's in the last bit; that never moves the seed's grid
+    # point, and the seed's value and the refinement are scalar arithmetic.
+    # So tsb_exponent and union_exponent equal the all-scalar scan bit for
+    # bit, delta_star included, at interior, kinked and boundary minima.
+    for rate in (0.25, 0.5, 0.9):
+        gr = GrowthRate.from_spectrum(random_ensemble_spectrum(64, rate))
+        for c in (0.3, 0.8, 1.5, 4.0):
+            tsb = tsb_exponent(gr, c)
+            union = union_exponent(gr, c)
+            want_tsb = scalar_scan_exponent(
+                gr, lambda d, r: exponents._closed_form_pieces(c, d, r)[0])
+            want_union = scalar_scan_exponent(gr, lambda d, r: c * d - r)
+            assert (tsb.exponent, tsb.delta_star) == want_tsb[::-1], (rate, c)
+            assert (union.exponent, union.delta_star) == want_union[::-1], (rate, c)
 
 
 def test_tsb_exponent_interior_minimizer_ignores_c(half_rate_fn):
@@ -647,6 +696,15 @@ def test_gallager_rce_nonnegative_and_zero_below_capacity():
     assert gallager_rce(0.9, 0.8) == pytest.approx(0.0, abs=1e-8)
     for rate, c in [(0.5, 0.6), (0.5, 2.0), (0.9, 3.0), (0.1, 0.2)]:
         assert gallager_rce(rate, c) >= -1e-12
+
+
+def test_gallager_rce_unconverged_e0_raises(monkeypatch):
+    # an E0 quadrature that misses its tolerance is an error naming rho and
+    # c, never a value; one bisection cannot meet the E0 tolerance
+    starved = Tolerance(abs_tol=1e-13, rel_tol=1e-11, max_iter=1)
+    monkeypatch.setattr(exponents, "_GALLAGER_TOL", starved)
+    with pytest.raises(RuntimeError, match=r"E0 quadrature at rho=0\.0, c=0\.8 missed"):
+        gallager_rce(0.5, 0.8)
 
 
 def test_gallager_rce_validation():

@@ -212,13 +212,20 @@ def test_refining_a_run_in_steps_equals_one_call():
 
 
 def test_gallager_rce_rows_unchanged():
-    # The exponent sweep's e_rce column at R = 1/2 on 1/(Eb/N0) = 0.45..0.85,
-    # recorded before adaptive_integrate became a run refined once: the
-    # quadrature it integrates is bit for bit the same.
-    want = [0.06700331512756857, 0.04712762747737867, 0.03276760607721321,
-            0.022334437277906738, 0.014764117149819886, 0.009321956442346721,
-            0.005487468614484556, 0.002883790827165021, 0.0012328967922080394]
-    assert [gallager_rce(0.5, 0.5 / x) for x in parse_grid("0.45:0.85:0.05")] == want
+    # The exponent sweep's e_rce column at R = 1/2 on 1/(Eb/N0) = 0.45..0.85.
+    # full_line holds the rows of E0 integrated over the whole output line;
+    # integrating the even integrand over its positive half and doubling it
+    # moves them by rounding only (<= 1.2e-13 relative, against the E0
+    # quadrature's 1e-11 target), and half_line pins the new rows bit for bit.
+    full_line = [0.06700331512756857, 0.04712762747737867, 0.03276760607721321,
+                 0.022334437277906738, 0.014764117149819886, 0.009321956442346721,
+                 0.005487468614484556, 0.002883790827165021, 0.0012328967922080394]
+    half_line = [0.06700331512756857, 0.04712762747737828, 0.032767606077213074,
+                 0.022334437277907404, 0.014764117149819803, 0.009321956442346457,
+                 0.005487468614484653, 0.002883790827164695, 0.00123289679220797]
+    got = [gallager_rce(0.5, 0.5 / x) for x in parse_grid("0.45:0.85:0.05")]
+    assert got == half_line
+    assert all(abs(g - w) <= 2e-13 * w for g, w in zip(got, full_line))
 
 
 def test_adaptive_integrate_rejects_bad_interval():
@@ -241,19 +248,21 @@ def test_minimize_1d_quadratic():
 
 def test_minimize_1d_multimodal_and_ties():
     # Global minimum sits in a narrow well that a coarse scan could miss.
-    f = lambda x: min((x - 0.123) ** 2, 0.5 * (x - 3.0) ** 2 + 0.2)
+    f = lambda x: np.minimum((x - 0.123) ** 2, 0.5 * (x - 3.0) ** 2 + 0.2)
     xm, _ = minimize_1d(f, -1.0, 4.0, grid_points=513)
     assert xm == pytest.approx(0.123, abs=1e-6)
     # A constant lands on the smallest grid argument.
-    xm, fm = minimize_1d(lambda x: 1.0, 0.0, 1.0)
+    xm, fm = minimize_1d(lambda x: np.ones_like(x), 0.0, 1.0)
     assert xm == 0.0 and fm == 1.0
 
 
 def test_minimize_componentwise_matches_scalar_calls():
-    # The scalar minimize_1d must equal each component of the vector oracle
-    # (tests/closed_forms.py) bit for bit: a constant and two box-edge minima
-    # (grid seed kept), and interior minima whose brackets meet the
-    # tolerance after different iteration counts.
+    # minimize_1d on each function must equal that component of the vector
+    # oracle (tests/closed_forms.py) bit for bit: a constant and two box-edge
+    # minima (grid seed kept), and interior minima whose brackets meet the
+    # tolerance after different iteration counts.  minimize_1d hands its
+    # objective arrays (the whole grid, then one or two abscissae); each
+    # function maps them through scalar calls, counted one by one.
     funcs = [
         lambda x: 1.0,
         lambda x: x,
@@ -273,15 +282,16 @@ def test_minimize_componentwise_matches_scalar_calls():
         xs, vs = minimize_componentwise(vector_f, lo, hi, tol, grid_points=17)
         evals = []
         for i, g in enumerate(funcs):
-            count = [0]
+            sizes = []
 
             def counted(x, g=g):
-                count[0] += 1
-                return g(x)
+                sizes.append(x.size)
+                return np.array([g(float(xi)) for xi in x])
 
             xm, fm = minimize_1d(counted, lo[i], hi[i], tol, grid_points=17)
             assert (xm, fm) == (float(xs[i]), float(vs[i])), i
-            evals.append(count[0])
+            assert sizes[:2] == [17, 2] and set(sizes[2:]) == {1}, sizes
+            evals.append(sum(sizes))
         assert len(set(evals)) >= 3, evals
     assert (xs[0], vs[0]) == (0.0, 1.0)
     assert (xs[1], xs[2]) == (0.0, 1.0)
