@@ -27,11 +27,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import gammainc, gammaincc, logsumexp
+from scipy.special import gammainc, gammaincc, logsumexp, ndtr
 
 from .codes import DistanceSpectrum, Iowef, bit_weight_transform
 from .geometry import ConeGeometry, alpha_theta, beta_h, l_line, rho_max_wh, rho_min_h, rho_ww
-from .numerics import Tolerance, adaptive_integrate, log_q_function, sin_power_integral, wallis
+from .numerics import (QuadratureResult, Tolerance, adaptive_integrate, log_q_function,
+                       sin_power_integral, wallis)
 
 __all__ = [
     "ChannelPoint",
@@ -67,6 +68,11 @@ _RHO_NO_LINE = -1.0 + 1e-12
 # layer search prunes on their lower estimates first (see _layer_exceeds).
 _LADDER = (1e-2, 1e-5)
 _KAPPA = 10.0
+
+# A bracket run stops at the first level's relative tolerance or once its
+# error is below this fraction of the term's pair term, a scale no layer
+# decision resolves (see _Engine._bracket).
+_BRACKET_FLOOR = 1e-14
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
 _LOG_Q10 = log_q_function(10.0)
@@ -269,6 +275,7 @@ class _Engine:
         self._cache: dict[tuple, _Term] = {}
         self.levels = [replace(tol, rel_tol=r) for r in _LADDER if r > tol.rel_tol] + [tol]
         self._runs: dict[tuple, list] = {}
+        self._brackets: dict[tuple, QuadratureResult] = {}
         self.trouble: list[str] = []
 
     def begin(self, spec: DistanceSpectrum, ch: ChannelPoint, tol: Tolerance) -> "_Engine":
@@ -320,8 +327,9 @@ class _Engine:
         return gammaincc(0.5 * (self.n - 1), rz**2 / (2.0 * self.ch.sigma_sq))
 
     def _triple_given_z1(
-        self, z1: np.ndarray, h: int, beta_ref: np.ndarray | None = None, rho: float = -1.0
-    ) -> np.ndarray:
+        self, z1: np.ndarray, h: int, beta_ref: np.ndarray | None = None, rho: float = -1.0,
+        bracket: bool = False,
+    ):
         """Pr(beta_h <= z2 <= r_z1, z3 <= l(z2), chi2_(n-3) mass below
         r^2 - z2^2 - z3^2): the one kernel of every term but the cap.  With
         no line (beta_ref None, or rho at the -1 crossover, where the z3
@@ -337,12 +345,23 @@ class _Engine:
         gammainc runs only where its value is used: the (n-2)-dof half-disk
         mass at live nodes (positive weight, l > -s), the 24-node z3 rule
         with (n-3) dof at cut nodes (-s < l < s).  The mass is the full
-        disk where l >= s and zero where l <= -s or the weight is zero."""
+        disk where l >= s and zero where l <= -s or the weight is zero.
+
+        bracket=True replaces the z3 rule by a bracket and returns (T_lo,
+        W_hi): a lower bracket of the mass below the line and an upper
+        bracket of the wedge, the pair kernel's mass above it.  At a cut
+        node the smaller side lies on [|l|, s] (above the line where l > 0,
+        below it where l < 0), and on each piece [a, b] of that range
+        integral_a^b phi(z3) G_(n-3)((s^2 - z3^2)/2 sigma^2) dz3 lies
+        between G(b) dPhi and G(a) dPhi, since G falls as |z3| grows.  Two
+        pieces split at the midpoint m cost gammainc at |l| and m; one piece
+        would make the lower bracket G(s) dPhi = 0.  The full-disk mass is
+        taken at every node, the other side being its complement."""
         rz = np.asarray(self.geo.r_z1(z1), dtype=float)
         a = np.minimum(beta_h(z1, h, self.geo), rz)  # empty once beta_h passes the cone
         span = float(np.max(rz - a, initial=0.0))
         if span <= 0.0:
-            return np.zeros_like(rz)
+            return (np.zeros_like(rz),) * 2 if bracket else np.zeros_like(rz)
         has_line = beta_ref is not None and rho > _RHO_NO_LINE
         edges = [a, rz]
         if has_line:
@@ -365,6 +384,25 @@ class _Engine:
         line = l_line(z2, beta_ref[:, None], rho) if has_line else np.inf  # no line cuts nothing
         live = (w2 > 0.0) & (line > -s)
         cut = live & (line < s)
+        if bracket:
+            full = np.zeros_like(z2)
+            full[w2 > 0.0] = self._g(0.5 * (self.n - 2), s_sq[w2 > 0.0] / two_ss)
+            t_lo = np.where(line >= s, full, 0.0)
+            w_hi = full - t_lo  # zero where l >= s, the full disk where l <= -s
+            if np.any(cut):
+                l_cut, s_cut, f = line[cut], s[cut], full[cut]
+                u = np.abs(l_cut)
+                ends = np.stack([u, 0.5 * (u + s_cut), s_cut], axis=1)
+                g = self._g(0.5 * (self.n - 3), (s_sq[cut][:, None] - ends[:, :2] ** 2) / two_ss)
+                q = ndtr(-ends / self.sigma)  # upper tails: both ends >= 0
+                d_phi = q[:, :2] - q[:, 1:]
+                side_lo = g[:, 1] * d_phi[:, 0]
+                side_hi = np.minimum(g[:, 0] * d_phi[:, 0] + g[:, 1] * d_phi[:, 1], f)
+                above = l_cut > 0.0
+                t_lo[cut] = np.where(above, f - side_hi, side_lo)
+                w_hi[cut] = np.where(above, side_hi, f - side_lo)
+            weight = w2 * self._phi(z2)
+            return np.sum(weight * t_lo, axis=1), np.sum(weight * w_hi, axis=1)
         half_disk = np.zeros_like(z2)
         half_disk[live] = 0.5 * self._g(0.5 * (self.n - 2), s_sq[live] / two_ss)
         hmass = 2.0 * half_disk
@@ -384,15 +422,20 @@ class _Engine:
 
     # -- outer z1 integrals ------------------------------------------------
 
-    def _integrand(self, key: tuple):
-        # The Gaussian density of z1 times the kernel of term key given z1.
+    def _integrand(self, key: tuple, side: int | None = None):
+        # The Gaussian density of z1 times the kernel of term key given z1,
+        # or its bracket T_lo (side 0) or W_hi (side 1) of a conditioned key.
         if key[0] == "cap":
             inner = self._cap_given_z1
         elif key[0] == "pair":
             inner = lambda z1: self._triple_given_z1(z1, key[1])
-        else:
+        elif side is None:
             _, h, w_ref, rho = key
             inner = lambda z1: self._triple_given_z1(z1, h, beta_h(z1, w_ref, self.geo), rho)
+        else:
+            _, h, w_ref, rho = key
+            inner = lambda z1: self._triple_given_z1(
+                z1, h, beta_h(z1, w_ref, self.geo), rho, bracket=True)[side]
         return lambda z1: self._phi(z1) * inner(np.asarray(z1, dtype=float))
 
     def _refined(self, key: tuple, level: int):
@@ -417,19 +460,63 @@ class _Engine:
         low = res.value - _KAPPA * res.error if res.converged else 0.0
         return math.log(low) if low > 0.0 else _NEG_INF
 
+    def _bracket(self, key: tuple, side: int) -> QuadratureResult:
+        """The bracket run of conditioned term key: T_lo (side 0) or W_hi
+        (side 1) integrated over z1, to the first level's relative
+        tolerance or an absolute error of _BRACKET_FLOOR times the term's
+        pair term, whichever is looser.  Never recorded as trouble."""
+        res = self._brackets.get((side, key))
+        if res is None:
+            first = self.levels[0]
+            floor = _BRACKET_FLOOR * self._pair_value(key[1])
+            tol = replace(first, abs_tol=max(first.abs_tol, floor))
+            res = adaptive_integrate(self._integrand(key, side), self.z1_lo, self.sqrt_n, tol)
+            res = self._brackets[(side, key)] = replace(res, run=None)
+        return res
+
+    def _pair_value(self, h: int) -> float:
+        self.pair_term(h)
+        return self._refined(("pair", h), len(self.levels) - 1).value
+
+    def bracketed(self, key: tuple) -> float:
+        """Log of a lower estimate of term key that integrates no z3 rule.
+        A pair term is exact.  A conditioned term T = P - W, its pair term
+        less its wedge, takes P - (W_hi + _KAPPA * error + the pair event's
+        mass below z1_lo), raised to T_lo - _KAPPA * error where that is
+        larger; T_lo is integrated only when the first leaves less than
+        half of P, and alone for the extension self-term (h = w_ref).  An
+        unconverged bracket run gives no estimate."""
+        h = key[1]
+        if key[0] == "pair" or key[3] <= _RHO_NO_LINE:
+            return self.pair_term(h).log_value
+        pair, low = self._pair_value(h), 0.0
+        if key[2] != h:
+            wedge = self._bracket(key, 1)
+            if wedge.converged:
+                low = pair - (wedge.value + _KAPPA * wedge.error + math.exp(self._log_tail(h)))
+        if low < 0.5 * pair:
+            lo = self._bracket(key, 0)
+            if lo.converged:
+                low = max(low, lo.value - _KAPPA * lo.error)
+        return math.log(low) if low > 0.0 else _NEG_INF
+
+    def _log_tail(self, h: int) -> float:
+        # Bound on a pair event's mass below z1_lo: z2 past beta_h there.
+        return _LOG_Q10 + log_q_function(float(beta_h(self.z1_lo, h, self.geo)) / self.sigma)
+
     def _outer(self, key: tuple) -> _Term:
         # The exact term; below z1_lo, the cap's tail or z2's past beta_h.
         res = self._refined(key, len(self.levels) - 1)
         if key[0] == "cap":
             cut = self._cap_given_z1(np.array([self.z1_lo]))[0]
-            tail, label = (math.log(cut) if cut > 0.0 else _NEG_INF), "cap"
+            tail, label = _LOG_Q10 + (math.log(cut) if cut > 0.0 else _NEG_INF), "cap"
         else:
-            tail = log_q_function(float(beta_h(self.z1_lo, key[1], self.geo)) / self.sigma)
+            tail = self._log_tail(key[1])
             label = (f"pair(h={key[1]})" if key[0] == "pair"
                      else f"conditioned(h={key[1]}, ref={key[2]})")
         log_value = math.log(res.value) if res.value > 0.0 else _NEG_INF
         log_error = math.log(res.error) if res.error > 0.0 else _NEG_INF
-        return _Term(log_value, log_error, _LOG_Q10 + tail, res.converged, label)
+        return _Term(log_value, log_error, tail, res.converged, label)
 
     def term(self, key: tuple) -> _Term:
         """The exact term under key, ("cap",), ("pair", h) or ("triple", h,
@@ -634,36 +721,64 @@ def _layer_terms(
 _PRUNE_MARGIN = 1e-12
 
 
+def _exceeds(logs, bound: float) -> bool:
+    """Whether a partial sum of the log terms, drawn in order and lazily,
+    passes bound + _PRUNE_MARGIN (kept relative to bound, in linear scale)."""
+    limit = math.exp(_PRUNE_MARGIN)
+    total = 0.0
+    for log_term in logs:
+        if log_term > _NEG_INF:
+            total += math.exp(min(log_term - bound, 700.0))  # no overflow
+            if total > limit:
+                return True
+    return False
+
+
+def _layer_logs(eng: _Engine, spec: DistanceSpectrum, w: int, extend: bool, level: int | None):
+    """Lower estimates of layer w's terms, in log: the cap, the apex tail
+    and the anchor first, then the other terms largest upper bound first.
+    level None takes the exact pair terms and bracket estimates
+    (_Engine.bracketed), else each run's estimate as of that level."""
+    anchor, parts = _layer_parts(eng, spec, w, extend)
+    yield eng.cap_term().log_value
+    if extend:
+        yield eng.log_q_term
+    if anchor is not None:
+        yield eng.pair_term(w).log_value if level is None else eng.lower(anchor, level)
+    parts.sort(key=lambda p: (-(p[1] + eng.pair_term(p[0]).log_value), p[0]))
+    for _, c, k in parts:
+        yield c + (eng.bracketed(k) if level is None else eng.lower(k, level))
+
+
+def _brackets_exceed(
+    eng: _Engine, spec: DistanceSpectrum, w: int, extend: bool, bound: float
+) -> bool:
+    """The first rung of _layer_exceeds, in difference form.  A
+    conditioned term is T(h, w, rho) = P(h) - W(h, w, rho), W being the
+    wedge: the pair event's mass above the anchor line.  So layer w less
+    tsb is its added terms (the anchor P(w), ahp's extension self-term,
+    less A_w P(w)) less its savings, the sum of A_h W(h, w) over h != w.
+    On in-cone layers the added terms outweigh the savings many times over,
+    so coarse brackets of the wedges, taken against exact pair terms, bound
+    the layer closely enough to drop it."""
+    return _exceeds(_layer_logs(eng, spec, w, extend, None), bound)
+
+
 def _layer_exceeds(
     eng: _Engine, spec: DistanceSpectrum, w: int, extend: bool, bound: float
 ) -> bool:
     """Whether layer w's assembly provably exceeds the log value bound.
     Its terms are nonnegative, so a partial sum of lower estimates of them
-    bounds it from below.  The sum takes the cap, the apex tail and the
-    anchor first, then the other terms largest upper bound first, and stops
-    once it passes bound + _PRUNE_MARGIN (kept relative to bound, in linear
-    scale).  It is tried on the runs' coarse estimates level by level, then
-    on the exact terms, which continue the same runs.  An estimate is below
-    its term when the run's true error is within _KAPPA times its GK15
-    error estimate, which overstates it by orders of magnitude here."""
-    limit = math.exp(_PRUNE_MARGIN)
-    total = 0.0
-
-    def passes(log_term: float) -> bool:
-        nonlocal total
-        if log_term > _NEG_INF:
-            total += math.exp(min(log_term - bound, 700.0))  # no overflow
-        return total > limit
-
-    anchor, parts = _layer_parts(eng, spec, w, extend)
-    order = lambda p: (-(p[1] + eng.pair_term(p[0]).log_value), p[0])
-    for level in range(len(eng.levels)):
-        total = 0.0
-        if (passes(eng.cap_term().log_value) or (extend and passes(eng.log_q_term))
-                or (anchor is not None and passes(eng.lower(anchor, level)))
-                or any(passes(c + eng.lower(k, level)) for _, c, k in sorted(parts, key=order))):
-            return True
-    return False
+    bounds it from below; the sum stops once it passes bound +
+    _PRUNE_MARGIN.  It is tried on bracket estimates first, which integrate
+    no z3 rule (_brackets_exceed), then on the term runs' coarse estimates
+    level by level, then on the exact terms, which continue the same runs.
+    An estimate is below its term when the run's true error is within
+    _KAPPA times its GK15 error estimate, which overstates it by orders of
+    magnitude here."""
+    return _brackets_exceed(eng, spec, w, extend, bound) or any(
+        _exceeds(_layer_logs(eng, spec, w, extend, level), bound)
+        for level in range(len(eng.levels)))
 
 
 def _best_layer(eng: _Engine, spec: DistanceSpectrum, extend: bool) -> BoundResult:
@@ -676,12 +791,14 @@ def _best_layer(eng: _Engine, spec: DistanceSpectrum, extend: bool) -> BoundResu
     nonnegative, so a partial sum bounds the layer's value from below; a
     layer is pruned once that bound exceeds the best assembled value by
     _PRUNE_MARGIN, more than the rounding of either sum, so no layer that
-    could win or tie is pruned.  The sums try coarse lower estimates of the
-    term runs first and exact terms last (see _layer_exceeds).  The others
-    are assembled in full and the smallest value wins, ties going to the
-    smallest layer, exactly as when every layer is assembled.  Which layers
-    are pruned depends only on term values, never on what the cache held
-    before: an estimate is taken as of its level, not from the run's state."""
+    could win or tie is pruned.  The sums try bracket estimates first, then
+    coarse lower estimates of the term runs, and exact terms last (see
+    _layer_exceeds).  The others are assembled in full and the smallest
+    value wins, ties going to the smallest layer, exactly as when every
+    layer is assembled.  Which layers are pruned depends only on term
+    values, never on what the cache held before: a bracket depends on its
+    term alone, and an estimate is taken as of its level, not from the
+    run's state."""
     top = spec.n if extend else spec.n - 1
     first = top if extend else (spec.d_min if spec.d_min <= top else 1)
     found: dict[int, BoundResult] = {}
@@ -729,8 +846,8 @@ def psi(
     A layer outside the cone is tsb's pair terms without the apex tail.
 
     The search starts from layer d_min and prunes like ahp's, by psi's own
-    values; after ahp on one cache it continues the term runs that ahp's
-    pruning left at a coarse level."""
+    values; after ahp on one cache it reuses ahp's brackets and continues
+    the term runs that ahp's pruning left at a coarse level."""
     eng = _terms_for(spec, ch, tol, terms)
     return eng.finish(_best_layer(eng, spec, extend=False))
 

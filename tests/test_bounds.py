@@ -505,43 +505,57 @@ def test_layer_search_matches_exhaustive_on_codes(code, hamming_spec, golay_spec
 def test_layer_search_matches_exhaustive_on_ensembles():
     for n in (6, 8, 10, 12, 14, 16):
         spec = random_ensemble_spectrum(n, 0.5)
-        ch = ChannelPoint.from_eb_n0_db(4.0, 0.5)
-        terms = Plan(spec).at(ch)
-        for bound in (ahp, psi):
-            _check_layer_search(bound, spec, ch, terms)
+        for db in (2.0, 4.0, 6.0) if n <= 12 else (4.0,):
+            ch = ChannelPoint.from_eb_n0_db(db, 0.5)
+            terms = Plan(spec).at(ch)
+            for bound in (ahp, psi):
+                _check_layer_search(bound, spec, ch, terms)
 
 
 def _pruned_search(bound, spec, ch, monkeypatch):
-    """bound on a fresh cache, and each layer it pruned, mapped to whether
-    a partial sum of coarse estimates pruned it (else exact terms did)."""
+    """bound on a fresh cache, and each layer it pruned, mapped to the rung
+    that pruned it: "brackets" (the difference-form rung), "coarse" (a
+    coarse level of the term runs) or "exact" (the exact terms)."""
     pruned, levels = {}, []
     exceeds, lower = bounds._layer_exceeds, bounds._Engine.lower
+    brackets = bounds._brackets_exceed
+    on_brackets = []
 
     def lower_spy(self, key, level):
         levels.append(level)
         return lower(self, key, level)
 
+    def brackets_spy(*args):
+        on_brackets.append(brackets(*args))
+        return on_brackets[-1]
+
     def exceeds_spy(eng, spec, w, extend, log_bound):
         levels.clear()
+        on_brackets.clear()
         out = exceeds(eng, spec, w, extend, log_bound)
-        if out:  # the cap or the apex tail alone passes at the first level
-            pruned[w] = max(levels, default=0) < len(eng.levels) - 1
+        if out and any(on_brackets):
+            pruned[w] = "brackets"
+        elif out:  # the cap or the apex tail alone passes at the first level
+            pruned[w] = "coarse" if max(levels, default=0) < len(eng.levels) - 1 else "exact"
         return out
 
     with monkeypatch.context() as m:
         m.setattr(bounds, "_layer_exceeds", exceeds_spy)
+        m.setattr(bounds, "_brackets_exceed", brackets_spy)
         m.setattr(bounds._Engine, "lower", lower_spy)
         return bound(spec, ch, terms=Plan(spec).at(ch)), pruned
 
 
 @pytest.mark.parametrize("case", ["hamming", "golay", "ensembles", "ens32"])
 def test_pruned_search_on_fresh_cache(case, hamming_spec, golay_spec, monkeypatch):
-    # The pruned search first, on a fresh cache, so that it prunes on the
-    # coarse estimates of term runs, not on exact cached terms.  Every layer
-    # pruned on estimates is one the exact terms prune too (the exact-only
-    # search, with the coarse ladder emptied), and the result, its layer
+    # The pruned search first, on a fresh cache, so that it prunes on
+    # brackets and on the coarse estimates of term runs, not on exact cached
+    # terms.  Every layer pruned on brackets or estimates is one the exact
+    # terms prune too (the exact-only search: the bracket rung monkeypatched
+    # out and the coarse ladder emptied), and the result, its layer
     # accounting included, is the exact-only search's, bit for bit; that
     # search is the one the tests above check against the exhaustive one.
+    # So is the search without the bracket rung, on the ladder alone.
     if case in ("hamming", "golay"):
         spec, rate = {"hamming": (hamming_spec, R_HAMMING), "golay": (golay_spec, 12 / 23)}[case]
         points = [(spec, ChannelPoint.from_eb_n0_db(db, rate)) for db in (2.0, 4.0, 6.0)]
@@ -550,18 +564,21 @@ def test_pruned_search_on_fresh_cache(case, hamming_spec, golay_spec, monkeypatc
                   for n in (6, 8, 10, 12, 14, 16)]
     else:
         points = [(random_ensemble_spectrum(32, 0.5), ChannelPoint.from_eb_n0_db(3.0, 0.5))]
-    coarse = 0
+    stages = []
     for spec, ch in points:
         for bound in (ahp, psi):
             res, pruned = _pruned_search(bound, spec, ch, monkeypatch)
             with monkeypatch.context() as m:
+                m.setattr(bounds, "_brackets_exceed", lambda *args: False)
+                ladder, on_ladder = _pruned_search(bound, spec, ch, monkeypatch)
                 m.setattr(bounds, "_LADDER", ())
                 want, exact = _pruned_search(bound, spec, ch, monkeypatch)
-            assert {w for w, on_estimates in pruned.items() if on_estimates} <= set(exact)
-            assert set(pruned) == set(exact) and not any(exact.values())
-            assert res == want
-            coarse += sum(pruned.values())
-    assert coarse > 0
+            assert set(exact.values()) <= {"exact"}
+            assert set(pruned) == set(on_ladder) == set(exact)
+            assert "brackets" not in on_ladder.values()
+            assert res == ladder == want
+            stages += list(pruned.values()) + list(on_ladder.values())
+    assert "brackets" in stages and "coarse" in stages
 
 
 def _count_panels(monkeypatch) -> list[int]:
@@ -583,10 +600,12 @@ def _count_panels(monkeypatch) -> list[int]:
 
 def test_layer_search_integrates_fewer_terms(monkeypatch):
     # ahp then psi on one cache of the n=12 ensemble at 4 dB: 979 GK15
-    # panels over 57 term integrals when every layer is assembled, 447 with
-    # pruning (711 when layers were pruned on exact terms only).  Runs can
-    # stop at a coarse level, so panels, not integrals, measure the work;
-    # psi continues the runs ahp left partway.  The out-of-cone layers 8..11
+    # panels over 57 term integrals when every layer is assembled, 491 with
+    # pruning: 338 of term runs and 153 of bracket runs, which integrate no
+    # z3 rule (447 term panels when layers were pruned on coarse estimates
+    # of the term runs alone, 711 on exact terms only).  Runs can stop at a
+    # coarse level, so panels, not integrals, measure the work; psi
+    # continues the runs ahp left partway.  The out-of-cone layers 8..11
     # are the plain pair terms of layer n and integrate nothing new.
     panels = _count_panels(monkeypatch)
     spec = random_ensemble_spectrum(12, 0.5)
@@ -600,7 +619,7 @@ def test_layer_search_integrates_fewer_terms(monkeypatch):
     ahp(spec, ch, terms=terms)
     psi(spec, ch, terms=terms)
     assert exhaustive == 979
-    assert panels[0] <= 447
+    assert panels[0] <= 491
 
 
 def _parent_layer_terms(eng, spec, w, extend):
@@ -686,24 +705,30 @@ def test_psi_sandwich(hamming_spec):
 
 def test_psi_never_requests_self_term(hamming_spec, monkeypatch):
     # psi's value leaves the extension self-term triple_term(w, w, .) out,
-    # so psi must not integrate it, not even to a coarse level (nor carry
-    # its quadrature error); ahp still does, which shows the spy sees the
-    # requests.
+    # so psi must not integrate it, not even to a coarse level or as a
+    # bracket (nor carry its quadrature error); ahp still does, which shows
+    # the spies see both kinds of request.
     calls = []
-    orig = bounds._Engine._refined
+    refined, bracket = bounds._Engine._refined, bounds._Engine._bracket
 
-    def spy(self, key, level):
+    def refined_spy(self, key, level):
         if key[0] == "triple":
-            calls.append(key[1:3])
-        return orig(self, key, level)
+            calls.append(("run",) + key[1:3])
+        return refined(self, key, level)
 
-    monkeypatch.setattr(bounds._Engine, "_refined", spy)
+    def bracket_spy(self, key, side):
+        calls.append(("bracket",) + key[1:3])
+        return bracket(self, key, side)
+
+    monkeypatch.setattr(bounds._Engine, "_refined", refined_spy)
+    monkeypatch.setattr(bounds._Engine, "_bracket", bracket_spy)
     ch = ChannelPoint.from_eb_n0_db(4.0, R_HAMMING)
     psi(hamming_spec, ch)
-    assert calls and all(h != w for h, w in calls)
+    assert {kind for kind, _, _ in calls} == {"run", "bracket"}
+    assert all(h != w for _, h, w in calls)
     calls.clear()
     ahp(hamming_spec, ch)
-    assert any(h == w for h, w in calls)
+    assert any(kind == "bracket" and h == w for kind, h, w in calls)
 
 
 # -- conditioned kernel ------------------------------------------------------
@@ -820,12 +845,13 @@ def _parent_pair_given_z1(eng, z1, h):
     return np.sum(w2 * eng._phi(z2) * mass, axis=1)
 
 
-def _dense_triple_given_z1(eng, z1, h, beta_ref, rho, keep_empty=False):
+def _dense_triple_given_z1(eng, z1, h, beta_ref, rho, keep_empty=False, z3_nodes=24):
     """The conditioned kernel with gammainc at every node of its z2
     segments, masked afterwards: the reference for the engine's kernel,
     which evaluates it only where the value is used.  keep_empty also
     builds the segments of zero width, whose nodes all carry zero weight,
-    so the result differs from the kernel's only in summation order."""
+    so the result differs from the kernel's only in summation order.
+    z3_nodes sets the Gauss-Legendre rule of the z3 integral."""
     if beta_ref is None or rho <= -1.0 + 1e-12:
         return _parent_pair_given_z1(eng, z1, h)
     rz = np.asarray(eng.geo.r_z1(z1), dtype=float)
@@ -845,7 +871,7 @@ def _dense_triple_given_z1(eng, z1, h, beta_ref, rho, keep_empty=False):
             for lo, hi in zip(edges, edges[1:]) if keep_empty or np.any(hi > lo)]
     z2 = np.concatenate([s[0] for s in segs], axis=1)
     w2 = np.concatenate([s[1] for s in segs], axis=1)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(24)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(z3_nodes)
 
     two_ss = 2.0 * eng.ch.sigma_sq
     s_sq = np.maximum(rz[:, None] ** 2 - z2**2, 0.0)
@@ -909,34 +935,91 @@ def test_triple_kernel_matches_dense_oracle(code, hamming_spec, golay_spec):
     assert 0 < nonzero < len(cases)
 
 
-def test_no_zero_weight_z2_nodes(golay_spec, monkeypatch):
-    # Every z2 segment the kernel builds has positive width in every z1 row:
-    # a Golay row at 4 dB (tsb, itsb, ahp, psi on one cache) and the n=12
-    # ensemble at 4 dB (each bound on its own cache).  Building the
-    # zero-width segments too would add zero weights: 319,320 and 528,120
-    # of them when the totals were 666,720 and 1,257,480, before layers were
-    # pruned on coarse estimates of the term runs.
-    orig = bounds._Engine._panel_nodes
-    weights = []
+@given(
+    code=st.sampled_from(["hamming", "golay", "ens12"]),
+    db=st.sampled_from([0.0, 2.0, 4.0, 6.0, 8.0]),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_bracket_kernel_brackets_the_exact_kernel(code, db, data, hamming_spec, golay_spec):
+    # Row by row, T_lo is at most the exact kernel and W_hi at least the
+    # pair kernel less the exact kernel, the wedge.  Rows near z1_lo, where
+    # the line sits many sigma out, carry an error of the exact kernel's
+    # 24-node z3 rule (up to 8e-8 of the pair kernel), so each row may miss
+    # by that error, measured against a 48-node z3 rule, plus rounding.
+    # Weights outside the cone give rows whose z2 span is empty.
+    plan = Plan({"hamming": hamming_spec, "golay": golay_spec}.get(code)
+                or random_ensemble_spectrum(12, 0.5))
+    n = plan.geo.n
+    eng = plan.at(ChannelPoint.from_eb_n0_db(db, 0.5))
+    weights = st.one_of(st.sampled_from(sorted(plan.geom_included)), st.integers(1, n - 1))
+    h = data.draw(weights, label="h")
+    w = data.draw(weights, label="w")
+    own = [rho_ww(w, n) if h == w else rho_max_wh(w, h, n)]
+    rho = data.draw(st.one_of(st.just(-1.0), st.floats(1.0 - 1e-6, 1.0, exclude_max=True),
+                              st.floats(-1.0, 1.0, exclude_max=True), st.sampled_from(own)),
+                    label="rho")
+    # rows from z1_lo up to the apex in steps of sigma / 4
+    steps = data.draw(st.lists(st.integers(-40, int(4 * math.sqrt(n) / eng.sigma)),
+                               min_size=1, max_size=8), label="z1 steps")
+    z1 = np.minimum(np.array(steps) * 0.25 * eng.sigma, math.sqrt(n) * (1.0 - 1e-12))
+    beta_ref = beta_h(z1, w, plan.geo)
+    t_lo, w_hi = eng._triple_given_z1(z1, h, beta_ref, rho, bracket=True)
+    exact = eng._triple_given_z1(z1, h, beta_ref, rho)
+    pair = eng._triple_given_z1(z1, h)
+    if rho <= -1.0 + 1e-12:  # the crossover: no line, so both brackets are exact
+        assert np.array_equal(t_lo, pair) and np.array_equal(w_hi, np.zeros_like(pair))
+    fine = _dense_triple_given_z1(eng, z1, h, beta_ref, rho, z3_nodes=48)
+    slack = np.abs(exact - fine) + 1e-13 * pair
+    assert np.all(t_lo >= 0.0) and np.all(w_hi >= 0.0)
+    assert np.all(t_lo <= exact + slack)
+    assert np.all(w_hi >= pair - exact - slack)
+    if h not in plan.geom_included:
+        assert not np.any(t_lo) and not np.any(w_hi)
 
-    def spy(self, a, b, ksub):
-        z, w = orig(self, a, b, ksub)
+
+def test_no_zero_weight_z2_nodes(golay_spec, monkeypatch):
+    # Every z2 segment the kernel builds has positive width in every z1 row,
+    # in term runs and bracket runs alike: a Golay row at 4 dB (tsb, itsb,
+    # ahp, psi on one cache) and the n=12 ensemble at 4 dB (each bound on
+    # its own cache).  Building the zero-width segments too would add zero
+    # weights: 319,320 and 528,120 of them when the totals were 666,720 and
+    # 1,257,480, before layers were pruned on coarse estimates of the term
+    # runs (390,240 and 795,240 before the bracket rung).
+    nodes, kernel = bounds._Engine._panel_nodes, bounds._Engine._triple_given_z1
+    weights, bracketed = [], []
+
+    def nodes_spy(self, a, b, ksub):
+        z, w = nodes(self, a, b, ksub)
         weights.append(w)
+        bracketed.append(mode[-1])
         return z, w
 
-    monkeypatch.setattr(bounds._Engine, "_panel_nodes", spy)
+    mode = [False]
+
+    def kernel_spy(self, *args, bracket=False):
+        mode.append(bracket)
+        try:
+            return kernel(self, *args, bracket=bracket)
+        finally:
+            mode.pop()
+
+    monkeypatch.setattr(bounds._Engine, "_panel_nodes", nodes_spy)
+    monkeypatch.setattr(bounds._Engine, "_triple_given_z1", kernel_spy)
     ch = ChannelPoint.from_eb_n0_db(4.0, 12 / 23)
     terms = Plan(golay_spec).at(ch)
     for bound in (tsb_block, itsb, ahp, psi):
         bound(golay_spec, ch, terms=terms)
-    golay = weights[:]
+    golay = list(zip(weights, bracketed))
     weights.clear()
+    bracketed.clear()
     spec = random_ensemble_spectrum(12, 0.5)
     for bound in (tsb_block, itsb, ahp, psi):
         bound(spec, ChannelPoint.from_eb_n0_db(4.0, 0.5))
-    for found, total in ((golay, 390_240), (weights, 795_240)):
-        assert sum(w.size for w in found) == total
-        assert all(np.all(w > 0.0) for w in found)
+    for found, total in ((golay, 378_720), (list(zip(weights, bracketed)), 875_880)):
+        assert sum(w.size for w, _ in found) == total
+        assert any(b for _, b in found)
+        assert all(np.all(w > 0.0) for w, _ in found)
 
 
 def test_vacuous_conditioned_terms_cost_their_pair_nodes(golay_spec, monkeypatch):
