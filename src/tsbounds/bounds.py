@@ -859,7 +859,6 @@ def triple_term(
     geo: ConeGeometry,
     ch: ChannelPoint,
     z1: float,
-    tol: Tolerance = BOUND_TOL,
 ) -> float:
     """Log of the conditioned kernel at a single z1: the probability that z2
     lands in [beta_h(z1), r_z1], z3 stays below the correlation line through
@@ -876,7 +875,7 @@ def triple_term(
         raise ValueError(f"need -1 <= rho < 1, got rho={rho}")
     if z1 >= math.sqrt(geo.n):
         return _NEG_INF
-    eng = _Engine(geo, ch, tol)
+    eng = _Engine(geo, ch, BOUND_TOL)
     z1_arr = np.array([float(z1)])
     ref_arr = np.array([float(beta_ref)])
     value = float(eng._triple_given_z1(z1_arr, h, ref_arr, float(rho))[0])

@@ -293,23 +293,15 @@ def cmd_simulate(args, sub) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="output path (default: stdout)")
-    common.add_argument(
-        "--tol-abs",
-        type=float,
-        default=BOUND_TOL.abs_tol,
-        help="absolute quadrature tolerance for bound sweeps",
+
+    runs = argparse.ArgumentParser(add_help=False)
+    runs.add_argument(
+        "--threads", type=int, default=1, help="worker threads (grid rows or trial chunks)"
     )
-    common.add_argument(
-        "--tol-rel",
-        type=float,
-        default=BOUND_TOL.rel_tol,
-        help="relative quadrature tolerance for bound sweeps",
-    )
-    common.add_argument(
-        "--threads", type=int, default=1, help="worker threads for grid dispatch"
-    )
-    common.add_argument(
-        "--seed", type=int, default=0, help="RNG seed (simulate only)"
+    runs.add_argument(
+        "--seed", type=int, default=0, help="RNG seed of simulate; bounds and exponent "
+        "draw no random numbers and accept it so that scripted runs "
+        "(benchmarks/workloads.py) pass one seed to every subcommand",
     )
 
     source = argparse.ArgumentParser(add_help=False)
@@ -338,8 +330,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = subs.add_parser(
         "bounds",
-        parents=[common, source],
+        parents=[common, runs, source],
         help="sweep finite-length bounds over an E_b/N_0 grid to CSV",
+    )
+    p_bounds.add_argument(
+        "--tol-abs",
+        type=float,
+        default=BOUND_TOL.abs_tol,
+        help="absolute quadrature tolerance of the bound integrals",
+    )
+    p_bounds.add_argument(
+        "--tol-rel",
+        type=float,
+        default=BOUND_TOL.rel_tol,
+        help="relative quadrature tolerance of the bound integrals",
     )
     p_bounds.add_argument(
         "--grid", required=True, help="E_b/N_0 grid in dB as start:stop:step"
@@ -353,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = subs.add_parser(
         "exponent",
-        parents=[common, source],
+        parents=[common, runs, source],
         help="sweep asymptotic exponents over an inverse E_b/N_0 grid to CSV",
     )
     p_exp.add_argument(
@@ -363,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = subs.add_parser(
         "simulate",
-        parents=[common],
+        parents=[common, runs],
         help="Monte-Carlo ML decoding simulation, JSON report",
     )
     p_sim.add_argument("--generator", required=True, help="generator matrix file")

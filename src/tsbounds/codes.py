@@ -284,21 +284,9 @@ def growth_rate(spec: DistanceSpectrum, delta):
     Finite spectra use the nearest weight; ensemble spectra use the closed
     form H(delta) - (1-R) ln 2 with H the natural-log binary entropy.
     Returns -inf where the spectrum is empty.  delta is a float (a float is
-    returned, in math-module arithmetic) or a 1-D array (an array is
-    returned, elementwise in numpy arithmetic, whose logarithms may differ
-    from the math module's in the last bit).
+    returned) or a 1-D array (an array is returned, elementwise); both are
+    evaluated in the same numpy arithmetic.
     """
-    if np.ndim(delta) == 0:
-        if not 0.0 < delta <= 1.0:
-            raise ValueError(f"delta must lie in (0,1], got {delta}")
-        if spec.kind == "ensemble":
-            if delta == 1.0:
-                ent = 0.0
-            else:
-                ent = -delta * math.log(delta) - (1.0 - delta) * math.log1p(-delta)
-            return ent - (1.0 - spec.rate) * _LN2
-        h = int(round(delta * spec.n))
-        return float(spec.log_a[h]) / spec.n
     d = np.asarray(delta, dtype=float)
     outside = ~((0.0 < d) & (d <= 1.0))
     if outside.any():
@@ -306,8 +294,10 @@ def growth_rate(spec: DistanceSpectrum, delta):
     if spec.kind == "ensemble":
         with np.errstate(divide="ignore", invalid="ignore"):
             ent = -d * np.log(d) - (1.0 - d) * np.log1p(-d)
-        return np.where(d == 1.0, 0.0, ent) - (1.0 - spec.rate) * _LN2
-    return np.asarray(spec.log_a, dtype=float)[np.rint(d * spec.n).astype(int)] / spec.n
+        r = np.where(d == 1.0, 0.0, ent) - (1.0 - spec.rate) * _LN2
+    else:
+        r = np.asarray(spec.log_a, dtype=float)[np.rint(d * spec.n).astype(int)] / spec.n
+    return float(r) if np.ndim(delta) == 0 else r
 
 
 def save_spectrum(spec: DistanceSpectrum, path: str) -> None:

@@ -400,109 +400,62 @@ def chernoff_psi(n: int, c: float, spec: DistanceSpectrum) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _closed_form_pieces(
-    c: float, delta: float, r: float
-) -> tuple[float, float, float]:
+def _closed_form(c: float, delta, r):
     """Per-delta objective of the common-exponent closed form, with its
-    (gamma, c0) diagnostics.  Requires r >= 0.
+    (gamma, c0) diagnostics, elementwise over arrays.  Requires r >= 0.
 
     The interior saddle value applies while gamma stays in [0, 1]; outside
     that window the zero-tilt boundary value c delta - r is the true per-delta
     exponent (the two branches meet at gamma = 1).  Evaluation goes through
-    x = gamma Delta^2, which stays finite as delta -> 1.
+    x = gamma Delta^2, which stays finite as delta -> 1.  At delta = 1 (the
+    antipodal limit) the objective is c, with gamma = c0 = 0.
     """
-    if delta >= 1.0:
-        # antipodal limit: gamma -> 0 and the objective -> c
-        return c, 0.0, 0.0
-    c0 = (1.0 - math.exp(-2.0 * r)) * (1.0 - delta) / (2.0 * delta)
-    if c0 == 0.0:
-        # zero growth: the interior tilt diverges; the boundary is exact
-        return c * delta - r, math.inf, 0.0
-    x = math.sqrt(c / c0 + (1.0 + c) ** 2 - 1.0) - (1.0 + c)
-    gamma = x * (1.0 - delta) / delta
-    if 0.0 <= gamma <= 1.0:
-        obj = 0.5 * math.log1p(-2.0 * c0 * x) + c * x / (1.0 + x)
-    else:
-        obj = c * delta - r
-    return obj, gamma, c0
-
-
-def _closed_form_value(c: float, delta, r):
-    """The objective of _closed_form_pieces, elementwise: a float pair takes
-    its scalar arithmetic, arrays the same formulas in numpy, whose
-    transcendentals may differ from the scalar ones in the last bit."""
-    if np.ndim(delta) == 0:
-        return _closed_form_pieces(c, delta, r)[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         c0 = (1.0 - np.exp(-2.0 * r)) * (1.0 - delta) / (2.0 * delta)
         x = np.sqrt(c / c0 + (1.0 + c) ** 2 - 1.0) - (1.0 + c)
         gamma = x * (1.0 - delta) / delta  # +inf at zero growth: the boundary
         inner = 0.5 * np.log1p(-2.0 * c0 * x) + c * x / (1.0 + x)
     obj = np.where((gamma >= 0.0) & (gamma <= 1.0), inner, c * delta - r)
-    return np.where(delta >= 1.0, c, obj)
+    at_one = delta >= 1.0
+    return np.where(at_one, c, obj), np.where(at_one, 0.0, gamma), c0
 
 
 def _minimize_exponent(rate_fn: GrowthRate, c: float, per_delta) -> ExponentResult:
-    """Minimize per_delta(delta, r) over the admissible normalized weights
-    {delta in (0, 1] : r(delta) >= 0}; per_delta is elementwise over arrays
-    and takes scalar arithmetic on floats.  Finite code spectra are scanned
-    at their exact weights; analytic growth rates get a dense grid, one array
-    evaluation, plus a golden refinement around the seed in scalar
-    arithmetic.  Ties resolve to the smallest delta.  The result carries the
+    """Minimize per_delta(delta, r), elementwise over arrays, over the
+    admissible normalized weights {delta in (0, 1] : r(delta) >= 0}; every
+    other weight scores +inf.  Finite code spectra are scanned at their
+    exact weights h/n; analytic growth rates on a 4,096-point grid, then
+    minimize_1d refines around its minimum on the neighboring grid
+    interval.  Ties resolve to the smallest delta.  The result carries the
     closed form's (gamma, c0) at the minimizing delta."""
     if c <= 0.0:
         raise ValueError(f"channel parameter must be positive, got c={c}")
-    if rate_fn.kind == "code" and rate_fn.n:
-        best: tuple[float, float] | None = None
-        for h in range(1, rate_fn.n + 1):
-            d = h / rate_fn.n
-            r = rate_fn(d)
-            if r < 0.0:
-                continue
-            v = per_delta(d, r)
-            if best is None or v < best[0]:
-                best = (v, d)
-        if best is None:
-            raise ValueError(
-                "no admissible normalized weight: every weight has a "
-                "negative log count"
-            )
-        v, d = best
-    else:
-        m = 4096
-        ds = np.linspace(0.0, 1.0, m + 1)[1:]
+    code = rate_fn.kind == "code" and rate_fn.n
+    m = rate_fn.n if code else 4096
+
+    def objective(ds: np.ndarray) -> np.ndarray:
         rs = np.broadcast_to(np.asarray(rate_fn(ds), dtype=float), ds.shape)
         adm = rs >= 0.0
-        if not adm.any():
-            raise ValueError(
-                "no admissible normalized weight: the growth rate is negative "
-                "everywhere on (0, 1]"
-            )
-        vals = np.full(m, np.inf)
+        vals = np.full(ds.shape, np.inf)
         vals[adm] = per_delta(ds[adm], rs[adm])
-        i = int(np.argmin(vals))
+        return vals
 
-        def scalar(d: float) -> float:
-            r = rate_fn(d)
-            return per_delta(d, r) if r >= 0.0 else math.inf
-
-        # The array values differ from the scalar ones by rounding only, far
-        # less than between neighboring grid points, so the seed is the
-        # scalar scan's; its value is taken in the refinement's scalar
-        # arithmetic.
-        seed = scalar(float(ds[i]))
-
-        def wrapped(x: np.ndarray) -> np.ndarray:
-            return np.array([scalar(d) for d in x.tolist()])
-
+    ds = np.arange(1, m + 1) / m
+    vals = objective(ds)
+    i = int(np.argmin(vals))
+    if vals[i] == np.inf:
+        why = "every weight has a negative log count" if code else (
+            "the growth rate is negative everywhere on (0, 1]")
+        raise ValueError(f"no admissible normalized weight: {why}")
+    if code:
+        d, v = float(ds[i]), float(vals[i])
+    else:
         d, v = minimize_1d(
-            wrapped, float(ds[max(i - 1, 0)]), float(ds[min(i + 1, m - 1)]),
+            objective, float(ds[max(i - 1, 0)]), float(ds[min(i + 1, m - 1)]),
             grid_points=17,
         )
-        if not v < seed:
-            d, v = float(ds[i]), seed
-    _, gamma, c0 = _closed_form_pieces(c, d, rate_fn(d))
-    return ExponentResult(exponent=v, delta_star=d, gamma_star=gamma, c0_star=c0)
+    _, gamma, c0 = _closed_form(c, d, rate_fn(d))
+    return ExponentResult(v, d, float(gamma), float(c0))
 
 
 def tsb_exponent(rate_fn: GrowthRate, c: float) -> ExponentResult:
@@ -513,7 +466,7 @@ def tsb_exponent(rate_fn: GrowthRate, c: float) -> ExponentResult:
     result carries the minimizing delta and the (gamma, c0) parameters there.
     A negative exponent is reported as-is and flagged vacuous.
     """
-    return _minimize_exponent(rate_fn, c, lambda dd, rr: _closed_form_value(c, dd, rr))
+    return _minimize_exponent(rate_fn, c, lambda dd, rr: _closed_form(c, dd, rr)[0])
 
 
 def union_exponent(rate_fn: GrowthRate, c: float) -> ExponentResult:
@@ -563,7 +516,9 @@ def gallager_rce(rate: float, c: float) -> float:
     def objective(rhos: np.ndarray) -> np.ndarray:
         return np.array([rho * rate * _LN2 - e0(rho) for rho in rhos.tolist()])
 
-    _, neg = minimize_1d(objective, 0.0, 1.0, grid_points=33)
+    # E0 is concave in rho (Gallager, IEEE Trans. IT, 1965), so the
+    # objective is convex: its minimum lies next to the least grid point.
+    _, neg = minimize_1d(objective, 0.0, 1.0, grid_points=3)
     return -neg
 
 

@@ -149,13 +149,14 @@ def _decode_block(
     return int(np.count_nonzero(err)), int(np.sum(np.bitwise_count(flips.astype(np.uint64))))
 
 
-def _decide(y: np.ndarray, sent: np.ndarray, book: _Codebook) -> tuple[int, int, int]:
+def _decide(v: np.ndarray, sent: np.ndarray, book: _Codebook) -> tuple[int, int, int]:
     """Block errors, bit errors and full decodes of ML decoding the
-    received words y (m, n), sent as the images indexed by `sent`.
+    received words y (m, n), sent as the images indexed by `sent`, given
+    as their agreements v (m, n) with the sent images.
 
     Distance bound.  Let v_j = y_j * s_j be the agreement with the sent
-    image s (exact, as s_j = +-1) and S_w the sum of the w smallest v_j.
-    For a rival image c at Hamming distance w from s, corr(s) - corr(c) =
+    image s (exact, as s_j = +-1, so |v_j| = |y_j|) and S_w the sum of the
+    w smallest v_j.  For a rival image c at Hamming distance w from s, corr(s) - corr(c) =
     2 * (sum of v_j over the w positions where they differ) >= 2 * S_w.
 
     Rounding, with u = eps/2 and gamma_m = m*u / (1 - m*u).  Each computed
@@ -185,10 +186,9 @@ def _decide(y: np.ndarray, sent: np.ndarray, book: _Codebook) -> tuple[int, int,
     matrix serves every sent word.  The set is empty, and the trial error-
     free, when t < d.  Trials are grouped by candidate count and decoded in
     blocks of rows; ties go to the rival and count as errors."""
-    d, n = book.d, y.shape[1]
-    v = y * book.images[sent]
+    d, n = book.d, v.shape[1]
     s_d = np.sum(np.partition(v, d - 1, axis=1)[:, :d], axis=1)
-    margin = 4.0 * n * np.finfo(np.float64).eps * np.sum(np.abs(y), axis=1)
+    margin = 4.0 * n * np.finfo(np.float64).eps * np.sum(np.abs(v), axis=1)
     full = np.flatnonzero(~(s_d > margin))
     v, sent, margin = v[full], sent[full], margin[full]
     s_w = np.cumsum(np.sort(v, axis=1), axis=1)
@@ -227,7 +227,9 @@ def _chunk_counts(
         sent = rng.integers(0, images.shape[0], size=m, dtype=np.int64)
     else:
         sent = np.zeros(m, dtype=np.int64)
-    noise += images[sent]
+    # The agreements in place: for s = +-1, fl(s + e) * s = fl(1 + s * e).
+    noise *= images[sent]
+    noise += 1.0
     return _decide(noise, sent, book)
 
 

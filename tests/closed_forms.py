@@ -2,8 +2,9 @@
 the admissible correlation interval between two weights, the same-weight
 sheared exponent profile whose stationary points the k = 0 face degeneracy
 check verifies, the vector grid-plus-golden minimizer that minimize_1d and
-the exact Chernoff tilt solve are checked against, and the scalar weight
-scan that the exponents' array scan is checked against."""
+the exact Chernoff tilt solve are checked against, and the scalar closed-form
+exponent and weight scan that the exponents' array scan is checked
+against."""
 
 import math
 
@@ -124,22 +125,59 @@ def minimize_componentwise(f, lo, hi, tol: Tolerance = DEFAULT_TOL, grid_points:
     return np.where(seed, xs[best, idx], xm), np.where(seed, fs[best, idx], fm)
 
 
+def closed_form(c: float, delta: float, r: float) -> tuple[float, float, float]:
+    """Per-delta objective of the common-exponent closed form, with its
+    (gamma, c0) diagnostics, in scalar math-module arithmetic.  Requires
+    r >= 0.
+
+    The interior saddle value applies while gamma stays in [0, 1]; outside
+    that window the zero-tilt boundary value c delta - r is the true per-delta
+    exponent (the two branches meet at gamma = 1).  Evaluation goes through
+    x = gamma Delta^2, which stays finite as delta -> 1.
+    """
+    if delta >= 1.0:
+        # antipodal limit: gamma -> 0 and the objective -> c
+        return c, 0.0, 0.0
+    c0 = (1.0 - math.exp(-2.0 * r)) * (1.0 - delta) / (2.0 * delta)
+    if c0 == 0.0:
+        # zero growth: the interior tilt diverges; the boundary is exact
+        return c * delta - r, math.inf, 0.0
+    x = math.sqrt(c / c0 + (1.0 + c) ** 2 - 1.0) - (1.0 + c)
+    gamma = x * (1.0 - delta) / delta
+    if 0.0 <= gamma <= 1.0:
+        obj = 0.5 * math.log1p(-2.0 * c0 * x) + c * x / (1.0 + x)
+    else:
+        obj = c * delta - r
+    return obj, gamma, c0
+
+
 def scalar_scan_exponent(rate_fn, per_delta):
     """The asymptotic exponents' minimization over normalized weights with
-    every grid point evaluated alone, in scalar arithmetic: a 4096-point
-    scan of the admissible weights (r >= 0), then minimize_1d over the
-    neighboring grid interval of its first minimum, 17 points, each
-    evaluated alone too.  Returns (value, delta)."""
+    every weight evaluated alone, in scalar arithmetic; per_delta(d, r) takes
+    floats.  A finite code spectrum is looped over its weights h/n, keeping
+    the first minimum.  An analytic rate gets a 4096-point scan of the
+    admissible weights (r >= 0; the rates taken in one call), then
+    minimize_1d over the neighboring grid interval of its first minimum, 17
+    points, each evaluated alone too.
+    Returns (value, delta)."""
+
+    def one(d):
+        r = rate_fn(d)
+        return per_delta(d, r) if r >= 0.0 else math.inf
+
+    if rate_fn.kind == "code" and rate_fn.n:
+        best = (math.inf, None)
+        for h in range(1, rate_fn.n + 1):
+            v = one(h / rate_fn.n)
+            if v < best[0]:
+                best = (v, h / rate_fn.n)
+        return best
     m = 4096
     ds = np.linspace(0.0, 1.0, m + 1)[1:]
-    rs = [rate_fn(float(d)) for d in ds]
-    vals = [per_delta(float(d), r) if r >= 0.0 else math.inf for d, r in zip(ds, rs)]
+    rs = np.broadcast_to(rate_fn(ds), ds.shape).tolist()
+    vals = [per_delta(d, r) if r >= 0.0 else math.inf for d, r in zip(ds.tolist(), rs)]
     i = int(np.argmin(vals))
-
-    def one_by_one(x):
-        return np.array([per_delta(d, rate_fn(d)) if rate_fn(d) >= 0.0 else math.inf
-                         for d in x.tolist()])
-
-    d, v = minimize_1d(one_by_one, float(ds[max(i - 1, 0)]), float(ds[min(i + 1, m - 1)]),
+    d, v = minimize_1d(lambda x: np.array([one(d) for d in x.tolist()]),
+                       float(ds[max(i - 1, 0)]), float(ds[min(i + 1, m - 1)]),
                        grid_points=17)
-    return (d, v) if v < vals[i] else (float(ds[i]), vals[i])
+    return (v, d) if v < vals[i] else (vals[i], float(ds[i]))

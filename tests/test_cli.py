@@ -411,6 +411,9 @@ def test_exponent_requires_rate_and_positive_grid(tmp_path):
     assert run_cli(["exponent", "--ensemble", "64,0.5", "--grid", "0:0.5:0.25"]) == 2
     assert run_cli(["exponent", "--ensemble", "64", "--grid", "0.5"]) == 2
     assert run_cli(["exponent", "--ensemble", "64,1.5", "--grid", "0.5"]) == 2
+    # only the bounds sweep integrates, so only it takes tolerances
+    assert run_cli(["exponent", "--ensemble", "64,0.5", "--grid", "0.5",
+                    "--tol-rel", "1e-6"]) == 2
 
 
 # ---------------------------------------------------------------------------

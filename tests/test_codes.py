@@ -229,22 +229,25 @@ def test_growth_rate_bounded_by_ln2(delta):
 
 
 def test_growth_rate_on_arrays(hamming_spec):
-    # An array of normalized weights is evaluated elementwise: the code
-    # kind's nearest-weight lookup gives the scalar values exactly (empty
+    # An array of normalized weights is evaluated elementwise, each value
+    # the float call's: the code kind's nearest-weight lookup (empty
     # weights -inf, delta = 1, and n * delta = 3.5 rounded half to even),
-    # the ensemble's closed form agrees to rounding (numpy's logarithms may
-    # differ from the math module's in the last bit) and has zero entropy at
-    # delta = 1.  Weights outside (0, 1] are rejected as for a float.
+    # and the ensemble's closed form, which agrees with the math module's
+    # to rounding and has zero entropy at delta = 1.  Weights outside
+    # (0, 1] are rejected as for a float.
     ds = np.array([1 / 7, 0.2, 3 / 7, 0.5, 4 / 7, 1.0])
     got = growth_rate(hamming_spec, ds)
     assert got.tolist() == [growth_rate(hamming_spec, float(d)) for d in ds]
     assert got[0] == -math.inf and got[3] == got[4] and got[-1] == 0.0
+    assert got[2] == math.log(7) / 7
     ens = random_ensemble_spectrum(64, 0.5)
     ds = np.linspace(0.0, 1.0, 4097)[1:]
     got = growth_rate(ens, ds)
-    want = np.array([growth_rate(ens, float(d)) for d in ds])
-    assert np.all(np.abs(got - want) <= 1e-15)
-    assert got[-1] == want[-1] == -0.5 * LN2
+    assert got.tolist() == [growth_rate(ens, d) for d in ds.tolist()]
+    want = np.array([-d * math.log(d) - (1 - d) * math.log1p(-d) - 0.5 * LN2
+                     for d in ds[:-1].tolist()])
+    assert np.all(np.abs(got[:-1] - want) <= 1e-15)
+    assert got[-1] == -0.5 * LN2
     assert GrowthRate.from_spectrum(ens)(ds).tolist() == got.tolist()
     for spec in (hamming_spec, ens):
         for bad in ([0.5, 0.0], [1.5], [-0.25, 0.5]):

@@ -18,6 +18,7 @@ from closed_forms import (
     _g2,
     _tau_star,
     _xi_star,
+    closed_form,
     minimize_componentwise,
     scalar_scan_exponent,
 )
@@ -37,7 +38,7 @@ from tsbounds.exponents import (
     union_exponent,
     verify_kstar_zero,
 )
-from tsbounds.numerics import Tolerance, log_q_function
+from tsbounds.numerics import Tolerance, adaptive_integrate, log_q_function
 
 NEG_INF = -math.inf
 R_HAMMING = 4 / 7
@@ -580,21 +581,49 @@ def test_tsb_exponent_dense_grid_oracle(half_rate_fn):
 
 
 def test_exponent_array_scan_matches_scalar_scan():
-    # The weight scan runs on arrays, whose numpy logarithms may differ from
-    # the math module's in the last bit; that never moves the seed's grid
-    # point, and the seed's value and the refinement are scalar arithmetic.
-    # So tsb_exponent and union_exponent equal the all-scalar scan bit for
-    # bit, delta_star included, at interior, kinked and boundary minima.
+    # The weight scan and its refinement run on arrays, whose numpy
+    # transcendentals may differ from the math module's in the last bit.
+    # Against the all-scalar scan, that moves the exponent by rounding only,
+    # and delta_star by at most 1e-8 relative where the minimum is flat
+    # (an argmax of c0(delta)); interior, kinked and boundary minima.
     for rate in (0.25, 0.5, 0.9):
         gr = GrowthRate.from_spectrum(random_ensemble_spectrum(64, rate))
         for c in (0.3, 0.8, 1.5, 4.0):
-            tsb = tsb_exponent(gr, c)
-            union = union_exponent(gr, c)
-            want_tsb = scalar_scan_exponent(
-                gr, lambda d, r: exponents._closed_form_pieces(c, d, r)[0])
-            want_union = scalar_scan_exponent(gr, lambda d, r: c * d - r)
-            assert (tsb.exponent, tsb.delta_star) == want_tsb[::-1], (rate, c)
-            assert (union.exponent, union.delta_star) == want_union[::-1], (rate, c)
+            for got, per_delta in (
+                (tsb_exponent(gr, c), lambda d, r: closed_form(c, d, r)[0]),
+                (union_exponent(gr, c), lambda d, r: c * d - r),
+            ):
+                v, d = scalar_scan_exponent(gr, per_delta)
+                assert abs(got.exponent - v) <= 1e-14 * abs(v), (rate, c)
+                assert abs(got.delta_star - d) <= 1e-8 * d, (rate, c)
+
+
+@pytest.mark.parametrize("code", ["hamming_spec", "golay_spec"])
+def test_code_spectrum_scan_matches_scalar_loop(request, code):
+    # A code spectrum is scanned once at its exact weights h/n: the weight
+    # is the per-weight scalar loop's, and the value differs by rounding
+    # only.
+    gr = GrowthRate.from_spectrum(request.getfixturevalue(code))
+    for c in (0.3, 0.8, 1.5, 4.0):
+        for got, per_delta in (
+            (tsb_exponent(gr, c), lambda d, r: closed_form(c, d, r)[0]),
+            (union_exponent(gr, c), lambda d, r: c * d - r),
+        ):
+            v, d = scalar_scan_exponent(gr, per_delta)
+            assert got.delta_star == d, (code, c)
+            assert abs(got.exponent - v) <= 1e-14 * abs(v), (code, c)
+
+
+def test_code_spectrum_scan_ties_go_to_smallest_weight():
+    # union objective c d - r = 1/4 exactly at d = 1/2 and d = 3/4, larger
+    # elsewhere: the first minimum is kept, as in the scalar loop
+    def r(d):
+        return np.where((d == 0.5) | (d == 0.75), d - 0.25, -np.inf)
+
+    gr = GrowthRate(fn=r, kind="code", n=8)
+    res = union_exponent(gr, 1.0)
+    assert (res.exponent, res.delta_star) == (0.25, 0.5)
+    assert scalar_scan_exponent(gr, lambda d, rr: d - rr) == (0.25, 0.5)
 
 
 def test_tsb_exponent_interior_minimizer_ignores_c(half_rate_fn):
@@ -696,6 +725,36 @@ def test_gallager_rce_nonnegative_and_zero_below_capacity():
     assert gallager_rce(0.9, 0.8) == pytest.approx(0.0, abs=1e-8)
     for rate, c in [(0.5, 0.6), (0.5, 2.0), (0.9, 3.0), (0.1, 0.2)]:
         assert gallager_rce(rate, c) >= -1e-12
+
+
+def test_gallager_rce_matches_dense_rho_scan():
+    # E0 is concave in rho, so the 3-point seeded search finds the maximum
+    # that a dense 257-point scan brackets: an interior optimum lies within
+    # the scan's concavity bound above its best point, and an optimum at
+    # rho* = 0 (the rate above capacity) or rho* = 1 (far below it) is the
+    # scan's end value itself
+    rhos = np.linspace(0.0, 1.0, 257)
+    for rate, c, edge in [(0.5, 0.8, None), (0.5, 1e-9, 0), (0.9, 0.8, 0), (0.1, 5.0, 256)]:
+        a = math.sqrt(2.0 * c)
+
+        def e0(rho):
+            def f(u):
+                return (0.5 * (np.exp(-0.5 * (u - a) ** 2 / (1.0 + rho))
+                               + np.exp(-0.5 * (u + a) ** 2 / (1.0 + rho)))) ** (1.0 + rho)
+
+            quad = adaptive_integrate(f, 0.0, a + 12.0, exponents._GALLAGER_TOL)
+            return 0.5 * math.log(2.0 * math.pi) - math.log(2.0 * quad.value)
+
+        scan = np.array([e0(rho) - rho * rate * math.log(2.0) for rho in rhos.tolist()])
+        b = int(np.argmax(scan))
+        got = gallager_rce(rate, c)
+        if edge is None:
+            assert 0 < b < 256
+            rise = max(scan[b] - scan[b - 1], scan[b] - scan[b + 1])
+            assert scan[b] - 1e-12 <= got <= scan[b] + rise + 1e-12, (rate, c)
+        else:
+            assert b == edge
+            assert abs(got - scan[b]) <= 1e-12, (rate, c)
 
 
 def test_gallager_rce_unconverged_e0_raises(monkeypatch):

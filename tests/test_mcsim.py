@@ -167,7 +167,7 @@ def test_screen_boundary_matches_full_decoder(hamming74, sent):
     for delta, full, block in cases:
         y, rival = _crafted_word(images, d, sent, delta)
         words.append(y)
-        got = mcsim._decide(y[None, :], np.array([sent]), book)
+        got = mcsim._decide((y * images[sent])[None, :], np.array([sent]), book)
         want = oracle_decide(y[None, :], np.array([sent]), images)
         assert got == want + (full,), delta
         assert got[0] == block, delta
@@ -176,7 +176,7 @@ def test_screen_boundary_matches_full_decoder(hamming74, sent):
     # the same words in one batch, so the gathered rows keep their order
     y = np.array(words)
     sents = np.full(len(words), sent)
-    batch = mcsim._decide(y, sents, book)
+    batch = mcsim._decide(y * images[sents], sents, book)
     assert batch == oracle_decide(y, sents, images) + (3,)
 
 
@@ -233,7 +233,7 @@ def test_rival_beyond_min_distance_matches_full_decoder(request, decoded_blocks,
     ]:
         y, rival = _far_word(book.images, w, sent, delta, off)
         decoded_blocks.clear()
-        got = mcsim._decide(y[None, :], np.array([sent]), book)
+        got = mcsim._decide((y * book.images[sent])[None, :], np.array([sent]), book)
         assert got == oracle_decide(y[None, :], np.array([sent]), book.images) + (1,), delta
         assert got[0] == block, delta
         if block:
@@ -252,12 +252,13 @@ def test_rivals_tied_beyond_min_distance(hamming74):
     v = np.where((book.images[a] > 0.0) | (book.images[b] > 0.0), -1.0, 3.0)
     sent = np.arange(1 << hamming74.k)
     y = v * book.images[sent]
-    got = mcsim._decide(y, sent, book)
+    got = mcsim._decide(y * book.images[sent], sent, book)
     assert got == oracle_decide(y, sent, book.images) + (len(sent),)
     assert got[0] == len(sent)
     # all-zero received words tie every rival with the sent word
     y = np.zeros((len(sent), hamming74.n))
-    assert mcsim._decide(y, sent, book) == oracle_decide(y, sent, book.images) + (len(sent),)
+    got = mcsim._decide(y * book.images[sent], sent, book)
+    assert got == oracle_decide(y, sent, book.images) + (len(sent),)
 
 
 def test_screen_miss_with_no_candidates(decoded_blocks):
@@ -274,7 +275,7 @@ def test_screen_miss_with_no_candidates(decoded_blocks):
     assert 64 * eps <= 4.0 * 8 * eps * np.sum(np.abs(v)) < 64.5 * eps
     for sent in (0, 1):
         y = v * book.images[sent]
-        got = mcsim._decide(y[None, :], np.array([sent]), book)
+        got = mcsim._decide(v[None, :], np.array([sent]), book)
         assert got == oracle_decide(y[None, :], np.array([sent]), book.images) + (1,)
     assert decoded_blocks == []
 
@@ -300,9 +301,9 @@ def test_candidate_decoder_matches_full_decoder(seed, k, extra, db, transmit):
     sent = (rng.integers(0, 1 << k, size=m) if transmit == "random"
             else np.zeros(m, dtype=np.int64))
     y = rng.normal(0.0, math.sqrt(ch.sigma_sq), size=(m, n)) + book.images[sent]
-    got = mcsim._decide(y, sent, book)
-    assert got[:2] == oracle_decide(y, sent, book.images)
     v = y * book.images[sent]
+    got = mcsim._decide(v, sent, book)
+    assert got[:2] == oracle_decide(y, sent, book.images)
     s_d = np.sum(np.partition(v, book.d - 1, axis=1)[:, :book.d], axis=1)
     margin = 4.0 * n * np.finfo(np.float64).eps * np.sum(np.abs(y), axis=1)
     assert got[2] == np.count_nonzero(~(s_d > margin))
