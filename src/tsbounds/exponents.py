@@ -236,11 +236,12 @@ def verify_kstar_zero(
 # ---------------------------------------------------------------------------
 
 
-def _tilt_slope(q, n, c, u, eta):
-    """g = p f'(q) and dg/dq, elementwise, for the per-weight tilt objective
-    f(q) = ln sqrt((1-2q)/p) - n E(q), p = 1 + 2 q eta, E the moment exponent
-    at Delta^2 = (1-u)/u with u = 1 - h/n (finite at h = n).  f is strictly
-    convex on its box: with D = 1 + 2 q eta + (1-2q) Delta^2 > 0,
+def _tilt_slope(q, n, c, u, eta, with_dg: bool = True):
+    """g = p f'(q) and dg/dq (g alone without with_dg), elementwise, for the
+    per-weight tilt objective f(q) = ln sqrt((1-2q)/p) - n E(q),
+    p = 1 + 2 q eta, E the moment exponent at Delta^2 = (1-u)/u with
+    u = 1 - h/n (finite at h = n).  f is strictly convex on its box: with
+    D = 1 + 2 q eta + (1-2q) Delta^2 > 0,
     f'' = 2(n-1)/(1-2q)^2 + 2 eta^2/p^2 + 8 n c (eta - Delta^2)^2/D^3 > 0,
     so its minimum is a box end or the one root of f'.  The factor p > 0
     keeps the sign of f' and clears its pole at q = -1/(2 eta) for Newton."""
@@ -249,25 +250,41 @@ def _tilt_slope(q, n, c, u, eta):
     e = r + 2.0 * q * u * (eta + 1.0)  # u D
     w = 2.0 * n * c * u * k
     g = (n - 1) * p / r - eta - w * p / e**2
+    if not with_dg:
+        return g
     dg = 2.0 * (n - 1) * (eta + 1.0) / r**2 - 2.0 * w * (eta * e - 2.0 * p * k) / e**3
     return g, dg
+
+
+def _term_slopes(q, n, c, u, eta):
+    """d term_h / d ln eta at the solved tilts q, elementwise.  By the
+    envelope theorem this is eta times the partial of the tilt objective in
+    eta at fixed q, -q/p - 2 n c q/D^2 (with 1/D = u/(u D), 0 at h = n): the
+    tilt minimizes the objective at an interior root of f' or at a box end
+    that does not move with eta (0 or 1/2 for the cap, 0 for h >= 1; f' < 0
+    at the moving end -1/(2 eta), so the minimum is never there)."""
+    p = 1.0 + 2.0 * q * eta
+    e = 1.0 - 2.0 * q + 2.0 * q * u * (eta + 1.0)  # u D
+    return -eta * q * (1.0 / p + 2.0 * n * c * (u / e) ** 2)
 
 
 _TILTS = threading.local()
 
 
-def _tilt_terms(n: int, c: float, eta: np.ndarray) -> np.ndarray:
-    """Rows of the minima terms of _solve_tilts(n, c, eta), one per slope in
-    the 1-D array eta, as a new array.  Rows are kept per thread for the
-    latest (n, c) only, and the slopes not yet kept are solved in one batch:
-    chernoff_tsb and chernoff_psi at one (n, c) search the same slopes."""
+def _tilt_rows(n: int, c: float, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tilts and minima terms of _solve_tilts(n, c, eta), rows of n+1 per
+    slope in the 1-D array eta, as new arrays.  Rows are kept per thread for
+    the latest (n, c) only, and the slopes not yet kept are solved in one
+    batch: chernoff_tsb and chernoff_psi at one (n, c) search the same
+    slopes, and a slope's derivative needs the tilts of its value."""
     if getattr(_TILTS, "nc", None) != (n, c):
         _TILTS.nc, _TILTS.by_eta = (n, c), {}
     kept, keys = _TILTS.by_eta, eta.tolist()
     missing = [e for e in dict.fromkeys(keys) if e not in kept]
     if missing:
-        kept.update(zip(missing, _solve_tilts(n, c, np.array(missing))[1]))
-    return np.array([kept[e] for e in keys])
+        kept.update(zip(missing, np.stack(_solve_tilts(n, c, np.array(missing)), axis=1)))
+    rows = np.array([kept[e] for e in keys])
+    return rows[:, 0], rows[:, 1]
 
 
 def _solve_tilts(n: int, c: float, eta) -> tuple[np.ndarray, np.ndarray]:
@@ -286,7 +303,7 @@ def _solve_tilts(n: int, c: float, eta) -> tuple[np.ndarray, np.ndarray]:
     hi = np.where(hs == 0, 0.5 * _TILT_EDGE, 0.0)
     u = 1.0 - hs / n
     qs = lo + np.linspace(0.0, 1.0, 5).reshape((5,) + (1,) * lo.ndim) * (hi - lo)
-    gs, _ = _tilt_slope(qs, n, c, u, eta)
+    gs = _tilt_slope(qs, n, c, u, eta, with_dg=False)
     # a = b = the box end holding the minimum where f' keeps one sign
     j = np.argmax(gs > 0.0, axis=0)
 
@@ -314,20 +331,36 @@ def _solve_tilts(n: int, c: float, eta) -> tuple[np.ndarray, np.ndarray]:
 
 def _chernoff_log_total(
     n: int, c: float, spec: DistanceSpectrum, eta: np.ndarray, layered: bool = False
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Log of the assembled exponential bound at each slope of the 1-D array
-    eta: cap term plus the spectrum pair terms, plus (for the layered
-    variant) the cheapest unit reference pair term over the layers
-    w = 1..n-1."""
-    terms = _tilt_terms(n, c, eta)
+    eta, and its derivative in ln eta: cap term plus the spectrum pair
+    terms, plus (for the layered variant) the cheapest unit reference pair
+    term over the layers w = 1..n-1.  The derivative weighs each term's
+    _term_slopes by its share of the sum, and the layered one mixes the
+    cheapest layer's slope in by its logaddexp weight."""
+    q, terms = _tilt_rows(n, c, eta)
     log_a = np.asarray(spec.log_a, dtype=float)
     ws = np.nonzero(np.isfinite(log_a[1:]))[0] + 1
     parts = np.concatenate([log_a[ws] + terms[:, ws], terms[:, :1]], axis=1)
     top = parts.max(axis=1)  # finite: every term is
-    base = np.log(np.exp(parts - top[:, None]).sum(axis=1)) + top
+    shares = np.exp(parts - top[:, None])
+    whole = shares.sum(axis=1)
+    base = np.log(whole) + top
+    slopes = _term_slopes(q, n, c, 1.0 - np.arange(n + 1) / n, eta[:, None])
+    dbase = (shares * slopes[:, np.append(ws, 0)]).sum(axis=1) / whole
     if not layered:
-        return base
-    return np.min(np.logaddexp(base[:, None], terms[:, 1:n]), axis=1)
+        return base, dbase
+    rows = np.arange(eta.size)
+    mixed = np.logaddexp(base[:, None], terms[:, 1:n])
+    w = np.argmin(mixed, axis=1) + 1
+    total = mixed[rows, w - 1]
+    # The layer's logaddexp weight.  One under 1e-12 moves the minimum's
+    # value by a second-order amount, far below rounding, and is left out:
+    # where the layer is that small, chernoff_psi's search then takes
+    # chernoff_tsb's steps (slopes solved once) and ends no lower.
+    share = np.exp(terms[rows, w] - total)
+    share[share < 1e-12] = 0.0
+    return total, dbase + share * (slopes[rows, w] - dbase)
 
 
 def _check_assembly_args(n: int, c: float, spec: DistanceSpectrum) -> None:
@@ -339,10 +372,17 @@ def _check_assembly_args(n: int, c: float, spec: DistanceSpectrum) -> None:
         raise ValueError("spectrum has no nonzero weights to bound")
 
 
-def _optimize_eta(total, cell: str) -> float:
-    """Minimize total, an array function of ln eta, over the slope box; a
-    clipped optimum warns, naming the cell (bound, n and c)."""
-    x, val = minimize_1d(total, _ETA_LOG_LO, _ETA_LOG_HI, grid_points=33)
+def _optimize_eta(n: int, c: float, spec: DistanceSpectrum, layered: bool, cell: str) -> float:
+    """Minimize the log assembly over ln eta in the slope box, given its
+    slope there; a clipped optimum warns, naming the cell (bound, n and c)."""
+
+    def total(x: np.ndarray) -> np.ndarray:
+        return _chernoff_log_total(n, c, spec, np.exp(x), layered)[0]
+
+    x, val = minimize_1d(
+        total, _ETA_LOG_LO, _ETA_LOG_HI, grid_points=33,
+        slope=lambda x: _chernoff_log_total(n, c, spec, np.exp(x), layered)[1],
+    )
     if min(x - _ETA_LOG_LO, _ETA_LOG_HI - x) < 0.1:
         # Pinning at the box edge is routine at low SNR (the assembly
         # flattens into the union of pairwise terms); only a still-steep
@@ -369,10 +409,7 @@ def chernoff_tsb(n: int, c: float, spec: DistanceSpectrum) -> float:
     included, and the slope is searched over ln eta in [-6, 6].
     """
     _check_assembly_args(n, c, spec)
-    return _optimize_eta(
-        lambda x: _chernoff_log_total(n, c, spec, np.exp(x)),
-        f"chernoff_tsb(n={n}, c={c:.17g})",
-    )
+    return _optimize_eta(n, c, spec, False, f"chernoff_tsb(n={n}, c={c:.17g})")
 
 
 def chernoff_psi(n: int, c: float, spec: DistanceSpectrum) -> float:
@@ -389,10 +426,7 @@ def chernoff_psi(n: int, c: float, spec: DistanceSpectrum) -> float:
     _check_assembly_args(n, c, spec)
     if n < 2:
         raise ValueError(f"need n >= 2 for a reference layer, got n={n}")
-    return _optimize_eta(
-        lambda x: _chernoff_log_total(n, c, spec, np.exp(x), layered=True),
-        f"chernoff_psi(n={n}, c={c:.17g})",
-    )
+    return _optimize_eta(n, c, spec, True, f"chernoff_psi(n={n}, c={c:.17g})")
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +521,9 @@ def gallager_rce(rate: float, c: float) -> float:
     output density, truncated twelve standard deviations past the signal
     points.  The integrand is even in the output (bit for bit: negating u
     swaps the two exponentials), so it is integrated over the positive half
-    and doubled.  An E0 quadrature that misses _GALLAGER_TOL raises
-    RuntimeError naming rho and c."""
+    and doubled; E0(0) = 0 is exact, so a rate above capacity gives exactly
+    0.  An E0 quadrature that misses _GALLAGER_TOL raises RuntimeError
+    naming rho and c."""
     if not 0.0 < rate < 1.0:
         raise ValueError(f"rate must lie in (0,1), got {rate}")
     if c <= 0.0:
@@ -496,6 +531,8 @@ def gallager_rce(rate: float, c: float) -> float:
     a = math.sqrt(2.0 * c)
 
     def e0(rho: float) -> float:
+        if rho == 0.0:
+            return 0.0  # exactly; its quadrature gives rounding noise
         ex = 1.0 / (1.0 + rho)
 
         def f(u: np.ndarray) -> np.ndarray:
@@ -519,7 +556,7 @@ def gallager_rce(rate: float, c: float) -> float:
     # E0 is concave in rho (Gallager, IEEE Trans. IT, 1965), so the
     # objective is convex: its minimum lies next to the least grid point.
     _, neg = minimize_1d(objective, 0.0, 1.0, grid_points=3)
-    return -neg
+    return 0.0 - neg  # +0.0 where rho* = 0
 
 
 def finite_n_exponent(log_bound: float, n: int) -> float:

@@ -1,6 +1,6 @@
 """Shared numeric kernel: Gaussian tail, sin-power integrals, quadrature,
-and the one 1-D minimizer (minimize_1d: a grid scan, then golden-section
-refinement).
+and the one 1-D minimizer (minimize_1d: a grid scan, then a root solve of
+the slope where one is given, else golden-section refinement).
 
 Integrands and objectives share one array contract: each maps a 1-D numpy
 array of abscissae to an array of values, one per abscissa, so a whole
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import brentq
 
 __all__ = [
     "Tolerance",
@@ -308,10 +309,11 @@ def adaptive_integrate(
 
 
 # ---------------------------------------------------------------------------
-# 1-D minimization (grid scan + golden refinement)
+# 1-D minimization (grid scan, then a slope root solve or golden refinement)
 # ---------------------------------------------------------------------------
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_FLAT_ULPS = 4.0
 
 
 def minimize_1d(
@@ -320,16 +322,20 @@ def minimize_1d(
     hi: float,
     tol: Tolerance = DEFAULT_TOL,
     grid_points: int = 129,
+    slope: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[float, float]:
     """Global-ish 1-D minimization of f over [lo, hi].
 
     f maps a 1-D array of abscissae to the array of its values there.  An
-    evenly spaced grid scan (one call on the whole grid), whose minimum
-    (ties broken toward the smallest argument) seeds a golden-section search
-    on its neighboring grid interval: one call on the two first interior
-    points, then one call on a one-element array per step, stopped once the
-    bracket meets tol or after tol.max_iter steps.  Returns the bracket
-    midpoint and its value, or the grid seed when that is no worse.
+    evenly spaced grid scan (one call on the whole grid) finds the minimum
+    (ties broken toward the smallest argument) that seeds the refinement on
+    its neighboring grid interval.  slope, the derivative of f under the
+    same array contract, lets the refinement skip golden steps where it
+    decides the minimum (see _slope_refinement).  Otherwise a golden-section
+    search runs: one call on the two first interior points, then one call on
+    a one-element array per step, stopped once the bracket meets tol or
+    after tol.max_iter steps, refining to the bracket midpoint.  Returns the
+    refined point and its value, or the grid seed when that is no worse.
     Deterministic.
     """
     if not lo < hi:
@@ -339,7 +345,19 @@ def minimize_1d(
     xs = np.linspace(lo, hi, grid_points)
     fs = f(xs)
     best = int(np.argmin(fs))  # the first (smallest-x) minimum
-    a, b = float(xs[max(best - 1, 0)]), float(xs[min(best + 1, grid_points - 1)])
+    seed = float(xs[best]), float(fs[best])
+    x = None if slope is None else _slope_refinement(slope, xs, best, seed[1], tol)
+    if x is None:
+        a, b = xs[max(best - 1, 0)], xs[min(best + 1, grid_points - 1)]
+        x = _golden(f, float(a), float(b), tol)
+    elif x == seed[0]:
+        return seed
+    (fx,) = f(np.array((x,))).tolist()
+    return seed if seed[1] <= fx else (x, fx)
+
+
+def _golden(f, a: float, b: float, tol: Tolerance) -> float:
+    """Midpoint of the golden-section bracket of f's minimum on [a, b]."""
     x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     f1, f2 = f(np.array((x1, x2))).tolist()
     for _ in range(tol.max_iter):
@@ -355,7 +373,37 @@ def minimize_1d(
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
             (f2,) = f(np.array((x2,))).tolist()
-    xm = 0.5 * (a + b)
-    (fm,) = f(np.array((xm,))).tolist()
-    x, v = (xs[best], fs[best]) if fs[best] <= fm else (xm, fm)
-    return float(x), float(v)
+    return 0.5 * (a + b)
+
+
+def _slope_refinement(slope, xs, best: int, value: float, tol: Tolerance) -> float | None:
+    """The point that the slope picks around minimize_1d's grid seed xs[best]
+    (where f equals value), or None to leave the seed to golden steps.
+
+    Where the slope changes sign on a grid interval next to the seed, its
+    root there by brentq to tol.  The seed itself where it is a box end
+    whose slope points out of the box, or where the slope moves f by under
+    _FLAT_ULPS ulps of value across one grid step (a minimum flat below
+    rounding)."""
+    lo, hi = max(best - 1, 0), min(best + 1, xs.size - 1)
+    s_lo, s, s_hi = slope(xs[[lo, best, hi]]).tolist()
+    if s < 0.0 < s_hi:
+        a, b = xs[best], xs[hi]
+    elif s_lo < 0.0 < s:
+        a, b = xs[lo], xs[best]
+    else:
+        pinned = (best == 0 and s >= 0.0) or (best == xs.size - 1 and s <= 0.0)
+        flat = abs(s) * (xs[1] - xs[0]) <= _FLAT_ULPS * np.spacing(abs(value))
+        return float(xs[best]) if pinned or flat else None
+    # brentq stops on a bracket narrower than xtol + rtol |x|: the golden
+    # search's abs_tol + rel_tol (|a| + |b|) at a ~ b.
+    root = brentq(
+        lambda t: slope(np.array((t,)))[0],
+        float(a),
+        float(b),
+        xtol=tol.abs_tol,
+        rtol=max(2.0 * tol.rel_tol, 4.0 * _EPS),
+        maxiter=tol.max_iter,
+        disp=False,
+    )
+    return float(root)

@@ -312,6 +312,16 @@ def test_exponent_columns_and_ordering(tmp_path):
         assert 0.0 < d_star <= 1.0
 
 
+def test_exponent_rce_is_exactly_zero_above_capacity(tmp_path):
+    # Above capacity the random-coding maximum is E0(0) = 0 at rho = 0, which
+    # is written as exactly 0 (not quadrature noise, nor -0).
+    out = tmp_path / "exp.csv"
+    assert run_cli(["exponent", "--ensemble", "256,0.25", "--grid", "1.3:1.5:0.1",
+                    "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+    assert [r[3] for r in rows] == ["0", "0", "0"]
+
+
 # The rows of `exponent --ensemble 64,0.5 --grid 0.45:0.85:0.05` recorded for
 # the exponent-assembly benchmark, when every scan ran in scalar arithmetic
 # and E0 was integrated over the whole output line.

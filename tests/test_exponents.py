@@ -22,7 +22,7 @@ from closed_forms import (
     minimize_componentwise,
     scalar_scan_exponent,
 )
-from tsbounds import exponents
+from tsbounds import exponents, numerics
 from tsbounds.bounds import ChannelPoint, tsb_block
 from tsbounds.codes import DistanceSpectrum, GrowthRate, random_ensemble_spectrum
 from tsbounds.exponents import (
@@ -38,7 +38,7 @@ from tsbounds.exponents import (
     union_exponent,
     verify_kstar_zero,
 )
-from tsbounds.numerics import Tolerance, adaptive_integrate, log_q_function
+from tsbounds.numerics import Tolerance, adaptive_integrate, log_q_function, minimize_1d
 
 NEG_INF = -math.inf
 R_HAMMING = 4 / 7
@@ -459,27 +459,36 @@ def test_tilt_solve_work_is_bounded(monkeypatch):
     # until its last slope settles).  Without the factor p the pole at the
     # lower tilt edge drives Newton to bisection, and rejecting a step that
     # lands exactly on a bracket end keeps bisecting after the root is found;
-    # either breaks this bound.
-    per_slope, batches, calls = [], [], [0]
-    slope, total = exponents._tilt_slope, exponents._chernoff_log_total
+    # either breaks this bound.  After the grid, the slope search asks for
+    # the slopes next to the grid minimum (kept, so solved already) and then
+    # one slope per root-solve step: at most 17 steps, 50 slopes in all.
+    per_call, batches, calls, solved = [], [], [0], []
+    slope, total, solve = (exponents._tilt_slope, exponents._chernoff_log_total,
+                           exponents._solve_tilts)
 
-    def slope_spy(*args):
+    def slope_spy(*args, **kwargs):
         calls[0] += 1
-        return slope(*args)
+        return slope(*args, **kwargs)
 
-    def total_spy(n, c, spec, eta, **kwargs):
+    def total_spy(n, c, spec, eta, *args):
         calls[0] = 0
-        value = total(n, c, spec, eta, **kwargs)
-        per_slope.append(calls[0])
+        value = total(n, c, spec, eta, *args)
+        per_call.append(calls[0])
         batches.append(eta.size)
         return value
+
+    def solve_spy(n, c, eta):
+        solved.append(np.size(eta))
+        return solve(n, c, eta)
 
     monkeypatch.setattr(exponents, "_TILTS", threading.local())  # no solve remembered
     monkeypatch.setattr(exponents, "_tilt_slope", slope_spy)
     monkeypatch.setattr(exponents, "_chernoff_log_total", total_spy)
+    monkeypatch.setattr(exponents, "_solve_tilts", solve_spy)
     chernoff_tsb(512, 1.0, random_ensemble_spectrum(512, 0.5))
-    assert len(per_slope) > 33 and batches[0] == 33 and max(batches[1:]) <= 2
-    assert max(per_slope) <= 1 + 12
+    assert batches[:2] == [33, 3] and max(batches[2:]) == 1
+    assert solved[0] == 33 and set(solved[1:]) == {1} and sum(solved) <= 50
+    assert max(per_call) <= 1 + 12
 
 
 def test_batched_tilt_solves_match_one_slope_solves():
@@ -501,10 +510,11 @@ def test_batched_tilt_solves_match_one_slope_solves():
 
 def test_chernoff_psi_reuses_chernoff_tsb_tilt_solves(monkeypatch):
     # At one (n, c) both assemblies search the same slopes, so chernoff_psi
-    # after chernoff_tsb solves no tilt: 88 + 0 slopes solved at n = 256,
-    # c = 1 (88 + 88 when each solved its own), counted per slope since one
-    # solve takes a batch.  The solves are kept per thread, for the latest
-    # (n, c) only, and a caller gets a copy of them.
+    # after chernoff_tsb solves no tilt: at n = 256, c = 1, at most 50
+    # slopes solved by the grid and the root solve of chernoff_tsb's search,
+    # then none, counted per slope since one solve takes a batch.  The
+    # solves (tilts and terms) are kept per thread, for the latest (n, c)
+    # only, and a caller gets a copy of them.
     solves = []
     solve = exponents._solve_tilts
 
@@ -518,18 +528,102 @@ def test_chernoff_psi_reuses_chernoff_tsb_tilt_solves(monkeypatch):
     chernoff_tsb(256, 1.0, spec)
     tsb = len(solves)
     chernoff_psi(256, 1.0, spec)
-    assert (tsb, len(solves) - tsb) == (88, 0)
+    assert 33 < tsb <= 50 and len(solves) == tsb
     assert len(set(solves)) == len(solves)  # no slope solved twice
     kept = exponents._TILTS.by_eta[solves[0]].copy()
-    exponents._tilt_terms(256, 1.0, np.array(solves[:1]))[:] = 0.0
+    for row in exponents._tilt_rows(256, 1.0, np.array(solves[:1])):
+        row[:] = 0.0
     assert np.array_equal(exponents._TILTS.by_eta[solves[0]], kept)
     worker = threading.Thread(target=chernoff_psi, args=(256, 1.0, spec))
     worker.start()
-    worker.join()
-    assert len(solves) == 2 * 88  # another thread solves its own
-    exponents._tilt_terms(128, 1.0, np.array(solves[:1]))
-    exponents._tilt_terms(256, 1.0, np.array(solves[:1]))
-    assert len(solves) == 2 * 88 + 2  # another (n, c) replaced the memo
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert len(solves) == 2 * tsb  # another thread solves its own
+    exponents._tilt_rows(128, 1.0, np.array(solves[:1]))
+    exponents._tilt_rows(256, 1.0, np.array(solves[:1]))
+    assert len(solves) == 2 * tsb + 2  # another (n, c) replaced the memo
+
+
+def assembly_spec(n):
+    """The rate-1/2 ensemble spectrum, or at n = 1 the one word of weight 1."""
+    if n == 1:
+        return DistanceSpectrum(n=1, log_a=np.array([0.0, 0.0]), d_min=1)
+    return random_ensemble_spectrum(n, 0.5)
+
+
+def test_envelope_slope_matches_central_differences():
+    # Each term's slope in ln eta, read off its solved tilt by the envelope
+    # theorem, and the assembled slope (plain and layered) against central
+    # differences with step 1e-5 over the whole slope box, the cap (h = 0)
+    # and h = n columns included.  The envelope theorem needs each tilt at
+    # a root of f' or a box end fixed in eta: no pair tilt sits at the
+    # moving end -1/(2 eta).
+    xs = np.linspace(-6.0, 6.0, 49)
+    hx = 1e-5
+    for n in (1, 7, 64, 512):
+        spec = assembly_spec(n)
+        hs = np.arange(n + 1)
+        for c in (0.05, 1.0, 5.0):
+            eta = np.exp(xs)
+            q, terms = exponents._tilt_rows(n, c, eta)
+            lo, _ = tilt_box(n, eta[:, None])
+            assert np.all(q[:, 1:] > lo[:, 1:]), (n, c)
+            slopes = exponents._term_slopes(q, n, c, 1.0 - hs / n, eta[:, None])
+            up = exponents._tilt_rows(n, c, np.exp(xs + hx))[1]
+            down = exponents._tilt_rows(n, c, np.exp(xs - hx))[1]
+            fd = (up - down) / (2.0 * hx)
+            assert np.all(np.abs(fd - slopes) <= 1e-6 * (1.0 + np.abs(slopes))
+                          + 1e-9 * np.abs(terms)), (n, c)
+            for layered in (False, True) if n > 1 else (False,):
+                _, got = exponents._chernoff_log_total(n, c, spec, eta, layered)
+                up = exponents._chernoff_log_total(n, c, spec, np.exp(xs + hx), layered)[0]
+                down = exponents._chernoff_log_total(n, c, spec, np.exp(xs - hx), layered)[0]
+                fd = (up - down) / (2.0 * hx)
+                assert np.all(np.abs(fd - got) <= 1e-6 * (1.0 + np.abs(got))), (n, c, layered)
+
+
+def test_slope_search_never_above_golden_search(monkeypatch):
+    # The assemblies' root solve of the envelope slope against the golden
+    # search it replaced, on the same objective: never above it by more than
+    # 1e-13 relative over n = 7..512 and c = 0.05..5, with every way the
+    # slope can settle the search taken at least once (a sign change solved
+    # for its root, a box end with the slope pointing out, a minimum flat
+    # below rounding, and neither, left to golden steps).  Slopes solved per
+    # call: the 33 of the grid, plus at most 17 root-solve steps, or one
+    # inward check of a pinned box end.
+    branch, solved = [], [0]
+    pick, solve = numerics._slope_refinement, exponents._solve_tilts
+
+    def pick_spy(slope, xs, best, value, tol):
+        x = pick(slope, xs, best, value, tol)
+        kind = ("golden" if x is None else "root" if x != xs[best]
+                else "edge" if best in (0, xs.size - 1) else "flat")
+        branch.append(kind)
+        return x
+
+    def solve_spy(n, c, eta):
+        solved[0] += np.size(eta)
+        return solve(n, c, eta)
+
+    monkeypatch.setattr(numerics, "_slope_refinement", pick_spy)
+    monkeypatch.setattr(exponents, "_solve_tilts", solve_spy)
+    for n in (7, 16, 32, 64, 128, 256, 512):
+        spec = random_ensemble_spectrum(n, 0.5)
+        for c in (0.05, 0.3, 1.0, 1.5, 5.0):
+            for layered, fn in ((False, chernoff_tsb), (True, chernoff_psi)):
+                solved[0] = 0
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    got = fn(n, c, spec)
+                ceiling = {"root": 50, "edge": 34, "flat": 33}.get(branch[-1], 200)
+                assert solved[0] <= ceiling, (n, c, layered, branch[-1], solved[0])
+
+                def total(x):
+                    return exponents._chernoff_log_total(n, c, spec, np.exp(x), layered)[0]
+
+                _, want = minimize_1d(total, -6.0, 6.0, grid_points=33)
+                assert got <= want + 1e-13 * abs(want), (n, c, layered, branch[-1])
+    assert set(branch) == {"root", "edge", "flat", "golden"}
 
 
 def test_tilt_objective_slope_nondecreasing():
@@ -759,10 +853,11 @@ def test_gallager_rce_matches_dense_rho_scan():
 
 def test_gallager_rce_unconverged_e0_raises(monkeypatch):
     # an E0 quadrature that misses its tolerance is an error naming rho and
-    # c, never a value; one bisection cannot meet the E0 tolerance
+    # c, never a value; one bisection cannot meet the E0 tolerance.  E0(0)
+    # takes no quadrature, so the first one missed is the grid's midpoint.
     starved = Tolerance(abs_tol=1e-13, rel_tol=1e-11, max_iter=1)
     monkeypatch.setattr(exponents, "_GALLAGER_TOL", starved)
-    with pytest.raises(RuntimeError, match=r"E0 quadrature at rho=0\.0, c=0\.8 missed"):
+    with pytest.raises(RuntimeError, match=r"E0 quadrature at rho=0\.5, c=0\.8 missed"):
         gallager_rce(0.5, 0.8)
 
 

@@ -303,6 +303,80 @@ def test_minimize_componentwise_matches_scalar_calls():
     assert (xs[1], xs[2]) == (0.0, 1.0)
 
 
+def test_minimize_1d_slope_root_solve():
+    # With a sign change of the slope next to the grid minimum, a root solve
+    # replaces the golden steps: the grid, the slopes around its minimum,
+    # root-solve steps of one point each, then the value at the root.
+    fsizes, ssizes = [], []
+
+    def f(x):
+        fsizes.append(x.size)
+        return (x - 0.37) ** 2 + 1.0
+
+    def slope(x):
+        ssizes.append(x.size)
+        return 2.0 * (x - 0.37)
+
+    xm, fm = minimize_1d(f, -1.0, 2.0, grid_points=17, slope=slope)
+    assert xm == pytest.approx(0.37, abs=1e-12) and fm == 1.0
+    assert fsizes == [17, 1] and ssizes[0] == 3 and set(ssizes[1:]) == {1}
+    assert len(ssizes) < 10
+
+
+def test_minimize_1d_slope_at_kinks():
+    # A convex kink: the slope jumps across zero there and the root solve
+    # closes on the jump.  Then a minimum of two branches with the active
+    # branch's slope given, as for the layered assembly's minimum over
+    # layers: the slope jumps down where the branches cross.  Here the
+    # crossing (x = 0.3995) lies in the root bracket [0.3125, 0.5] between the
+    # two branch minima, so the slope changes sign three times there; the
+    # search ends on a branch minimum, not on the crossing.
+    xm, fm = minimize_1d(lambda x: np.abs(x - 0.37) + 1.0, -1.0, 2.0,
+                         grid_points=17, slope=lambda x: np.sign(x - 0.37))
+    assert xm == pytest.approx(0.37, abs=1e-10) and fm == pytest.approx(1.0, abs=1e-10)
+
+    def branches(x):
+        return (x - 0.34) ** 2, (x - 0.45) ** 2 + 1e-3
+
+    def slope(x):
+        a, b = branches(x)
+        return np.where(a <= b, 2.0 * (x - 0.34), 2.0 * (x - 0.45))
+
+    xm, fm = minimize_1d(lambda x: np.minimum(*branches(x)), -1.0, 2.0,
+                         grid_points=17, slope=slope)
+    assert xm == pytest.approx(0.34, abs=1e-12) and fm <= 1e-24
+
+
+def test_minimize_1d_slope_of_one_sign_keeps_the_seed():
+    # A slope that keeps its sign around the grid minimum decides it without
+    # a step: at a box end where it points out of the box, and inside where
+    # it moves f by less than rounding across a grid step.
+    fsizes = []
+
+    def counted(g):
+        def f(x):
+            fsizes.append(x.size)
+            return g(x)
+        return f
+
+    assert minimize_1d(counted(lambda x: -x), 0.0, 1.0, grid_points=17,
+                       slope=lambda x: -np.ones_like(x)) == (1.0, -1.0)
+    assert minimize_1d(counted(np.exp), 0.0, 1.0, grid_points=17, slope=np.exp) == (0.0, 1.0)
+    flat = counted(lambda x: np.where(x < 0.5, 1.0 + (x - 0.5) ** 2, 1.0))
+    assert minimize_1d(flat, 0.0, 1.0, grid_points=17,
+                       slope=lambda x: np.minimum(2.0 * (x - 0.5), 0.0)) == (0.5, 1.0)
+    assert fsizes == [17, 17, 17]
+
+
+def test_minimize_1d_slope_that_decides_nothing_takes_golden_steps():
+    # A slope that decides nothing leaves the search to the golden steps,
+    # exactly as without one.
+    f = lambda x: np.cos(3.0 * x) + 0.1 * x
+    want = minimize_1d(f, -2.0, 5.0, grid_points=17)
+    assert minimize_1d(f, -2.0, 5.0, grid_points=17,
+                       slope=lambda x: np.full_like(x, np.nan)) == want
+
+
 def test_minimize_componentwise_validation():
     # the scalar minimizer's argument checks; the oracle keeps its own
     with pytest.raises(ValueError):
