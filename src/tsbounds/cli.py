@@ -45,13 +45,16 @@ def _fmt(v: float) -> str:
 
 def parse_grid(text: str) -> list[float]:
     """Parse "start:stop:step" into an inclusive grid; a bare number is a
-    single-point grid."""
+    single-point grid.  Every value must be finite."""
     parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ValueError(f"grid must be start:stop:step or a single value, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
+    values = [float(p) for p in parts]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"grid values must be finite, got {text!r}")
+    if len(values) == 1:
+        return values
+    start, stop, step = values
     if step <= 0.0:
         raise ValueError(f"grid step must be positive, got {step}")
     if stop < start:

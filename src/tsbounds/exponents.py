@@ -25,7 +25,9 @@ from scipy.optimize import minimize as _box_minimize
 
 from .codes import DistanceSpectrum, GrowthRate
 from .geometry import rho_max_wh, rho_ww, zeta_wh
-from .numerics import Tolerance, adaptive_integrate, minimize_1d
+# adaptive_integrate is imported for benchmarks/layertrace.py, which counts
+# the integrals this module runs by hooking this name; it runs none.
+from .numerics import Tolerance, adaptive_integrate, gk15_rule, minimize_1d  # noqa: F401
 
 __all__ = [
     "ExponentResult",
@@ -46,7 +48,7 @@ _LN2 = math.log(2.0)
 # any tilt and the poles of its admissible interval.
 _ETA_LOG_LO, _ETA_LOG_HI = -6.0, 6.0
 _TILT_EDGE = 1.0 - 1e-9
-_GALLAGER_TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-11, max_iter=200)
+_GALLAGER_TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-11)
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,11 @@ class ExponentResult:
 # ---------------------------------------------------------------------------
 
 
+def _check_channel(c: float) -> None:
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValueError(f"channel parameter must be positive and finite, got c={c}")
+
+
 def _moment_exponent(c, q, dsq, eta):
     """e2's moment-bound exponent at tilt q with Delta^2 = dsq; dsq = 0 with
     q >= 0 is e1.  Elementwise over arrays; no input checks."""
@@ -94,8 +101,7 @@ def _moment_exponent(c, q, dsq, eta):
 def e1(c: float, p: float, eta: float) -> float:
     """Exponent of the moment bound on the outside-the-cone event:
     2 p eta c / (1 + 2 p eta) + ln(1 - 2p) / 2."""
-    if c <= 0.0:
-        raise ValueError(f"channel parameter must be positive, got c={c}")
+    _check_channel(c)
     if not 0.0 <= p < 0.5:
         raise ValueError(f"p must lie in [0, 1/2), got {p}")
     if eta <= 0.0:
@@ -110,8 +116,7 @@ def e2(c: float, q: float, delta: float, eta: float) -> float:
         c * (2 q eta + (1-2q) Delta^2) / (1 + 2 q eta + (1-2q) Delta^2)
           + ln(1 - 2q) / 2,    Delta^2 = delta / (1 - delta).
     """
-    if c <= 0.0:
-        raise ValueError(f"channel parameter must be positive, got c={c}")
+    _check_channel(c)
     if eta <= 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
     if not 0.0 < delta < 1.0:
@@ -143,8 +148,7 @@ def g_fn(
     """
     if spec.n != n:
         raise ValueError(f"spectrum is for n={spec.n}, not n={n}")
-    if c <= 0.0:
-        raise ValueError(f"channel parameter must be positive, got c={c}")
+    _check_channel(c)
     if eta <= 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
     if not -0.5 / eta < t <= 0.0:
@@ -330,14 +334,16 @@ def _solve_tilts(n: int, c: float, eta) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chernoff_log_total(
-    n: int, c: float, spec: DistanceSpectrum, eta: np.ndarray, layered: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+    n: int, c: float, spec: DistanceSpectrum, eta: np.ndarray, layered: bool = False,
+    with_slope: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Log of the assembled exponential bound at each slope of the 1-D array
-    eta, and its derivative in ln eta: cap term plus the spectrum pair
-    terms, plus (for the layered variant) the cheapest unit reference pair
-    term over the layers w = 1..n-1.  The derivative weighs each term's
-    _term_slopes by its share of the sum, and the layered one mixes the
-    cheapest layer's slope in by its logaddexp weight."""
+    eta, and its derivative in ln eta (None without with_slope, so that
+    value-only reads skip the term slopes): cap term plus the
+    spectrum pair terms, plus (for the layered variant) the cheapest unit
+    reference pair term over the layers w = 1..n-1.  The derivative weighs
+    each term's _term_slopes by its share of the sum, and the layered one
+    mixes the cheapest layer's slope in by its logaddexp weight."""
     q, terms = _tilt_rows(n, c, eta)
     log_a = np.asarray(spec.log_a, dtype=float)
     ws = np.nonzero(np.isfinite(log_a[1:]))[0] + 1
@@ -346,14 +352,17 @@ def _chernoff_log_total(
     shares = np.exp(parts - top[:, None])
     whole = shares.sum(axis=1)
     base = np.log(whole) + top
-    slopes = _term_slopes(q, n, c, 1.0 - np.arange(n + 1) / n, eta[:, None])
-    dbase = (shares * slopes[:, np.append(ws, 0)]).sum(axis=1) / whole
+    if with_slope:
+        slopes = _term_slopes(q, n, c, 1.0 - np.arange(n + 1) / n, eta[:, None])
+        dbase = (shares * slopes[:, np.append(ws, 0)]).sum(axis=1) / whole
     if not layered:
-        return base, dbase
+        return base, dbase if with_slope else None
     rows = np.arange(eta.size)
     mixed = np.logaddexp(base[:, None], terms[:, 1:n])
     w = np.argmin(mixed, axis=1) + 1
     total = mixed[rows, w - 1]
+    if not with_slope:
+        return total, None
     # The layer's logaddexp weight.  One under 1e-12 moves the minimum's
     # value by a second-order amount, far below rounding, and is left out:
     # where the layer is that small, chernoff_psi's search then takes
@@ -366,8 +375,7 @@ def _chernoff_log_total(
 def _check_assembly_args(n: int, c: float, spec: DistanceSpectrum) -> None:
     if spec.n != n:
         raise ValueError(f"spectrum is for n={spec.n}, not n={n}")
-    if c <= 0.0:
-        raise ValueError(f"channel parameter must be positive, got c={c}")
+    _check_channel(c)
     if not np.isfinite(np.asarray(spec.log_a)[1:]).any():
         raise ValueError("spectrum has no nonzero weights to bound")
 
@@ -377,7 +385,7 @@ def _optimize_eta(n: int, c: float, spec: DistanceSpectrum, layered: bool, cell:
     slope there; a clipped optimum warns, naming the cell (bound, n and c)."""
 
     def total(x: np.ndarray) -> np.ndarray:
-        return _chernoff_log_total(n, c, spec, np.exp(x), layered)[0]
+        return _chernoff_log_total(n, c, spec, np.exp(x), layered, False)[0]
 
     x, val = minimize_1d(
         total, _ETA_LOG_LO, _ETA_LOG_HI, grid_points=33,
@@ -462,8 +470,7 @@ def _minimize_exponent(rate_fn: GrowthRate, c: float, per_delta) -> ExponentResu
     minimize_1d refines around its minimum on the neighboring grid
     interval.  Ties resolve to the smallest delta.  The result carries the
     closed form's (gamma, c0) at the minimizing delta."""
-    if c <= 0.0:
-        raise ValueError(f"channel parameter must be positive, got c={c}")
+    _check_channel(c)
     code = rate_fn.kind == "code" and rate_fn.n
     m = rate_fn.n if code else 4096
 
@@ -513,49 +520,71 @@ def union_exponent(rate_fn: GrowthRate, c: float) -> ExponentResult:
     return _minimize_exponent(rate_fn, c, lambda dd, rr: c * dd - rr)
 
 
+def _gallager_e0(rho: float, c: float, d_plus, d_minus, kron, gauss) -> tuple[float, float]:
+    """E0(rho) and dE0/drho at c on gk15_rule's half-line nodes, given by
+    their squared distances d_plus, d_minus to the signal points +-a.  With
+    g+- = exp(-d+- / (2 s)), m = (g+ + g-)/2 and s = 1 + rho, the integrands
+    are m^s and d(m^s)/drho = m^s [ln m + (g+ d+ + g- d-) / (2 s (g+ + g-))],
+    both taken through ln m so that an underflowed m never meets its
+    logarithm.  Raises RuntimeError naming rho and c where the Kronrod-Gauss
+    error estimate of the integral of m^s misses _GALLAGER_TOL."""
+    s = 1.0 + rho
+    l_plus, l_minus = -0.5 * d_plus / s, -0.5 * d_minus / s
+    log_g = np.logaddexp(l_plus, l_minus)
+    log_m = log_g - _LN2
+    f = np.exp(s * log_m)
+    mean_d = np.exp(l_plus - log_g) * d_plus + np.exp(l_minus - log_g) * d_minus
+    total = float((f @ kron).sum())
+    error = float(np.abs(f @ (kron - gauss)).sum())
+    if not error <= max(_GALLAGER_TOL.abs_tol, _GALLAGER_TOL.rel_tol * total):
+        raise RuntimeError(
+            f"gallager_rce: E0 quadrature at rho={rho!r}, c={c!r} missed "
+            f"its tolerance (error estimate {error:.3g})"
+        )
+    d_total = float((f * (log_m + mean_d / (2.0 * s)) @ kron).sum())
+    # the (2 pi)^{-1/(2(1+rho))} normalization of each tilted density
+    # reassembles to exactly (2 pi)^{-1/2} after the outer power
+    return 0.5 * math.log(2.0 * math.pi) - math.log(2.0 * total), -d_total / total
+
+
 def gallager_rce(rate: float, c: float) -> float:
     """Random-coding error exponent of the binary-input AWGN channel, in nats
     per channel symbol: max over rho in [0, 1] of E0(rho) - rho * rate * ln 2.
 
-    E0 comes from quadrature of the (1+rho)-power of the tilted two-mass
-    output density, truncated twelve standard deviations past the signal
-    points.  The integrand is even in the output (bit for bit: negating u
-    swaps the two exponentials), so it is integrated over the positive half
-    and doubled; E0(0) = 0 is exact, so a rate above capacity gives exactly
-    0.  An E0 quadrature that misses _GALLAGER_TOL raises RuntimeError
-    naming rho and c."""
+    E0 and dE0/drho come from one fixed composite Gauss-Kronrod 15 rule over
+    the (1+rho)-power of the tilted two-mass output density and its rho
+    derivative, truncated twelve standard deviations past the signal points,
+    with panels no wider than one standard deviation.  The integrand is even
+    in the output (negating u swaps the two exponentials), so it is
+    integrated over the positive half and doubled.  The maximizing rho is the
+    root of the objective's slope (minimize_1d's slope search), and each rho
+    is evaluated once for both value and slope.  E0(0) = 0 is exact, so a
+    rate above capacity gives exactly 0.  An E0 integral that misses
+    _GALLAGER_TOL raises RuntimeError naming rho and c (see _gallager_e0)."""
     if not 0.0 < rate < 1.0:
         raise ValueError(f"rate must lie in (0,1), got {rate}")
-    if c <= 0.0:
-        raise ValueError(f"channel parameter must be positive, got c={c}")
+    _check_channel(c)
     a = math.sqrt(2.0 * c)
+    u, kron, gauss = gk15_rule(0.0, a + 12.0, math.ceil(a + 12.0))
+    rule = ((u - a) ** 2, (u + a) ** 2, kron, gauss)
+    memo: dict[float, tuple[float, float]] = {}
 
-    def e0(rho: float) -> float:
-        if rho == 0.0:
-            return 0.0  # exactly; its quadrature gives rounding noise
-        ex = 1.0 / (1.0 + rho)
-
-        def f(u: np.ndarray) -> np.ndarray:
-            g_plus = np.exp(-0.5 * ex * (u - a) ** 2)
-            g_minus = np.exp(-0.5 * ex * (u + a) ** 2)
-            return (0.5 * (g_plus + g_minus)) ** (1.0 + rho)
-
-        # the (2 pi)^{-1/(2(1+rho))} normalization of each tilted density
-        # reassembles to exactly (2 pi)^{-1/2} after the outer power
-        quad = adaptive_integrate(f, 0.0, a + 12.0, _GALLAGER_TOL)
-        if not quad.converged:
-            raise RuntimeError(
-                f"gallager_rce: E0 quadrature at rho={rho!r}, c={c!r} missed "
-                f"its tolerance (error estimate {quad.error:.3g})"
-            )
-        return 0.5 * math.log(2.0 * math.pi) - math.log(2.0 * quad.value)
+    def e0(rho: float) -> tuple[float, float]:
+        if rho not in memo:
+            memo[rho] = _gallager_e0(rho, c, *rule)
+        return memo[rho]
 
     def objective(rhos: np.ndarray) -> np.ndarray:
-        return np.array([rho * rate * _LN2 - e0(rho) for rho in rhos.tolist()])
+        # E0(0) = 0 exactly; its quadrature gives rounding noise
+        return np.array([rho * rate * _LN2 - e0(rho)[0] if rho else 0.0
+                         for rho in rhos.tolist()])
+
+    def slope(rhos: np.ndarray) -> np.ndarray:
+        return np.array([rate * _LN2 - e0(rho)[1] for rho in rhos.tolist()])
 
     # E0 is concave in rho (Gallager, IEEE Trans. IT, 1965), so the
     # objective is convex: its minimum lies next to the least grid point.
-    _, neg = minimize_1d(objective, 0.0, 1.0, grid_points=3)
+    _, neg = minimize_1d(objective, 0.0, 1.0, grid_points=3, slope=slope)
     return 0.0 - neg  # +0.0 where rho* = 0
 
 

@@ -1,6 +1,8 @@
-"""Shared numeric kernel: Gaussian tail, sin-power integrals, quadrature,
-and the one 1-D minimizer (minimize_1d: a grid scan, then a root solve of
-the slope where one is given, else golden-section refinement).
+"""Shared numeric kernel: Gaussian tail, sin-power integrals, quadrature
+(adaptive, or gk15_rule's fixed composite Gauss-Kronrod rule, whose one node
+set serves several integrands), and the one 1-D minimizer (minimize_1d: a
+grid scan, then a root solve of the slope where one is given, else
+golden-section refinement).
 
 Integrands and objectives share one array contract: each maps a 1-D numpy
 array of abscissae to an array of values, one per abscissa, so a whole
@@ -29,6 +31,7 @@ __all__ = [
     "wallis",
     "AdaptiveRun",
     "adaptive_integrate",
+    "gk15_rule",
     "minimize_1d",
 ]
 
@@ -204,7 +207,8 @@ def wallis(m: int, log: bool = False) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive quadrature (Gauss-Kronrod 15/7, worst-panel bisection)
+# Gauss-Kronrod 15/7 quadrature: one fixed composite rule, or adaptive
+# worst-panel bisection
 # ---------------------------------------------------------------------------
 
 # Kronrod-15 abscissae on [-1, 1] (symmetric; nonnegative half listed).
@@ -255,6 +259,21 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[fl
     kron = half * float(np.dot(_GK_WEIGHTS, fx))
     gauss = half * float(np.dot(_G_WEIGHTS, fx))
     return kron, abs(kron - gauss)
+
+
+def gk15_rule(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The composite Gauss-Kronrod 15/7 rule on [a, b] split into `panels`
+    equal panels: nodes of shape (panels, 15), and the Kronrod and Gauss-7
+    weights (15,) of one panel.  For integrand values fx on the nodes,
+    (fx @ kronrod).sum() is the integral, and abs(fx @ (kronrod - gauss)).sum()
+    the error estimate that adaptive_integrate sums over the same panels."""
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"need finite a < b, got [{a}, {b}]")
+    if panels < 1:
+        raise ValueError(f"need at least one panel, got {panels}")
+    half = 0.5 * (b - a) / panels
+    mids = a + half * (2.0 * np.arange(panels) + 1.0)
+    return mids[:, None] + half * _GK_NODES, half * _GK_WEIGHTS, half * _G_WEIGHTS
 
 
 class AdaptiveRun:

@@ -54,6 +54,9 @@ def test_parse_grid():
         parse_grid("8:0:1")
     with pytest.raises(ValueError):
         parse_grid("1:2")
+    for text in ("nan", "inf", "0:inf:1", "0.5:nan:0.1", "0.5:0.6:inf"):
+        with pytest.raises(ValueError, match="finite"):
+            parse_grid(text)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +387,7 @@ def test_exponent_unconverged_e0_reaches_sidecar(tmp_path, monkeypatch):
     # an E0 quadrature that misses its tolerance leaves that row's e_rce nan
     # and lists it, naming rho and c; the other columns keep their values
     monkeypatch.setattr(exponents, "_GALLAGER_TOL",
-                        replace(exponents._GALLAGER_TOL, max_iter=1))
+                        replace(exponents._GALLAGER_TOL, abs_tol=0.0, rel_tol=1e-16))
     out = tmp_path / "exp.csv"
     assert run_cli(["exponent", "--ensemble", "64,0.5", "--grid", "0.6:0.8:0.1",
                     "--out", str(out)]) == 0
@@ -424,6 +427,19 @@ def test_exponent_requires_rate_and_positive_grid(tmp_path):
     # only the bounds sweep integrates, so only it takes tolerances
     assert run_cli(["exponent", "--ensemble", "64,0.5", "--grid", "0.5",
                     "--tol-rel", "1e-6"]) == 2
+
+
+def test_non_finite_grid_is_usage_error(tmp_path, capsys):
+    # a nan or inf grid value is a usage error in both sweeps: exit 2 and no
+    # CSV, never a row of nan cells or an uncaught overflow
+    out = tmp_path / "x.csv"
+    for grid in ("nan", "0:inf:1"):
+        assert run_cli(["exponent", "--ensemble", "64,0.5", "--grid", grid,
+                        "--out", str(out)]) == 2
+        assert run_cli(["bounds", "--ensemble", "8,0.5", "--grid", grid,
+                        "--bounds", "tsb", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("grid values must be finite") == 2
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

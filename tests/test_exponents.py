@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from closed_forms import (
     _g1,
@@ -491,6 +492,28 @@ def test_tilt_solve_work_is_bounded(monkeypatch):
     assert max(per_call) <= 1 + 12
 
 
+def test_value_reads_skip_term_slopes(monkeypatch):
+    # The grid scan, the value at the root and the edge check read values
+    # only, so only the slope search's calls compute term slopes.
+    sizes, total, term_slopes = [], exponents._chernoff_log_total, exponents._term_slopes
+
+    def total_spy(n, c, spec, eta, layered=False, with_slope=True):
+        sizes.append((eta.size, with_slope))
+        return total(n, c, spec, eta, layered, with_slope)
+
+    def slopes_spy(q, *args):
+        assert sizes[-1][1], "term slopes computed for a value read"
+        return term_slopes(q, *args)
+
+    monkeypatch.setattr(exponents, "_chernoff_log_total", total_spy)
+    monkeypatch.setattr(exponents, "_term_slopes", slopes_spy)
+    spec = random_ensemble_spectrum(64, 0.5)
+    for fn in (chernoff_tsb, chernoff_psi):
+        sizes.clear()
+        fn(64, 1.0, spec)
+        assert sizes[0] == (33, False) and sizes[1] == (3, True), sizes
+
+
 def test_batched_tilt_solves_match_one_slope_solves():
     # A column of slopes solved at once (the slope search's grid scan) gives
     # row by row what solving each slope alone gives, to 1e-12 relative, and
@@ -853,9 +876,11 @@ def test_gallager_rce_matches_dense_rho_scan():
 
 def test_gallager_rce_unconverged_e0_raises(monkeypatch):
     # an E0 quadrature that misses its tolerance is an error naming rho and
-    # c, never a value; one bisection cannot meet the E0 tolerance.  E0(0)
-    # takes no quadrature, so the first one missed is the grid's midpoint.
-    starved = Tolerance(abs_tol=1e-13, rel_tol=1e-11, max_iter=1)
+    # c, never a value.  The fixed rule's error estimate is rounding, ~5e-15
+    # of the integral, so a 1e-16 relative target with no absolute floor
+    # cannot be met.  E0(0) takes no quadrature for its value, so the first
+    # one missed is the grid's midpoint.
+    starved = Tolerance(abs_tol=0.0, rel_tol=1e-16)
     monkeypatch.setattr(exponents, "_GALLAGER_TOL", starved)
     with pytest.raises(RuntimeError, match=r"E0 quadrature at rho=0\.5, c=0\.8 missed"):
         gallager_rce(0.5, 0.8)
@@ -868,6 +893,87 @@ def test_gallager_rce_validation():
         gallager_rce(1.0, 1.0)
     with pytest.raises(ValueError):
         gallager_rce(0.5, 0.0)
+
+
+def gallager_e0(rho, c):
+    """_gallager_e0 on gallager_rce's rule: E0(rho) and dE0/drho at c."""
+    a = math.sqrt(2.0 * c)
+    u, kron, gauss = numerics.gk15_rule(0.0, a + 12.0, math.ceil(a + 12.0))
+    return exponents._gallager_e0(rho, c, (u - a) ** 2, (u + a) ** 2, kron, gauss)
+
+
+def test_gallager_e0_and_slope_match_mpmath():
+    # E0 and dE0/drho against 20-digit quadrature over the positive output
+    # half-line (both integrands are even), from the channel too noisy to
+    # carry anything (c = 1e-9, E0 ~ 1e-11) to one that carries a full bit
+    # (c = 200).  The fixed rule's 15-digit Kronrod weights put E0 ~3e-15
+    # off in absolute terms.
+    for c in (1e-9, 0.05, 0.8, 2.0, 20.0, 200.0):
+        for rho in (0.01, 0.5, 1.0):
+            with mp.workdps(20):
+                a, s = mp.sqrt(2 * mp.mpf(c)), 1 + mp.mpf(rho)
+
+                def parts(u):
+                    gp, gm = mp.exp(-(u - a) ** 2 / (2 * s)), mp.exp(-(u + a) ** 2 / (2 * s))
+                    ms = ((gp + gm) / 2) ** s
+                    mean_d = (gp * (u - a) ** 2 + gm * (u + a) ** 2) / (gp + gm)
+                    return ms, ms * (mp.log((gp + gm) / 2) + mean_d / (2 * s))
+
+                cuts = [0, a, mp.inf] if c > 1e-6 else [0, mp.inf]
+                total = mp.quad(lambda u: parts(u)[0], cuts)
+                d_total = mp.quad(lambda u: parts(u)[1], cuts)
+                want = float(mp.log(2 * mp.pi) / 2 - mp.log(2 * total))
+                d_want = float(-d_total / total)
+            got, d_got = gallager_e0(rho, c)
+            assert abs(got - want) <= 1e-14 + 1e-13 * want, (c, rho, got, want)
+            assert abs(d_got - d_want) <= 1e-14 + 1e-13 * abs(d_want), (c, rho, d_got, d_want)
+
+
+def test_gallager_e0_slope_matches_central_differences():
+    # dE0/drho against central differences of E0 with step 1e-5, across
+    # rho in [0, 1] and c from 0.05 to 20
+    h = 1e-5
+    for c in (0.05, 0.8, 2.0, 20.0):
+        for rho in (h, 0.1, 0.37, 0.5, 0.8, 1.0 - h):
+            _, slope = gallager_e0(rho, c)
+            fd = (gallager_e0(rho + h, c)[0] - gallager_e0(rho - h, c)[0]) / (2.0 * h)
+            assert abs(fd - slope) <= 1e-8 * (1.0 + abs(slope)), (c, rho, fd, slope)
+
+
+def test_gallager_rce_work_is_bounded(monkeypatch):
+    # One fixed rule, no adaptive quadrature: at most 12 E0 evaluations per
+    # call, value and slope at one rho sharing one, over the exponent
+    # sweep's rows and the far-below and above-capacity ends.
+    calls = []
+    e0 = exponents._gallager_e0
+
+    def e0_spy(rho, *args):
+        calls.append(rho)
+        return e0(rho, *args)
+
+    def no_adaptive(*args, **kwargs):
+        raise AssertionError("gallager_rce ran an adaptive quadrature")
+
+    monkeypatch.setattr(exponents, "_gallager_e0", e0_spy)
+    monkeypatch.setattr(exponents, "adaptive_integrate", no_adaptive)
+    monkeypatch.setattr(numerics, "AdaptiveRun", no_adaptive)
+    for rate, c in [(0.5, 0.5 / x) for x in np.linspace(0.45, 0.85, 9)] + [
+            (0.1, 5.0), (0.9, 0.8), (0.5, 1e-9), (0.5, 200.0)]:
+        calls.clear()
+        gallager_rce(rate, c)
+        assert 1 <= len(calls) <= 12 and len(set(calls)) == len(calls), (rate, c, calls)
+
+
+def test_non_finite_channel_rejected(half_rate_48, half_rate_fn):
+    # nan and inf channel parameters are errors, not nan or inf exponents
+    for c in (math.nan, math.inf, -math.inf):
+        for call in (lambda: chernoff_tsb(48, c, half_rate_48),
+                     lambda: chernoff_psi(48, c, half_rate_48),
+                     lambda: tsb_exponent(half_rate_fn, c),
+                     lambda: union_exponent(half_rate_fn, c),
+                     lambda: gallager_rce(0.5, c)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                call()
 
 
 def test_finite_n_exponent_values_and_validation():

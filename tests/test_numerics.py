@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincc
 
 from closed_forms import minimize_componentwise
+from tsbounds import numerics
 from tsbounds.cli import parse_grid
 from tsbounds.exponents import gallager_rce
 from tsbounds.numerics import (
@@ -215,23 +216,43 @@ def test_gallager_rce_rows_unchanged():
     # The exponent sweep's e_rce column at R = 1/2 on 1/(Eb/N0) = 0.45..0.85.
     # full_line holds the rows of E0 integrated over the whole output line,
     # half_line those of the even integrand over its positive half, doubled,
-    # both maximized from a 33-point rho grid.  The 3-point grid that the
-    # concavity of E0 allows evaluates E0 at other rho, which moves the
-    # maximum by the E0 quadrature's rounding only (<= 3.2e-13 relative,
-    # against its 1e-11 target); three_point pins the new rows bit for bit.
+    # both adaptive quadratures maximized from a 33-point rho grid.  One fixed
+    # Gauss-Kronrod rule, maximized at the root of the objective's slope,
+    # moves the maximum by the E0 quadrature's rounding only (<= 1.9e-13
+    # relative, against its 1e-11 target); slope_root pins its rows bit for
+    # bit.
     full_line = [0.06700331512756857, 0.04712762747737867, 0.03276760607721321,
                  0.022334437277906738, 0.014764117149819886, 0.009321956442346721,
                  0.005487468614484556, 0.002883790827165021, 0.0012328967922080394]
     half_line = [0.06700331512756857, 0.04712762747737828, 0.032767606077213074,
                  0.022334437277907404, 0.014764117149819803, 0.009321956442346457,
                  0.005487468614484653, 0.002883790827164695, 0.00123289679220797]
-    three_point = [0.06700331512756869, 0.04712762747737853, 0.0327676060772136,
-                   0.022334437277907404, 0.014764117149819456, 0.009321956442346707,
-                   0.005487468614484348, 0.002883790827164119, 0.0012328967922077202]
+    slope_root = [0.06700331512756863, 0.04712762747737856, 0.032767606077213324,
+                  0.022334437277907182, 0.01476411714981972, 0.009321956442346707,
+                  0.005487468614484556, 0.0028837908271645007, 0.001232896792208206]
     got = [gallager_rce(0.5, 0.5 / x) for x in parse_grid("0.45:0.85:0.05")]
-    assert got == three_point
+    assert got == slope_root
     for rows in (full_line, half_line):
         assert all(abs(g - w) <= 1e-12 * w for g, w in zip(got, rows))
+
+
+def test_gk15_rule_is_adaptive_panels_summed():
+    # The composite rule gives what adaptive_integrate's panel rule gives on
+    # each of the same panels, summed: the integral and, up to rounding, the
+    # error estimate.
+    f = lambda x: np.exp(-0.5 * (x - 1.3) ** 2) * np.cos(x)
+    for a, b, k in [(0.0, 13.3, 14), (-2.0, 3.0, 1), (1.0, 1.5, 3), (0.0, 30.0, 3)]:
+        x, kron, gauss = numerics.gk15_rule(a, b, k)
+        assert x.shape == (k, 15) and np.all(np.diff(x.ravel()) > 0.0)
+        edges = np.linspace(a, b, k + 1)
+        panels = [numerics._gk15(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        fx = f(x)
+        assert (fx @ kron).sum() == pytest.approx(sum(v for v, _ in panels), rel=1e-14)
+        assert np.abs(fx @ (kron - gauss)).sum() == pytest.approx(
+            sum(e for _, e in panels), rel=1e-12, abs=1e-15)
+    for a, b, k in [(1.0, 1.0, 1), (0.0, math.inf, 4), (0.0, 1.0, 0)]:
+        with pytest.raises(ValueError):
+            numerics.gk15_rule(a, b, k)
 
 
 def test_adaptive_integrate_rejects_bad_interval():
