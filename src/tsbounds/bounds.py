@@ -12,7 +12,9 @@ inside a circular cone whose radius is optimized once per spectrum.
 A Plan holds that channel-free part (radius, geometry, included weights);
 plan.at(ch, tol) is the term cache for one channel point.  Bounds passed the
 same cache as `terms=` share every term integral, so a sweep solves the cone
-once and computes the terms common to several bounds once per point.
+once and computes the terms common to several bounds once per point.  Each
+bound, and each layer of ahp and psi, is one term list over that cache,
+summed by one assembly.
 
 All per-weight terms are accumulated in log domain; individual term
 integrals are evaluated in linear double precision (their magnitudes are
@@ -24,6 +26,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -61,11 +66,11 @@ BOUND_TOL = Tolerance(abs_tol=1e-300, rel_tol=1e-10, max_iter=260)
 _FALLBACK_RADIUS_FACTOR = 400.0
 
 # At or below this correlation the z3 line of a conditioned term is vacuous
-# (itsb's crossover at h = n - d): the term is its pair term.
+# (itsb's crossover at h = n - d): the term is its pair term (see _key).
 _RHO_NO_LINE = -1.0 + 1e-12
 
 # Coarse relative tolerances each term run meets before its exact one; the
-# layer search prunes on their lower estimates first (see _layer_exceeds).
+# layer search prunes on their lower estimates (see _best_layer).
 _LADDER = (1e-2, 1e-5)
 _KAPPA = 10.0
 
@@ -221,6 +226,26 @@ class _Term:
             self.converged,
             self.label,
         )
+
+
+def _key(h: int, w_ref: int, rho: float) -> tuple:
+    """The cache key of the conditioned term of weight h against the anchor
+    weight w_ref at correlation rho.  At the crossover (rho at -1) the line
+    is vacuous and the term is pair_term(h) itself, so the cache integrates
+    it once."""
+    return ("pair", h) if rho <= _RHO_NO_LINE else ("triple", h, w_ref, rho)
+
+
+class _Layer(NamedTuple):
+    """A bound's term list: the anchor weight w, the cache key of the anchor
+    term pair_term(w) or None, and the parts (h, log_coeff, key) in
+    assembly order, each the term under key, of weight h, times its
+    multiplicity exp(log_coeff).  tsb and the layers outside the cone have
+    no anchor; itsb lists its anchor as a part (see _Engine.assemble)."""
+
+    w: int
+    anchor: tuple | None
+    parts: list
 
 
 def _same_spectrum(a: DistanceSpectrum, b: DistanceSpectrum) -> bool:
@@ -479,15 +504,23 @@ class _Engine:
         return self._refined(("pair", h), len(self.levels) - 1).value
 
     def bracketed(self, key: tuple) -> float:
-        """Log of a lower estimate of term key that integrates no z3 rule.
-        A pair term is exact.  A conditioned term T = P - W, its pair term
-        less its wedge, takes P - (W_hi + _KAPPA * error + the pair event's
-        mass below z1_lo), raised to T_lo - _KAPPA * error where that is
-        larger; T_lo is integrated only when the first leaves less than
-        half of P, and alone for the extension self-term (h = w_ref).  An
-        unconverged bracket run gives no estimate."""
+        """Log of a lower estimate of term key that integrates no z3 rule:
+        the layer search's first rung, in difference form.  A pair term is
+        exact.  A conditioned term is T(h, w, rho) = P(h) - W(h, w, rho), W
+        being the wedge: the pair event's mass above the anchor line.  So
+        layer w less tsb is its added terms (the anchor P(w), ahp's
+        extension self-term, less A_w P(w)) less its savings, the sum of
+        A_h W(h, w) over h != w.  On in-cone layers the added terms outweigh
+        the savings many times over, so coarse brackets of the wedges, taken
+        against exact pair terms, bound the layer closely enough to drop it.
+
+        T takes P - (W_hi + _KAPPA * error + the pair event's mass below
+        z1_lo), raised to T_lo - _KAPPA * error where that is larger; T_lo
+        is integrated only when the first leaves less than half of P, and
+        alone for the extension self-term (h = w_ref).  An unconverged
+        bracket run gives no estimate."""
         h = key[1]
-        if key[0] == "pair" or key[3] <= _RHO_NO_LINE:
+        if key[0] == "pair":
             return self.pair_term(h).log_value
         pair, low = self._pair_value(h), 0.0
         if key[2] != h:
@@ -535,34 +568,38 @@ class _Engine:
         with no z3 line, integrated over z1."""
         return self.term(("pair", h))
 
-    def triple_term(self, h: int, w_ref: int, rho: float) -> _Term:
-        """The conditioned term; with no line (rho at the crossover) it is
-        pair_term(h) itself, so the cache integrates it once."""
-        return self.term(("pair", h) if rho <= _RHO_NO_LINE else ("triple", h, w_ref, rho))
-
     def cap_term(self) -> _Term:
         return self.term(("cap",))
 
     # -- assembly ----------------------------------------------------------
 
     def assemble(
-        self,
-        weighted: dict[int, float],
-        terms: list[_Term],
-        include_q: bool = True,
-        ahp_layer: int | None = None,
+        self, layer: _Layer, include_q: bool, ahp_layer: int | None = None
     ) -> BoundResult:
-        """Sum the weighted spectrum logs with the cap (and optionally the
-        apex tail); terms carry the error budgets behind the weighted logs."""
+        """The bound of one term list: its weighted spectrum logs summed
+        with the cap (and optionally the apex tail), and the error budgets
+        of its terms.  The terms of one weight are summed at that weight's
+        first place, in part order.  An anchor term leads the error budget,
+        and its weight, with the self-term of that weight, is summed last.
+        itsb, whose anchor is summed after its self-term at its first
+        weight, lists the anchor as a part instead."""
         cap = self.cap_term()
+        terms = [] if layer.anchor is None else [self.term(layer.anchor)]
+        by_weight: dict[int, list[float]] = {}
+        for h, log_coeff, key in layer.parts:
+            terms.append(self.term(key).scaled(log_coeff))
+            by_weight.setdefault(h, []).append(terms[-1].log_value)
+        if layer.anchor is not None:
+            by_weight[layer.w] = [terms[0].log_value] + by_weight.pop(layer.w, [])
+        weighted = {h: v[0] if len(v) == 1 else float(logsumexp(v)) for h, v in by_weight.items()}
         logs = list(weighted.values()) + [cap.log_value]
         tail_terms = {"cap": cap.log_value, "q": self.log_q_term if include_q else _NEG_INF}
         if include_q:
             logs.append(self.log_q_term)
-        log_value = float(logsumexp(logs)) if logs else _NEG_INF
+        log_value = float(logsumexp(logs))
         err_logs = [t.log_error for t in terms] + [t.log_tail for t in terms]
         err_logs += [cap.log_error, cap.log_tail]
-        error = float(np.exp(logsumexp(err_logs))) if err_logs else 0.0
+        error = float(np.exp(logsumexp(err_logs)))
         converged = cap.converged and all(t.converged for t in terms)
         return BoundResult(
             value=float(np.exp(log_value)),
@@ -607,7 +644,7 @@ def tsb_block(
     """
     eng = _terms_for(spec, ch, tol, terms)
     # Layer n conditions nothing: its terms are the plain pair terms.
-    return eng.finish(eng.assemble(*_layer_terms(eng, spec, spec.n, extend=False)))
+    return eng.finish(eng.assemble(_layer(eng, spec, spec.n, extend=False), include_q=True))
 
 
 def tsb_bit(
@@ -629,38 +666,25 @@ def itsb(
     admissible against the anchor weight.
     """
     eng = _terms_for(spec, ch, tol, terms)
-    d = spec.d_min
-    weighted: dict[int, float] = {}
-    used: list[_Term] = []
-    anchor = eng.pair_term(d) if d < spec.n else None
+    d, parts = spec.d_min, []
     for h in eng.plan.included:
         if h < d:
             # Weights below the effective d_min are skipped, not bounded
-            # (open item 5a in ROADMAP.md).
+            # (open item 1 in ROADMAP.md).
             continue
         coeff = float(spec.log_a[h]) if h != d else _log_minus_one(float(spec.log_a[h]))
-        parts = []
         if coeff > _NEG_INF:
-            t = eng.triple_term(h, d, rho_min_h(h, d, spec.n)).scaled(coeff)
-            parts.append(t.log_value)
-            used.append(t)
-        if h == d and anchor is not None:
-            parts.append(anchor.log_value)
-            used.append(anchor)
-        if parts:
-            weighted[h] = float(logsumexp(parts))
-    return eng.finish(eng.assemble(weighted, used))
+            parts.append((h, coeff, _key(h, d, rho_min_h(h, d, spec.n))))
+        if h == d:  # the anchor, after its self-term
+            parts.append((d, 0.0, ("pair", d)))
+    return eng.finish(eng.assemble(_Layer(d, None, parts), include_q=True))
 
 
-def _layer_parts(
-    eng: _Engine, spec: DistanceSpectrum, w: int, extend: bool
-) -> tuple[tuple | None, list]:
-    """The cache keys of layer w's anchor term and of its other terms in
-    assembly order.  Each part is (h, log_coeff, key): key names a term of
-    weight h that lies inside the pair event of pair_term(h), and log_coeff
-    is its multiplicity.  A layer inside the cone has the anchor pair_term(w), the
-    extension self-term when extend is set, then one conditioned term per
-    included weight h != w.
+def _layer(eng: _Engine, spec: DistanceSpectrum, w: int, extend: bool) -> _Layer:
+    """Layer w of ahp (extend) or psi; layer n is tsb_block's.  A layer
+    inside the cone has the anchor pair_term(w), the extension self-term
+    when extend is set, then one conditioned term per included weight
+    h != w, each inside the pair event of pair_term(h).
 
     A layer outside the cone (w not in plan.geom_included, as for w = n)
     conditions nothing: it has no anchor and no extension pair, and each
@@ -676,42 +700,13 @@ def _layer_parts(
     """
     n = spec.n
     if w not in eng.plan.geom_included:
-        return None, [(h, float(spec.log_a[h]), ("pair", h)) for h in eng.plan.included]
+        return _Layer(w, None, [(h, float(spec.log_a[h]), ("pair", h)) for h in eng.plan.included])
     # The extension pairs exist whether or not the code has weight-w words;
     # only the cone geometry can zero them out.
-    parts = []
-    if extend:
-        parts.append((w, math.log(math.comb(n, w)), ("triple", w, w, rho_ww(w, n))))
-    for h in eng.plan.included:
-        if h != w:
-            parts.append((h, float(spec.log_a[h]), ("triple", h, w, rho_max_wh(w, h, n))))
-    return ("pair", w), parts
-
-
-def _layer_terms(
-    eng: _Engine, spec: DistanceSpectrum, w: int, extend: bool
-) -> tuple[dict[int, float], list[_Term]]:
-    """Weighted logs and error terms of layer w: the anchor and spectrum
-    terms (the envelope), plus the extension self-term when extend is set.
-    Layer n, like every layer outside the cone, is the plain pair terms
-    A_h P_h of tsb_block."""
-    anchor_key, parts = _layer_parts(eng, spec, w, extend)
-    anchor = None if anchor_key is None else eng.term(anchor_key)
-    terms = [] if anchor is None else [anchor]
-    weighted: dict[int, float] = {}
-    self_term = None
-    for h, log_coeff, key in parts:
-        t = eng.term(key).scaled(log_coeff)
-        terms.append(t)
-        if h == w:
-            self_term = t
-        else:
-            weighted[h] = t.log_value
-    if anchor is not None:
-        weighted[w] = anchor.log_value
-        if self_term is not None:
-            weighted[w] = float(logsumexp([anchor.log_value, self_term.log_value]))
-    return weighted, terms
+    parts = [(w, math.log(math.comb(n, w)), _key(w, w, rho_ww(w, n)))] if extend else []
+    parts += [(h, float(spec.log_a[h]), _key(h, w, rho_max_wh(w, h, n)))
+              for h in eng.plan.included if h != w]
+    return _Layer(w, ("pair", w), parts)
 
 
 # A layer is pruned once a partial sum of its terms exceeds the best
@@ -734,53 +729,6 @@ def _exceeds(logs, bound: float) -> bool:
     return False
 
 
-def _layer_logs(eng: _Engine, spec: DistanceSpectrum, w: int, extend: bool, level: int | None):
-    """Lower estimates of layer w's terms, in log: the cap, the apex tail
-    and the anchor first, then the other terms largest upper bound first.
-    level None takes the exact pair terms and bracket estimates
-    (_Engine.bracketed), else each run's estimate as of that level."""
-    anchor, parts = _layer_parts(eng, spec, w, extend)
-    yield eng.cap_term().log_value
-    if extend:
-        yield eng.log_q_term
-    if anchor is not None:
-        yield eng.pair_term(w).log_value if level is None else eng.lower(anchor, level)
-    parts.sort(key=lambda p: (-(p[1] + eng.pair_term(p[0]).log_value), p[0]))
-    for _, c, k in parts:
-        yield c + (eng.bracketed(k) if level is None else eng.lower(k, level))
-
-
-def _brackets_exceed(
-    eng: _Engine, spec: DistanceSpectrum, w: int, extend: bool, bound: float
-) -> bool:
-    """The first rung of _layer_exceeds, in difference form.  A
-    conditioned term is T(h, w, rho) = P(h) - W(h, w, rho), W being the
-    wedge: the pair event's mass above the anchor line.  So layer w less
-    tsb is its added terms (the anchor P(w), ahp's extension self-term,
-    less A_w P(w)) less its savings, the sum of A_h W(h, w) over h != w.
-    On in-cone layers the added terms outweigh the savings many times over,
-    so coarse brackets of the wedges, taken against exact pair terms, bound
-    the layer closely enough to drop it."""
-    return _exceeds(_layer_logs(eng, spec, w, extend, None), bound)
-
-
-def _layer_exceeds(
-    eng: _Engine, spec: DistanceSpectrum, w: int, extend: bool, bound: float
-) -> bool:
-    """Whether layer w's assembly provably exceeds the log value bound.
-    Its terms are nonnegative, so a partial sum of lower estimates of them
-    bounds it from below; the sum stops once it passes bound +
-    _PRUNE_MARGIN.  It is tried on bracket estimates first, which integrate
-    no z3 rule (_brackets_exceed), then on the term runs' coarse estimates
-    level by level, then on the exact terms, which continue the same runs.
-    An estimate is below its term when the run's true error is within
-    _KAPPA times its GK15 error estimate, which overstates it by orders of
-    magnitude here."""
-    return _brackets_exceed(eng, spec, w, extend, bound) or any(
-        _exceeds(_layer_logs(eng, spec, w, extend, level), bound)
-        for level in range(len(eng.levels)))
-
-
 def _best_layer(eng: _Engine, spec: DistanceSpectrum, extend: bool) -> BoundResult:
     """Minimize the per-layer assembly over the layers 1..n when extend
     selects the added-hyper-plane bound (self-term, apex tail), else over
@@ -788,26 +736,40 @@ def _best_layer(eng: _Engine, spec: DistanceSpectrum, extend: bool) -> BoundResu
 
     Branch and bound: the incumbent layer (n for ahp; d_min for psi, or 1
     when d_min = n) is assembled first.  Every term of a layer is
-    nonnegative, so a partial sum bounds the layer's value from below; a
-    layer is pruned once that bound exceeds the best assembled value by
-    _PRUNE_MARGIN, more than the rounding of either sum, so no layer that
-    could win or tie is pruned.  The sums try bracket estimates first, then
-    coarse lower estimates of the term runs, and exact terms last (see
-    _layer_exceeds).  The others are assembled in full and the smallest
-    value wins, ties going to the smallest layer, exactly as when every
-    layer is assembled.  Which layers are pruned depends only on term
-    values, never on what the cache held before: a bracket depends on its
-    term alone, and an estimate is taken as of its level, not from the
-    run's state."""
+    nonnegative, so a partial sum of lower estimates of its terms bounds
+    the layer's value from below; a layer is pruned once such a sum passes
+    the best assembled value by _PRUNE_MARGIN, more than the rounding of
+    either sum, so no layer that could win or tie is pruned.  The sum runs
+    over the cap, the apex tail and the anchor first, then the other terms
+    largest upper bound first.  It is tried on rungs, cheapest first:
+    bracket estimates, which integrate no z3 rule (_Engine.bracketed); the
+    term runs' coarse estimates, level by level (_Engine.lower); and the
+    exact terms, which continue the same runs.  An estimate is below its
+    term when the run's true error is within _KAPPA times its GK15 error
+    estimate, which overstates it by orders of magnitude here.
+
+    The others are assembled in full and the smallest value wins, ties
+    going to the smallest layer, exactly as when every layer is assembled.
+    Which layers are pruned depends only on term values, never on what the
+    cache held before: a bracket depends on its term alone, and an
+    estimate is taken as of its level, not from the run's state."""
     top = spec.n if extend else spec.n - 1
     first = top if extend else (spec.d_min if spec.d_min <= top else 1)
+    head = [eng.cap_term().log_value] + ([eng.log_q_term] if extend else [])
+    rungs = [eng.bracketed] + [partial(eng.lower, level=k) for k in range(len(eng.levels))]
     found: dict[int, BoundResult] = {}
     best = math.inf
     for w in [first] + [w for w in range(1, top + 1) if w != first]:
-        if w != first and _layer_exceeds(eng, spec, w, extend, best):
-            continue
-        weighted, terms = _layer_terms(eng, spec, w, extend)
-        found[w] = eng.assemble(weighted, terms, include_q=extend, ahp_layer=w)
+        layer = _layer(eng, spec, w, extend)
+        if w != first:
+            ranked = sorted(layer.parts,
+                            key=lambda p: (-(p[1] + eng.pair_term(p[0]).log_value), p[0]))
+            if layer.anchor is not None:
+                ranked.insert(0, (w, 0.0, layer.anchor))
+            if any(_exceeds(chain(head, (c + rung(key) for _, c, key in ranked)), best)
+                   for rung in rungs):
+                continue
+        found[w] = eng.assemble(layer, include_q=extend, ahp_layer=w)
         best = min(best, found[w].log_value)
     win = min(found, key=lambda w: (found[w].log_value, w))
     return replace(
@@ -825,7 +787,7 @@ def ahp(
     anchor on that layer, and keep the best layer w = 1..n.
 
     A layer outside the cone, w = n among them, conditions nothing and is
-    the plain tangential-sphere assembly (see _layer_parts), so ahp never
+    the plain tangential-sphere assembly (see _layer), so ahp never
     exceeds tsb_block.  The search starts from layer n, whose pair terms
     tsb_block shares, and assembles in full only the layers that can still
     win (see _best_layer): the result is the one an exhaustive search

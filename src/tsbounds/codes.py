@@ -197,6 +197,12 @@ class GrowthRate:
         )
 
 
+def _encode(g: GeneratorMatrix, msgs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bits (k per row) and codewords (n) of uint32 message indices."""
+    bits = ((msgs[:, None] >> np.arange(g.k, dtype=np.uint32)[None, :]) & 1).astype(np.uint8)
+    return bits, (bits @ g.bits) & 1  # row sums <= k <= 24, no uint8 overflow
+
+
 def enumerate_spectrum(g: GeneratorMatrix) -> tuple[DistanceSpectrum, Iowef]:
     """Exact distance spectrum and IOWEF by enumerating all 2^k codewords.
 
@@ -207,13 +213,10 @@ def enumerate_spectrum(g: GeneratorMatrix) -> tuple[DistanceSpectrum, Iowef]:
             f"k={g.k} exceeds the 2^{ENUMERATION_CAP} enumeration cap"
         )
     counts = np.zeros((g.k + 1, g.n + 1), dtype=np.int64)
-    shifts = np.arange(g.k, dtype=np.uint32)
     total = 1 << g.k
     chunk = 1 << 16
     for base in range(0, total, chunk):
-        idx = np.arange(base, min(base + chunk, total), dtype=np.uint32)
-        bits = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-        cw = (bits @ g.bits) & 1  # row sums <= k <= 24, no uint8 overflow
+        bits, cw = _encode(g, np.arange(base, min(base + chunk, total), dtype=np.uint32))
         w = bits.sum(axis=1).astype(np.int64)
         h = cw.sum(axis=1).astype(np.int64)
         np.add.at(counts, (w, h), 1)

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import betaincinv
 
 from .bounds import ChannelPoint
-from .codes import EnumerationCapError, GeneratorMatrix
+from .codes import EnumerationCapError, GeneratorMatrix, _encode
 
 __all__ = [
     "CI_ALPHA",
@@ -94,9 +94,7 @@ def clopper_pearson(errors: int, trials: int, alpha: float = CI_ALPHA) -> tuple[
 
 
 def _codeword_images(g: GeneratorMatrix) -> np.ndarray:
-    msgs = np.arange(1 << g.k, dtype=np.uint32)
-    bits = ((msgs[:, None] >> np.arange(g.k, dtype=np.uint32)[None, :]) & 1).astype(np.uint8)
-    cw = (bits @ g.bits) & 1
+    _, cw = _encode(g, np.arange(1 << g.k, dtype=np.uint32))
     return 2.0 * cw.astype(np.float64) - 1.0
 
 

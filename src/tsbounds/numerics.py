@@ -43,8 +43,9 @@ _TINY = np.finfo(float).tiny
 class Tolerance:
     """Accuracy targets for iterative routines.
 
-    At least one of abs_tol / rel_tol must be strictly positive, and
-    max_iter bounds the number of subdivisions or iterations.
+    Both tolerances must be finite, at least one of abs_tol / rel_tol must
+    be strictly positive, and max_iter bounds the number of subdivisions or
+    iterations.
     """
 
     abs_tol: float = 1e-12
@@ -52,6 +53,8 @@ class Tolerance:
     max_iter: int = 200
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.abs_tol) and math.isfinite(self.rel_tol)):
+            raise ValueError("tolerances must be finite")
         if self.abs_tol < 0 or self.rel_tol < 0:
             raise ValueError("tolerances must be nonnegative")
         if self.abs_tol == 0 and self.rel_tol == 0:

@@ -72,8 +72,24 @@ def assemble_layer(spec, ch, w: int, extend: bool = True, eng=None):
     """Layer w of ahp (extend) or of psi alone, assembled as the layer
     search assembles it, on eng or on a fresh cache."""
     eng = eng if eng is not None else Plan(spec).at(ch)
-    weighted, terms = bounds._layer_terms(eng, spec, w, extend)
-    return eng.assemble(weighted, terms, include_q=extend, ahp_layer=w)
+    return eng.assemble(bounds._layer(eng, spec, w, extend), include_q=extend, ahp_layer=w)
+
+
+def oracle_assemble(eng, weighted, terms, include_q=True, ahp_layer=None):
+    """The bound of weighted spectrum logs and the terms behind them, summed
+    as the bounds summed them before one assembly served every bound: the
+    weighted logs in dict order, then the cap and the apex tail; the
+    terms' errors, then their tails, then the cap's."""
+    cap = eng.cap_term()
+    q = eng.log_q_term if include_q else NEG_INF
+    log_value = float(logsumexp(list(weighted.values()) + [cap.log_value]
+                                + ([q] if include_q else [])))
+    err = [t.log_error for t in terms] + [t.log_tail for t in terms]
+    return bounds.BoundResult(
+        value=float(np.exp(log_value)), log_value=log_value, per_weight=weighted,
+        cone_radius=eng.geo.r, tail_terms={"cap": cap.log_value, "q": q},
+        error_estimate=float(np.exp(logsumexp(err + [cap.log_error, cap.log_tail]))),
+        converged=cap.converged and all(t.converged for t in terms), ahp_layer=ahp_layer)
 
 
 def cone_residual(spec: DistanceSpectrum, r: float) -> float:
@@ -355,11 +371,84 @@ def test_itsb_rho_zero_shrinks_terms():
     for h in eng.plan.included:
         if h < d:
             continue
-        forced = eng.triple_term(h, d, 0.0).log_value
-        default = eng.triple_term(h, d, rho_min_h(h, d, spec.n)).log_value
+        forced = eng.term(bounds._key(h, d, 0.0)).log_value
+        default = eng.term(bounds._key(h, d, rho_min_h(h, d, spec.n))).log_value
         assert forced <= default + 1e-9, h
         strict += forced < default
     assert strict >= 1
+
+
+def _oracle_itsb(eng, spec):
+    """itsb's terms as its own loop gathered them before it was one term
+    list: per weight h >= d_min, the conditioned term against d_min (the
+    pair term at the crossover) and, at h = d_min, the anchor after it."""
+    d = spec.d_min
+    weighted, used = {}, []
+    anchor = eng.pair_term(d) if d < spec.n else None
+    for h in eng.plan.included:
+        if h < d:
+            continue
+        coeff = float(spec.log_a[h]) if h != d else bounds._log_minus_one(float(spec.log_a[h]))
+        parts = []
+        if coeff > NEG_INF:
+            rho = rho_min_h(h, d, spec.n)
+            key = ("pair", h) if rho <= bounds._RHO_NO_LINE else ("triple", h, d, rho)
+            t = eng.term(key).scaled(coeff)
+            parts.append(t.log_value)
+            used.append(t)
+        if h == d and anchor is not None:
+            parts.append(anchor.log_value)
+            used.append(anchor)
+        if parts:
+            weighted[h] = float(logsumexp(parts))
+    return oracle_assemble(eng, weighted, used)
+
+
+def test_itsb_is_its_loop_bit_for_bit(hamming_spec, golay_spec):
+    # itsb's one term list, assembled as every bound is, gives the value,
+    # weights (in order), error budget and flags of the loop it replaced.
+    # The spectra with A_d = 1 have no self-term at d_min.
+    unique = single_weight_spectrum(10, 3, 1.0).log_a.copy()
+    unique[[5, 6, 7]] = np.log([6.0, 4.0, 3.0])
+    bits = np.array([[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 1, 1]], dtype=np.uint8)
+    cases = [(hamming_spec, R_HAMMING), (golay_spec, 12 / 23),
+             (DistanceSpectrum(n=10, log_a=unique, d_min=3), 0.4),
+             (enumerate_spectrum(GeneratorMatrix(k=2, n=6, bits=bits))[0], 1 / 3)]
+    cases += [(random_ensemble_spectrum(n, 0.5), 0.5) for n in (6, 8, 10, 12, 14, 16)]
+    for spec, rate in cases:
+        for db in (2.0, 4.0, 6.0):
+            ch = ChannelPoint.from_eb_n0_db(db, rate)
+            eng = Plan(spec).at(ch)
+            res = itsb(spec, ch, terms=eng)
+            want = _oracle_itsb(eng, spec)
+            assert res == want, (spec.n, db)
+            assert list(res.per_weight.items()) == list(want.per_weight.items())
+
+
+@pytest.mark.parametrize("code", ["hamming", "ens10"])
+def test_one_assembly_per_bound_and_layer(code, hamming_spec, monkeypatch):
+    # tsb and itsb are one term list each, assembled once; ahp and psi
+    # assemble each layer they keep once, and nothing else.
+    spec, rate = {"hamming": (hamming_spec, R_HAMMING),
+                  "ens10": (random_ensemble_spectrum(10, 0.5), 0.5)}[code]
+    calls = []
+    orig = bounds._Engine.assemble
+
+    def spy(self, layer, include_q, ahp_layer=None):
+        calls.append(ahp_layer)
+        return orig(self, layer, include_q, ahp_layer)
+
+    monkeypatch.setattr(bounds._Engine, "assemble", spy)
+    ch = ChannelPoint.from_eb_n0_db(4.0, rate)
+    terms = Plan(spec).at(ch)
+    for bound in (tsb_block, itsb, ahp, psi):
+        calls.clear()
+        res = bound(spec, ch, terms=terms)
+        if bound in (ahp, psi):
+            assert len(calls) == len(set(calls)) == res.layers_assembled
+            assert res.ahp_layer in calls
+        else:
+            assert calls == [None]
 
 
 def test_itsb_single_codeword_equals_tsb():
@@ -515,34 +604,28 @@ def test_layer_search_matches_exhaustive_on_ensembles():
 def _pruned_search(bound, spec, ch, monkeypatch):
     """bound on a fresh cache, and each layer it pruned, mapped to the rung
     that pruned it: "brackets" (the difference-form rung), "coarse" (a
-    coarse level of the term runs) or "exact" (the exact terms)."""
-    pruned, levels = {}, []
-    exceeds, lower = bounds._layer_exceeds, bounds._Engine.lower
-    brackets = bounds._brackets_exceed
-    on_brackets = []
+    coarse level of the term runs) or "exact" (the exact terms).  The
+    search builds each layer once and then tries the rungs in that order,
+    one partial sum each."""
+    pruned, state = {}, {}
+    layer, exceeds = bounds._layer, bounds._exceeds
 
-    def lower_spy(self, key, level):
-        levels.append(level)
-        return lower(self, key, level)
+    def layer_spy(eng, spec, w, extend):
+        state.update(w=w, rung=0, exact=len(eng.levels))
+        return layer(eng, spec, w, extend)
 
-    def brackets_spy(*args):
-        on_brackets.append(brackets(*args))
-        return on_brackets[-1]
-
-    def exceeds_spy(eng, spec, w, extend, log_bound):
-        levels.clear()
-        on_brackets.clear()
-        out = exceeds(eng, spec, w, extend, log_bound)
-        if out and any(on_brackets):
-            pruned[w] = "brackets"
-        elif out:  # the cap or the apex tail alone passes at the first level
-            pruned[w] = "coarse" if max(levels, default=0) < len(eng.levels) - 1 else "exact"
+    def exceeds_spy(logs, log_bound):
+        out = exceeds(logs, log_bound)
+        if out:
+            rung = state["rung"]
+            pruned[state["w"]] = ("brackets" if rung == 0
+                                  else "coarse" if rung < state["exact"] else "exact")
+        state["rung"] += 1
         return out
 
     with monkeypatch.context() as m:
-        m.setattr(bounds, "_layer_exceeds", exceeds_spy)
-        m.setattr(bounds, "_brackets_exceed", brackets_spy)
-        m.setattr(bounds._Engine, "lower", lower_spy)
+        m.setattr(bounds, "_layer", layer_spy)
+        m.setattr(bounds, "_exceeds", exceeds_spy)
         return bound(spec, ch, terms=Plan(spec).at(ch)), pruned
 
 
@@ -555,7 +638,9 @@ def test_pruned_search_on_fresh_cache(case, hamming_spec, golay_spec, monkeypatc
     # out and the coarse ladder emptied), and the result, its layer
     # accounting included, is the exact-only search's, bit for bit; that
     # search is the one the tests above check against the exhaustive one.
-    # So is the search without the bracket rung, on the ladder alone.
+    # So is the search without the bracket rung (brackets estimate nothing,
+    # so that rung sums the cap and the apex tail alone), on the ladder
+    # alone.
     if case in ("hamming", "golay"):
         spec, rate = {"hamming": (hamming_spec, R_HAMMING), "golay": (golay_spec, 12 / 23)}[case]
         points = [(spec, ChannelPoint.from_eb_n0_db(db, rate)) for db in (2.0, 4.0, 6.0)]
@@ -569,7 +654,7 @@ def test_pruned_search_on_fresh_cache(case, hamming_spec, golay_spec, monkeypatc
         for bound in (ahp, psi):
             res, pruned = _pruned_search(bound, spec, ch, monkeypatch)
             with monkeypatch.context() as m:
-                m.setattr(bounds, "_brackets_exceed", lambda *args: False)
+                m.setattr(bounds._Engine, "bracketed", lambda self, key: NEG_INF)
                 ladder, on_ladder = _pruned_search(bound, spec, ch, monkeypatch)
                 m.setattr(bounds, "_LADDER", ())
                 want, exact = _pruned_search(bound, spec, ch, monkeypatch)
@@ -635,11 +720,11 @@ def _parent_layer_terms(eng, spec, w, extend):
     terms, weighted = [anchor], {}
     self_term = None
     if extend and w in eng.plan.geom_included:
-        self_term = eng.triple_term(w, w, rho_ww(w, n)).scaled(math.log(math.comb(n, w)))
+        self_term = eng.term(("triple", w, w, rho_ww(w, n))).scaled(math.log(math.comb(n, w)))
         terms.append(self_term)
     for h in eng.plan.included:
         if h != w:
-            t = eng.triple_term(h, w, rho_max_wh(w, h, n)).scaled(float(spec.log_a[h]))
+            t = eng.term(("triple", h, w, rho_max_wh(w, h, n))).scaled(float(spec.log_a[h]))
             terms.append(t)
             weighted[h] = t.log_value
     weighted[w] = anchor.log_value
@@ -654,7 +739,8 @@ def test_out_of_cone_layers_are_the_plain_assembly(code, hamming_spec, golay_spe
     # the plain pair terms: it matches the anchored formula within the two
     # error budgets, while every layer inside the cone, with codewords of
     # its weight or not (Golay layers 1-6, 9, 10, 13 have none), is that
-    # formula bit for bit.  ahp and psi never condition on an outside layer.
+    # formula summed as before, bit for bit, its weights in order.  ahp and
+    # psi never condition on an outside layer.
     spec, rate = {
         "hamming": (hamming_spec, R_HAMMING),
         "golay": (golay_spec, 12 / 23),
@@ -679,15 +765,14 @@ def test_out_of_cone_layers_are_the_plain_assembly(code, hamming_spec, golay_spe
         assert refs and set(refs) <= eng.plan.geom_included
         for extend in (True, False):
             for w in range(1, spec.n + 1 if extend else spec.n):
-                got = bounds._layer_terms(eng, spec, w, extend)
-                want = _parent_layer_terms(eng, spec, w, extend)
+                a = assemble_layer(spec, ch, w, extend, eng)
+                b = oracle_assemble(eng, *_parent_layer_terms(eng, spec, w, extend),
+                                    include_q=extend, ahp_layer=w)
                 if w in eng.plan.geom_included:
-                    assert list(got[0].items()) == list(want[0].items()), (db, w)
-                    assert got[1] == want[1], (db, w)
+                    assert a == b, (db, w)
+                    assert list(a.per_weight.items()) == list(b.per_weight.items()), (db, w)
                     continue
                 outside += w != spec.n
-                a = eng.assemble(*got, include_q=extend)
-                b = eng.assemble(*want, include_q=extend)
                 assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate, (db, w)
     assert outside > 0  # layers outside the cone besides layer n
 
@@ -1044,8 +1129,8 @@ def test_vacuous_conditioned_terms_cost_their_pair_nodes(golay_spec, monkeypatch
 
     pair = nodes(lambda: eng.pair_term(8))
     assert pair == 9000
-    assert nodes(lambda: eng.triple_term(8, 14, rho_max_wh(14, 8, n))) == pair
-    assert nodes(lambda: eng.triple_term(8, 7, rho_min_h(8, 7, n))) == pair
+    assert nodes(lambda: eng.term(bounds._key(8, 14, rho_max_wh(14, 8, n)))) == pair
+    assert nodes(lambda: eng.term(bounds._key(8, 7, rho_min_h(8, 7, n)))) == pair
 
 
 def test_itsb_crossover_term_is_the_cached_pair_term(monkeypatch):
@@ -1075,5 +1160,6 @@ def test_itsb_crossover_term_is_the_cached_pair_term(monkeypatch):
         labels.clear()
         h = n - d
         assert rho_min_h(h, d, n) == -1.0
-        assert terms.triple_term(h, d, rho_min_h(h, d, n)) is terms.pair_term(h)
+        assert bounds._key(h, d, rho_min_h(h, d, n)) == ("pair", h)
+        assert terms.term(bounds._key(h, d, rho_min_h(h, d, n))) is terms.pair_term(h)
         assert not labels

@@ -239,6 +239,18 @@ def test_bounds_total_failure_exits_3_with_sidecar(tmp_path):
     assert "n >= 2" in diag["failures"][0]["error"]
 
 
+@pytest.mark.parametrize("flag", ["--tol-rel", "--tol-abs"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_is_usage_error(gen_file, tmp_path, capsys, flag, value):
+    # a nan or inf tolerance is a usage error: exit 2 and no CSV, never a
+    # sweep of unconverged cells or of cells marked converged on one panel
+    out = tmp_path / "x.csv"
+    assert run_cli(["bounds", "--generator", gen_file, "--grid", "4", "--bounds", "tsb",
+                    flag, value, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "tolerances must be finite" in capsys.readouterr().err
+
+
 def test_bounds_unconverged_cells_reach_sidecar(gen_file, tmp_path):
     # a relative tolerance below double precision leaves the quadrature
     # unconverged: the cells keep their values and the exit code stays 0,

@@ -415,3 +415,14 @@ def test_tolerance_validation():
         Tolerance(abs_tol=-1.0)
     with pytest.raises(ValueError):
         Tolerance(max_iter=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tolerance_rejects_non_finite(bad):
+    # nan passes a `< 0` check, and a nan or inf tolerance meets no target
+    # or any: a run would then end unconverged at max_iter, or converge on
+    # its first panel
+    with pytest.raises(ValueError, match="finite"):
+        Tolerance(abs_tol=bad)
+    with pytest.raises(ValueError, match="finite"):
+        Tolerance(rel_tol=bad)
