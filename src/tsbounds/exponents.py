@@ -291,32 +291,68 @@ def _tilt_rows(n: int, c: float, eta: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return rows[:, 0], rows[:, 1]
 
 
+def _tilt_seed(n, c, u, eta):
+    """The root of the cubic C(q) = g r e^2 of _solve_tilts that the tilt
+    box can hold, elementwise and in closed form.
+
+    For k != 0, C has three real roots (its signs at the poles of p, r and e
+    show it): two lie at or below -1/(2 eta) where k > 0 (the cap included),
+    and two above 1/2 where k < 0 (a double root at 1/2 for h = n).  So the box
+    can hold only the largest root where k > 0 and the smallest where k < 0,
+    and the trigonometric form gives either one.  At k = 0, C is linear with
+    root -alpha, alpha = (n-1-eta)/(2 n eta).  Divided by a3 = 8 n eta k^2,
+    with v = 1/k, C's q^2, q and 1 coefficients are alpha + (1 + c u) v,
+    v (alpha - c u (eta-1)/(2 eta) + v/4) and v (alpha v - c u/eta)/4.
+    Rounding grows like 1/|k| near k = 0; the Newton steps absorb it."""
+    k = u * (eta + 1.0) - 1.0
+    cu = c * u
+    alpha = (n - 1.0 - eta) / (2.0 * n * eta)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the depressed cubic t^3 + P t + Q in t = q + s
+        v = 1.0 / k
+        s = (alpha + (1.0 + cu) * v) / 3.0
+        b1 = v * (alpha - cu * ((eta - 1.0) / (2.0 * eta)) + 0.25 * v)
+        b0 = 0.25 * v * (alpha * v - cu / eta)
+        ss = s * s
+        big_p = b1 - 3.0 * ss
+        big_q = s * (2.0 * ss - b1) + b0
+        # roots m cos(phi - 2 pi j/3): j = 0 the largest, j = 2 the smallest;
+        # the clip absorbs rounding at the double root
+        m = np.sqrt(-4.0 / 3.0 * big_p)
+        phi = np.arccos(np.clip(3.0 * big_q / (big_p * m), -1.0, 1.0)) / 3.0
+        t = m * np.cos(phi + (2.0 * np.pi / 3.0) * (k < 0.0))
+    return np.where(k == 0.0, -alpha, t - s)
+
+
 def _solve_tilts(n: int, c: float, eta) -> tuple[np.ndarray, np.ndarray]:
     """Per-weight tilts q[..., h] and minima terms[..., h] = min over q of
     ln sqrt((1-2q)/(1+2q eta)) - n E: the cap at h = 0 (Delta^2 = 0, tilt in
     [0, 1/2)), the weight-h pair term for h >= 1 (tilt in [-1/(2 eta), 0];
     Delta^2 = +inf at h = n).  eta is one slope (rows of n+1) or a 1-D array
-    of m slopes ((m, n+1) arrays).  Exact: the box end where f' keeps one
-    sign, else the root of f' by Newton steps on _tilt_slope, kept inside the
-    sign bracket [a, b] found by one pass over five tilts (else bisecting
-    it).  A row stops stepping once all its tilts settle, so each row is
-    what solving its slope alone gives."""
+    of m slopes ((m, n+1) arrays).
+
+    Exact: the box end where f' keeps one sign (g at the two ends, one
+    pass), else the root of f'.  With p = 1 + 2 eta q, r = 1 - 2q,
+    k = u (eta + 1) - 1 and e = 1 + 2 k q (_tilt_slope's e and w = 2 n c u k),
+    g r e^2 = C(q) = (n-1) p e^2 - eta r e^2 - w p r, a cubic with
+    a3 = 8 n eta k^2, and r e^2 > 0 on the box, so the root is C's one root
+    there (_tilt_seed, in closed form).  Newton steps on _tilt_slope, kept
+    inside the sign bracket (else bisecting it), confirm it to 1e-12 of the
+    box; a seed that is not finite or leaves the box starts them at the
+    midpoint.  A row stops stepping once all its tilts settle, so each row
+    is what solving its slope alone gives."""
     eta = np.asarray(eta, dtype=float)[..., None]
     hs = np.arange(n + 1)
     lo = np.where(hs == 0, 0.0, -0.5 / eta * _TILT_EDGE)
     hi = np.where(hs == 0, 0.5 * _TILT_EDGE, 0.0)
     u = 1.0 - hs / n
-    qs = lo + np.linspace(0.0, 1.0, 5).reshape((5,) + (1,) * lo.ndim) * (hi - lo)
-    gs = _tilt_slope(qs, n, c, u, eta, with_dg=False)
+    g_lo, g_hi = _tilt_slope(np.stack(np.broadcast_arrays(lo, hi)), n, c, u, eta, with_dg=False)
     # a = b = the box end holding the minimum where f' keeps one sign
-    j = np.argmax(gs > 0.0, axis=0)
-
-    def pick(k: np.ndarray) -> np.ndarray:
-        return np.take_along_axis(qs, k[None], axis=0)[0]
-
-    a = np.where(gs[-1] > 0.0, pick(np.maximum(j - 1, 0)), hi)
-    b = np.where(gs[-1] > 0.0, pick(j), hi)
-    x = 0.5 * (a + b)
+    inside = (g_lo <= 0.0) & (g_hi > 0.0)
+    a = np.where(g_hi <= 0.0, hi, lo)
+    b = np.where(inside, hi, a)
+    seed = _tilt_seed(n, c, u, eta)
+    x = np.where(inside & (lo <= seed) & (seed <= hi), seed, 0.5 * (a + b))
     settled = np.zeros(eta.shape[:-1], dtype=bool)
     for _ in range(60):  # each step at worst halves the bracket
         g, dg = _tilt_slope(x, n, c, u, eta)

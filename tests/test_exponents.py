@@ -455,15 +455,16 @@ def test_tilt_solve_matches_grid_golden_oracle():
 
 
 def test_tilt_solve_work_is_bounded(monkeypatch):
-    # One bracketing pass plus at most 12 Newton steps per objective call at
-    # n = 512, the grid scan's batch of 33 slopes included (a batch steps
-    # until its last slope settles).  Without the factor p the pole at the
-    # lower tilt edge drives Newton to bisection, and rejecting a step that
-    # lands exactly on a bracket end keeps bisecting after the root is found;
-    # either breaks this bound.  After the grid, the slope search asks for
-    # the slopes next to the grid minimum (kept, so solved already) and then
-    # one slope per root-solve step: at most 17 steps, 50 slopes in all.
-    per_call, batches, calls, solved = [], [], [0], []
+    # One box-end pass plus at most 2 Newton steps per tilt solve at n = 512,
+    # the grid scan's batch of 33 slopes included (a batch steps until its
+    # last slope settles): the cubic's root seeds Newton, which confirms it.
+    # Without the factor p the pole at the lower tilt edge drives Newton to
+    # bisection, and rejecting a step that lands exactly on a bracket end
+    # keeps bisecting after the root is found; either breaks this bound.
+    # After the grid, the slope search asks for the slopes next to the grid
+    # minimum (kept, so solved already) and then one slope per root-solve
+    # step: at most 17 steps, 50 slopes in all.
+    per_solve, batches, calls, solved = [], [], [0], []
     slope, total, solve = (exponents._tilt_slope, exponents._chernoff_log_total,
                            exponents._solve_tilts)
 
@@ -472,15 +473,15 @@ def test_tilt_solve_work_is_bounded(monkeypatch):
         return slope(*args, **kwargs)
 
     def total_spy(n, c, spec, eta, *args):
-        calls[0] = 0
-        value = total(n, c, spec, eta, *args)
-        per_call.append(calls[0])
         batches.append(eta.size)
-        return value
+        return total(n, c, spec, eta, *args)
 
     def solve_spy(n, c, eta):
         solved.append(np.size(eta))
-        return solve(n, c, eta)
+        calls[0] = 0
+        value = solve(n, c, eta)
+        per_solve.append(calls[0])
+        return value
 
     monkeypatch.setattr(exponents, "_TILTS", threading.local())  # no solve remembered
     monkeypatch.setattr(exponents, "_tilt_slope", slope_spy)
@@ -489,7 +490,42 @@ def test_tilt_solve_work_is_bounded(monkeypatch):
     chernoff_tsb(512, 1.0, random_ensemble_spectrum(512, 0.5))
     assert batches[:2] == [33, 3] and max(batches[2:]) == 1
     assert solved[0] == 33 and set(solved[1:]) == {1} and sum(solved) <= 50
-    assert max(per_call) <= 1 + 12
+    assert max(per_solve) <= 1 + 2, per_solve
+
+
+def test_tilt_seed_is_in_box_and_near_root():
+    # The closed-form root of the cubic C(q) = g r e^2 against the converged
+    # tilt, wherever the minimum is interior (f' changes sign on the box, so
+    # the solver starts from the seed): finite, inside the box and within
+    # 1e-9 of the box width, with no warning escaping its formula.  Elsewhere
+    # the root lies outside the box and the minimum comes back exactly at lo
+    # or hi.  ln eta = 0 puts k = u (eta + 1) - 1 exactly at 0 for h = n/2
+    # (C linear), and eta = 1 -+ 2e-3 gives that weight k = -+1e-3.
+    at_k0 = near_k0 = ends = 0
+    for n in (1, 2, 7, 23, 64, 512):
+        hs = np.arange(n + 1)
+        u = 1.0 - hs / n
+        for c in (0.05, 0.3, 1.0, 5.0):
+            for eta in [math.exp(x) for x in (-6.0, -3.0, 0.0, 3.0, 6.0)] + [0.998, 1.002]:
+                lo, hi = tilt_box(n, eta)
+                k = u * (eta + 1.0) - 1.0
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    seed = exponents._tilt_seed(n, c, u, eta)
+                    q, _ = exponents._solve_tilts(n, c, eta)
+                g_lo, g_hi = exponents._tilt_slope(np.stack([lo, hi]), n, c, u, eta, False)
+                end = np.where(g_hi <= 0.0, hi, np.where(g_lo > 0.0, lo, np.nan))
+                inside = np.isnan(end)
+                assert np.array_equal(q[~inside], end[~inside]), (n, c, eta)
+                seed, q, lo, hi = seed[inside], q[inside], lo[inside], hi[inside]
+                assert np.all(np.isfinite(seed) & (lo <= seed) & (seed <= hi)), (n, c, eta)
+                assert np.all(np.abs(seed - q) <= 1e-9 * (hi - lo)), (n, c, eta)
+                at_k0 += np.count_nonzero(k[inside] == 0.0)
+                near_k0 += np.count_nonzero(np.abs(np.abs(k[inside]) - 1e-3) < 1e-12)
+                ends += np.count_nonzero(~inside)
+    # k = 0: n = 64 and 512 at every c; at n = 2 the linear root is the box
+    # end 0.  k = -+1e-3: at least n = 64 and 512, both slopes, every c.
+    assert at_k0 == 2 * 4 and near_k0 >= 2 * 2 * 4 and ends > 0
 
 
 def test_value_reads_skip_term_slopes(monkeypatch):
