@@ -65,9 +65,8 @@ BOUND_TOL = Tolerance(abs_tol=1e-300, rel_tol=1e-10, max_iter=260)
 # like 1/radius).
 _FALLBACK_RADIUS_FACTOR = 400.0
 
-# At or below this correlation the z3 line of a conditioned term is vacuous
-# (itsb's crossover at h = n - d): the term is its pair term (see _key).
-_RHO_NO_LINE = -1.0 + 1e-12
+# Relative margin of Plan.key's tests: far above the rounding of any z1 row.
+_CLEAR = 1e-9
 
 # Coarse relative tolerances each term run meets before its exact one; the
 # layer search prunes on their lower estimates (see _best_layer).
@@ -127,7 +126,8 @@ class BoundResult:
 
     ahp and psi also report their layer search: the chosen layer, how many
     layers were assembled in full and how many were pruned unassembled, and
-    whether the chosen layer opens inside the cone (None for tsb and itsb)."""
+    whether the chosen layer opens inside the cone (None for tsb and itsb).
+    vacuous_terms: how many conditioned parts are pair terms (None for tsb)."""
 
     value: float
     log_value: float
@@ -140,6 +140,7 @@ class BoundResult:
     layers_assembled: int | None = None
     layers_pruned: int | None = None
     layer_in_cone: bool | None = None
+    vacuous_terms: int | None = None
 
 
 def _interior_weights(spec: DistanceSpectrum) -> list[int]:
@@ -202,6 +203,10 @@ def _cone_radius_or_fallback(spec: DistanceSpectrum) -> float:
         return _FALLBACK_RADIUS_FACTOR * math.sqrt(spec.n)
 
 
+def _log(x: float) -> float:
+    return math.log(x) if x > 0.0 else _NEG_INF
+
+
 def _log_minus_one(log_a: float) -> float:
     # ln(max(A - 1, 0)) from ln A, stable for large A.
     if log_a <= 0.0:
@@ -226,14 +231,6 @@ class _Term:
             self.converged,
             self.label,
         )
-
-
-def _key(h: int, w_ref: int, rho: float) -> tuple:
-    """The cache key of the conditioned term of weight h against the anchor
-    weight w_ref at correlation rho.  At the crossover (rho at -1) the line
-    is vacuous and the term is pair_term(h) itself, so the cache integrates
-    it once."""
-    return ("pair", h) if rho <= _RHO_NO_LINE else ("triple", h, w_ref, rho)
 
 
 class _Layer(NamedTuple):
@@ -271,6 +268,21 @@ class Plan:
         self.included = tuple(
             h for h in _interior_weights(spec) if h in self.geom_included
         )
+
+    def key(self, h: int, w: int, rho: float) -> tuple:
+        """The cache key of the conditioned term of weight h against anchor
+        w at correlation rho: ("pair", h) where the line clears the pair
+        event's disk section, else ("triple", h, w, rho).  All limits scale
+        with sqrt(n) - z1, so one test at sqrt(n) - z1 = 1 holds at every
+        z1: the line's crossings of +-s (if any) lie below beta_h and it is
+        above s at beta_h, each by _CLEAR.  The kernel then builds the pair
+        kernel's nodes and cuts none, bit for bit; rho = -1 is one case."""
+        n, rz, q = self.geo.n, self.geo.eta**0.5, 1.0 - rho * rho
+        b, b_ref = math.sqrt(h / (n - h)), math.sqrt(w / (n - w))
+        cross = b_ref * rho + math.sqrt(max(q * (rz * rz - b_ref * b_ref), 0.0))
+        below = b_ref > rz * (1.0 + _CLEAR) or cross < b * (1.0 - _CLEAR)
+        above = b_ref - rho * b > math.sqrt(max(rz * rz - b * b, 0.0) * q) * (1.0 + _CLEAR)
+        return ("pair", h) if below and above else ("triple", h, w, rho)
 
     def at(self, ch: ChannelPoint, tol: Tolerance = BOUND_TOL) -> "_Engine":
         """A fresh term cache for one channel point.  Pass it as `terms=` to
@@ -357,10 +369,10 @@ class _Engine:
     ):
         """Pr(beta_h <= z2 <= r_z1, z3 <= l(z2), chi2_(n-3) mass below
         r^2 - z2^2 - z3^2): the one kernel of every term but the cap.  With
-        no line (beta_ref None, or rho at the -1 crossover, where the z3
-        constraint is vacuous) it is the pair kernel Pr(beta_h <= z2 <= r_z1,
-        chi2_(n-2) mass below r^2 - z2^2) on the one segment [beta_h, r_z1],
-        where 2 * (half-disk) is that mass exactly.
+        no line (beta_ref None, or rho = -1, where the z3 constraint is
+        vacuous) it is the pair kernel Pr(beta_h <= z2 <= r_z1, chi2_(n-2)
+        mass below r^2 - z2^2) on the one segment [beta_h, r_z1], where
+        2 * (half-disk) is that mass exactly.
 
         With a line, the z2 range splits where the line crosses +-s, and
         only segments of positive width get nodes.  beta_h, r_z1, beta_ref
@@ -387,7 +399,7 @@ class _Engine:
         span = float(np.max(rz - a, initial=0.0))
         if span <= 0.0:
             return (np.zeros_like(rz),) * 2 if bracket else np.zeros_like(rz)
-        has_line = beta_ref is not None and rho > _RHO_NO_LINE
+        has_line = beta_ref is not None and rho > -1.0
         edges = [a, rz]
         if has_line:
             # The regime of the z3 limit changes where the line crosses +-s;
@@ -482,8 +494,7 @@ class _Engine:
         if level == len(self.levels) - 1:
             return self.term(key).log_value
         res = self._refined(key, level)
-        low = res.value - _KAPPA * res.error if res.converged else 0.0
-        return math.log(low) if low > 0.0 else _NEG_INF
+        return _log(res.value - _KAPPA * res.error if res.converged else 0.0)
 
     def _bracket(self, key: tuple, side: int) -> QuadratureResult:
         """The bracket run of conditioned term key: T_lo (side 0) or W_hi
@@ -500,6 +511,9 @@ class _Engine:
         return res
 
     def _pair_value(self, h: int) -> float:
+        # Exact where tsb reads it, else a prune-only anchor's first level.
+        if h not in self.plan.included:
+            return self._refined(("pair", h), 0).value
         self.pair_term(h)
         return self._refined(("pair", h), len(self.levels) - 1).value
 
@@ -520,8 +534,8 @@ class _Engine:
         alone for the extension self-term (h = w_ref).  An unconverged
         bracket run gives no estimate."""
         h = key[1]
-        if key[0] == "pair":
-            return self.pair_term(h).log_value
+        if key[0] == "pair":  # a prune-only anchor reads its first level
+            return self.pair_term(h).log_value if h in self.plan.included else self.lower(key, 0)
         pair, low = self._pair_value(h), 0.0
         if key[2] != h:
             wedge = self._bracket(key, 1)
@@ -531,7 +545,7 @@ class _Engine:
             lo = self._bracket(key, 0)
             if lo.converged:
                 low = max(low, lo.value - _KAPPA * lo.error)
-        return math.log(low) if low > 0.0 else _NEG_INF
+        return _log(low)
 
     def _log_tail(self, h: int) -> float:
         # Bound on a pair event's mass below z1_lo: z2 past beta_h there.
@@ -542,14 +556,12 @@ class _Engine:
         res = self._refined(key, len(self.levels) - 1)
         if key[0] == "cap":
             cut = self._cap_given_z1(np.array([self.z1_lo]))[0]
-            tail, label = _LOG_Q10 + (math.log(cut) if cut > 0.0 else _NEG_INF), "cap"
+            tail, label = _LOG_Q10 + _log(cut), "cap"
         else:
             tail = self._log_tail(key[1])
             label = (f"pair(h={key[1]})" if key[0] == "pair"
                      else f"conditioned(h={key[1]}, ref={key[2]})")
-        log_value = math.log(res.value) if res.value > 0.0 else _NEG_INF
-        log_error = math.log(res.error) if res.error > 0.0 else _NEG_INF
-        return _Term(log_value, log_error, tail, res.converged, label)
+        return _Term(_log(res.value), _log(res.error), tail, res.converged, label)
 
     def term(self, key: tuple) -> _Term:
         """The exact term under key, ("cap",), ("pair", h) or ("triple", h,
@@ -574,7 +586,8 @@ class _Engine:
     # -- assembly ----------------------------------------------------------
 
     def assemble(
-        self, layer: _Layer, include_q: bool, ahp_layer: int | None = None
+        self, layer: _Layer, include_q: bool, ahp_layer: int | None = None,
+        vacuous_terms: int | None = None,
     ) -> BoundResult:
         """The bound of one term list: its weighted spectrum logs summed
         with the cap (and optionally the apex tail), and the error budgets
@@ -609,7 +622,7 @@ class _Engine:
             tail_terms=tail_terms,
             error_estimate=error,
             converged=converged,
-            ahp_layer=ahp_layer,
+            ahp_layer=ahp_layer, vacuous_terms=vacuous_terms,
         )
 
     def finish(self, result: BoundResult) -> BoundResult:
@@ -666,7 +679,7 @@ def itsb(
     admissible against the anchor weight.
     """
     eng = _terms_for(spec, ch, tol, terms)
-    d, parts = spec.d_min, []
+    d, parts, vacuous = spec.d_min, [], 0
     for h in eng.plan.included:
         if h < d:
             # Weights below the effective d_min are skipped, not bounded
@@ -674,10 +687,11 @@ def itsb(
             continue
         coeff = float(spec.log_a[h]) if h != d else _log_minus_one(float(spec.log_a[h]))
         if coeff > _NEG_INF:
-            parts.append((h, coeff, _key(h, d, rho_min_h(h, d, spec.n))))
+            parts.append((h, coeff, eng.plan.key(h, d, rho_min_h(h, d, spec.n))))
+            vacuous += parts[-1][2][0] == "pair"
         if h == d:  # the anchor, after its self-term
             parts.append((d, 0.0, ("pair", d)))
-    return eng.finish(eng.assemble(_Layer(d, None, parts), include_q=True))
+    return eng.finish(eng.assemble(_Layer(d, None, parts), include_q=True, vacuous_terms=vacuous))
 
 
 def _layer(eng: _Engine, spec: DistanceSpectrum, w: int, extend: bool) -> _Layer:
@@ -703,8 +717,8 @@ def _layer(eng: _Engine, spec: DistanceSpectrum, w: int, extend: bool) -> _Layer
         return _Layer(w, None, [(h, float(spec.log_a[h]), ("pair", h)) for h in eng.plan.included])
     # The extension pairs exist whether or not the code has weight-w words;
     # only the cone geometry can zero them out.
-    parts = [(w, math.log(math.comb(n, w)), _key(w, w, rho_ww(w, n)))] if extend else []
-    parts += [(h, float(spec.log_a[h]), _key(h, w, rho_max_wh(w, h, n)))
+    parts = [(w, math.log(math.comb(n, w)), eng.plan.key(w, w, rho_ww(w, n)))] if extend else []
+    parts += [(h, float(spec.log_a[h]), eng.plan.key(h, w, rho_max_wh(w, h, n)))
               for h in eng.plan.included if h != w]
     return _Layer(w, ("pair", w), parts)
 
@@ -746,7 +760,8 @@ def _best_layer(eng: _Engine, spec: DistanceSpectrum, extend: bool) -> BoundResu
     term runs' coarse estimates, level by level (_Engine.lower); and the
     exact terms, which continue the same runs.  An estimate is below its
     term when the run's true error is within _KAPPA times its GK15 error
-    estimate, which overstates it by orders of magnitude here.
+    estimate, which overstates it by orders of magnitude here.  A prune-only
+    anchor, of a weight with no codewords, enters the first rung coarse.
 
     The others are assembled in full and the smallest value wins, ties
     going to the smallest layer, exactly as when every layer is assembled.
@@ -763,13 +778,14 @@ def _best_layer(eng: _Engine, spec: DistanceSpectrum, extend: bool) -> BoundResu
         layer = _layer(eng, spec, w, extend)
         if w != first:
             ranked = sorted(layer.parts,
-                            key=lambda p: (-(p[1] + eng.pair_term(p[0]).log_value), p[0]))
+                            key=lambda p: (-(p[1] + _log(eng._pair_value(p[0]))), p[0]))
             if layer.anchor is not None:
                 ranked.insert(0, (w, 0.0, layer.anchor))
             if any(_exceeds(chain(head, (c + rung(key) for _, c, key in ranked)), best)
                    for rung in rungs):
                 continue
-        found[w] = eng.assemble(layer, include_q=extend, ahp_layer=w)
+        vacuous = sum(key[0] == "pair" for _, _, key in layer.parts)
+        found[w] = eng.assemble(layer, include_q=extend, ahp_layer=w, vacuous_terms=vacuous)
         best = min(best, found[w].log_value)
     win = min(found, key=lambda w: (found[w].log_value, w))
     return replace(
@@ -840,5 +856,4 @@ def triple_term(
     eng = _Engine(geo, ch, BOUND_TOL)
     z1_arr = np.array([float(z1)])
     ref_arr = np.array([float(beta_ref)])
-    value = float(eng._triple_given_z1(z1_arr, h, ref_arr, float(rho))[0])
-    return math.log(value) if value > 0.0 else _NEG_INF
+    return _log(float(eng._triple_given_z1(z1_arr, h, ref_arr, float(rho))[0]))

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammainc, logsumexp
@@ -371,8 +371,8 @@ def test_itsb_rho_zero_shrinks_terms():
     for h in eng.plan.included:
         if h < d:
             continue
-        forced = eng.term(bounds._key(h, d, 0.0)).log_value
-        default = eng.term(bounds._key(h, d, rho_min_h(h, d, spec.n))).log_value
+        forced = eng.term(eng.plan.key(h, d, 0.0)).log_value
+        default = eng.term(eng.plan.key(h, d, rho_min_h(h, d, spec.n))).log_value
         assert forced <= default + 1e-9, h
         strict += forced < default
     assert strict >= 1
@@ -380,8 +380,9 @@ def test_itsb_rho_zero_shrinks_terms():
 
 def _oracle_itsb(eng, spec):
     """itsb's terms as its own loop gathered them before it was one term
-    list: per weight h >= d_min, the conditioned term against d_min (the
-    pair term at the crossover) and, at h = d_min, the anchor after it."""
+    list: per weight h >= d_min, the conditioned term against d_min, each
+    integrated under its own key, vacuous or not, and, at h = d_min, the
+    anchor after it."""
     d = spec.d_min
     weighted, used = {}, []
     anchor = eng.pair_term(d) if d < spec.n else None
@@ -392,8 +393,7 @@ def _oracle_itsb(eng, spec):
         parts = []
         if coeff > NEG_INF:
             rho = rho_min_h(h, d, spec.n)
-            key = ("pair", h) if rho <= bounds._RHO_NO_LINE else ("triple", h, d, rho)
-            t = eng.term(key).scaled(coeff)
+            t = eng.term(("triple", h, d, rho)).scaled(coeff)
             parts.append(t.log_value)
             used.append(t)
         if h == d and anchor is not None:
@@ -421,8 +421,28 @@ def test_itsb_is_its_loop_bit_for_bit(hamming_spec, golay_spec):
             eng = Plan(spec).at(ch)
             res = itsb(spec, ch, terms=eng)
             want = _oracle_itsb(eng, spec)
-            assert res == want, (spec.n, db)
+            assert replace(res, vacuous_terms=None) == want, (spec.n, db)
             assert list(res.per_weight.items()) == list(want.per_weight.items())
+
+
+def test_vacuous_terms_count_conditioning_that_changes_nothing(golay_spec):
+    # On Golay at 4 dB every itsb line clears its pair event: 4 of its 4
+    # conditioned parts (the self-term at d_min and weights 8, 11, 12).
+    # ahp's winning layer 14 lies outside the cone, where every part is its
+    # pair term; psi's winning layer cuts every part.  The one itsb part of
+    # a single-weight spectrum, its self-term, cuts.  tsb conditions
+    # nothing and reports None.
+    ch = ChannelPoint.from_eb_n0_db(4.0, 12 / 23)
+    terms = Plan(golay_spec).at(ch)
+    assert tsb_block(golay_spec, ch, terms=terms).vacuous_terms is None
+    assert terms.plan.included == (7, 8, 11, 12)
+    assert itsb(golay_spec, ch, terms=terms).vacuous_terms == 4
+    res = ahp(golay_spec, ch, terms=terms)
+    assert (res.ahp_layer, res.layer_in_cone, res.vacuous_terms) == (14, False, 4)
+    res = psi(golay_spec, ch, terms=terms)
+    assert res.layer_in_cone and res.vacuous_terms == 0
+    spec = single_weight_spectrum(10, 3, 5.0)
+    assert itsb(spec, ChannelPoint.from_eb_n0_db(4.0, 0.5)).vacuous_terms == 0
 
 
 @pytest.mark.parametrize("code", ["hamming", "ens10"])
@@ -434,9 +454,9 @@ def test_one_assembly_per_bound_and_layer(code, hamming_spec, monkeypatch):
     calls = []
     orig = bounds._Engine.assemble
 
-    def spy(self, layer, include_q, ahp_layer=None):
+    def spy(self, layer, include_q, ahp_layer=None, **fields):
         calls.append(ahp_layer)
-        return orig(self, layer, include_q, ahp_layer)
+        return orig(self, layer, include_q, ahp_layer, **fields)
 
     monkeypatch.setattr(bounds._Engine, "assemble", spy)
     ch = ChannelPoint.from_eb_n0_db(4.0, rate)
@@ -562,7 +582,10 @@ def _check_layer_search(bound, spec, ch, terms):
     extend = bound is ahp
     want = _exhaustive_best_layer(terms, spec, extend)
     res = bound(spec, ch, terms=terms)
-    assert replace(res, layers_assembled=None, layers_pruned=None, layer_in_cone=None) == want
+    assert replace(res, layers_assembled=None, layers_pruned=None, layer_in_cone=None,
+                   vacuous_terms=None) == want
+    parts = bounds._layer(terms, spec, res.ahp_layer, extend).parts
+    assert res.vacuous_terms == sum(key[0] == "pair" for _, _, key in parts)
     top = spec.n if extend else spec.n - 1
     assert res.layers_assembled >= 1
     assert res.layers_assembled + res.layers_pruned == top
@@ -589,6 +612,23 @@ def test_layer_search_matches_exhaustive_on_codes(code, hamming_spec, golay_spec
                 # the out-of-cone layers 14..23 tie exactly; the smallest wins
                 assert res.ahp_layer == 14 and not res.layer_in_cone
     assert pruned > 0
+
+
+def test_prune_only_anchors_stay_coarse(golay_spec):
+    # Golay layers 1-6, 9, 10 and 13 open inside the cone but hold no
+    # codewords, so ahp reads their anchor pair terms only to prune them:
+    # on a fresh cache at 4 dB each such run stops at its first level, its
+    # exact term never integrated.  ahp and psi still return the exhaustive
+    # search's result.
+    ch = ChannelPoint.from_eb_n0_db(4.0, 12 / 23)
+    terms = Plan(golay_spec).at(ch)
+    ahp(golay_spec, ch, terms=terms)
+    anchors = sorted(terms.plan.geom_included - set(terms.plan.included))
+    assert anchors == [1, 2, 3, 4, 5, 6, 9, 10, 13]
+    for w in anchors:
+        assert len(terms._runs[("pair", w)]) == 1 and ("pair", w) not in terms._cache, w
+    for bound in (ahp, psi):
+        _check_layer_search(bound, golay_spec, ch, terms)
 
 
 def test_layer_search_matches_exhaustive_on_ensembles():
@@ -1052,7 +1092,7 @@ def test_bracket_kernel_brackets_the_exact_kernel(code, db, data, hamming_spec, 
     t_lo, w_hi = eng._triple_given_z1(z1, h, beta_ref, rho, bracket=True)
     exact = eng._triple_given_z1(z1, h, beta_ref, rho)
     pair = eng._triple_given_z1(z1, h)
-    if rho <= -1.0 + 1e-12:  # the crossover: no line, so both brackets are exact
+    if rho <= -1.0 + 1e-12:  # at the crossover the line clears the disk: both exact
         assert np.array_equal(t_lo, pair) and np.array_equal(w_hi, np.zeros_like(pair))
     fine = _dense_triple_given_z1(eng, z1, h, beta_ref, rho, z3_nodes=48)
     slack = np.abs(exact - fine) + 1e-13 * pair
@@ -1063,6 +1103,61 @@ def test_bracket_kernel_brackets_the_exact_kernel(code, db, data, hamming_spec, 
         assert not np.any(t_lo) and not np.any(w_hi)
 
 
+@given(
+    n=st.integers(4, 32),
+    rate=st.sampled_from([0.25, 0.5, 0.75, 0.9]),
+    db=st.sampled_from([0.0, 4.0, 8.0]),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_vacuous_keys_are_the_pair_kernel_bit_for_bit(n, rate, db, data):
+    # Plan.key names a conditioned term by its pair term only where the
+    # kernel with the line is the pair kernel bit for bit in every z1 row
+    # and runs the z3 rule at no node.  rho within 1e-12 of -1 (the
+    # crossover's neighbourhood) always resolves; a line through a point
+    # (beta_h, +-s) of the disk's edge, a crossing at beta_h to rounding, is
+    # borderline and stays integrated.  The rho drawn near it sit a few
+    # ulps to either side; steep lines (rho near 1) can pass above s at
+    # beta_h and still cut the disk further on.
+    plan = Plan(random_ensemble_spectrum(n, rate))
+    assume(plan.geom_included)
+    eng = plan.at(ChannelPoint.from_eb_n0_db(db, rate))
+    cone = st.sampled_from(sorted(plan.geom_included))
+    h, w = data.draw(cone, label="h"), data.draw(cone, label="w")
+    b, b_ref, rz = delta_slope(h, n), delta_slope(w, n), plan.geo.r / math.sqrt(n)
+    s_h = math.sqrt(rz * rz - b * b)
+    edge = [math.cos(sign * math.atan2(s_h, b) + turn * math.acos(b_ref / rz))
+            for sign in (1, -1) for turn in (1, -1)]
+    near = st.tuples(st.sampled_from(edge), st.integers(-4, 4)).map(
+        lambda e: float(np.clip(e[0] + e[1] * np.spacing(e[0]), -1.0, np.nextafter(1.0, 0.0))))
+    own = rho_ww(w, n) if h == w else rho_max_wh(w, h, n)
+    rho = data.draw(st.one_of(st.floats(-1.0, 1.0, exclude_max=True), near, st.just(own),
+                              st.floats(0.0, 1e-12).map(lambda x: -1.0 + x),
+                              st.floats(0.9, 1.0, exclude_max=True)), label="rho")
+    key = plan.key(h, w, rho)
+    if rho <= -1.0 + 1e-12:
+        assert key == ("pair", h)
+    through = [abs(rho * b + z3 * math.sqrt(1.0 - rho * rho) - b_ref) for z3 in (s_h, -s_h)]
+    if min(through) <= 1e-12 * rz:
+        assert key[0] == "triple"
+    if key[0] == "triple":
+        return
+    steps = data.draw(st.lists(st.integers(-40, int(4 * math.sqrt(n) / eng.sigma)),
+                               min_size=1, max_size=8), label="z1 steps")
+    z1 = np.minimum(np.array(steps) * 0.25 * eng.sigma, math.sqrt(n) * (1.0 - 1e-12))
+    dofs = []
+
+    def spy(a, x):
+        dofs.append(a)
+        return gammainc(a, x)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bounds, "gammainc", spy)
+        with_line = eng._triple_given_z1(z1, h, beta_h(z1, w, plan.geo), rho)
+    assert np.array_equal(with_line, eng._triple_given_z1(z1, h))
+    assert 0.5 * (n - 3) not in dofs
+
+
 def test_no_zero_weight_z2_nodes(golay_spec, monkeypatch):
     # Every z2 segment the kernel builds has positive width in every z1 row,
     # in term runs and bracket runs alike: a Golay row at 4 dB (tsb, itsb,
@@ -1070,7 +1165,9 @@ def test_no_zero_weight_z2_nodes(golay_spec, monkeypatch):
     # its own cache).  Building the zero-width segments too would add zero
     # weights: 319,320 and 528,120 of them when the totals were 666,720 and
     # 1,257,480, before layers were pruned on coarse estimates of the term
-    # runs (390,240 and 795,240 before the bracket rung).
+    # runs (390,240 and 795,240 before the bracket rung).  The Golay total
+    # was 378,720 before vacuous conditioned terms were keyed as their pair
+    # terms and prune-only anchors left at their first level.
     nodes, kernel = bounds._Engine._panel_nodes, bounds._Engine._triple_given_z1
     weights, bracketed = [], []
 
@@ -1101,7 +1198,7 @@ def test_no_zero_weight_z2_nodes(golay_spec, monkeypatch):
     spec = random_ensemble_spectrum(12, 0.5)
     for bound in (tsb_block, itsb, ahp, psi):
         bound(spec, ChannelPoint.from_eb_n0_db(4.0, 0.5))
-    for found, total in ((golay, 378_720), (list(zip(weights, bracketed)), 875_880)):
+    for found, total in ((golay, 261_360), (list(zip(weights, bracketed)), 875_880)):
         assert sum(w.size for w, _ in found) == total
         assert any(b for _, b in found)
         assert all(np.all(w > 0.0) for w, _ in found)
@@ -1109,10 +1206,13 @@ def test_no_zero_weight_z2_nodes(golay_spec, monkeypatch):
 
 def test_vacuous_conditioned_terms_cost_their_pair_nodes(golay_spec, monkeypatch):
     # Out-of-cone ahp layer and itsb term on Golay at 4 dB: the line clears
-    # the disk everywhere, so the kernel evaluates only the half-disk mass,
-    # at exactly the nodes of the pair term, and the z3 rule at no node.
+    # the disk everywhere, so under its own key the kernel evaluates only
+    # the half-disk mass, at exactly the nodes of the pair term, and the z3
+    # rule at no node; the term is the pair term bit for bit.  The plan
+    # keys it as the pair term, so once tsb has run it costs no node.
     n = golay_spec.n
-    eng = Plan(golay_spec).at(ChannelPoint.from_eb_n0_db(4.0, 12 / 23))
+    ch = ChannelPoint.from_eb_n0_db(4.0, 12 / 23)
+    eng = Plan(golay_spec).at(ch)
     seen = []
 
     def spy(a, x):
@@ -1127,18 +1227,26 @@ def test_vacuous_conditioned_terms_cost_their_pair_nodes(golay_spec, monkeypatch
         assert sum(m for a, m in seen if a == 0.5 * (n - 3)) == 0
         return sum(m for a, m in seen if a == 0.5 * (n - 2))
 
-    pair = nodes(lambda: eng.pair_term(8))
-    assert pair == 9000
-    assert nodes(lambda: eng.term(bounds._key(8, 14, rho_max_wh(14, 8, n)))) == pair
-    assert nodes(lambda: eng.term(bounds._key(8, 7, rho_min_h(8, 7, n)))) == pair
+    tsb_nodes = nodes(lambda: tsb_block(golay_spec, ch, terms=eng))
+    assert nodes(lambda: eng.pair_term(8)) == 0
+    for w, rho in ((14, rho_max_wh(14, 8, n)), (7, rho_min_h(8, 7, n))):
+        assert nodes(lambda: eng.term(("triple", 8, w, rho))) == 9000
+        own, cached = eng.term(("triple", 8, w, rho)), eng.pair_term(8)
+        assert (own.log_value, own.log_error, own.converged) == (
+            cached.log_value, cached.log_error, cached.converged)
+        assert eng.plan.key(8, w, rho) == ("pair", 8)
+        assert nodes(lambda: eng.term(eng.plan.key(8, w, rho))) == 0
+    assert tsb_nodes > 9000
 
 
 def test_itsb_crossover_term_is_the_cached_pair_term(monkeypatch):
-    # At h = n - d the anchor correlation reaches -1, the z3 line is vacuous
-    # and the conditioned term is pair_term(h) itself: on the n=6 and n=7
-    # ensembles at 4 dB, itsb after tsb on one cache integrates only the
-    # conditioned terms below the crossover (2 and 3 of them, not 3 and 4),
-    # and the crossover term is the cached pair term, bit for bit.
+    # At h = n - d the anchor correlation reaches -1 and the z3 line is at
+    # infinity; from h = 3 at n = 6 and h = 4 at n = 7 on, the line already
+    # clears the disk section.  Each such conditioned term is pair_term(h)
+    # itself: on the n=6 and n=7 ensembles at 4 dB, itsb after tsb on one
+    # cache integrates only the conditioned terms whose line cuts (1 and 2
+    # of them, not 3 and 4), and the others are the cached pair terms, which
+    # the terms integrated under their own keys equal bit for bit.
     labels = []
     orig = bounds._Engine._outer
 
@@ -1148,7 +1256,7 @@ def test_itsb_crossover_term_is_the_cached_pair_term(monkeypatch):
         return term
 
     monkeypatch.setattr(bounds._Engine, "_outer", spy)
-    for n in (6, 7):
+    for n, cut in ((6, 3), (7, 4)):
         spec = random_ensemble_spectrum(n, 0.5)
         d = spec.d_min
         ch = ChannelPoint.from_eb_n0_db(4.0, 0.5)
@@ -1156,10 +1264,15 @@ def test_itsb_crossover_term_is_the_cached_pair_term(monkeypatch):
         tsb_block(spec, ch, terms=terms)
         labels.clear()
         itsb(spec, ch, terms=terms)
-        assert labels == [f"conditioned(h={h}, ref={d})" for h in range(d, n - d)], n
+        assert labels == [f"conditioned(h={h}, ref={d})" for h in range(d, cut)], n
         labels.clear()
-        h = n - d
-        assert rho_min_h(h, d, n) == -1.0
-        assert bounds._key(h, d, rho_min_h(h, d, n)) == ("pair", h)
-        assert terms.term(bounds._key(h, d, rho_min_h(h, d, n))) is terms.pair_term(h)
-        assert not labels
+        assert rho_min_h(n - d, d, n) == -1.0
+        for h in range(cut, n - d + 1):
+            rho = rho_min_h(h, d, n)
+            assert terms.plan.key(h, d, rho) == ("pair", h)
+            assert terms.term(terms.plan.key(h, d, rho)) is terms.pair_term(h)
+            assert not labels
+            own, cached = terms.term(("triple", h, d, rho)), terms.pair_term(h)
+            assert (own.log_value, own.log_error, own.converged) == (
+                cached.log_value, cached.log_error, cached.converged)
+            labels.clear()
