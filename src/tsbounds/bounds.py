@@ -50,7 +50,6 @@ __all__ = [
     "itsb",
     "ahp",
     "psi",
-    "triple_term",
 ]
 
 _NEG_INF = -math.inf
@@ -364,15 +363,15 @@ class _Engine:
         return gammaincc(0.5 * (self.n - 1), rz**2 / (2.0 * self.ch.sigma_sq))
 
     def _triple_given_z1(
-        self, z1: np.ndarray, h: int, beta_ref: np.ndarray | None = None, rho: float = -1.0,
-        bracket: bool = False,
+        self, z1: np.ndarray, h: int, beta_ref: np.ndarray | None = None,
+        rho: float | None = None, bracket: bool = False,
     ):
         """Pr(beta_h <= z2 <= r_z1, z3 <= l(z2), chi2_(n-3) mass below
-        r^2 - z2^2 - z3^2): the one kernel of every term but the cap.  With
-        no line (beta_ref None, or rho = -1, where the z3 constraint is
-        vacuous) it is the pair kernel Pr(beta_h <= z2 <= r_z1, chi2_(n-2)
-        mass below r^2 - z2^2) on the one segment [beta_h, r_z1], where
-        2 * (half-disk) is that mass exactly.
+        r^2 - z2^2 - z3^2): the one kernel of every term but the cap, for
+        -1 < rho < 1.  With no line (beta_ref None) it is the pair kernel
+        Pr(beta_h <= z2 <= r_z1, chi2_(n-2) mass below r^2 - z2^2) on the
+        one segment [beta_h, r_z1], where 2 * (half-disk) is that mass
+        exactly.  Plan.key gives every rho = -1 term the pair key.
 
         With a line, the z2 range splits where the line crosses +-s, and
         only segments of positive width get nodes.  beta_h, r_z1, beta_ref
@@ -399,9 +398,8 @@ class _Engine:
         span = float(np.max(rz - a, initial=0.0))
         if span <= 0.0:
             return (np.zeros_like(rz),) * 2 if bracket else np.zeros_like(rz)
-        has_line = beta_ref is not None and rho > -1.0
         edges = [a, rz]
-        if has_line:
+        if beta_ref is not None:
             # The regime of the z3 limit changes where the line crosses +-s;
             # those crossings are roots of a quadratic in z2.
             disc = (1.0 - rho * rho) * (rz**2 - beta_ref**2)
@@ -418,7 +416,7 @@ class _Engine:
         two_ss = 2.0 * self.ch.sigma_sq
         s_sq = np.maximum(rz[:, None] ** 2 - z2**2, 0.0)
         s = np.sqrt(s_sq)
-        line = l_line(z2, beta_ref[:, None], rho) if has_line else np.inf  # no line cuts nothing
+        line = np.inf if beta_ref is None else l_line(z2, beta_ref[:, None], rho)
         live = (w2 > 0.0) & (line > -s)
         cut = live & (line < s)
         if bracket:
@@ -677,13 +675,15 @@ def itsb(
     with the anchor's complement, shrinking each term by a z3 wedge.  Each
     weight h takes rho_min_h(h, d_min, n), the most negative correlation
     admissible against the anchor weight.
+
+    Weights below d_min are skipped, not bounded (open item 1 in
+    ROADMAP.md).  So on an ensemble spectrum, whose d_min is the effective
+    one, the result is not an upper bound on the ensemble-average error.
     """
     eng = _terms_for(spec, ch, tol, terms)
     d, parts, vacuous = spec.d_min, [], 0
     for h in eng.plan.included:
         if h < d:
-            # Weights below the effective d_min are skipped, not bounded
-            # (open item 1 in ROADMAP.md).
             continue
         coeff = float(spec.log_a[h]) if h != d else _log_minus_one(float(spec.log_a[h]))
         if coeff > _NEG_INF:
@@ -829,31 +829,3 @@ def psi(
     eng = _terms_for(spec, ch, tol, terms)
     return eng.finish(_best_layer(eng, spec, extend=False))
 
-
-def triple_term(
-    h: int,
-    beta_ref: float,
-    rho: float,
-    geo: ConeGeometry,
-    ch: ChannelPoint,
-    z1: float,
-) -> float:
-    """Log of the conditioned kernel at a single z1: the probability that z2
-    lands in [beta_h(z1), r_z1], z3 stays below the correlation line through
-    beta_ref, and the residual chi-square mass fits inside the cone section.
-
-    This is the building block the improved bounds integrate over z1; it is
-    exposed for direct inspection (monotonicity in rho, oracle comparisons).
-    It needs -1 <= rho < 1; at rho = -1 the line is vacuous and the value is
-    the pair kernel's.
-    """
-    if not 0 < h < geo.n:
-        raise ValueError(f"need 0 < h < n, got h={h}")
-    if not -1.0 <= rho < 1.0:
-        raise ValueError(f"need -1 <= rho < 1, got rho={rho}")
-    if z1 >= math.sqrt(geo.n):
-        return _NEG_INF
-    eng = _Engine(geo, ch, BOUND_TOL)
-    z1_arr = np.array([float(z1)])
-    ref_arr = np.array([float(beta_ref)])
-    return _log(float(eng._triple_given_z1(z1_arr, h, ref_arr, float(rho))[0]))

@@ -354,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument(
         "--bounds",
         required=True,
-        help=f"comma-separated subset of: {', '.join(BOUND_CHOICES)}",
+        help=f"comma-separated subset of: {', '.join(BOUND_CHOICES)} (psi is an envelope, "
+        "not a bound)",
     )
     p_bounds.set_defaults(func=cmd_bounds)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -119,10 +120,11 @@ class DistanceSpectrum:
     """Weight distribution in natural-log domain.
 
     log_a[h] = ln A_h for h = 0..n, with -inf marking A_h = 0.  kind is
-    "code" for exact enumerations, "ensemble" for closed-form random-coding
-    spectra (rate set), and "bit" for the bit-error reweighting of a code
+    "code" for exact enumerations, "ensemble" for average spectra of code
+    ensembles (rate set), and "bit" for the bit-error reweighting of a code
     spectrum (log_a[0] = -inf there, since the all-zero word carries no
-    information-bit errors).
+    information-bit errors).  A code or bit spectrum with a word of weight
+    h >= 1 has d_min equal to the least such h.
     """
 
     n: int
@@ -149,6 +151,23 @@ class DistanceSpectrum:
             raise ValueError("ensemble spectrum requires a rate")
         if not 1 <= self.d_min <= self.n:
             raise ValueError(f"d_min must lie in [1, n], got {self.d_min}")
+        words = np.flatnonzero(log_a[1:] > -math.inf) + 1
+        if self.kind in ("code", "bit") and words.size and self.d_min != words[0]:
+            raise ValueError(f"d_min={self.d_min} is not the least nonzero weight {words[0]}")
+
+    @cached_property
+    def binomial(self) -> bool:
+        """Whether this is the binomial spectrum of the random ensemble at
+        (n, rate): kind "ensemble", each ln A_h within 1e-9 (or 1e-12
+        relative) of ln C(n,h) - n(1-R) ln 2.  Computed once per spectrum."""
+        return self.kind == "ensemble" and np.allclose(
+            self.log_a, _binomial_log_a(self.n, self.rate), rtol=1e-12, atol=1e-9)
+
+
+def _binomial_log_a(n: int, rate: float) -> np.ndarray:
+    # ln C(n, h) - n(1-R) ln 2 through lgamma, to rounding of its size
+    lg = np.array([math.lgamma(h + 1.0) for h in range(n + 1)])
+    return lg[n] - lg - lg[::-1] - n * (1.0 - rate) * _LN2
 
 
 @dataclass(frozen=True)
@@ -174,9 +193,10 @@ class GrowthRate:
     fn maps a normalized weight to r, and a 1-D array of them to the array
     of r elementwise (a value that broadcasts to it, such as a constant, is
     accepted); growth_rate is such a function.  kind tags the provenance:
-    "code" (finite spectrum; n is set and the evaluator is a step lookup),
-    "ensemble" (closed form; rate is set), or any user-defined tag for a
-    custom analytic r(delta).
+    "code" (a finite spectrum, or an ensemble spectrum that is not binomial;
+    n is set and the evaluator is a step lookup), "ensemble" (the binomial
+    closed form; rate is set), or any user-defined tag for a custom analytic
+    r(delta).
     """
 
     fn: Callable
@@ -191,7 +211,7 @@ class GrowthRate:
     def from_spectrum(cls, spec: DistanceSpectrum) -> "GrowthRate":
         return cls(
             fn=lambda d, _s=spec: growth_rate(_s, d),
-            kind="ensemble" if spec.kind == "ensemble" else "code",
+            kind="ensemble" if spec.binomial else "code",
             n=spec.n,
             rate=spec.rate,
         )
@@ -284,8 +304,9 @@ def bit_weight_transform(io: Iowef) -> DistanceSpectrum:
 def growth_rate(spec: DistanceSpectrum, delta):
     """Normalized log spectrum r(delta) = ln A_h / n at h = delta * n.
 
-    Finite spectra use the nearest weight; ensemble spectra use the closed
-    form H(delta) - (1-R) ln 2 with H the natural-log binary entropy.
+    The binomial ensemble spectrum (DistanceSpectrum.binomial) uses the
+    closed form H(delta) - (1-R) ln 2 with H the natural-log binary entropy;
+    every other spectrum, ensemble or not, uses the nearest weight.
     Returns -inf where the spectrum is empty.  delta is a float (a float is
     returned) or a 1-D array (an array is returned, elementwise); both are
     evaluated in the same numpy arithmetic.
@@ -294,7 +315,7 @@ def growth_rate(spec: DistanceSpectrum, delta):
     outside = ~((0.0 < d) & (d <= 1.0))
     if outside.any():
         raise ValueError(f"delta must lie in (0,1], got {d[outside][0]}")
-    if spec.kind == "ensemble":
+    if spec.binomial:
         with np.errstate(divide="ignore", invalid="ignore"):
             ent = -d * np.log(d) - (1.0 - d) * np.log1p(-d)
         r = np.where(d == 1.0, 0.0, ent) - (1.0 - spec.rate) * _LN2

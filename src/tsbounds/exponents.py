@@ -21,20 +21,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _box_minimize
 
 from .codes import DistanceSpectrum, GrowthRate
-from .geometry import rho_max_wh, rho_ww, zeta_wh
 # adaptive_integrate is imported for benchmarks/layertrace.py, which counts
 # the integrals this module runs by hooking this name; it runs none.
 from .numerics import Tolerance, adaptive_integrate, gk15_rule, minimize_1d  # noqa: F401
 
 __all__ = [
     "ExponentResult",
-    "e1",
-    "e2",
-    "g_fn",
-    "verify_kstar_zero",
     "chernoff_tsb",
     "chernoff_psi",
     "tsb_exponent",
@@ -92,147 +86,15 @@ def _check_channel(c: float) -> None:
 
 
 def _moment_exponent(c, q, dsq, eta):
-    """e2's moment-bound exponent at tilt q with Delta^2 = dsq; dsq = 0 with
-    q >= 0 is e1.  Elementwise over arrays; no input checks."""
+    """Exponent of the moment bound on one pair event at tilt q in
+    [-1/(2 eta), 0], the linear multiplier at its stationary value:
+
+        c (2 q eta + (1-2q) dsq) / (1 + 2 q eta + (1-2q) dsq) + ln(1-2q) / 2,
+
+    dsq = Delta^2.  dsq = 0 with q in [0, 1/2) is the exponent of the
+    outside-the-cone event.  Elementwise over arrays; no input checks."""
     denom = 1.0 + 2.0 * q * eta + (1.0 - 2.0 * q) * dsq
     return c * (1.0 - 1.0 / denom) + 0.5 * np.log1p(-2.0 * q)
-
-
-def e1(c: float, p: float, eta: float) -> float:
-    """Exponent of the moment bound on the outside-the-cone event:
-    2 p eta c / (1 + 2 p eta) + ln(1 - 2p) / 2."""
-    _check_channel(c)
-    if not 0.0 <= p < 0.5:
-        raise ValueError(f"p must lie in [0, 1/2), got {p}")
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    return float(_moment_exponent(c, p, 0.0, eta))
-
-
-def e2(c: float, q: float, delta: float, eta: float) -> float:
-    """Exponent of the moment bound on one pair event at normalized weight
-    delta, with the linear multiplier already at its stationary value:
-
-        c * (2 q eta + (1-2q) Delta^2) / (1 + 2 q eta + (1-2q) Delta^2)
-          + ln(1 - 2q) / 2,    Delta^2 = delta / (1 - delta).
-    """
-    _check_channel(c)
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0,1), got {delta}")
-    if not -0.5 / eta <= q <= 0.0:
-        raise ValueError(f"q={q} outside [-1/(2 eta), 0] for eta={eta}")
-    return float(_moment_exponent(c, q, delta / (1.0 - delta), eta))
-
-
-def g_fn(
-    c: float,
-    t: float,
-    k: float,
-    s: float,
-    eta: float,
-    w: int,
-    h: int,
-    n: int,
-    spec: DistanceSpectrum,
-) -> float:
-    """Unnormalized exponent (n times nats) of the moment bound on one
-    conditioned spectrum term: the noise stays inside the cone section, its
-    second coordinate exits past the weight-h threshold, and its third
-    coordinate violates the half-plane cut tied to the reference weight w.
-
-    The count A_h enters as -ln A_h; a weight carrying no words returns +inf
-    (the term is absent).  The tilt box is -1/(2 eta) < t <= 0, k >= 0,
-    s >= 0.
-    """
-    if spec.n != n:
-        raise ValueError(f"spectrum is for n={spec.n}, not n={n}")
-    _check_channel(c)
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    if not -0.5 / eta < t <= 0.0:
-        raise ValueError(f"t={t} outside (-1/(2 eta), 0] for eta={eta}")
-    if k < 0.0 or s < 0.0:
-        raise ValueError(f"multipliers must be nonnegative, got k={k}, s={s}")
-    rho = rho_ww(w, n) if h == w else rho_max_wh(w, h, n)
-    zeta = 1.0 if h == w else zeta_wh(w, h, n)
-    log_count = float(spec.log_a[h])
-    if not math.isfinite(log_count):
-        return math.inf
-    root = math.sqrt(1.0 - rho * rho)
-    xi = s - k * zeta / root
-    tau = s - k * rho / root
-    dh = math.sqrt(h / (n - h))
-    a1 = 1.0 + 2.0 * t * eta
-    b1 = 1.0 - 2.0 * t
-    sq = math.sqrt(2.0 * n * c)
-    quad = (4.0 * t * eta * n * c + 2.0 * sq * xi * dh - (dh * xi) ** 2) / (
-        2.0 * a1
-    )
-    return (
-        quad
-        - tau * tau / (2.0 * b1)
-        - k * k / (2.0 * b1)
-        + 0.5 * n * math.log(b1)
-        - log_count
-    )
-
-
-def _s_face(c: float, t: float, eta: float, h: int, n: int) -> float:
-    """Stationary linear multiplier on the k = 0 face, where the conditioned
-    exponent collapses to the pair exponent with the growth rate folded in."""
-    dsq = h / (n - h)
-    b1 = 1.0 - 2.0 * t
-    a1 = 1.0 + 2.0 * t * eta
-    return math.sqrt(2.0 * n * c * dsq) * b1 / (dsq * b1 + a1)
-
-
-def verify_kstar_zero(
-    c: float,
-    eta: float,
-    w: int,
-    h: int,
-    n: int,
-    spec: DistanceSpectrum,
-    t: float | None = None,
-) -> tuple[float, float, float]:
-    """Numerically maximize the conditioned-term exponent over the
-    nonnegative multipliers (k, s) at a fixed tilt; returns (k*, s*, max g).
-
-    The exponent is a concave quadratic whose unconstrained stationary point
-    has k < 0 for every weight pair, so the constrained maximizer must land
-    on the k = 0 face; this routine demonstrates that numerically instead of
-    assuming it.  t defaults to -1/(4 eta), the midpoint of the admissible
-    tilt range.
-    """
-    if t is None:
-        t = -0.25 / eta
-    if not (eta > 0.0 and -0.5 / eta < t < 0.5):
-        raise ValueError(f"tilt {t} outside (-1/(2 eta), 1/2) for eta={eta}")
-    if spec.n != n:
-        raise ValueError(f"spectrum is for n={spec.n}, not n={n}")
-    if not math.isfinite(float(spec.log_a[h])):
-        raise ValueError(f"weight {h} carries no words; nothing to maximize")
-
-    def neg_g(x: np.ndarray) -> float:
-        return -g_fn(c, t, float(x[0]), float(x[1]), eta, w, h, n, spec)
-
-    s0 = _s_face(c, t, eta, h, n)
-    res = _box_minimize(
-        neg_g,
-        x0=np.array([1.0, s0 + 1.0]),
-        bounds=[(0.0, None), (0.0, None)],
-        method="L-BFGS-B",
-    )
-    if not res.success:
-        raise RuntimeError(f"multiplier search did not converge: {res.message}")
-    k_star, s_star, best = float(res.x[0]), float(res.x[1]), -float(res.fun)
-    face = g_fn(c, t, 0.0, s0, eta, w, h, n, spec)
-    if face > best:
-        # polish with the exact face stationary point
-        k_star, s_star, best = 0.0, s0, face
-    return k_star, s_star, best
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +324,11 @@ def chernoff_psi(n: int, c: float, spec: DistanceSpectrum) -> float:
     w in {1, ..., n-1} and the cone slope.
 
     The conditioned terms are evaluated on the k = 0 face of their multiplier
-    box: the unconstrained stationary point always has k < 0 (see
-    verify_kstar_zero), and on that face the stationary linear multiplier
-    collapses each conditioned exponent to the matching pair exponent, so the
-    spectrum terms and their exact tilts are shared with chernoff_tsb.
+    box: the unconstrained stationary point always has k < 0 (acceptance
+    criterion 5 checks it), and on that face the stationary linear
+    multiplier collapses each conditioned exponent to the matching pair
+    exponent, so the spectrum terms and their exact tilts are shared with
+    chernoff_tsb.
     """
     _check_assembly_args(n, c, spec)
     if n < 2:

@@ -22,7 +22,6 @@ __all__ = [
     "rho_min_h",
     "rho_max_wh",
     "rho_ww",
-    "zeta_wh",
     "l_line",
 ]
 
@@ -118,13 +117,6 @@ def rho_ww(w: int, n: int) -> float:
     1 - n/(w(n-w)).  Negative for small w; passed through unclamped."""
     _check_interior_weight(w, n, "w")
     return 1.0 - n / (w * (n - w))
-
-
-def zeta_wh(w: int, h: int, n: int) -> float:
-    """Slope ratio sqrt(w(n-h)/(h(n-w))) = delta_slope(w)/delta_slope(h)."""
-    _check_interior_weight(w, n, "w")
-    _check_interior_weight(h, n, "h")
-    return math.sqrt((w * (n - h)) / (h * (n - w)))
 
 
 def l_line(z2, beta_ref, rho: float):

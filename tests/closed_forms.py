@@ -1,16 +1,22 @@
 """Closed forms and search routines that only the tests use as references:
-the admissible correlation interval between two weights, the same-weight
-sheared exponent profile whose stationary points the k = 0 face degeneracy
-check verifies, the vector grid-plus-golden minimizer that minimize_1d and
-the exact Chernoff tilt solve are checked against, and the scalar closed-form
-exponent and weight scan that the exponents' array scan is checked
-against."""
+the admissible correlation interval between two weights, the slope ratio
+zeta_wh, the conditioned-term exponent g_fn with its k = 0 face multiplier
+and the multiplier search verify_kstar_zero (the k = 0 face degeneracy that
+chernoff_psi relies on, acceptance criterion 5), the same-weight sheared
+exponent profile whose stationary points the same check verifies, the
+conditioned kernel at one z1 (log_kernel), the vector grid-plus-golden
+minimizer that minimize_1d and the exact Chernoff tilt solve are checked
+against, and the scalar closed-form exponent and weight scan that the
+exponents' array scan is checked against."""
 
 import math
 
 import numpy as np
+from scipy.optimize import minimize as _box_minimize
 
-from tsbounds.geometry import rho_ww
+from tsbounds import bounds
+from tsbounds.exponents import _check_channel
+from tsbounds.geometry import _check_interior_weight, rho_max_wh, rho_ww
 from tsbounds.numerics import DEFAULT_TOL, Tolerance, minimize_1d
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -27,6 +33,117 @@ def rho_bounds(di: int, dj: int, n: int) -> tuple[float, float]:
         di * dj * (n - di) * (n - dj)
     )
     return lower, upper
+
+
+def zeta_wh(w: int, h: int, n: int) -> float:
+    """Slope ratio sqrt(w(n-h)/(h(n-w))) = delta_slope(w)/delta_slope(h)."""
+    _check_interior_weight(w, n, "w")
+    _check_interior_weight(h, n, "h")
+    return math.sqrt((w * (n - h)) / (h * (n - w)))
+
+
+def log_kernel(h, beta_ref, rho, geo, ch, z1) -> float:
+    """Log of the conditioned kernel at a single z1, -inf where it is 0: the
+    probability that z2 lands in [beta_h(z1), r_z1], z3 stays below the
+    correlation line through beta_ref, and the residual chi-square mass fits
+    inside the cone section.  The engine's kernel on one z1 row."""
+    eng = bounds._Engine(geo, ch, bounds.BOUND_TOL)
+    row = eng._triple_given_z1(np.array([float(z1)]), h, np.array([float(beta_ref)]),
+                               float(rho))
+    return math.log(row[0]) if row[0] > 0.0 else -math.inf
+
+
+def g_fn(c: float, t: float, k: float, s: float, eta: float, w: int, h: int, n: int,
+         spec) -> float:
+    """Unnormalized exponent (n times nats) of the moment bound on one
+    conditioned spectrum term: the noise stays inside the cone section, its
+    second coordinate exits past the weight-h threshold, and its third
+    coordinate violates the half-plane cut tied to the reference weight w.
+
+    The count A_h enters as -ln A_h; a weight carrying no words returns +inf
+    (the term is absent).  The tilt box is -1/(2 eta) < t <= 0, k >= 0,
+    s >= 0.
+    """
+    if spec.n != n:
+        raise ValueError(f"spectrum is for n={spec.n}, not n={n}")
+    _check_channel(c)
+    if eta <= 0.0:
+        raise ValueError(f"eta must be positive, got {eta}")
+    if not -0.5 / eta < t <= 0.0:
+        raise ValueError(f"t={t} outside (-1/(2 eta), 0] for eta={eta}")
+    if k < 0.0 or s < 0.0:
+        raise ValueError(f"multipliers must be nonnegative, got k={k}, s={s}")
+    rho = rho_ww(w, n) if h == w else rho_max_wh(w, h, n)
+    zeta = 1.0 if h == w else zeta_wh(w, h, n)
+    log_count = float(spec.log_a[h])
+    if not math.isfinite(log_count):
+        return math.inf
+    root = math.sqrt(1.0 - rho * rho)
+    xi = s - k * zeta / root
+    tau = s - k * rho / root
+    dh = math.sqrt(h / (n - h))
+    a1 = 1.0 + 2.0 * t * eta
+    b1 = 1.0 - 2.0 * t
+    sq = math.sqrt(2.0 * n * c)
+    quad = (4.0 * t * eta * n * c + 2.0 * sq * xi * dh - (dh * xi) ** 2) / (
+        2.0 * a1
+    )
+    return (
+        quad
+        - tau * tau / (2.0 * b1)
+        - k * k / (2.0 * b1)
+        + 0.5 * n * math.log(b1)
+        - log_count
+    )
+
+
+def _s_face(c: float, t: float, eta: float, h: int, n: int) -> float:
+    """Stationary linear multiplier on the k = 0 face, where the conditioned
+    exponent collapses to the pair exponent with the growth rate folded in."""
+    dsq = h / (n - h)
+    b1 = 1.0 - 2.0 * t
+    a1 = 1.0 + 2.0 * t * eta
+    return math.sqrt(2.0 * n * c * dsq) * b1 / (dsq * b1 + a1)
+
+
+def verify_kstar_zero(c: float, eta: float, w: int, h: int, n: int, spec,
+                      t: float | None = None) -> tuple[float, float, float]:
+    """Numerically maximize the conditioned-term exponent over the
+    nonnegative multipliers (k, s) at a fixed tilt; returns (k*, s*, max g).
+
+    The exponent is a concave quadratic whose unconstrained stationary point
+    has k < 0 for every weight pair, so the constrained maximizer must land
+    on the k = 0 face; this routine demonstrates that numerically instead of
+    assuming it.  t defaults to -1/(4 eta), the midpoint of the admissible
+    tilt range.
+    """
+    if t is None:
+        t = -0.25 / eta
+    if not (eta > 0.0 and -0.5 / eta < t < 0.5):
+        raise ValueError(f"tilt {t} outside (-1/(2 eta), 1/2) for eta={eta}")
+    if spec.n != n:
+        raise ValueError(f"spectrum is for n={spec.n}, not n={n}")
+    if not math.isfinite(float(spec.log_a[h])):
+        raise ValueError(f"weight {h} carries no words; nothing to maximize")
+
+    def neg_g(x: np.ndarray) -> float:
+        return -g_fn(c, t, float(x[0]), float(x[1]), eta, w, h, n, spec)
+
+    s0 = _s_face(c, t, eta, h, n)
+    res = _box_minimize(
+        neg_g,
+        x0=np.array([1.0, s0 + 1.0]),
+        bounds=[(0.0, None), (0.0, None)],
+        method="L-BFGS-B",
+    )
+    if not res.success:
+        raise RuntimeError(f"multiplier search did not converge: {res.message}")
+    k_star, s_star, best = float(res.x[0]), float(res.x[1]), -float(res.fun)
+    face = g_fn(c, t, 0.0, s0, eta, w, h, n, spec)
+    if face > best:
+        # polish with the exact face stationary point
+        k_star, s_star, best = 0.0, s0, face
+    return k_star, s_star, best
 
 
 def _alpha_same_weight(w: int, n: int) -> float:

@@ -22,7 +22,8 @@ import pytest
 from mpmath import mp
 from scipy.special import gammainc, gammaincc, logsumexp
 
-from closed_forms import _g1, _g2, _tau_star, _xi_star, rho_bounds
+from closed_forms import (_g1, _g2, _tau_star, _xi_star, log_kernel, rho_bounds,
+                          verify_kstar_zero)
 from tsbounds.bounds import (
     ChannelPoint,
     Plan,
@@ -30,7 +31,6 @@ from tsbounds.bounds import (
     itsb,
     psi,
     solve_cone_radius,
-    triple_term,
     tsb_bit,
     tsb_block,
 )
@@ -46,7 +46,6 @@ from tsbounds.exponents import (
     gallager_rce,
     tsb_exponent,
     union_exponent,
-    verify_kstar_zero,
 )
 from tsbounds.geometry import ConeGeometry, alpha_theta, delta_slope
 from tsbounds.mcsim import simulate_ml
@@ -249,7 +248,7 @@ def test_criterion_06_kernel_monotone_in_correlation():
         lo, hi = rho_bounds(w, h, n)
         grid = np.linspace(max(lo, -0.95), hi - 1e-9, 7)
         beta_ref = (math.sqrt(n) - z1) * delta_slope(w, n)
-        logs = [triple_term(h, beta_ref, float(rho), geo, ch, z1) for rho in grid]
+        logs = [log_kernel(h, beta_ref, float(rho), geo, ch, z1) for rho in grid]
         if any(lv == NEG_INF for lv in logs):
             continue  # weight excluded at this z1; resample
         done += 1

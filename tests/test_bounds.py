@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammainc, logsumexp
 
-from closed_forms import rho_bounds
+from closed_forms import log_kernel, rho_bounds
 from tsbounds import bounds
 from tsbounds.bounds import (
     BOUND_TOL,
@@ -24,7 +24,6 @@ from tsbounds.bounds import (
     itsb,
     psi,
     solve_cone_radius,
-    triple_term,
     tsb_bit,
     tsb_block,
 )
@@ -381,8 +380,8 @@ def test_itsb_rho_zero_shrinks_terms():
 def _oracle_itsb(eng, spec):
     """itsb's terms as its own loop gathered them before it was one term
     list: per weight h >= d_min, the conditioned term against d_min, each
-    integrated under its own key, vacuous or not, and, at h = d_min, the
-    anchor after it."""
+    integrated under its own key, vacuous or not (the pair key at rho = -1,
+    where there is no line), and, at h = d_min, the anchor after it."""
     d = spec.d_min
     weighted, used = {}, []
     anchor = eng.pair_term(d) if d < spec.n else None
@@ -393,7 +392,7 @@ def _oracle_itsb(eng, spec):
         parts = []
         if coeff > NEG_INF:
             rho = rho_min_h(h, d, spec.n)
-            t = eng.term(("triple", h, d, rho)).scaled(coeff)
+            t = eng.term(("triple", h, d, rho) if rho > -1.0 else ("pair", h)).scaled(coeff)
             parts.append(t.log_value)
             used.append(t)
         if h == d and anchor is not None:
@@ -829,7 +828,7 @@ def test_psi_sandwich(hamming_spec):
 
 
 def test_psi_never_requests_self_term(hamming_spec, monkeypatch):
-    # psi's value leaves the extension self-term triple_term(w, w, .) out,
+    # psi's value leaves the extension self-term, key (w, w, .), out,
     # so psi must not integrate it, not even to a coarse level or as a
     # bracket (nor carry its quadrature error); ahp still does, which shows
     # the spies see both kinds of request.
@@ -864,9 +863,9 @@ def test_triple_term_empty_range():
     ch = ChannelPoint.from_eb_n0_db(2.0, R_HAMMING)
     # Both beta_h and r_z1 scale with (sqrt(n) - z1), so the z2 range is
     # empty exactly when the weight sits outside the cone: h = 6 here.
-    assert triple_term(6, 0.5, -0.3, geo, ch, 0.3) == NEG_INF
+    assert log_kernel(6, 0.5, -0.3, geo, ch, 0.3) == NEG_INF
     # Past the apex the whole section is gone regardless of weight.
-    assert triple_term(3, 0.5, -0.3, geo, ch, math.sqrt(7)) == NEG_INF
+    assert log_kernel(3, 0.5, -0.3, geo, ch, math.sqrt(7)) == NEG_INF
 
 
 def test_triple_term_full_disk_matches_symmetric_double_integral():
@@ -886,7 +885,7 @@ def test_triple_term_full_disk_matches_symmetric_double_integral():
         return gauss * gammainc(0.5 * (n - 2), (rz * rz - z2 * z2) / (2 * ss))
 
     oracle, err = quad(integrand, beta, rz, epsabs=1e-14, epsrel=1e-12)
-    got = math.exp(triple_term(h, beta_ref, 0.0, geo, ch, z1))
+    got = math.exp(log_kernel(h, beta_ref, 0.0, geo, ch, z1))
     assert got == pytest.approx(oracle, rel=1e-9)
 
 
@@ -899,7 +898,7 @@ def test_triple_term_matches_3d_monte_carlo():
     beta_h = (math.sqrt(n) - z1) * delta_slope(h, n)
     beta_ref = (math.sqrt(n) - z1) * delta_slope(w, n)
     rho = rho_max_wh(w, h, n)
-    got = math.exp(triple_term(h, beta_ref, rho, geo, ch, z1))
+    got = math.exp(log_kernel(h, beta_ref, rho, geo, ch, z1))
 
     rng = np.random.default_rng(2024)
     total, hits = 0, 0
@@ -927,33 +926,28 @@ def test_triple_term_nonincreasing_in_rho():
         lo, hi = rho_bounds(w, h, n)
         beta_ref = (math.sqrt(n) - z1) * delta_slope(w, n)
         grid = np.linspace(max(lo, -0.9), hi - 1e-9, 9)
-        vals = [math.exp(triple_term(h, beta_ref, float(t), geo, ch, z1)) for t in grid]
+        vals = [math.exp(log_kernel(h, beta_ref, float(t), geo, ch, z1)) for t in grid]
         assert all(v > 0 for v in vals)
         for a, b in zip(vals[1:], vals[:-1]):
             assert a <= b * (1 + 1e-10)
         # finite-difference slope at an interior point
         mid = 0.5 * (max(lo, -0.9) + hi)
-        f0 = math.exp(triple_term(h, beta_ref, mid, geo, ch, z1))
-        f1 = math.exp(triple_term(h, beta_ref, mid + step, geo, ch, z1))
+        f0 = math.exp(log_kernel(h, beta_ref, mid, geo, ch, z1))
+        f1 = math.exp(log_kernel(h, beta_ref, mid + step, geo, ch, z1))
         assert (f1 - f0) / step <= 1e-10
 
 
-def test_triple_term_validation():
-    geo = ConeGeometry(7, 4.0)
-    ch = ChannelPoint(c=1.0, rate=0.5)
-    with pytest.raises(ValueError):
-        triple_term(0, 1.0, 0.0, geo, ch, 0.0)
-    with pytest.raises(ValueError):
-        triple_term(7, 1.0, 0.0, geo, ch, 0.0)
-    with pytest.raises(ValueError):
-        triple_term(3, 1.0, 1.0, geo, ch, 0.0)
-    for rho in (-1.5, -7.0, math.nan):
-        with pytest.raises(ValueError):
-            triple_term(3, 1.0, rho, geo, ch, 0.0)
-    # rho = -1 is the crossover: the line is vacuous and the kernel is the
-    # pair kernel
-    pair = _parent_pair_given_z1(bounds._Engine(geo, ch, BOUND_TOL), np.array([0.0]), 3)[0]
-    assert triple_term(3, 1.0, -1.0, geo, ch, 0.0) == math.log(pair)
+def test_anti_correlated_terms_are_keyed_as_pair_terms(hamming_spec, golay_spec):
+    # At rho = -1 the anchor line lies past the cone for every z1, so
+    # Plan.key gives the pair key for every weight pair; the kernel, which
+    # needs -1 < rho < 1 with a line, never sees rho = -1.
+    specs = [hamming_spec, golay_spec] + [random_ensemble_spectrum(n, rate)
+                                          for n in range(6, 33) for rate in (0.3, 0.5, 0.9)]
+    for spec in specs:
+        plan, n = Plan(spec), spec.n
+        for h in range(1, n):
+            for w in range(1, n):
+                assert plan.key(h, w, -1.0) == ("pair", h), (n, h, w)
 
 
 def _parent_pair_given_z1(eng, z1, h):
@@ -1027,18 +1021,20 @@ def test_triple_kernel_matches_dense_oracle(code, hamming_spec, golay_spec):
     assert n - 1 not in plan.geom_included
     d, top = plan.included[0], max(plan.geom_included)
     cases = [
-        # the bounds' own wedges: itsb, an in-cone and an out-of-cone ahp
-        # layer, and the extension self-term
+        # the bounds' own wedges: itsb (whose rho = -1 terms are keyed as
+        # pair terms), an in-cone and an out-of-cone ahp layer, and the
+        # extension self-term
         (h, beta_h(z1, d, plan.geo), rho_min_h(h, d, n)) for h in plan.included
+        if rho_min_h(h, d, n) > -1.0
     ] + [
         # the pair terms: no line
-        (h, None, -1.0) for h in plan.included
+        (h, None, None) for h in plan.included
     ] + [
         (d, beta_h(z1, top, plan.geo), rho_max_wh(top, d, n)),
         (d, beta_h(z1, n - 1, plan.geo), rho_max_wh(n - 1, d, n)),
         (top, beta_h(z1, top, plan.geo), rho_ww(top, n)),
-        # rho = -1 makes the line vacuous: the pair kernel
-        (d, beta_h(z1, d, plan.geo), -1.0),
+        # rho next to -1 puts the line past the disk: the pair kernel
+        (d, beta_h(z1, d, plan.geo), float(np.nextafter(-1.0, 0.0))),
         # the weight sits outside the cone: the z2 range is empty
         (n - 1, beta_h(z1, d, plan.geo), 0.3),
     ]
@@ -1081,8 +1077,10 @@ def test_bracket_kernel_brackets_the_exact_kernel(code, db, data, hamming_spec, 
     h = data.draw(weights, label="h")
     w = data.draw(weights, label="w")
     own = [rho_ww(w, n) if h == w else rho_max_wh(w, h, n)]
-    rho = data.draw(st.one_of(st.just(-1.0), st.floats(1.0 - 1e-6, 1.0, exclude_max=True),
-                              st.floats(-1.0, 1.0, exclude_max=True), st.sampled_from(own)),
+    rho = data.draw(st.one_of(st.just(float(np.nextafter(-1.0, 0.0))),
+                              st.floats(1.0 - 1e-6, 1.0, exclude_max=True),
+                              st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+                              st.sampled_from(own)),
                     label="rho")
     # rows from z1_lo up to the apex in steps of sigma / 4
     steps = data.draw(st.lists(st.integers(-40, int(4 * math.sqrt(n) / eng.sigma)),
@@ -1129,10 +1127,11 @@ def test_vacuous_keys_are_the_pair_kernel_bit_for_bit(n, rate, db, data):
     edge = [math.cos(sign * math.atan2(s_h, b) + turn * math.acos(b_ref / rz))
             for sign in (1, -1) for turn in (1, -1)]
     near = st.tuples(st.sampled_from(edge), st.integers(-4, 4)).map(
-        lambda e: float(np.clip(e[0] + e[1] * np.spacing(e[0]), -1.0, np.nextafter(1.0, 0.0))))
+        lambda e: float(np.clip(e[0] + e[1] * np.spacing(e[0]), np.nextafter(-1.0, 0.0),
+                                np.nextafter(1.0, 0.0))))
     own = rho_ww(w, n) if h == w else rho_max_wh(w, h, n)
-    rho = data.draw(st.one_of(st.floats(-1.0, 1.0, exclude_max=True), near, st.just(own),
-                              st.floats(0.0, 1e-12).map(lambda x: -1.0 + x),
+    rho = data.draw(st.one_of(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True), near,
+                              st.just(own), st.floats(np.nextafter(-1.0, 0.0), -1.0 + 1e-12),
                               st.floats(0.9, 1.0, exclude_max=True)), label="rho")
     key = plan.key(h, w, rho)
     if rho <= -1.0 + 1e-12:
@@ -1272,7 +1271,8 @@ def test_itsb_crossover_term_is_the_cached_pair_term(monkeypatch):
             assert terms.plan.key(h, d, rho) == ("pair", h)
             assert terms.term(terms.plan.key(h, d, rho)) is terms.pair_term(h)
             assert not labels
-            own, cached = terms.term(("triple", h, d, rho)), terms.pair_term(h)
-            assert (own.log_value, own.log_error, own.converged) == (
-                cached.log_value, cached.log_error, cached.converged)
+            if rho > -1.0:  # at rho = -1 there is no line to integrate under
+                own, cached = terms.term(("triple", h, d, rho)), terms.pair_term(h)
+                assert (own.log_value, own.log_error, own.converged) == (
+                    cached.log_value, cached.log_error, cached.converged)
             labels.clear()

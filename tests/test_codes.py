@@ -1,6 +1,7 @@
 """Tests for spectrum enumeration, ensemble spectra, and spectrum I/O."""
 
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsbounds import codes
 from tsbounds.codes import (
     DistanceSpectrum,
     EnumerationCapError,
@@ -22,6 +24,7 @@ from tsbounds.codes import (
     random_ensemble_spectrum,
     save_spectrum,
 )
+from tsbounds.exponents import tsb_exponent
 
 LN2 = math.log(2.0)
 
@@ -306,3 +309,54 @@ def test_spectrum_validation_direct():
         DistanceSpectrum(n=2, log_a=np.array([0.0, np.nan, 0.0]), d_min=1)
     with pytest.raises(ValueError):
         DistanceSpectrum(n=2, log_a=np.zeros(3), d_min=1, kind="mystery")
+
+
+def test_spectrum_rejects_d_min_above_least_weight(tmp_path, hamming_spec, hamming_iowef):
+    # A d_min above the least nonzero weight would let itsb drop the terms
+    # below it and fall under the code's error probability.
+    for d_min in (2, 4):
+        with pytest.raises(ValueError, match=f"d_min={d_min} is not the least nonzero weight 3"):
+            DistanceSpectrum(n=7, log_a=hamming_spec.log_a, d_min=d_min, rate=4 / 7)
+    bits = bit_weight_transform(hamming_iowef)
+    with pytest.raises(ValueError, match="least nonzero weight 3"):
+        DistanceSpectrum(n=7, log_a=bits.log_a, d_min=4, kind="bit", rate=4 / 7)
+    # no word of weight >= 1: any d_min in range; ensembles keep their
+    # effective d_min
+    DistanceSpectrum(n=4, log_a=np.array([0.0] + [-math.inf] * 4), d_min=1)
+    ens = random_ensemble_spectrum(12, 0.5)
+    assert ens.d_min > 1 and math.isfinite(ens.log_a[1])
+    path = tmp_path / "ham.json"
+    save_spectrum(hamming_spec, str(path))
+    path.write_text(path.read_text().replace('"d_min": 3', '"d_min": 4'))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: d_min=4")):
+        load_spectrum(str(path))
+
+
+def test_growth_rate_reads_non_binomial_ensemble_file(tmp_path, monkeypatch):
+    # An ensemble spectrum that is not the binomial one of its (n, rate),
+    # here every A_h scaled by e^-5, is read weight by weight as a code's;
+    # the binomial one keeps the closed form, bit for bit, after a file
+    # round trip.  Which one it is is decided once per spectrum, not per
+    # rate evaluation.
+    binom = random_ensemble_spectrum(64, 0.5)
+    scaled = DistanceSpectrum(n=64, log_a=binom.log_a - 5.0, d_min=binom.d_min,
+                              kind="ensemble", rate=0.5)
+    want = tsb_exponent(GrowthRate.from_spectrum(binom), 1.0)
+    code_log_a = scaled.log_a.copy()
+    code_log_a[0] = 0.0
+    as_code = tsb_exponent(GrowthRate.from_spectrum(
+        DistanceSpectrum(n=64, log_a=code_log_a, d_min=1, rate=0.5)), 1.0)
+    for spec, name in ((binom, "binom.json"), (scaled, "scaled.json")):
+        save_spectrum(spec, str(tmp_path / name))
+    calls = []
+    check = codes._binomial_log_a
+    monkeypatch.setattr(codes, "_binomial_log_a", lambda n, rate: calls.append(n) or check(n, rate))
+    r_binom = GrowthRate.from_spectrum(load_spectrum(str(tmp_path / "binom.json")))
+    r_scaled = GrowthRate.from_spectrum(load_spectrum(str(tmp_path / "scaled.json")))
+    assert (r_binom.kind, r_scaled.kind) == ("ensemble", "code")
+    assert tsb_exponent(r_binom, 1.0) == want
+    assert r_binom(0.25) == growth_rate(binom, 0.25) == pytest.approx(0.2158, abs=1e-4)
+    assert r_scaled(0.25) == (binom.log_a[16] - 5.0) / 64 == pytest.approx(0.1038, abs=1e-4)
+    got = tsb_exponent(r_scaled, 1.0)
+    assert got == as_code and got.exponent == pytest.approx(0.1456, abs=1e-4)
+    assert calls == [64, 64]

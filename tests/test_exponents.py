@@ -20,8 +20,10 @@ from closed_forms import (
     _tau_star,
     _xi_star,
     closed_form,
+    g_fn,
     minimize_componentwise,
     scalar_scan_exponent,
+    verify_kstar_zero,
 )
 from tsbounds import exponents, numerics
 from tsbounds.bounds import ChannelPoint, tsb_block
@@ -30,14 +32,10 @@ from tsbounds.exponents import (
     ExponentResult,
     chernoff_psi,
     chernoff_tsb,
-    e1,
-    e2,
     finite_n_exponent,
-    g_fn,
     gallager_rce,
     tsb_exponent,
     union_exponent,
-    verify_kstar_zero,
 )
 from tsbounds.numerics import Tolerance, adaptive_integrate, log_q_function, minimize_1d
 
@@ -82,41 +80,41 @@ def half_rate_fn(half_rate_64):
 # ---------------------------------------------------------------------------
 
 
+# E1 (the outside-the-cone event) and E2 (one pair event) are the moment
+# exponent the assemblies evaluate, at Delta^2 = 0 with a tilt in [0, 1/2)
+# and at Delta^2 = delta/(1-delta) with a tilt in [-1/(2 eta), 0].
+moment = exponents._moment_exponent
+
+
 def test_e1_zero_tilt_and_frozen_value():
-    assert e1(0.7, 0.0, 1.3) == 0.0
-    assert e1(2.0, 0.0, 0.2) == 0.0
+    assert moment(0.7, 0.0, 0.0, 1.3) == 0.0
+    assert moment(2.0, 0.0, 0.0, 0.2) == 0.0
     # 40-digit evaluation of 2 p eta c / (1 + 2 p eta) + ln(1 - 2p) / 2
-    assert e1(1.0, 0.2, 0.5) == pytest.approx(-0.088746145216328674936, rel=1e-14)
+    assert moment(1.0, 0.2, 0.0, 0.5) == pytest.approx(-0.088746145216328674936, rel=1e-14)
 
 
 def test_e1_slope_at_zero_tilt():
     # d e1 / dp at p = 0 is 2 eta c - 1: positive slope means a nonzero tilt
     # pays off, which is how the cap term beats its own zero-tilt value
     c, eta = 1.0, 0.8
-    fd = (e1(c, 1e-7, eta) - e1(c, 0.0, eta)) / 1e-7
+    fd = (moment(c, 1e-7, 0.0, eta) - moment(c, 0.0, 0.0, eta)) / 1e-7
     assert fd == pytest.approx(2.0 * eta * c - 1.0, abs=1e-5)
 
 
-def test_e1_validation():
-    with pytest.raises(ValueError):
-        e1(1.0, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        e1(1.0, -0.01, 1.0)
-    with pytest.raises(ValueError):
-        e1(0.0, 0.1, 1.0)
-    with pytest.raises(ValueError):
-        e1(1.0, 0.1, 0.0)
+def e2_dsq(delta):
+    return delta / (1.0 - delta)
 
 
 def test_e2_zero_tilt_is_c_delta():
     for c, d, eta in [(0.7, 0.3, 1.2), (2.5, 0.9, 0.4), (0.1, 0.5, 3.0)]:
-        assert e2(c, 0.0, d, eta) == pytest.approx(c * d, rel=1e-15)
+        assert moment(c, 0.0, e2_dsq(d), eta) == pytest.approx(c * d, rel=1e-15)
 
 
 def test_e2_frozen_values():
     # 40-digit evaluations, interior point and the lower tilt edge
-    assert e2(0.9, -0.3, 0.25, 1.5) == pytest.approx(-0.2860508169560795916, rel=1e-13)
-    assert e2(0.9, -1.0 / 3.0, 0.25, 1.5) == pytest.approx(
+    assert moment(0.9, -0.3, e2_dsq(0.25), 1.5) == pytest.approx(
+        -0.2860508169560795916, rel=1e-13)
+    assert moment(0.9, -1.0 / 3.0, e2_dsq(0.25), 1.5) == pytest.approx(
         -0.4645871881170046584, rel=1e-13
     )
 
@@ -126,20 +124,7 @@ def test_e2_finite_on_admissible_box():
         for d in (0.05, 0.3, 0.6, 0.95):
             for u in np.linspace(0.0, 1.0, 9):
                 q = -u * 0.5 / eta
-                assert math.isfinite(e2(1.1, q, d, eta))
-
-
-def test_e2_validation():
-    with pytest.raises(ValueError):
-        e2(1.0, 0.01, 0.3, 1.0)
-    with pytest.raises(ValueError):
-        e2(1.0, -0.51, 0.3, 1.0)  # below -1/(2 eta)
-    with pytest.raises(ValueError):
-        e2(1.0, -0.1, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        e2(1.0, -0.1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        e2(-1.0, -0.1, 0.3, 1.0)
+                assert math.isfinite(moment(1.1, q, e2_dsq(d), eta))
 
 
 # ---------------------------------------------------------------------------

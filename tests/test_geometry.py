@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closed_forms import rho_bounds
+from closed_forms import rho_bounds, zeta_wh
 from tsbounds.geometry import (
     ConeGeometry,
     alpha_theta,
@@ -18,7 +18,6 @@ from tsbounds.geometry import (
     rho_max_wh,
     rho_min_h,
     rho_ww,
-    zeta_wh,
 )
 
 
