@@ -27,7 +27,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -730,17 +730,62 @@ def _layer(eng: _Engine, spec: DistanceSpectrum, w: int, extend: bool) -> _Layer
 _PRUNE_MARGIN = 1e-12
 
 
-def _exceeds(logs, bound: float) -> bool:
+def _exceeds(logs, bound: float, ceilings: list | None = None) -> bool:
     """Whether a partial sum of the log terms, drawn in order and lazily,
-    passes bound + _PRUNE_MARGIN (kept relative to bound, in linear scale)."""
+    passes bound + _PRUNE_MARGIN (kept relative to bound, in linear scale).
+    Given ceilings, the logs of upper bounds on the same terms in the same
+    order, it stops drawing once the terms drawn and the ceilings of the
+    rest cannot pass."""
     limit = math.exp(_PRUNE_MARGIN)
+    rel = lambda x: math.exp(min(x - bound, 700.0)) if x > _NEG_INF else 0.0  # no overflow
+    caps = repeat(0.0) if ceilings is None else [rel(x) for x in ceilings]
+    reach = math.inf if ceilings is None else sum(caps)
     total = 0.0
-    for log_term in logs:
-        if log_term > _NEG_INF:
-            total += math.exp(min(log_term - bound, 700.0))  # no overflow
-            if total > limit:
-                return True
+    for cap, log_term in zip(caps, logs):  # a term is drawn only while it can pass
+        part = rel(log_term)
+        total += part
+        reach -= cap - part
+        if total > limit or reach <= limit:
+            return total > limit
     return False
+
+
+def _ranked(eng: _Engine, layer: _Layer) -> list:
+    """The parts of every partial sum over layer: its anchor, then the
+    other parts largest upper bound (multiplicity times pair term) first."""
+    ranked = sorted(layer.parts, key=lambda p: (-(p[1] + _log(eng._pair_value(p[0]))), p[0]))
+    if layer.anchor is not None:
+        ranked.insert(0, (layer.w, 0.0, layer.anchor))
+    return ranked
+
+
+def _start(eng: _Engine, spec: DistanceSpectrum, extend: bool, head: list) -> int:
+    """The layer the search assembles first.  For ahp, layer n: tsb's term
+    list, whose pair terms a shared cache holds.  For psi, the layer its
+    bracket rung predicts: from d_min (1 when d_min = n) the walk moves to
+    w + 1 while layer w + 1's bracket sum is below layer w's.  A step first
+    sums layer w + 1's brackets lazily against an upper bound on layer w
+    that costs nothing, each term at its multiplicity times its pair term
+    (a conditioned term lies inside its pair event), the pair terms the
+    ranking reads anyway; the sum stops once it passes that bound, or once
+    the pair terms of the brackets left show that it cannot.  Only when
+    this cannot stop the walk does the step take layer w's bracket sum and
+    compare with it.  Every start gives the search's one result (see
+    _best_layer), so the prediction orders the visits and nothing else."""
+    if extend:
+        return spec.n
+    top = spec.n - 1
+    w = spec.d_min if spec.d_min <= top else 1
+    brackets = lambda parts: chain(head, (c + eng.bracketed(key) for _, c, key in parts))
+    pairs = lambda parts: list(chain(head, (c + _log(eng._pair_value(h)) for h, c, _ in parts)))
+    ranked = _ranked(eng, _layer(eng, spec, w, extend))
+    while w < top:
+        above = _ranked(eng, _layer(eng, spec, w + 1, extend))
+        if (_exceeds(brackets(above), float(logsumexp(pairs(ranked))), pairs(above))
+                or _exceeds(brackets(above), float(logsumexp(list(brackets(ranked)))))):
+            break
+        w, ranked = w + 1, above
+    return w
 
 
 def _best_layer(eng: _Engine, spec: DistanceSpectrum, extend: bool) -> BoundResult:
@@ -748,39 +793,45 @@ def _best_layer(eng: _Engine, spec: DistanceSpectrum, extend: bool) -> BoundResu
     selects the added-hyper-plane bound (self-term, apex tail), else over
     the envelope's layers 1..n-1.
 
-    Branch and bound: the incumbent layer (n for ahp; d_min for psi, or 1
-    when d_min = n) is assembled first.  Every term of a layer is
-    nonnegative, so a partial sum of lower estimates of its terms bounds
-    the layer's value from below; a layer is pruned once such a sum passes
-    the best assembled value by _PRUNE_MARGIN, more than the rounding of
-    either sum, so no layer that could win or tie is pruned.  The sum runs
-    over the cap, the apex tail and the anchor first, then the other terms
-    largest upper bound first.  It is tried on rungs, cheapest first:
-    bracket estimates, which integrate no z3 rule (_Engine.bracketed); the
-    term runs' coarse estimates, level by level (_Engine.lower); and the
-    exact terms, which continue the same runs.  An estimate is below its
-    term when the run's true error is within _KAPPA times its GK15 error
-    estimate, which overstates it by orders of magnitude here.  A prune-only
-    anchor, of a weight with no codewords, enters the first rung coarse.
+    Branch and bound: the incumbent layer, given by _start (n for ahp; for
+    psi the layer its brackets predict), is assembled first.  Every term
+    of a layer is nonnegative, so a partial sum of lower estimates of its
+    terms bounds the layer's value from below; a layer is pruned once such
+    a sum passes the best assembled value by _PRUNE_MARGIN, more than the
+    rounding of either sum, so no layer that could win or tie is pruned.
+    The sum runs over the cap, the apex tail and the anchor first, then
+    the other terms largest upper bound first.  It is tried on rungs,
+    cheapest first: bracket estimates, which integrate no z3 rule
+    (_Engine.bracketed); the term runs' coarse estimates, level by level
+    (_Engine.lower); and the exact terms, which continue the same runs.
+    An estimate is below its term when the run's true error is within
+    _KAPPA times its GK15 error estimate, which overstates it by orders of
+    magnitude here.  A prune-only anchor, of a weight with no codewords,
+    enters the first rung coarse.
 
     The others are assembled in full and the smallest value wins, ties
     going to the smallest layer, exactly as when every layer is assembled.
-    Which layers are pruned depends only on term values, never on what the
-    cache held before: a bracket depends on its term alone, and an
-    estimate is taken as of its level, not from the run's state."""
+    The layers outside the cone are one term list, tsb's (see _layer), so
+    they are searched once, as their smallest member; when it is
+    assembled, its tied copies count as pruned, being skipped unassembled.
+    Which layers are pruned depends only on term values and the start,
+    never on what the cache held before: a bracket depends on its term
+    alone, and an estimate is taken as of its level, not from the run's
+    state.  The start changes which layers are pruned, never the result."""
     top = spec.n if extend else spec.n - 1
-    first = top if extend else (spec.d_min if spec.d_min <= top else 1)
     head = [eng.cap_term().log_value] + ([eng.log_q_term] if extend else [])
+    inside = eng.plan.geom_included
+    outside = [w for w in range(1, top + 1) if w not in inside]
+    layers = [w for w in range(1, top + 1) if w in inside or w == outside[0]]
+    first = _start(eng, spec, extend, head)
+    first = first if first in inside else outside[0]
     rungs = [eng.bracketed] + [partial(eng.lower, level=k) for k in range(len(eng.levels))]
     found: dict[int, BoundResult] = {}
     best = math.inf
-    for w in [first] + [w for w in range(1, top + 1) if w != first]:
+    for w in [first] + [w for w in layers if w != first]:
         layer = _layer(eng, spec, w, extend)
         if w != first:
-            ranked = sorted(layer.parts,
-                            key=lambda p: (-(p[1] + _log(eng._pair_value(p[0]))), p[0]))
-            if layer.anchor is not None:
-                ranked.insert(0, (w, 0.0, layer.anchor))
+            ranked = _ranked(eng, layer)
             if any(_exceeds(chain(head, (c + rung(key) for _, c, key in ranked)), best)
                    for rung in rungs):
                 continue
@@ -792,7 +843,7 @@ def _best_layer(eng: _Engine, spec: DistanceSpectrum, extend: bool) -> BoundResu
         found[win],
         layers_assembled=len(found),
         layers_pruned=top - len(found),
-        layer_in_cone=win in eng.plan.geom_included,
+        layer_in_cone=win in inside,
     )
 
 
@@ -808,7 +859,10 @@ def ahp(
     tsb_block shares, and assembles in full only the layers that can still
     win (see _best_layer): the result is the one an exhaustive search
     returns, ties going to the smallest layer, and
-    layers_assembled/layers_pruned report the work.
+    layers_assembled/layers_pruned report the work.  The layers outside
+    the cone are one term list, assembled once and reported as the
+    smallest of them when they win (layer 14 on Golay at 4 dB); their tied
+    copies count as pruned.
     """
     eng = _terms_for(spec, ch, tol, terms)
     return eng.finish(_best_layer(eng, spec, extend=True))
@@ -823,8 +877,13 @@ def psi(
     error probability; it sandwiches the conditioned bounds from below.
     A layer outside the cone is tsb's pair terms without the apex tail.
 
-    The search starts from layer d_min and prunes like ahp's, by psi's own
-    values; after ahp on one cache it reuses ahp's brackets and continues
+    The search starts from the layer its brackets predict: from d_min it
+    steps up while the next layer's bracket sum is lower (see _start), so
+    on the n=12 ensemble, where layer 3 beats d_min = 2, it assembles
+    layer 3 alone and prunes layer 2 on brackets it already holds.  It
+    prunes like ahp's, by psi's own values, and since pruning never drops
+    a layer that could win or tie, the start moves no value and no layer
+    choice.  After ahp on one cache it reuses ahp's brackets and continues
     the term runs that ahp's pruning left at a coarse level."""
     eng = _terms_for(spec, ch, tol, terms)
     return eng.finish(_best_layer(eng, spec, extend=False))

@@ -269,7 +269,12 @@ def random_ensemble_spectrum(n: int, rate: float) -> DistanceSpectrum:
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
     offset = n * (1.0 - rate) * _LN2
-    log_a = np.array([math.log(math.comb(n, h)) - offset for h in range(n + 1)])
+    # C(n, h) for h <= n/2 by the exact recurrence, mirrored for the rest.
+    comb = [1]
+    for h in range(n // 2):
+        comb.append(comb[-1] * (n - h) // (h + 1))
+    comb += comb[: (n + 1) // 2][::-1]
+    log_a = np.array([math.log(c) - offset for c in comb])
     at_least_one = np.nonzero(log_a[1:] >= 0.0)[0]
     if at_least_one.size:
         d_min = int(at_least_one[0]) + 1

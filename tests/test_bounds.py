@@ -640,21 +640,25 @@ def test_layer_search_matches_exhaustive_on_ensembles():
                 _check_layer_search(bound, spec, ch, terms)
 
 
-def _pruned_search(bound, spec, ch, monkeypatch):
-    """bound on a fresh cache, and each layer it pruned, mapped to the rung
+def _pruned_search(bound, spec, ch, monkeypatch, start=None):
+    """bound on a fresh cache, each layer it pruned, mapped to the rung
     that pruned it: "brackets" (the difference-form rung), "coarse" (a
-    coarse level of the term runs) or "exact" (the exact terms).  The
-    search builds each layer once and then tries the rungs in that order,
-    one partial sum each."""
-    pruned, state = {}, {}
-    layer, exceeds = bounds._layer, bounds._exceeds
+    coarse level of the term runs) or "exact" (the exact terms), and the
+    layer it started from.  The search builds each layer once and then
+    tries the rungs in that order, one partial sum each.  Given start, the
+    search starts there instead of at the layer _start predicts; the
+    prediction's own comparisons prune nothing and are not counted."""
+    pruned, state = {}, {"walk": False}
+    layer, exceeds, predict = bounds._layer, bounds._exceeds, bounds._start
 
     def layer_spy(eng, spec, w, extend):
         state.update(w=w, rung=0, exact=len(eng.levels))
         return layer(eng, spec, w, extend)
 
-    def exceeds_spy(logs, log_bound):
-        out = exceeds(logs, log_bound)
+    def exceeds_spy(logs, log_bound, *ceilings):
+        out = exceeds(logs, log_bound, *ceilings)
+        if state["walk"]:
+            return out
         if out:
             rung = state["rung"]
             pruned[state["w"]] = ("brackets" if rung == 0
@@ -662,10 +666,17 @@ def _pruned_search(bound, spec, ch, monkeypatch):
         state["rung"] += 1
         return out
 
+    def start_spy(*args):
+        state["walk"] = True
+        state["first"] = predict(*args) if start is None else start
+        state["walk"] = False
+        return state["first"]
+
     with monkeypatch.context() as m:
         m.setattr(bounds, "_layer", layer_spy)
         m.setattr(bounds, "_exceeds", exceeds_spy)
-        return bound(spec, ch, terms=Plan(spec).at(ch)), pruned
+        m.setattr(bounds, "_start", start_spy)
+        return bound(spec, ch, terms=Plan(spec).at(ch)), pruned, state["first"]
 
 
 @pytest.mark.parametrize("case", ["hamming", "golay", "ensembles", "ens32"])
@@ -679,7 +690,10 @@ def test_pruned_search_on_fresh_cache(case, hamming_spec, golay_spec, monkeypatc
     # search is the one the tests above check against the exhaustive one.
     # So is the search without the bracket rung (brackets estimate nothing,
     # so that rung sums the cap and the apex tail alone), on the ladder
-    # alone.
+    # alone.  Which layers are pruned depends on the start, so both
+    # variants start where the full search started: without brackets,
+    # every bracket sum is the cap alone, and the prediction would walk to
+    # layer n - 1.
     if case in ("hamming", "golay"):
         spec, rate = {"hamming": (hamming_spec, R_HAMMING), "golay": (golay_spec, 12 / 23)}[case]
         points = [(spec, ChannelPoint.from_eb_n0_db(db, rate)) for db in (2.0, 4.0, 6.0)]
@@ -691,12 +705,12 @@ def test_pruned_search_on_fresh_cache(case, hamming_spec, golay_spec, monkeypatc
     stages = []
     for spec, ch in points:
         for bound in (ahp, psi):
-            res, pruned = _pruned_search(bound, spec, ch, monkeypatch)
+            res, pruned, first = _pruned_search(bound, spec, ch, monkeypatch)
             with monkeypatch.context() as m:
                 m.setattr(bounds._Engine, "bracketed", lambda self, key: NEG_INF)
-                ladder, on_ladder = _pruned_search(bound, spec, ch, monkeypatch)
+                ladder, on_ladder, _ = _pruned_search(bound, spec, ch, monkeypatch, first)
                 m.setattr(bounds, "_LADDER", ())
-                want, exact = _pruned_search(bound, spec, ch, monkeypatch)
+                want, exact, _ = _pruned_search(bound, spec, ch, monkeypatch, first)
             assert set(exact.values()) <= {"exact"}
             assert set(pruned) == set(on_ladder) == set(exact)
             assert "brackets" not in on_ladder.values()
@@ -724,13 +738,14 @@ def _count_panels(monkeypatch) -> list[int]:
 
 def test_layer_search_integrates_fewer_terms(monkeypatch):
     # ahp then psi on one cache of the n=12 ensemble at 4 dB: 979 GK15
-    # panels over 57 term integrals when every layer is assembled, 491 with
-    # pruning: 338 of term runs and 153 of bracket runs, which integrate no
-    # z3 rule (447 term panels when layers were pruned on coarse estimates
-    # of the term runs alone, 711 on exact terms only).  Runs can stop at a
-    # coarse level, so panels, not integrals, measure the work; psi
-    # continues the runs ahp left partway.  The out-of-cone layers 8..11
-    # are the plain pair terms of layer n and integrate nothing new.
+    # panels over 57 term integrals when every layer is assembled, 454 with
+    # pruning: 238 of term runs and 216 of bracket runs, which integrate no
+    # z3 rule (from the same starts, layers n and 3, 363 term panels when
+    # layers were pruned on coarse estimates of the term runs alone, 664 on
+    # exact terms only).  Runs can stop at a coarse level, so panels, not
+    # integrals, measure the work; psi continues the runs ahp left partway.
+    # The out-of-cone layers 8..11 are the plain pair terms of layer n and
+    # integrate nothing new.
     panels = _count_panels(monkeypatch)
     spec = random_ensemble_spectrum(12, 0.5)
     ch = ChannelPoint.from_eb_n0_db(4.0, 0.5)
@@ -743,7 +758,51 @@ def test_layer_search_integrates_fewer_terms(monkeypatch):
     ahp(spec, ch, terms=terms)
     psi(spec, ch, terms=terms)
     assert exhaustive == 979
-    assert panels[0] <= 491
+    assert panels[0] <= 454
+
+
+def _count_gammainc_nodes(monkeypatch) -> list[int]:
+    """Count the nodes of every gammainc evaluation the bounds make:
+    [nodes], updated in place."""
+    nodes = [0]
+
+    def spy(a, x):
+        nodes[0] += np.broadcast(a, x).size
+        return gammainc(a, x)
+
+    monkeypatch.setattr(bounds, "gammainc", spy)
+    return nodes
+
+
+@pytest.mark.parametrize("db", [2.0, 4.0])
+def test_psi_assembles_only_its_predicted_layer(db, monkeypatch):
+    # On the n=12 ensemble layer 3 beats d_min = 2.  The bracket sums
+    # predict it, so psi on a fresh cache assembles layer 3 alone and
+    # prunes layer 2 on the brackets the prediction computed, integrating
+    # no exact term of layer 2's conditioned terms.
+    spec = random_ensemble_spectrum(12, 0.5)
+    assert spec.d_min == 2
+    ch = ChannelPoint.from_eb_n0_db(db, 0.5)
+    terms = Plan(spec).at(ch)
+    res = psi(spec, ch, terms=terms)
+    assert (res.ahp_layer, res.layers_assembled) == (3, 1)
+    assert not any(key[0] == "triple" and key[2] == 2 for key in terms._cache)
+    assert _check_layer_search(psi, spec, ch, terms) == res
+
+
+@pytest.mark.parametrize("code, db, want", [
+    ("hamming", 2.0, 208_800), ("hamming", 4.0, 209_520), ("hamming", 6.0, 210_600),
+    ("golay", 2.0, 786_960), ("golay", 4.0, 784_440), ("golay", 6.0, 840_240),
+])
+def test_psi_kernel_nodes_on_codes(code, db, want, hamming_spec, golay_spec, monkeypatch):
+    # d_min wins here, and the prediction stops on the pair terms' upper
+    # bound on layer d_min, having read only brackets that the search
+    # reads anyway: psi on a fresh cache evaluates exactly as many gammainc
+    # nodes as the search that always started at d_min.
+    spec, rate = {"hamming": (hamming_spec, R_HAMMING), "golay": (golay_spec, 12 / 23)}[code]
+    nodes = _count_gammainc_nodes(monkeypatch)
+    psi(spec, ChannelPoint.from_eb_n0_db(db, rate))
+    assert nodes[0] == want
 
 
 def _parent_layer_terms(eng, spec, w, extend):
@@ -1166,7 +1225,8 @@ def test_no_zero_weight_z2_nodes(golay_spec, monkeypatch):
     # 1,257,480, before layers were pruned on coarse estimates of the term
     # runs (390,240 and 795,240 before the bracket rung).  The Golay total
     # was 378,720 before vacuous conditioned terms were keyed as their pair
-    # terms and prune-only anchors left at their first level.
+    # terms and prune-only anchors left at their first level; the n=12
+    # total was 875,880 before psi started at its predicted layer.
     nodes, kernel = bounds._Engine._panel_nodes, bounds._Engine._triple_given_z1
     weights, bracketed = [], []
 
@@ -1197,7 +1257,7 @@ def test_no_zero_weight_z2_nodes(golay_spec, monkeypatch):
     spec = random_ensemble_spectrum(12, 0.5)
     for bound in (tsb_block, itsb, ahp, psi):
         bound(spec, ChannelPoint.from_eb_n0_db(4.0, 0.5))
-    for found, total in ((golay, 261_360), (list(zip(weights, bracketed)), 875_880)):
+    for found, total in ((golay, 261_360), (list(zip(weights, bracketed)), 838_440)):
         assert sum(w.size for w, _ in found) == total
         assert any(b for _, b in found)
         assert all(np.all(w > 0.0) for w, _ in found)

@@ -191,6 +191,15 @@ def test_random_ensemble_spectrum_values():
     assert total_log == pytest.approx(64 * 0.5 * LN2, rel=1e-9)
 
 
+@pytest.mark.parametrize("n", [2, 3, 12, 64, 513, 4096])
+def test_random_ensemble_binomials_are_exact(n):
+    # The log counts are those of the exact big-integer binomials, bit for
+    # bit, at even and odd n.
+    offset = n * 0.5 * LN2
+    want = [math.log(math.comb(n, h)) - offset for h in range(n + 1)]
+    assert random_ensemble_spectrum(n, 0.5).log_a.tolist() == want
+
+
 def test_random_ensemble_effective_dmin():
     spec = random_ensemble_spectrum(128, 0.5)
     below = [h for h in range(1, spec.d_min) if spec.log_a[h] >= 0]
