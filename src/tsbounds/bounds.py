@@ -31,13 +31,12 @@ from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammainc, gammaincc, logsumexp, ndtr
 
 from .codes import DistanceSpectrum, Iowef, bit_weight_transform
 from .geometry import ConeGeometry, alpha_theta, beta_h, l_line, rho_max_wh, rho_min_h, rho_ww
-from .numerics import (QuadratureResult, Tolerance, adaptive_integrate, log_q_function,
-                       sin_power_integral, wallis)
+from .numerics import (QuadratureResult, Tolerance, adaptive_integrate, brentq,
+                       log_q_function, sin_power_integral, wallis)
 
 __all__ = [
     "ChannelPoint",

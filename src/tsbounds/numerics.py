@@ -1,8 +1,9 @@
 """Shared numeric kernel: Gaussian tail, sin-power integrals, quadrature
 (adaptive, or gk15_rule's fixed composite Gauss-Kronrod rule, whose one node
-set serves several integrands), and the one 1-D minimizer (minimize_1d: a
-grid scan, then a root solve of the slope where one is given, else
-golden-section refinement).
+set serves several integrands), the one root solver (brentq: Brent's method,
+taking scipy.optimize.brentq's steps, so scipy.optimize need not be loaded),
+and the one 1-D minimizer (minimize_1d: a grid scan, then a root solve of
+the slope where one is given, else golden-section refinement).
 
 Integrands and objectives share one array contract: each maps a 1-D numpy
 array of abscissae to an array of values, one per abscissa, so a whole
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "Tolerance",
@@ -32,6 +32,7 @@ __all__ = [
     "AdaptiveRun",
     "adaptive_integrate",
     "gk15_rule",
+    "brentq",
     "minimize_1d",
 ]
 
@@ -331,6 +332,72 @@ def adaptive_integrate(
 
 
 # ---------------------------------------------------------------------------
+# Root solving (Brent's method)
+# ---------------------------------------------------------------------------
+
+
+def brentq(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float,
+           maxiter: int, disp: bool = True) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's
+    method (Brent, Algorithms for Minimization Without Derivatives, 1973,
+    ch. 4): a line-for-line port of scipy.optimize.brentq's C loop, so it
+    calls f at the same abscissae and returns the same float.  It stops once
+    half the bracket is under (xtol + rtol |x|) / 2; xtol may be 0, which
+    makes the stop relative only.  After maxiter steps it raises
+    RuntimeError if disp is set, else returns the last iterate.  Raises
+    ValueError for ends of one sign or a NaN value of f."""
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre < 0.0) != (fcur < 0.0):  # a new bracket [xpre, xcur]
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the better end as xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's stry is then inf or NaN: bisect
+                stry = math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = call(xcur)
+    if disp:
+        raise RuntimeError(f"failed to converge after {maxiter} iterations")
+    return xcur
+
+
+# ---------------------------------------------------------------------------
 # 1-D minimization (grid scan, then a slope root solve or golden refinement)
 # ---------------------------------------------------------------------------
 
@@ -418,7 +485,9 @@ def _slope_refinement(slope, xs, best: int, value: float, tol: Tolerance) -> flo
         flat = abs(s) * (xs[1] - xs[0]) <= _FLAT_ULPS * np.spacing(abs(value))
         return float(xs[best]) if pinned or flat else None
     # brentq stops on a bracket narrower than xtol + rtol |x|: the golden
-    # search's abs_tol + rel_tol (|a| + |b|) at a ~ b.
+    # search's abs_tol + rel_tol (|a| + |b|) at a ~ b.  With abs_tol = 0 the
+    # stop is relative only, and max_iter bounds the steps, as it bounds
+    # the golden search.
     root = brentq(
         lambda t: slope(np.array((t,)))[0],
         float(a),

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq as scipy_brentq
 from scipy.special import gammainc, logsumexp
 
 from closed_forms import log_kernel, rho_bounds
@@ -175,6 +176,26 @@ def test_cone_radius_no_solution():
     # interior mass exactly 2 never reaches the right side
     with pytest.raises(NoSolutionError):
         solve_cone_radius(single_weight_spectrum(5, 2, 2.0))
+
+
+def test_cone_radius_bit_identical_with_scipy_brentq(monkeypatch, hamming_spec, golay_spec):
+    # numerics.brentq takes scipy.optimize.brentq's steps, so putting scipy's
+    # solver back in its place leaves every cone radius bit-identical.
+    specs = [hamming_spec, golay_spec] + [
+        random_ensemble_spectrum(n, rate)
+        for n in (6, 8, 12, 16, 24, 32, 64, 128, 256, 512)
+        for rate in (0.3, 0.5, 0.9)
+    ]
+    ours = [solve_cone_radius(spec) for spec in specs]
+    calls = []
+
+    def oracle(*args, **kwargs):
+        calls.append(args[1:3])  # the bracket
+        return scipy_brentq(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "brentq", oracle)
+    assert [solve_cone_radius(spec) for spec in specs] == ours
+    assert len(calls) == len(specs)
 
 
 # -- TSB ---------------------------------------------------------------------

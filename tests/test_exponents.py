@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from scipy.optimize import brentq as scipy_brentq
 
 from closed_forms import (
     _g1,
@@ -1029,3 +1030,30 @@ def test_chernoff_params_validation(half_rate_48):
     for t, eta in ((0.0, 0.0), (0.5, 1.0), (-0.5, 1.0)):
         with pytest.raises(ValueError, match="tilt"):
             verify_kstar_zero(0.8, eta, 10, 20, 48, half_rate_48, t=t)
+
+
+def test_slope_searches_bit_identical_with_scipy_brentq(monkeypatch):
+    # The Chernoff assemblies' cone-slope searches and gallager_rce's rho
+    # search end in numerics.brentq, which takes scipy.optimize.brentq's
+    # steps: with scipy's solver put back in its place every value is
+    # bit-identical.
+    points = [(64, 1.0), (128, 0.8), (256, 1.5), (512, 1.0)]
+    specs = {n: random_ensemble_spectrum(n, 0.5) for n, _ in points}
+
+    def values():
+        return ([chernoff_tsb(n, c, specs[n]) for n, c in points]
+                + [chernoff_psi(n, c, specs[n]) for n, c in points]
+                + [gallager_rce(rate, c) for rate in (0.25, 0.5) for c in (0.6, 1.0, 1.5)])
+
+    ours = values()
+    calls = []
+
+    def oracle(*args, **kwargs):
+        calls.append(args[1:3])  # the bracket
+        return scipy_brentq(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "brentq", oracle)
+    assert values() == ours
+    # each Chernoff search solves one root; three of the rho searches stop
+    # at the box end rho = 0 and solve none
+    assert len(calls) == 2 * len(points) + 3

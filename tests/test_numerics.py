@@ -6,14 +6,20 @@ Reference values were frozen from a 40-digit arbitrary precision run
 """
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq as scipy_brentq
 from scipy.special import gammainc, gammaincc
 
+import tsbounds
 from closed_forms import minimize_componentwise
 from tsbounds import numerics
 from tsbounds.cli import parse_grid
@@ -396,6 +402,112 @@ def test_minimize_1d_slope_that_decides_nothing_takes_golden_steps():
     want = minimize_1d(f, -2.0, 5.0, grid_points=17)
     assert minimize_1d(f, -2.0, 5.0, grid_points=17,
                        slope=lambda x: np.full_like(x, np.nan)) == want
+
+
+def test_minimize_1d_slope_accepts_zero_abs_tol():
+    # abs_tol = 0 is a valid Tolerance.  The slope path's root solve then stops
+    # on rel_tol alone, and its minimizer agrees with the golden path's to
+    # rel_tol.
+    tol = Tolerance(abs_tol=0.0, rel_tol=1e-10)
+    for centre in (0.3, 1e-3, 0.77):
+        cases = [
+            (lambda x: (x - centre) ** 2, lambda x: 2.0 * (x - centre)),
+            (lambda x: np.expm1(x - centre) ** 2,
+             lambda x: 2.0 * np.expm1(x - centre) * np.exp(x - centre)),
+        ]
+        for f, slope in cases:
+            xs, _ = minimize_1d(f, 0.0, 1.0, tol, slope=slope)
+            xg, _ = minimize_1d(f, 0.0, 1.0, tol)
+            assert abs(xs - xg) <= tol.rel_tol * xg, (centre, xs, xg)
+
+
+# Root families for the brentq oracle: monotone, non-monotone, a jump, values
+# whose products underflow, and one that turns NaN past r + 0.5.
+_ROOT_FAMILIES = {
+    "linear": lambda x, r: x - r,
+    "cubic": lambda x, r: (x - r) ** 3 - 0.5 * (x - r),
+    "wavy": lambda x, r: math.tanh(3.0 * (x - r)) + 0.2 * math.sin(9.0 * x),
+    "exp": lambda x, r: math.expm1(x - r),
+    "jump": lambda x, r: 1.0 if x > r else -1.0,
+    "tiny": lambda x, r: 1e-200 * math.sin(2.0 * (x - r)),
+    "nan": lambda x, r: x - r if x < r + 0.5 else math.nan,
+}
+
+
+def _traced_root(solver, g, a, b, **kwargs):
+    """(the root's hex form, or the exception type raised; the abscissae at
+    which solver called g, in order)."""
+    xs = []
+
+    def f(x):
+        xs.append(x)
+        return g(x)
+
+    try:
+        return solver(f, a, b, **kwargs).hex(), xs
+    except (ValueError, RuntimeError) as err:
+        return type(err), xs
+
+
+@given(
+    family=st.sampled_from(sorted(_ROOT_FAMILIES)),
+    r=st.floats(-2.0, 2.0),
+    scale=st.sampled_from([1.0, -1.0, 1e-3, -1e5]),
+    a=st.floats(-4.0, 4.0),
+    width=st.floats(-6.0, 6.0),
+    xtol=st.sampled_from([5e-324, 1e-12, 1e-6]),
+    rtol=st.floats(4.0 * np.finfo(float).eps, 1e-2),
+    maxiter=st.integers(3, 60),
+    disp=st.booleans(),
+)
+@settings(max_examples=1000, deadline=None)
+def test_brentq_takes_scipys_steps(family, r, scale, a, width, xtol, rtol, maxiter, disp):
+    # numerics.brentq ports scipy's C loop: the same root bit for bit, the
+    # same abscissae in the same order, and the same exception types.
+    g = lambda x: scale * _ROOT_FAMILIES[family](x, r)
+    kwargs = dict(xtol=xtol, rtol=rtol, maxiter=maxiter, disp=disp)
+    want = _traced_root(scipy_brentq, g, a, a + width, **kwargs)
+    assert _traced_root(numerics.brentq, g, a, a + width, **kwargs) == want
+
+
+@pytest.mark.parametrize("g, a, b, maxiter, error", [
+    (lambda x: x * x + 1.0, -1.0, 2.0, 100, ValueError),  # ends of one sign
+    (lambda x: x - 0.7 if x < 0.9 else math.nan, 0.0, 2.0, 100, ValueError),  # f(b) NaN
+    (lambda x: x - 0.7 if x < 0.5 or x > 1.2 else math.nan, 0.0, 2.0, 100, ValueError),
+    (lambda x: math.tanh(3.0 * (x - 0.4)) + 0.2 * math.sin(9.0 * x), -3.0, 2.0, 3,
+     RuntimeError),  # no convergence in three steps
+])
+def test_brentq_errors_match_scipy(g, a, b, maxiter, error):
+    kwargs = dict(xtol=1e-12, rtol=1e-14, maxiter=maxiter)
+    want = _traced_root(scipy_brentq, g, a, b, **kwargs)
+    assert want[0] is error
+    assert _traced_root(numerics.brentq, g, a, b, **kwargs) == want
+    # without disp an unconverged solve returns its last iterate
+    kwargs["disp"] = False
+    assert _traced_root(numerics.brentq, g, a, b, **kwargs) == _traced_root(
+        scipy_brentq, g, a, b, **kwargs)
+
+
+def test_no_tsbounds_module_loads_scipy_beyond_special():
+    # A fresh interpreter, because this session loads scipy.optimize and
+    # scipy.integrate itself through the test oracles.
+    code = (
+        "import importlib, pkgutil, sys, tsbounds\n"
+        "for m in pkgutil.iter_modules(tsbounds.__path__):\n"
+        "    importlib.import_module('tsbounds.' + m.name)\n"
+        "print(' '.join(m for m in sys.modules if m.startswith(('scipy.', 'tsbounds.'))))\n"
+    )
+    src = str(Path(tsbounds.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    loaded = set(done.stdout.split())
+    assert {"tsbounds.bounds", "tsbounds.cli", "tsbounds.mcsim"} <= loaded
+    for name in ("scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.integrate"):
+        assert name not in loaded
+    public = {m.split(".")[1] for m in loaded
+              if m.startswith("scipy.") and not m.split(".")[1].startswith("_")}
+    assert public - {"version"} == {"special"}  # scipy.version is a module
 
 
 def test_minimize_componentwise_validation():
