@@ -205,6 +205,11 @@ def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else _NEG_INF
 
 
+def _low(res: QuadratureResult) -> float:
+    # A run's lower estimate max(0, value - _KAPPA * error), 0 if unconverged.
+    return max(res.value - _KAPPA * res.error, 0.0) if res.converged else 0.0
+
+
 def _log_minus_one(log_a: float) -> float:
     # ln(max(A - 1, 0)) from ln A, stable for large A.
     if log_a <= 0.0:
@@ -382,21 +387,19 @@ class _Engine:
         with (n-3) dof at cut nodes (-s < l < s).  The mass is the full
         disk where l >= s and zero where l <= -s or the weight is zero.
 
-        bracket=True replaces the z3 rule by a bracket and returns (T_lo,
-        W_hi): a lower bracket of the mass below the line and an upper
-        bracket of the wedge, the pair kernel's mass above it.  At a cut
-        node the smaller side lies on [|l|, s] (above the line where l > 0,
-        below it where l < 0), and on each piece [a, b] of that range
+        bracket=True replaces the z3 rule by W_hi, an upper bracket of the
+        wedge, the pair kernel's mass above the line.  At a cut node the
+        smaller side lies on [|l|, s]: the wedge where l > 0, the full disk
+        less the wedge where l < 0.  On each piece [a, b] of that range
         integral_a^b phi(z3) G_(n-3)((s^2 - z3^2)/2 sigma^2) dz3 lies
         between G(b) dPhi and G(a) dPhi, since G falls as |z3| grows.  Two
         pieces split at the midpoint m cost gammainc at |l| and m; one piece
-        would make the lower bracket G(s) dPhi = 0.  The full-disk mass is
-        taken at every node, the other side being its complement."""
+        would make the lower bound G(s) dPhi = 0."""
         rz = np.asarray(self.geo.r_z1(z1), dtype=float)
         a = np.minimum(beta_h(z1, h, self.geo), rz)  # empty once beta_h passes the cone
         span = float(np.max(rz - a, initial=0.0))
         if span <= 0.0:
-            return (np.zeros_like(rz),) * 2 if bracket else np.zeros_like(rz)
+            return np.zeros_like(rz)
         edges = [a, rz]
         if beta_ref is not None:
             # The regime of the z3 limit changes where the line crosses +-s;
@@ -421,8 +424,7 @@ class _Engine:
         if bracket:
             full = np.zeros_like(z2)
             full[w2 > 0.0] = self._g(0.5 * (self.n - 2), s_sq[w2 > 0.0] / two_ss)
-            t_lo = np.where(line >= s, full, 0.0)
-            w_hi = full - t_lo  # zero where l >= s, the full disk where l <= -s
+            w_hi = np.where(line >= s, 0.0, full)  # the full disk where l <= -s
             if np.any(cut):
                 l_cut, s_cut, f = line[cut], s[cut], full[cut]
                 u = np.abs(l_cut)
@@ -430,13 +432,9 @@ class _Engine:
                 g = self._g(0.5 * (self.n - 3), (s_sq[cut][:, None] - ends[:, :2] ** 2) / two_ss)
                 q = ndtr(-ends / self.sigma)  # upper tails: both ends >= 0
                 d_phi = q[:, :2] - q[:, 1:]
-                side_lo = g[:, 1] * d_phi[:, 0]
                 side_hi = np.minimum(g[:, 0] * d_phi[:, 0] + g[:, 1] * d_phi[:, 1], f)
-                above = l_cut > 0.0
-                t_lo[cut] = np.where(above, f - side_hi, side_lo)
-                w_hi[cut] = np.where(above, side_hi, f - side_lo)
-            weight = w2 * self._phi(z2)
-            return np.sum(weight * t_lo, axis=1), np.sum(weight * w_hi, axis=1)
+                w_hi[cut] = np.where(l_cut > 0.0, side_hi, f - g[:, 1] * d_phi[:, 0])
+            return np.sum(w2 * self._phi(z2) * w_hi, axis=1)
         half_disk = np.zeros_like(z2)
         half_disk[live] = 0.5 * self._g(0.5 * (self.n - 2), s_sq[live] / two_ss)
         hmass = 2.0 * half_disk
@@ -456,20 +454,17 @@ class _Engine:
 
     # -- outer z1 integrals ------------------------------------------------
 
-    def _integrand(self, key: tuple, side: int | None = None):
+    def _integrand(self, key: tuple, bracket: bool = False):
         # The Gaussian density of z1 times the kernel of term key given z1,
-        # or its bracket T_lo (side 0) or W_hi (side 1) of a conditioned key.
+        # or the wedge's upper bracket W_hi of a conditioned key.
         if key[0] == "cap":
             inner = self._cap_given_z1
         elif key[0] == "pair":
             inner = lambda z1: self._triple_given_z1(z1, key[1])
-        elif side is None:
-            _, h, w_ref, rho = key
-            inner = lambda z1: self._triple_given_z1(z1, h, beta_h(z1, w_ref, self.geo), rho)
         else:
             _, h, w_ref, rho = key
             inner = lambda z1: self._triple_given_z1(
-                z1, h, beta_h(z1, w_ref, self.geo), rho, bracket=True)[side]
+                z1, h, beta_h(z1, w_ref, self.geo), rho, bracket=bracket)
         return lambda z1: self._phi(z1) * inner(np.asarray(z1, dtype=float))
 
     def _refined(self, key: tuple, level: int):
@@ -486,25 +481,22 @@ class _Engine:
         return done[level]
 
     def lower(self, key: tuple, level: int) -> float:
-        """Log of a lower estimate of term key: its run's max(0, value -
-        _KAPPA * error) as of a coarse level (0 if unconverged), else exact."""
-        if level == len(self.levels) - 1:
-            return self.term(key).log_value
-        res = self._refined(key, level)
-        return _log(res.value - _KAPPA * res.error if res.converged else 0.0)
+        """Log of a lower estimate of term key as of a coarse level: its
+        run's max(0, value - _KAPPA * error), 0 if unconverged."""
+        return _log(_low(self._refined(key, level)))
 
-    def _bracket(self, key: tuple, side: int) -> QuadratureResult:
-        """The bracket run of conditioned term key: T_lo (side 0) or W_hi
-        (side 1) integrated over z1, to the first level's relative
-        tolerance or an absolute error of _BRACKET_FLOOR times the term's
-        pair term, whichever is looser.  Never recorded as trouble."""
-        res = self._brackets.get((side, key))
+    def _bracket(self, key: tuple) -> QuadratureResult:
+        """The bracket run of conditioned term key: W_hi integrated over z1,
+        to the first level's relative tolerance or an absolute error of
+        _BRACKET_FLOOR times the term's pair term, whichever is looser.
+        Never recorded as trouble."""
+        res = self._brackets.get(key)
         if res is None:
             first = self.levels[0]
             floor = _BRACKET_FLOOR * self._pair_value(key[1])
             tol = replace(first, abs_tol=max(first.abs_tol, floor))
-            res = adaptive_integrate(self._integrand(key, side), self.z1_lo, self.sqrt_n, tol)
-            res = self._brackets[(side, key)] = replace(res, run=None)
+            run = adaptive_integrate(self._integrand(key, True), self.z1_lo, self.sqrt_n, tol)
+            res = self._brackets[key] = replace(run, run=None)
         return res
 
     def _pair_value(self, h: int) -> float:
@@ -516,33 +508,25 @@ class _Engine:
 
     def bracketed(self, key: tuple) -> float:
         """Log of a lower estimate of term key that integrates no z3 rule:
-        the layer search's first rung, in difference form.  A pair term is
-        exact.  A conditioned term is T(h, w, rho) = P(h) - W(h, w, rho), W
-        being the wedge: the pair event's mass above the anchor line.  So
-        layer w less tsb is its added terms (the anchor P(w), ahp's
-        extension self-term, less A_w P(w)) less its savings, the sum of
-        A_h W(h, w) over h != w.  On in-cone layers the added terms outweigh
-        the savings many times over, so coarse brackets of the wedges, taken
-        against exact pair terms, bound the layer closely enough to drop it.
+        the layer search's first rung, in difference form.  A conditioned
+        term is T(h, w, rho) = P(h) - W(h, w, rho), W being the wedge: the
+        pair event's mass above the anchor line.  So layer w less tsb is its
+        added terms (the anchor P(w), ahp's extension self-term, less A_w
+        P(w)) less its savings, the sum of A_h W(h, w) over h != w; on
+        in-cone layers the added terms outweigh the savings many times over.
 
-        T takes P - (W_hi + _KAPPA * error + the pair event's mass below
-        z1_lo), raised to T_lo - _KAPPA * error where that is larger; T_lo
-        is integrated only when the first leaves less than half of P, and
-        alone for the extension self-term (h = w_ref).  An unconverged
-        bracket run gives no estimate."""
-        h = key[1]
-        if key[0] == "pair":  # a prune-only anchor reads its first level
-            return self.pair_term(h).log_value if h in self.plan.included else self.lower(key, 0)
-        pair, low = self._pair_value(h), 0.0
-        if key[2] != h:
-            wedge = self._bracket(key, 1)
-            if wedge.converged:
-                low = pair - (wedge.value + _KAPPA * wedge.error + math.exp(self._log_tail(h)))
-        if low < 0.5 * pair:
-            lo = self._bracket(key, 0)
-            if lo.converged:
-                low = max(low, lo.value - _KAPPA * lo.error)
-        return _log(low)
+        A conditioned key, the extension self-term included, takes P -
+        (W_hi + _KAPPA * error + the pair event's mass below z1_lo), a pair
+        key P alone, P being the pair term: exact for an included weight,
+        its first level's estimate (see lower) for a prune-only one.  An
+        unconverged bracket run gives no estimate."""
+        h, coarse = key[1], key[1] not in self.plan.included
+        pair = _low(self._refined(("pair", h), 0)) if coarse else self._pair_value(h)
+        if key[0] == "pair":
+            return _log(pair)
+        wedge = self._bracket(key)
+        wedge_hi = wedge.value + _KAPPA * wedge.error + math.exp(self._log_tail(h))
+        return _log(pair - wedge_hi if wedge.converged else 0.0)
 
     def _log_tail(self, h: int) -> float:
         # Bound on a pair event's mass below z1_lo: z2 past beta_h there.
@@ -801,15 +785,15 @@ def _best_layer(eng: _Engine, spec: DistanceSpectrum, extend: bool) -> BoundResu
     The sum runs over the cap, the apex tail and the anchor first, then
     the other terms largest upper bound first.  It is tried on rungs,
     cheapest first: bracket estimates, which integrate no z3 rule
-    (_Engine.bracketed); the term runs' coarse estimates, level by level
-    (_Engine.lower); and the exact terms, which continue the same runs.
-    An estimate is below its term when the run's true error is within
-    _KAPPA times its GK15 error estimate, which overstates it by orders of
-    magnitude here.  A prune-only anchor, of a weight with no codewords,
-    enters the first rung coarse.
+    (_Engine.bracketed), then the term runs' coarse estimates, level by
+    level (_Engine.lower).  An estimate is below its term when the run's
+    true error is within _KAPPA times its GK15 error estimate, which
+    overstates it by orders of magnitude here.  A prune-only anchor, of a
+    weight with no codewords, enters the first rung coarse.
 
-    The others are assembled in full and the smallest value wins, ties
-    going to the smallest layer, exactly as when every layer is assembled.
+    A layer that no rung drops is assembled in full, and the smallest
+    value wins, ties going to the smallest layer, exactly as when every
+    layer is assembled.
     The layers outside the cone are one term list, tsb's (see _layer), so
     they are searched once, as their smallest member; when it is
     assembled, its tied copies count as pruned, being skipped unassembled.
@@ -824,7 +808,7 @@ def _best_layer(eng: _Engine, spec: DistanceSpectrum, extend: bool) -> BoundResu
     layers = [w for w in range(1, top + 1) if w in inside or w == outside[0]]
     first = _start(eng, spec, extend, head)
     first = first if first in inside else outside[0]
-    rungs = [eng.bracketed] + [partial(eng.lower, level=k) for k in range(len(eng.levels))]
+    rungs = [eng.bracketed] + [partial(eng.lower, level=k) for k in range(len(eng.levels) - 1)]
     found: dict[int, BoundResult] = {}
     best = math.inf
     for w in [first] + [w for w in layers if w != first]:
@@ -855,8 +839,8 @@ def ahp(
     A layer outside the cone, w = n among them, conditions nothing and is
     the plain tangential-sphere assembly (see _layer), so ahp never
     exceeds tsb_block.  The search starts from layer n, whose pair terms
-    tsb_block shares, and assembles in full only the layers that can still
-    win (see _best_layer): the result is the one an exhaustive search
+    tsb_block shares, and assembles in full only the layers its estimates
+    cannot drop (see _best_layer): the result is the one an exhaustive search
     returns, ties going to the smallest layer, and
     layers_assembled/layers_pruned report the work.  The layers outside
     the cone are one term list, assembled once and reported as the

@@ -165,9 +165,14 @@ class DistanceSpectrum:
 
 
 def _binomial_log_a(n: int, rate: float) -> np.ndarray:
-    # ln C(n, h) - n(1-R) ln 2 through lgamma, to rounding of its size
-    lg = np.array([math.lgamma(h + 1.0) for h in range(n + 1)])
-    return lg[n] - lg - lg[::-1] - n * (1.0 - rate) * _LN2
+    # ln C(n, h) - n(1-R) ln 2 from the exact big-integer binomials: the
+    # recurrence for h <= n/2, mirrored for the rest.
+    offset = n * (1.0 - rate) * _LN2
+    comb = [1]
+    for h in range(n // 2):
+        comb.append(comb[-1] * (n - h) // (h + 1))
+    comb += comb[: (n + 1) // 2][::-1]
+    return np.array([math.log(c) - offset for c in comb])
 
 
 @dataclass(frozen=True)
@@ -268,13 +273,7 @@ def random_ensemble_spectrum(n: int, rate: float) -> DistanceSpectrum:
         raise ValueError(f"rate must lie in (0,1), got {rate}")
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
-    offset = n * (1.0 - rate) * _LN2
-    # C(n, h) for h <= n/2 by the exact recurrence, mirrored for the rest.
-    comb = [1]
-    for h in range(n // 2):
-        comb.append(comb[-1] * (n - h) // (h + 1))
-    comb += comb[: (n + 1) // 2][::-1]
-    log_a = np.array([math.log(c) - offset for c in comb])
+    log_a = _binomial_log_a(n, rate)
     at_least_one = np.nonzero(log_a[1:] >= 0.0)[0]
     if at_least_one.size:
         d_min = int(at_least_one[0]) + 1

@@ -663,17 +663,17 @@ def test_layer_search_matches_exhaustive_on_ensembles():
 
 def _pruned_search(bound, spec, ch, monkeypatch, start=None):
     """bound on a fresh cache, each layer it pruned, mapped to the rung
-    that pruned it: "brackets" (the difference-form rung), "coarse" (a
-    coarse level of the term runs) or "exact" (the exact terms), and the
-    layer it started from.  The search builds each layer once and then
-    tries the rungs in that order, one partial sum each.  Given start, the
-    search starts there instead of at the layer _start predicts; the
-    prediction's own comparisons prune nothing and are not counted."""
+    that pruned it: "brackets" (the difference-form rung) or "coarse" (a
+    coarse level of the term runs), and the layer it started from.  The
+    search builds each layer once and then tries the rungs in that order,
+    one partial sum each.  Given start, the search starts there instead of
+    at the layer _start predicts; the prediction's own comparisons prune
+    nothing and are not counted."""
     pruned, state = {}, {"walk": False}
     layer, exceeds, predict = bounds._layer, bounds._exceeds, bounds._start
 
     def layer_spy(eng, spec, w, extend):
-        state.update(w=w, rung=0, exact=len(eng.levels))
+        state.update(w=w, rung=0)
         return layer(eng, spec, w, extend)
 
     def exceeds_spy(logs, log_bound, *ceilings):
@@ -681,9 +681,7 @@ def _pruned_search(bound, spec, ch, monkeypatch, start=None):
         if state["walk"]:
             return out
         if out:
-            rung = state["rung"]
-            pruned[state["w"]] = ("brackets" if rung == 0
-                                  else "coarse" if rung < state["exact"] else "exact")
+            pruned[state["w"]] = "brackets" if state["rung"] == 0 else "coarse"
         state["rung"] += 1
         return out
 
@@ -702,19 +700,18 @@ def _pruned_search(bound, spec, ch, monkeypatch, start=None):
 
 @pytest.mark.parametrize("case", ["hamming", "golay", "ensembles", "ens32"])
 def test_pruned_search_on_fresh_cache(case, hamming_spec, golay_spec, monkeypatch):
-    # The pruned search first, on a fresh cache, so that it prunes on
-    # brackets and on the coarse estimates of term runs, not on exact cached
-    # terms.  Every layer pruned on brackets or estimates is one the exact
-    # terms prune too (the exact-only search: the bracket rung monkeypatched
-    # out and the coarse ladder emptied), and the result, its layer
-    # accounting included, is the exact-only search's, bit for bit; that
-    # search is the one the tests above check against the exhaustive one.
-    # So is the search without the bracket rung (brackets estimate nothing,
+    # The pruned search on a fresh cache, so that it prunes on brackets and
+    # on the coarse estimates of term runs, not on exact cached terms, and
+    # the same search without the bracket rung (brackets estimate nothing,
     # so that rung sums the cap and the apex tail alone), on the ladder
-    # alone.  Which layers are pruned depends on the start, so both
-    # variants start where the full search started: without brackets,
-    # every bracket sum is the cap alone, and the prediction would walk to
-    # layer n - 1.
+    # alone.  Which layers are pruned depends on the start, so the second
+    # search starts where the first started: without brackets, every
+    # bracket sum is the cap alone, and the prediction would walk to layer
+    # n - 1.  Both return the same result bit for bit, layer accounting
+    # aside, and the brackets drop every layer the ladder drops and more:
+    # Hamming layer 5, Golay layer 13 and the n=32 ensemble's layer 17,
+    # which the ladder leaves to be assembled.  Each estimate is checked
+    # against its exact term in test_rung_estimates_never_exceed_their_terms.
     if case in ("hamming", "golay"):
         spec, rate = {"hamming": (hamming_spec, R_HAMMING), "golay": (golay_spec, 12 / 23)}[case]
         points = [(spec, ChannelPoint.from_eb_n0_db(db, rate)) for db in (2.0, 4.0, 6.0)]
@@ -723,21 +720,24 @@ def test_pruned_search_on_fresh_cache(case, hamming_spec, golay_spec, monkeypatc
                   for n in (6, 8, 10, 12, 14, 16)]
     else:
         points = [(random_ensemble_spectrum(32, 0.5), ChannelPoint.from_eb_n0_db(3.0, 0.5))]
-    stages = []
+    stages, gained = [], set()
     for spec, ch in points:
         for bound in (ahp, psi):
             res, pruned, first = _pruned_search(bound, spec, ch, monkeypatch)
             with monkeypatch.context() as m:
                 m.setattr(bounds._Engine, "bracketed", lambda self, key: NEG_INF)
                 ladder, on_ladder, _ = _pruned_search(bound, spec, ch, monkeypatch, first)
-                m.setattr(bounds, "_LADDER", ())
-                want, exact, _ = _pruned_search(bound, spec, ch, monkeypatch, first)
-            assert set(exact.values()) <= {"exact"}
-            assert set(pruned) == set(on_ladder) == set(exact)
+            assert set(on_ladder) <= set(pruned)
             assert "brackets" not in on_ladder.values()
-            assert res == ladder == want
+            unpruned = dict(layers_assembled=None, layers_pruned=None)
+            assert replace(res, **unpruned) == replace(ladder, **unpruned)
+            assert list(res.per_weight.items()) == list(ladder.per_weight.items())
             stages += list(pruned.values()) + list(on_ladder.values())
+            gained |= {(spec.n, w) for w, rung in pruned.items()
+                       if rung == "brackets" and w not in on_ladder}
     assert "brackets" in stages and "coarse" in stages
+    assert gained == {"hamming": {(7, 5)}, "golay": {(23, 13)}, "ensembles": set(),
+                      "ens32": {(32, 17)}}[case]
 
 
 def _count_panels(monkeypatch) -> list[int]:
@@ -759,8 +759,8 @@ def _count_panels(monkeypatch) -> list[int]:
 
 def test_layer_search_integrates_fewer_terms(monkeypatch):
     # ahp then psi on one cache of the n=12 ensemble at 4 dB: 979 GK15
-    # panels over 57 term integrals when every layer is assembled, 454 with
-    # pruning: 238 of term runs and 216 of bracket runs, which integrate no
+    # panels over 57 term integrals when every layer is assembled, 404 with
+    # pruning: 238 of term runs and 166 of bracket runs, which integrate no
     # z3 rule (from the same starts, layers n and 3, 363 term panels when
     # layers were pruned on coarse estimates of the term runs alone, 664 on
     # exact terms only).  Runs can stop at a coarse level, so panels, not
@@ -779,7 +779,7 @@ def test_layer_search_integrates_fewer_terms(monkeypatch):
     ahp(spec, ch, terms=terms)
     psi(spec, ch, terms=terms)
     assert exhaustive == 979
-    assert panels[0] <= 454
+    assert panels[0] <= 404
 
 
 def _count_gammainc_nodes(monkeypatch) -> list[int]:
@@ -813,7 +813,7 @@ def test_psi_assembles_only_its_predicted_layer(db, monkeypatch):
 
 @pytest.mark.parametrize("code, db, want", [
     ("hamming", 2.0, 208_800), ("hamming", 4.0, 209_520), ("hamming", 6.0, 210_600),
-    ("golay", 2.0, 786_960), ("golay", 4.0, 784_440), ("golay", 6.0, 840_240),
+    ("golay", 2.0, 755_280), ("golay", 4.0, 752_760), ("golay", 6.0, 824_400),
 ])
 def test_psi_kernel_nodes_on_codes(code, db, want, hamming_spec, golay_spec, monkeypatch):
     # d_min wins here, and the prediction stops on the pair terms' upper
@@ -896,6 +896,33 @@ def test_out_of_cone_layers_are_the_plain_assembly(code, hamming_spec, golay_spe
     assert outside > 0  # layers outside the cone besides layer n
 
 
+@pytest.mark.parametrize("code", ["golay", "ens12"])
+def test_rung_estimates_never_exceed_their_terms(code, golay_spec):
+    # Each rung's estimate of a term, the difference-form bracket and the
+    # term run's estimate at each coarse level, is at most the exact term:
+    # every anchor and part of every ahp and psi layer at 4 dB.  On Golay
+    # this takes in the conditioned extension self-terms of the prune-only
+    # weights 1-6, 9 and 10, whose pair term enters the difference form
+    # coarse.
+    spec, rate = ((golay_spec, 12 / 23) if code == "golay"
+                  else (random_ensemble_spectrum(12, 0.5), 0.5))
+    eng = Plan(spec).at(ChannelPoint.from_eb_n0_db(4.0, rate))
+    keys = set()
+    for extend in (True, False):
+        for w in range(1, spec.n + 1 if extend else spec.n):
+            layer = bounds._layer(eng, spec, w, extend)
+            keys |= {key for _, _, key in layer.parts} | {layer.anchor} - {None}
+    finite = []
+    for key in sorted(keys, key=repr):
+        estimates = [eng.bracketed(key)] + [eng.lower(key, k) for k in range(len(eng.levels) - 1)]
+        exact = eng.term(key).log_value
+        assert all(e <= exact for e in estimates), (key, exact, estimates)
+        finite += [key for e in estimates if e > NEG_INF]
+    prune_only = {("triple", w, w) for w in eng.plan.geom_included - set(eng.plan.included)}
+    assert len(finite) > 2 * len(keys)
+    assert bool(prune_only & {key[:3] for key in finite}) == (code == "golay")
+
+
 def test_psi_sandwich(hamming_spec):
     for db in (0.0, 2.0, 4.0):
         ch = ChannelPoint.from_eb_n0_db(db, R_HAMMING)
@@ -920,9 +947,9 @@ def test_psi_never_requests_self_term(hamming_spec, monkeypatch):
             calls.append(("run",) + key[1:3])
         return refined(self, key, level)
 
-    def bracket_spy(self, key, side):
+    def bracket_spy(self, key):
         calls.append(("bracket",) + key[1:3])
-        return bracket(self, key, side)
+        return bracket(self, key)
 
     monkeypatch.setattr(bounds._Engine, "_refined", refined_spy)
     monkeypatch.setattr(bounds._Engine, "_bracket", bracket_spy)
@@ -1143,11 +1170,11 @@ def test_triple_kernel_matches_dense_oracle(code, hamming_spec, golay_spec):
 )
 @settings(max_examples=80, deadline=None)
 def test_bracket_kernel_brackets_the_exact_kernel(code, db, data, hamming_spec, golay_spec):
-    # Row by row, T_lo is at most the exact kernel and W_hi at least the
-    # pair kernel less the exact kernel, the wedge.  Rows near z1_lo, where
-    # the line sits many sigma out, carry an error of the exact kernel's
-    # 24-node z3 rule (up to 8e-8 of the pair kernel), so each row may miss
-    # by that error, measured against a 48-node z3 rule, plus rounding.
+    # Row by row, W_hi is at least the pair kernel less the exact kernel,
+    # the wedge.  Rows near z1_lo, where the line sits many sigma out,
+    # carry an error of the exact kernel's 24-node z3 rule (up to 8e-8 of
+    # the pair kernel), so each row may miss by that error, measured
+    # against a 48-node z3 rule, plus rounding.
     # Weights outside the cone give rows whose z2 span is empty.
     plan = Plan({"hamming": hamming_spec, "golay": golay_spec}.get(code)
                 or random_ensemble_spectrum(12, 0.5))
@@ -1167,18 +1194,17 @@ def test_bracket_kernel_brackets_the_exact_kernel(code, db, data, hamming_spec, 
                                min_size=1, max_size=8), label="z1 steps")
     z1 = np.minimum(np.array(steps) * 0.25 * eng.sigma, math.sqrt(n) * (1.0 - 1e-12))
     beta_ref = beta_h(z1, w, plan.geo)
-    t_lo, w_hi = eng._triple_given_z1(z1, h, beta_ref, rho, bracket=True)
+    w_hi = eng._triple_given_z1(z1, h, beta_ref, rho, bracket=True)
     exact = eng._triple_given_z1(z1, h, beta_ref, rho)
     pair = eng._triple_given_z1(z1, h)
-    if rho <= -1.0 + 1e-12:  # at the crossover the line clears the disk: both exact
-        assert np.array_equal(t_lo, pair) and np.array_equal(w_hi, np.zeros_like(pair))
+    if rho <= -1.0 + 1e-12:  # at the crossover the line clears the disk: no wedge
+        assert np.array_equal(w_hi, np.zeros_like(pair))
     fine = _dense_triple_given_z1(eng, z1, h, beta_ref, rho, z3_nodes=48)
     slack = np.abs(exact - fine) + 1e-13 * pair
-    assert np.all(t_lo >= 0.0) and np.all(w_hi >= 0.0)
-    assert np.all(t_lo <= exact + slack)
+    assert np.all(w_hi >= 0.0)
     assert np.all(w_hi >= pair - exact - slack)
     if h not in plan.geom_included:
-        assert not np.any(t_lo) and not np.any(w_hi)
+        assert not np.any(w_hi)
 
 
 @given(
@@ -1278,7 +1304,7 @@ def test_no_zero_weight_z2_nodes(golay_spec, monkeypatch):
     spec = random_ensemble_spectrum(12, 0.5)
     for bound in (tsb_block, itsb, ahp, psi):
         bound(spec, ChannelPoint.from_eb_n0_db(4.0, 0.5))
-    for found, total in ((golay, 261_360), (list(zip(weights, bracketed)), 838_440)):
+    for found, total in ((golay, 247_680), (list(zip(weights, bracketed)), 782_280)):
         assert sum(w.size for w, _ in found) == total
         assert any(b for _, b in found)
         assert all(np.all(w > 0.0) for w, _ in found)
