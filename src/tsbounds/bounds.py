@@ -745,8 +745,8 @@ def _ranked(eng: _Engine, layer: _Layer) -> list:
 def _start(eng: _Engine, spec: DistanceSpectrum, extend: bool, head: list) -> int:
     """The layer the search assembles first.  For ahp, layer n: tsb's term
     list, whose pair terms a shared cache holds.  For psi, the layer its
-    bracket rung predicts: from d_min (1 when d_min = n) the walk moves to
-    w + 1 while layer w + 1's bracket sum is below layer w's.  A step first
+    bracket rung predicts: from d_min the walk moves to w + 1, up to layer
+    n, while layer w + 1's bracket sum is below layer w's.  A step first
     sums layer w + 1's brackets lazily against an upper bound on layer w
     that costs nothing, each term at its multiplicity times its pair term
     (a conditioned term lies inside its pair event), the pair terms the
@@ -757,12 +757,11 @@ def _start(eng: _Engine, spec: DistanceSpectrum, extend: bool, head: list) -> in
     _best_layer), so the prediction orders the visits and nothing else."""
     if extend:
         return spec.n
-    top = spec.n - 1
-    w = spec.d_min if spec.d_min <= top else 1
+    w = spec.d_min
     brackets = lambda parts: chain(head, (c + eng.bracketed(key) for _, c, key in parts))
     pairs = lambda parts: list(chain(head, (c + _log(eng._pair_value(h)) for h, c, _ in parts)))
     ranked = _ranked(eng, _layer(eng, spec, w, extend))
-    while w < top:
+    while w < spec.n:
         above = _ranked(eng, _layer(eng, spec, w + 1, extend))
         if (_exceeds(brackets(above), float(logsumexp(pairs(ranked))), pairs(above))
                 or _exceeds(brackets(above), float(logsumexp(list(brackets(ranked)))))):
@@ -772,9 +771,9 @@ def _start(eng: _Engine, spec: DistanceSpectrum, extend: bool, head: list) -> in
 
 
 def _best_layer(eng: _Engine, spec: DistanceSpectrum, extend: bool) -> BoundResult:
-    """Minimize the per-layer assembly over the layers 1..n when extend
-    selects the added-hyper-plane bound (self-term, apex tail), else over
-    the envelope's layers 1..n-1.
+    """Minimize the per-layer assembly over the layers 1..n, of the
+    added-hyper-plane bound (self-term, apex tail) when extend is set, else
+    of the envelope.
 
     Branch and bound: the incumbent layer, given by _start (n for ahp; for
     psi the layer its brackets predict), is assembled first.  Every term
@@ -801,11 +800,10 @@ def _best_layer(eng: _Engine, spec: DistanceSpectrum, extend: bool) -> BoundResu
     never on what the cache held before: a bracket depends on its term
     alone, and an estimate is taken as of its level, not from the run's
     state.  The start changes which layers are pruned, never the result."""
-    top = spec.n if extend else spec.n - 1
     head = [eng.cap_term().log_value] + ([eng.log_q_term] if extend else [])
     inside = eng.plan.geom_included
-    outside = [w for w in range(1, top + 1) if w not in inside]
-    layers = [w for w in range(1, top + 1) if w in inside or w == outside[0]]
+    outside = [w for w in range(1, spec.n + 1) if w not in inside]
+    layers = [w for w in range(1, spec.n + 1) if w in inside or w == outside[0]]
     first = _start(eng, spec, extend, head)
     first = first if first in inside else outside[0]
     rungs = [eng.bracketed] + [partial(eng.lower, level=k) for k in range(len(eng.levels) - 1)]
@@ -825,7 +823,7 @@ def _best_layer(eng: _Engine, spec: DistanceSpectrum, extend: bool) -> BoundResu
     return replace(
         found[win],
         layers_assembled=len(found),
-        layers_pruned=top - len(found),
+        layers_pruned=spec.n - len(found),
         layer_in_cone=win in inside,
     )
 
@@ -856,9 +854,10 @@ def psi(
 ) -> BoundResult:
     """Lower envelope of the two conditioned bounds: the per-layer anchor and
     spectrum terms with neither the extension pair term nor the apex tail,
-    minimized over the layer w = 1..n-1.  Not itself an upper bound on the
-    error probability; it sandwiches the conditioned bounds from below.
-    A layer outside the cone is tsb's pair terms without the apex tail.
+    minimized over ahp's layers w = 1..n, so it is at most ahp layer by
+    layer.  Not itself an upper bound on the error probability; it
+    sandwiches the conditioned bounds from below.  A layer outside the
+    cone, layer n among them, is tsb's pair terms without the apex tail.
 
     The search starts from the layer its brackets predict: from d_min it
     steps up while the next layer's bracket sum is lower (see _start), so

@@ -7,7 +7,7 @@ reproduces byte-identical output.  Per-cell numeric failures become "nan"
 cells; they, the bound cells whose quadrature did not converge and every
 warning a sweep raised are listed in a JSON diagnostics sidecar next to the
 output file, and each warning is then issued again.  The exit code is 3 only
-when every cell of a sweep failed; usage and input problems exit 2.
+when every cell of a sweep that can fail did; usage and input problems exit 2.
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def parse_grid(text: str) -> list[float]:
     """Parse "start:stop:step" into an inclusive grid; a bare number is a
     single-point grid.  Every value must be finite."""
@@ -61,6 +57,13 @@ def parse_grid(text: str) -> list[float]:
         raise ValueError(f"grid is empty: stop {stop} < start {start}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     return [start + i * step for i in range(count)]
+
+
+def _thread_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
 
 
 def _parse_ensemble(text: str) -> tuple[int, float]:
@@ -86,21 +89,6 @@ def _resolve_source(args, sub):
     return random_ensemble_spectrum(n, rate), None, rate
 
 
-def _sweep(grid, worker, threads: int):
-    """Run worker on every grid point; returns the results and every warning
-    the rows raised.  One catch in this thread records them all: the warning
-    filters are process-wide, and a catch per worker thread is not
-    thread-safe."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        if threads <= 1:
-            results = [worker(x) for x in grid]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(worker, grid))
-    return results, caught
-
-
 def _write_text(out: str | None, text: str) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -109,9 +97,27 @@ def _write_text(out: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_diagnostics(out: str | None, failures: list[dict], unconverged=(), caught=()) -> None:
-    """Write the sidecar, listing every caught warning, then issue each of
-    them again (no registry: each is shown, none deduplicated)."""
+def _csv_sweep(args, grid, header: str, row, failable: int) -> int:
+    """Run row on every grid point (in args.threads worker threads) and write
+    the CSV.  row(x) returns the row's cells, its failures and its
+    unconverged cells.  One catch in this thread records every warning the
+    rows raise: the warning filters are process-wide, and a catch per worker
+    thread is not thread-safe.  The sidecar, <out>.diag.json or stderr when
+    there is no --out, is written only when a cell failed, did not converge
+    or warned; each caught warning is then issued again (no registry: each
+    is shown, none deduplicated).  Returns EXIT_NUMERIC exactly when all
+    failable cells of every row failed."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if args.threads == 1:
+            results = [row(x) for x in grid]
+        else:
+            with ThreadPoolExecutor(max_workers=args.threads) as pool:
+                results = list(pool.map(row, grid))
+    lines = [header] + [",".join(f"{v:.17g}" for v in cells) for cells, _, _ in results]
+    _write_text(args.out, "\n".join(lines) + "\n")
+    failures = [f for _, fails, _ in results for f in fails]
+    unconverged = [u for _, _, unconv in results for u in unconv]
     if failures or unconverged or caught:
         diag = {"failures": failures}
         if unconverged:
@@ -122,13 +128,13 @@ def _emit_diagnostics(out: str | None, failures: list[dict], unconverged=(), cau
                 for c, m in sorted((w.category.__name__, str(w.message)) for w in caught)
             ]
         payload = json.dumps(diag, indent=1, sort_keys=True) + "\n"
-        if out:
-            with open(out + ".diag.json", "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(payload)
+        if args.out:
+            _write_text(args.out + ".diag.json", payload)
         else:
             sys.stderr.write(payload)
     for w in caught:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return EXIT_NUMERIC if len(failures) == failable * len(grid) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +201,7 @@ def cmd_bounds(args, sub) -> int:
     def row(db: float):
         ch = ChannelPoint.from_eb_n0_db(db, rate)
         caches = {key: plan.at(ch, tol) for key, plan in plans.items()}
-        cells, fails, unconv = [ch.c], [], []
+        cells, fails, unconv = [db, ch.c], [], []
         for name in names:
             at = {"eb_n0_db": db, "bound": name}
             try:
@@ -209,19 +215,8 @@ def cmd_bounds(args, sub) -> int:
                 fails.append(at | {"error": str(exc)})
         return cells, fails, unconv
 
-    results, caught = _sweep(grid, row, args.threads)
     header = "eb_n0_db,c," + ",".join(f"{b},log_{b}" for b in names)
-    lines = [header]
-    failures: list[dict] = []
-    for db, (cells, fails, _) in zip(grid, results):
-        failures.extend(fails)
-        lines.append(",".join([_fmt(db)] + [_fmt(v) for v in cells]))
-    _write_text(args.out, "\n".join(lines) + "\n")
-    unconverged = [u for *_, unconv in results for u in unconv]
-    _emit_diagnostics(args.out, failures, unconverged, caught)
-    if len(failures) == len(grid) * len(names):
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return _csv_sweep(args, grid, header, row, len(names))
 
 
 def cmd_exponent(args, sub) -> int:
@@ -247,19 +242,10 @@ def cmd_exponent(args, sub) -> int:
         except Exception as exc:
             e_rce = math.nan
             fails.append({"inv_eb_n0": inv, "column": "e_rce", "error": str(exc)})
-        return (inv, e_ub, e_tsb, e_rce, d_star), fails
+        return (inv, e_ub, e_tsb, e_rce, d_star), fails, []
 
-    results, caught = _sweep(grid, row, args.threads)
-    lines = ["inv_eb_n0,e_ub,e_tsb,e_rce,delta_star"]
-    failures: list[dict] = []
-    for cells, fails in results:
-        failures.extend(fails)
-        lines.append(",".join(_fmt(v) for v in cells))
-    _write_text(args.out, "\n".join(lines) + "\n")
-    _emit_diagnostics(args.out, failures, caught=caught)
-    if len(failures) == 2 * len(grid):
-        return EXIT_NUMERIC
-    return EXIT_OK
+    # e_ub fails together with e_tsb, so a row has two failable cells
+    return _csv_sweep(args, grid, "inv_eb_n0,e_ub,e_tsb,e_rce,delta_star", row, 2)
 
 
 def cmd_simulate(args, sub) -> int:
@@ -299,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     runs = argparse.ArgumentParser(add_help=False)
     runs.add_argument(
-        "--threads", type=int, default=1, help="worker threads (grid rows or trial chunks)"
+        "--threads", type=_thread_count, default=1,
+        help="worker threads, at least 1 (grid rows or trial chunks)",
     )
     runs.add_argument(
         "--seed", type=int, default=0, help="RNG seed of simulate; bounds and exponent "

@@ -587,9 +587,8 @@ def _exhaustive_best_layer(eng, spec, extend):
     """The layer search with every layer assembled in full, the smallest
     value winning and ties going to the smallest layer: the reference for
     the pruned search, which must return the same result."""
-    top = spec.n if extend else spec.n - 1
     best = None
-    for w in range(1, top + 1):
+    for w in range(1, spec.n + 1):
         cand = assemble_layer(spec, eng.ch, w, extend, eng)
         if best is None or cand.log_value < best.log_value:
             best = cand
@@ -606,9 +605,8 @@ def _check_layer_search(bound, spec, ch, terms):
                    vacuous_terms=None) == want
     parts = bounds._layer(terms, spec, res.ahp_layer, extend).parts
     assert res.vacuous_terms == sum(key[0] == "pair" for _, _, key in parts)
-    top = spec.n if extend else spec.n - 1
     assert res.layers_assembled >= 1
-    assert res.layers_assembled + res.layers_pruned == top
+    assert res.layers_assembled + res.layers_pruned == spec.n
     assert res.layer_in_cone == (res.ahp_layer in terms.plan.geom_included)
     return res
 
@@ -707,7 +705,7 @@ def test_pruned_search_on_fresh_cache(case, hamming_spec, golay_spec, monkeypatc
     # alone.  Which layers are pruned depends on the start, so the second
     # search starts where the first started: without brackets, every
     # bracket sum is the cap alone, and the prediction would walk to layer
-    # n - 1.  Both return the same result bit for bit, layer accounting
+    # n.  Both return the same result bit for bit, layer accounting
     # aside, and the brackets drop every layer the ladder drops and more:
     # Hamming layer 5, Golay layer 13 and the n=32 ensemble's layer 17,
     # which the ladder leaves to be assembled.  Each estimate is checked
@@ -932,6 +930,24 @@ def test_psi_sandwich(hamming_spec):
         assert 0.0 <= p.value <= i.value * (1 + 1e-9)
         assert p.value <= a.value * (1 + 1e-9)
         assert p.tail_terms["q"] == NEG_INF  # apex tail excluded by design
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_psi_sandwich_on_repetition_codes(n):
+    # A repetition code has no interior weights, so the fallback cone holds
+    # every layer 1..n-1, and each of them adds its anchor's pair term to
+    # the cap.  psi searches ahp's layers 1..n, and layer n, tsb's pair
+    # terms without the apex tail, is the cap term alone here: psi stays
+    # below itsb and ahp.
+    spec = repetition_spectrum(n)
+    for db in (0.0, 4.0, 8.0):
+        ch = ChannelPoint.from_eb_n0_db(db, 1 / n)
+        terms = Plan(spec).at(ch)
+        i, a, p = (f(spec, ch, terms=terms) for f in (itsb, ahp, psi))
+        for bound in (i, a):
+            assert p.value <= bound.value + p.error_estimate + bound.error_estimate
+        assert p.ahp_layer == n and not p.layer_in_cone
+        assert p.log_value == terms.cap_term().log_value
 
 
 def test_psi_never_requests_self_term(hamming_spec, monkeypatch):

@@ -413,6 +413,32 @@ def test_exponent_unconverged_e0_reaches_sidecar(tmp_path, monkeypatch):
         assert f"c={0.5 / row[0]!r}" in f["error"] and "rho=" in f["error"]
 
 
+def test_exponent_exits_3_only_when_every_cell_fails(tmp_path, monkeypatch):
+    # A row has two cells that can fail: e_tsb (e_ub fails with it) and
+    # e_rce.  A non-binomial ensemble whose every weight has ln A_h < 0
+    # admits no exponent, so e_tsb fails on every row; that alone exits 0.
+    # Starving the E0 quadrature fails e_rce as well, and the sweep exits 3.
+    spec_json = tmp_path / "negative.json"
+    spec_json.write_text(json.dumps({
+        "kind": "ensemble", "n": 16, "d_min": 1, "rate": 0.5, "log_a": [0.0] + [-1.0] * 16,
+    }))
+    out = tmp_path / "exp.csv"
+    argv = ["exponent", "--spectrum", str(spec_json), "--grid", "0.6:0.8:0.1",
+            "--out", str(out)]
+    assert run_cli(argv) == 0
+    diag = json.loads((tmp_path / "exp.csv.diag.json").read_text())
+    assert [f["column"] for f in diag["failures"]] == ["e_tsb"] * 3
+    monkeypatch.setattr(exponents, "_GALLAGER_TOL",
+                        replace(exponents._GALLAGER_TOL, abs_tol=0.0, rel_tol=1e-16))
+    assert run_cli(argv) == 3
+    _, rows = read_csv(out)
+    assert len(rows) == 3
+    assert all(row[1:3] == [0.0, 0.0] and all(map(math.isnan, row[3:])) for row in rows)
+    diag = json.loads((tmp_path / "exp.csv.diag.json").read_text())
+    assert [(f["inv_eb_n0"], f["column"]) for f in diag["failures"]] == [
+        (row[0], column) for row in rows for column in ("e_tsb", "e_rce")]
+
+
 def test_exponent_single_point_and_code_source(gen_file, tmp_path):
     out = tmp_path / "one.csv"
     rc = run_cli(["exponent", "--generator", gen_file, "--grid", "0.5",
@@ -452,6 +478,50 @@ def test_non_finite_grid_is_usage_error(tmp_path, capsys):
                         "--bounds", "tsb", "--out", str(out)]) == 2
         assert capsys.readouterr().err.count("grid values must be finite") == 2
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# both sweeps
+# ---------------------------------------------------------------------------
+
+
+def test_sweeps_call_through_cli_names(gen_file, tmp_path, monkeypatch):
+    # Both sweeps look their bound and exponent functions up as attributes
+    # of tsbounds.cli at call time, so a wrapper patched there (as the
+    # benchmark's tracer does) sees every cell and every row.
+    names = ("tsb_block", "tsb_bit", "itsb", "ahp", "psi", "chernoff_tsb", "chernoff_psi",
+             "tsb_exponent", "union_exponent", "gallager_rce")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, orig):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    assert run_cli(["bounds", "--generator", gen_file, "--grid", "2:4:2",
+                    "--bounds", ",".join(cli.BOUND_CHOICES),
+                    "--out", str(tmp_path / "b.csv")]) == 0
+    assert run_cli(["exponent", "--generator", gen_file, "--grid", "0.5:0.6:0.1",
+                    "--out", str(tmp_path / "e.csv")]) == 0
+    assert calls == dict.fromkeys(names, 2)
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command", [
+    ["bounds", "--grid", "4", "--bounds", "tsb"],
+    ["exponent", "--grid", "0.5"],
+    ["simulate", "--snr", "4", "--trials", "1000"],
+])
+def test_threads_below_one_is_usage_error(gen_file, tmp_path, capsys, command, threads):
+    # every subcommand with --threads rejects a count below 1 before it runs
+    out = tmp_path / "x.out"
+    argv = command + ["--generator", gen_file, "--threads", threads, "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert not out.exists()
+    assert "--threads: must be at least 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
