@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammainc, gammaincc, logsumexp, ndtr
 
-from .codes import DistanceSpectrum, Iowef, bit_weight_transform
+from .codes import DistanceSpectrum
 from .geometry import ConeGeometry, alpha_theta, beta_h, l_line, rho_max_wh, rho_min_h, rho_ww
 from .numerics import (QuadratureResult, Tolerance, adaptive_integrate, brentq,
                        log_q_function, sin_power_integral, wallis)
@@ -45,7 +45,6 @@ __all__ = [
     "Plan",
     "solve_cone_radius",
     "tsb_block",
-    "tsb_bit",
     "itsb",
     "ahp",
     "psi",
@@ -92,8 +91,8 @@ class ChannelPoint:
     rate: float
 
     def __post_init__(self) -> None:
-        if not self.c > 0:
-            raise ValueError(f"need c > 0, got c={self.c}")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError(f"need finite c > 0, got c={self.c}")
         if not 0 < self.rate <= 1:
             raise ValueError(f"need 0 < rate <= 1, got rate={self.rate}")
 
@@ -111,7 +110,14 @@ class ChannelPoint:
 
     @classmethod
     def from_eb_n0_db(cls, db: float, rate: float) -> "ChannelPoint":
-        return cls(c=rate * 10.0 ** (db / 10.0), rate=rate)
+        try:
+            c = rate * 10.0 ** (db / 10.0)
+        except OverflowError:
+            c = math.inf
+        try:
+            return cls(c=c, rate=rate)
+        except ValueError as exc:
+            raise ValueError(f"E_b/N_0 = {db} dB: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -289,8 +295,8 @@ class Plan:
 
     def at(self, ch: ChannelPoint, tol: Tolerance = BOUND_TOL) -> "_Engine":
         """A fresh term cache for one channel point.  Pass it as `terms=` to
-        the bounds on this spectrum (tsb_bit: on its bit spectrum) so they
-        share the term integrals; a cache is not thread-safe, so each
+        the bounds on this spectrum (on a bit spectrum: to tsb_block) so
+        they share the term integrals; a cache is not thread-safe, so each
         thread needs its own."""
         return _Engine(self.geo, ch, tol, self)
 
@@ -631,7 +637,9 @@ def _terms_for(
 def tsb_block(
     spec: DistanceSpectrum, ch: ChannelPoint, tol: Tolerance = BOUND_TOL, *, terms=None
 ) -> BoundResult:
-    """Tangential-sphere bound on the block error probability.
+    """Tangential-sphere bound on the block error probability; on a "bit"
+    spectrum (enumerate_spectrum's second result) it bounds the bit error
+    probability, with that spectrum's own cone radius.
 
     Sums the per-weight pair terms inside the optimized cone, the chi-square
     cap leakage, and the Gaussian tail beyond the apex.
@@ -639,15 +647,6 @@ def tsb_block(
     eng = _terms_for(spec, ch, tol, terms)
     # Layer n conditions nothing: its terms are the plain pair terms.
     return eng.finish(eng.assemble(_layer(eng, spec, spec.n, extend=False), include_q=True))
-
-
-def tsb_bit(
-    io: Iowef, ch: ChannelPoint, tol: Tolerance = BOUND_TOL, *, terms=None
-) -> BoundResult:
-    """Tangential-sphere bound on the bit error probability: the block
-    pipeline run on the information-bit reweighted spectrum, with that
-    spectrum's own cone radius; terms must come from a plan on it."""
-    return tsb_block(bit_weight_transform(io), ch, tol, terms=terms)
 
 
 def itsb(

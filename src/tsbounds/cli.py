@@ -19,10 +19,9 @@ import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
-from .bounds import BOUND_TOL, ChannelPoint, Plan, ahp, itsb, psi, tsb_bit, tsb_block
+from .bounds import BOUND_TOL, ChannelPoint, Plan, ahp, itsb, psi, tsb_block
 from .codes import (
     GrowthRate,
-    bit_weight_transform,
     enumerate_spectrum,
     load_generator,
     load_spectrum,
@@ -66,6 +65,13 @@ def _thread_count(text: str) -> int:
     return count
 
 
+def _code_rate(text: str) -> float:
+    rate = float(text)
+    if not 0 < rate <= 1:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {rate}")
+    return rate
+
+
 def _parse_ensemble(text: str) -> tuple[int, float]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -74,11 +80,12 @@ def _parse_ensemble(text: str) -> tuple[int, float]:
 
 
 def _resolve_source(args, sub):
-    """Load the code description: (spectrum, iowef-or-None, rate)."""
+    """Load the code description: (spectrum, bit-spectrum-or-None, rate).
+    Only a generator gives a bit spectrum, enumerated with the block one."""
     if args.generator:
         g = load_generator(args.generator)
-        spec, io = enumerate_spectrum(g)
-        return spec, io, g.rate
+        spec, bit_spec = enumerate_spectrum(g)
+        return spec, bit_spec, g.rate
     if args.spectrum:
         spec = load_spectrum(args.spectrum)
         rate = args.rate if args.rate is not None else spec.rate
@@ -167,10 +174,11 @@ def cmd_bounds(args, sub) -> int:
     for b in names:
         if b not in BOUND_CHOICES:
             sub.error(f"unknown bound {b!r}; choose from {', '.join(BOUND_CHOICES)}")
-    spec, io, rate = _resolve_source(args, sub)
-    if "tsb-bit" in names and io is None:
+    spec, bit_spec, rate = _resolve_source(args, sub)
+    if "tsb-bit" in names and bit_spec is None:
         sub.error("tsb-bit needs a generator source (input weights)")
     grid = parse_grid(args.grid)
+    points = {db: ChannelPoint.from_eb_n0_db(db, rate) for db in grid}
     tol = Tolerance(
         abs_tol=args.tol_abs, rel_tol=args.tol_rel, max_iter=BOUND_TOL.max_iter
     )
@@ -185,12 +193,12 @@ def cmd_bounds(args, sub) -> int:
             pass
     if "tsb-bit" in names:
         try:
-            plans["bit"] = Plan(bit_weight_transform(io))
+            plans["bit"] = Plan(bit_spec)
         except ValueError:
             pass
     evals = {
         "tsb": lambda ch, t: tsb_block(spec, ch, tol, terms=t.get("spec")),
-        "tsb-bit": lambda ch, t: tsb_bit(io, ch, tol, terms=t.get("bit")),
+        "tsb-bit": lambda ch, t: tsb_block(bit_spec, ch, tol, terms=t.get("bit")),
         "itsb": lambda ch, t: itsb(spec, ch, tol, terms=t.get("spec")),
         "ahp": lambda ch, t: ahp(spec, ch, tol, terms=t.get("spec")),
         "psi": lambda ch, t: psi(spec, ch, tol, terms=t.get("spec")),
@@ -199,7 +207,7 @@ def cmd_bounds(args, sub) -> int:
     }
 
     def row(db: float):
-        ch = ChannelPoint.from_eb_n0_db(db, rate)
+        ch = points[db]
         caches = {key: plan.at(ch, tol) for key, plan in plans.items()}
         cells, fails, unconv = [db, ch.c], [], []
         for name in names:
@@ -225,9 +233,10 @@ def cmd_exponent(args, sub) -> int:
     grid = parse_grid(args.grid)
     if any(x <= 0.0 for x in grid):
         sub.error("inverse E_b/N_0 values must be positive")
+    points = {inv: ChannelPoint(c=rate / inv, rate=rate) for inv in grid}
 
     def row(inv: float):
-        c = rate / inv
+        c = points[inv].c
         fails = []
         try:
             e_ub = union_exponent(gr, c).exponent
@@ -300,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--spectrum", help="spectrum JSON file (spectrum subcommand format)")
     group.add_argument("--ensemble", help="random ensemble as 'n,rate'")
     source.add_argument(
-        "--rate", type=float, help="code rate override when the spectrum file has none"
+        "--rate", type=_code_rate,
+        help="code rate in (0, 1], overriding the spectrum file's",
     )
 
     parser = argparse.ArgumentParser(

@@ -1,5 +1,5 @@
-"""Distance spectra and input-output weight enumerators for binary linear
-block codes, plus the binomial spectrum of the fully random code ensemble.
+"""Distance spectra (block and bit error) of binary linear block codes, plus
+the binomial spectrum of the fully random code ensemble.
 
 Spectra are kept in natural-log domain throughout (counts for long ensembles
 overflow doubles), with -inf encoding an absent weight.
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -19,13 +19,11 @@ __all__ = [
     "EnumerationCapError",
     "GeneratorMatrix",
     "DistanceSpectrum",
-    "Iowef",
     "GrowthRate",
     "parse_generator",
     "load_generator",
     "enumerate_spectrum",
     "random_ensemble_spectrum",
-    "bit_weight_transform",
     "growth_rate",
     "save_spectrum",
     "load_spectrum",
@@ -124,7 +122,8 @@ class DistanceSpectrum:
     ensembles (rate set), and "bit" for the bit-error reweighting of a code
     spectrum (log_a[0] = -inf there, since the all-zero word carries no
     information-bit errors).  A code or bit spectrum with a word of weight
-    h >= 1 has d_min equal to the least such h.
+    h >= 1 has d_min equal to the least such h.  A rate, when set, lies in
+    (0, 1].
     """
 
     n: int
@@ -149,6 +148,8 @@ class DistanceSpectrum:
             raise ValueError("code spectrum must have A_0 = 1 (log_a[0] = 0)")
         if self.kind == "ensemble" and self.rate is None:
             raise ValueError("ensemble spectrum requires a rate")
+        if self.rate is not None and not 0 < self.rate <= 1:
+            raise ValueError(f"rate must lie in (0, 1], got {self.rate}")
         if not 1 <= self.d_min <= self.n:
             raise ValueError(f"d_min must lie in [1, n], got {self.d_min}")
         words = np.flatnonzero(log_a[1:] > -math.inf) + 1
@@ -176,22 +177,6 @@ def _binomial_log_a(n: int, rate: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Iowef:
-    """Sparse input-output weight enumerator: log_awh[(w, h)] = ln A_{w,h}."""
-
-    n: int
-    k: int
-    log_awh: dict[tuple[int, int], float] = field(repr=False)
-
-    def __post_init__(self) -> None:
-        for (w, h), v in self.log_awh.items():
-            if not (0 <= w <= self.k and 0 <= h <= self.n):
-                raise ValueError(f"weight pair ({w}, {h}) out of range")
-            if not math.isfinite(v):
-                raise ValueError("sparse entries must be finite logs")
-
-
-@dataclass(frozen=True)
 class GrowthRate:
     """Normalized log spectrum evaluator r(delta) = ln A_{delta n} / n.
 
@@ -200,14 +185,12 @@ class GrowthRate:
     accepted); growth_rate is such a function.  kind tags the provenance:
     "code" (a finite spectrum, or an ensemble spectrum that is not binomial;
     n is set and the evaluator is a step lookup), "ensemble" (the binomial
-    closed form; rate is set), or any user-defined tag for a custom analytic
-    r(delta).
+    closed form), or any user-defined tag for a custom analytic r(delta).
     """
 
     fn: Callable
     kind: str
     n: int | None = None
-    rate: float | None = None
 
     def __call__(self, delta):
         return self.fn(delta)
@@ -218,7 +201,6 @@ class GrowthRate:
             fn=lambda d, _s=spec: growth_rate(_s, d),
             kind="ensemble" if spec.binomial else "code",
             n=spec.n,
-            rate=spec.rate,
         )
 
 
@@ -228,10 +210,14 @@ def _encode(g: GeneratorMatrix, msgs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return bits, (bits @ g.bits) & 1  # row sums <= k <= 24, no uint8 overflow
 
 
-def enumerate_spectrum(g: GeneratorMatrix) -> tuple[DistanceSpectrum, Iowef]:
-    """Exact distance spectrum and IOWEF by enumerating all 2^k codewords.
+def enumerate_spectrum(g: GeneratorMatrix) -> tuple[DistanceSpectrum, DistanceSpectrum]:
+    """Exact block and bit spectra by enumerating all 2^k codewords.
 
-    Messages are processed in chunks of 2^16; counts are exact int64.
+    Every codeword is counted by information weight w and Hamming weight h
+    in one exact int64 table A_wh (messages in chunks of 2^16).  The block
+    spectrum is A_h = sum_w A_wh; the bit spectrum (kind "bit") is
+    A'_h = sum_w w A_wh / k, an exact integer sum divided once, with the
+    code's d_min and rate.
     """
     if g.k > ENUMERATION_CAP:
         raise EnumerationCapError(
@@ -251,14 +237,12 @@ def enumerate_spectrum(g: GeneratorMatrix) -> tuple[DistanceSpectrum, Iowef]:
     if nz.size == 0:
         raise ValueError("degenerate code: only the all-zero codeword")
     d_min = int(nz[0]) + 1
-    log_awh = {
-        (int(w), int(h)): math.log(int(counts[w, h]))
-        for w in range(g.k + 1)
-        for h in range(g.n + 1)
-        if counts[w, h] > 0
-    }
-    spec = DistanceSpectrum(n=g.n, log_a=log_a, d_min=d_min, kind="code", rate=g.rate)
-    return spec, Iowef(n=g.n, k=g.k, log_awh=log_awh)
+    # a nonzero codeword has a nonzero message, so A'_h > 0 exactly where
+    # A_h > 0 for h >= 1, and the bit spectrum shares d_min
+    bit_sums = np.arange(g.k + 1) @ counts
+    log_bit = [math.log(int(s) / g.k) if s else -math.inf for s in bit_sums]
+    return (DistanceSpectrum(n=g.n, log_a=log_a, d_min=d_min, kind="code", rate=g.rate),
+            DistanceSpectrum(n=g.n, log_a=log_bit, d_min=d_min, kind="bit", rate=g.rate))
 
 
 def random_ensemble_spectrum(n: int, rate: float) -> DistanceSpectrum:
@@ -280,29 +264,6 @@ def random_ensemble_spectrum(n: int, rate: float) -> DistanceSpectrum:
     else:
         d_min = int(np.argmax(log_a[1:])) + 1
     return DistanceSpectrum(n=n, log_a=log_a, d_min=d_min, kind="ensemble", rate=rate)
-
-
-def bit_weight_transform(io: Iowef) -> DistanceSpectrum:
-    """Reweight an IOWEF for bit error rate: A'_h = sum_w (w/(nR)) A_{w,h}.
-
-    Computed by log-sum-exp per output weight; the result drops the w = 0
-    row, so A'_0 = 0.
-    """
-    nr = io.k  # n * R = k information bits
-    groups: dict[int, list[float]] = {}
-    for (w, h), lv in io.log_awh.items():
-        if w == 0:
-            continue
-        groups.setdefault(h, []).append(lv + math.log(w) - math.log(nr))
-    log_a = np.full(io.n + 1, -math.inf)
-    for h, logs in groups.items():
-        m = max(logs)
-        log_a[h] = m + math.log(math.fsum(math.exp(v - m) for v in logs))
-    nz = np.nonzero(log_a[1:] > -math.inf)[0]
-    if nz.size == 0:
-        raise ValueError("IOWEF has no nonzero-input entries")
-    d_min = int(nz[0]) + 1
-    return DistanceSpectrum(n=io.n, log_a=log_a, d_min=d_min, kind="bit", rate=io.k / io.n)
 
 
 def growth_rate(spec: DistanceSpectrum, delta):
@@ -351,6 +312,10 @@ def load_spectrum(path: str) -> DistanceSpectrum:
     for key in ("kind", "n", "d_min", "log_a"):
         if key not in payload:
             raise ValueError(f"{path}: missing field {key!r}")
+    for key in ("n", "d_min"):
+        v = payload[key]
+        if not (type(v) is int or isinstance(v, float) and v.is_integer()):
+            raise ValueError(f"{path}: {key} must be an integer, got {v!r}")
     raw = payload["log_a"]
     if not isinstance(raw, list):
         raise ValueError(f"{path}: log_a must be a list")

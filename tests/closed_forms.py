@@ -6,15 +6,20 @@ chernoff_psi relies on, acceptance criterion 5), the same-weight sheared
 exponent profile whose stationary points the same check verifies, the
 conditioned kernel at one z1 (log_kernel), the vector grid-plus-golden
 minimizer that minimize_1d and the exact Chernoff tilt solve are checked
-against, and the scalar closed-form exponent and weight scan that the
-exponents' array scan is checked against."""
+against, the scalar closed-form exponent and weight scan that the
+exponents' array scan is checked against, and three code families with an
+exact ML block error: the simplex codes, the first-order Reed-Muller codes
+and the repetition codes (acceptance criterion 13)."""
 
 import math
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.optimize import minimize as _box_minimize
+from scipy.special import log_ndtr, ndtr
 
 from tsbounds import bounds
+from tsbounds.codes import GeneratorMatrix
 from tsbounds.exponents import _check_channel
 from tsbounds.geometry import _check_interior_weight, rho_max_wh, rho_ww
 from tsbounds.numerics import DEFAULT_TOL, Tolerance, minimize_1d
@@ -298,3 +303,68 @@ def scalar_scan_exponent(rate_fn, per_delta):
                        float(ds[max(i - 1, 0)]), float(ds[min(i + 1, m - 1)]),
                        grid_points=17)
     return (v, d) if v < vals[i] else (vals[i], float(ds[i]))
+
+
+# ---------------------------------------------------------------------------
+# codes with an exact ML block error
+# ---------------------------------------------------------------------------
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_EXACT_TOL = {"epsabs": 0.0, "epsrel": 1e-12, "limit": 200}
+
+
+def simplex(m: int) -> GeneratorMatrix:
+    """The (2^m - 1, m) simplex code: its columns are the nonzero m-bit
+    vectors, so every nonzero codeword has weight 2^(m-1)."""
+    cols = np.arange(1, 1 << m)
+    bits = (cols[None, :] >> np.arange(m)[:, None]) & 1
+    return GeneratorMatrix(k=m, n=(1 << m) - 1, bits=bits)
+
+
+def rm1(m: int) -> GeneratorMatrix:
+    """The first-order Reed-Muller code RM(1, m), (2^m, m + 1): the all-ones
+    row over the m coordinate functions of the points of F_2^m."""
+    cols = np.arange(1 << m)
+    bits = np.vstack([np.ones(1 << m, dtype=int), (cols[None, :] >> np.arange(m)[:, None]) & 1])
+    return GeneratorMatrix(k=m + 1, n=1 << m, bits=bits)
+
+
+def repetition(n: int) -> GeneratorMatrix:
+    """The (n, 1) repetition code."""
+    return GeneratorMatrix(k=1, n=n, bits=np.ones((1, n), dtype=np.uint8))
+
+
+def _density(x: float, mean: float) -> float:
+    return math.exp(-0.5 * (x - mean) ** 2) / _SQRT_2PI
+
+
+def simplex_error(m: int, c: float) -> float:
+    """Exact ML block error of simplex(m) at Es/N0 = c.  Under BPSK its
+    M = 2^m codewords form a regular simplex, whose error is that of M
+    orthogonal signals of M/(M-1) times the energy (Proakis):
+    1 - int phi(x - mu) Phi(x)^(M-1) dx with mu = sqrt(2 n c M/(M-1)) =
+    sqrt(2 c M), the integrand's 1 - Phi^(M-1) taken as
+    -expm1((M-1) log Phi) so that no digits cancel at high SNR."""
+    big_m = 1 << m
+    mu = math.sqrt(2.0 * c * big_m)
+    def f(x):
+        return _density(x, mu) * -math.expm1((big_m - 1) * float(log_ndtr(x)))
+    return quad(f, -12.0, mu + 12.0, points=(0.5 * mu, mu), **_EXACT_TOL)[0]
+
+
+def rm1_error(m: int, c: float) -> float:
+    """Exact ML block error of rm1(m) at Es/N0 = c.  Under BPSK its codewords
+    form a biorthogonal set of n = 2^m antipodal pairs (Proakis):
+    Q(mu) + int_0^inf phi(x - mu) [1 - (1 - 2 Q(x))^(n-1)] dx with
+    mu = sqrt(2 n c), the bracket taken as -expm1((n-1) log1p(-2 Q(x)))."""
+    n = 1 << m
+    mu = math.sqrt(2.0 * n * c)
+    def f(x):
+        return _density(x, mu) * -math.expm1((n - 1) * math.log1p(-2.0 * float(ndtr(-x))))
+    tail = quad(f, 0.0, mu + 12.0, points=(0.5 * mu, mu), **_EXACT_TOL)[0]
+    return float(ndtr(-mu)) + tail
+
+
+def repetition_error(n: int, c: float) -> float:
+    """Exact ML block error of repetition(n) at Es/N0 = c: Q(sqrt(2 n c))."""
+    return float(ndtr(-math.sqrt(2.0 * n * c)))

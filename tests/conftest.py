@@ -40,9 +40,9 @@ def hamming_spec(hamming74):
 
 
 @pytest.fixture(scope="session")
-def hamming_iowef(hamming74):
-    _, io = enumerate_spectrum(hamming74)
-    return io
+def hamming_bit_spec(hamming74):
+    _, bit_spec = enumerate_spectrum(hamming74)
+    return bit_spec
 
 
 @pytest.fixture(scope="session")

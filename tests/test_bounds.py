@@ -14,7 +14,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq as scipy_brentq
 from scipy.special import gammainc, logsumexp
 
-from closed_forms import log_kernel, rho_bounds
+from closed_forms import log_kernel, repetition, rho_bounds
 from tsbounds import bounds
 from tsbounds.bounds import (
     BOUND_TOL,
@@ -25,14 +25,11 @@ from tsbounds.bounds import (
     itsb,
     psi,
     solve_cone_radius,
-    tsb_bit,
     tsb_block,
 )
 from tsbounds.codes import (
     DistanceSpectrum,
     GeneratorMatrix,
-    Iowef,
-    bit_weight_transform,
     enumerate_spectrum,
     random_ensemble_spectrum,
 )
@@ -291,7 +288,7 @@ def test_shared_cache_matches_separate_calls():
         assert bound(spec, ch, terms=cache) == bound(spec, ch)
 
 
-def test_terms_cache_guard(hamming_spec, golay_spec, hamming_iowef):
+def test_terms_cache_guard(hamming74, hamming_spec, golay_spec, hamming_bit_spec):
     ch = ChannelPoint.from_eb_n0_db(4.0, R_HAMMING)
     cache = Plan(hamming_spec).at(ch)
     with pytest.raises(ValueError, match="spectrum"):
@@ -302,11 +299,13 @@ def test_terms_cache_guard(hamming_spec, golay_spec, hamming_iowef):
         ahp(hamming_spec, ch, Tolerance(abs_tol=1e-300, rel_tol=1e-8, max_iter=260),
             terms=cache)
     with pytest.raises(ValueError, match="spectrum"):
-        tsb_bit(hamming_iowef, ch, terms=cache)
-    # a spectrum equal in value shares the cache: tsb_bit rebuilds its
-    # spectrum on every call
-    bit_cache = Plan(bit_weight_transform(hamming_iowef)).at(ch)
-    assert tsb_bit(hamming_iowef, ch, terms=bit_cache) == tsb_bit(hamming_iowef, ch)
+        tsb_block(hamming_bit_spec, ch, terms=cache)
+    # a spectrum equal in value shares the cache: a freshly enumerated bit
+    # spectrum is another object with the same values
+    bit_cache = Plan(hamming_bit_spec).at(ch)
+    _, fresh = enumerate_spectrum(hamming74)
+    assert fresh is not hamming_bit_spec
+    assert tsb_block(fresh, ch, terms=bit_cache) == tsb_block(hamming_bit_spec, ch)
     assert psi(hamming_spec, ch, BOUND_TOL, terms=cache) == psi(hamming_spec, ch)
 
 
@@ -322,30 +321,27 @@ def test_plan_holds_the_channel_free_part(golay_spec):
 # -- bit-error variant -------------------------------------------------------
 
 
-def test_tsb_bit_degenerate_iowef_equals_block(hamming_spec):
-    # all input weight concentrated at w = k: A'_h = (k/k) A_h = A_h
-    log_awh = {
-        (4, h): float(hamming_spec.log_a[h])
-        for h in range(1, 8)
-        if hamming_spec.log_a[h] > NEG_INF
-    }
-    io = Iowef(n=7, k=4, log_awh=log_awh)
-    ch = ChannelPoint.from_eb_n0_db(3.0, R_HAMMING)
-    assert tsb_bit(io, ch).value == pytest.approx(
-        tsb_block(hamming_spec, ch).value, rel=1e-13
-    )
+def test_tsb_bit_spectrum_of_repetition_code_equals_block():
+    # the one nonzero message has w = k = 1, so A'_h = A_h for h = 1..n and
+    # the bit-error bound is the block-error bound
+    for n in (3, 5, 8):
+        spec, bit_spec = enumerate_spectrum(repetition(n))
+        ch = ChannelPoint.from_eb_n0_db(3.0, 1 / n)
+        assert tsb_block(bit_spec, ch).value == pytest.approx(
+            tsb_block(spec, ch).value, rel=1e-13
+        )
 
 
-def test_tsb_bit_below_block_above_mc(hamming_spec, hamming_iowef, hamming74):
+def test_tsb_bit_below_block_above_mc(hamming_spec, hamming_bit_spec, hamming74):
     ch = ChannelPoint.from_eb_n0_db(4.0, R_HAMMING)
-    bit = tsb_bit(hamming_iowef, ch)
+    bit = tsb_block(hamming_bit_spec, ch)
     block = tsb_block(hamming_spec, ch)
     assert bit.value <= block.value * (1 + 1e-12)
     est = simulate_ml(hamming74, ch, trials=400_000, seed=77)
     assert bit.value >= est.bit_error_rate - 3.0 * est.bit_std_error
     for db in DB_GRID:
         chx = ChannelPoint.from_eb_n0_db(db, R_HAMMING)
-        assert tsb_bit(hamming_iowef, chx).value <= tsb_block(hamming_spec, chx).value * (
+        assert tsb_block(hamming_bit_spec, chx).value <= tsb_block(hamming_spec, chx).value * (
             1 + 1e-12
         )
 

@@ -480,6 +480,64 @@ def test_non_finite_grid_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rate", ["-1", "2", "0", "nan"])
+@pytest.mark.parametrize("command", [["exponent", "--grid", "0.5"],
+                                     ["bounds", "--grid", "4", "--bounds", "tsb"]],
+                         ids=["exponent", "bounds"])
+def test_rate_outside_unit_interval_is_usage_error(gen_file, tmp_path, capsys, command, rate):
+    # --rate -1 used to give a row of zeros "by convention" (exit 3), and
+    # --rate 2 exponents above the code's with a nan e_rce (exit 0)
+    spec_json = tmp_path / "h7.json"
+    assert run_cli(["spectrum", "--generator", gen_file, "--out", str(spec_json)]) == 0
+    out = tmp_path / "x.csv"
+    argv = command + ["--spectrum", str(spec_json), "--rate", rate, "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert not out.exists()
+    assert "--rate: must lie in (0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n", 7.9, "n must be an integer, got 7.9"),
+    ("d_min", 3.5, "d_min must be an integer, got 3.5"),
+    ("rate", "nan", "rate must lie in (0, 1], got nan"),
+    ("rate", 2, "rate must lie in (0, 1], got 2"),
+], ids=["n", "d_min", "rate-nan", "rate-2"])
+def test_invalid_spectrum_file_is_usage_error(gen_file, tmp_path, capsys, field, value,
+                                               message):
+    # each field is checked where the file is read, and the error names the
+    # file: "n": 7.9 used to load as n = 7, and "rate": "nan" to fail later
+    # in every cell
+    spec_json = tmp_path / "h7.json"
+    assert run_cli(["spectrum", "--generator", gen_file, "--out", str(spec_json)]) == 0
+    capsys.readouterr()
+    payload = json.loads(spec_json.read_text())
+    spec_json.write_text(json.dumps(payload | {field: value}))
+    out = tmp_path / "x.csv"
+    assert run_cli(["exponent", "--spectrum", str(spec_json), "--grid", "0.5",
+                    "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"error: {spec_json}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, message", [
+    (["bounds", "--generator", "GEN", "--grid", "0:4000:2000", "--bounds", "tsb"],
+     "E_b/N_0 = 4000.0 dB: need finite c > 0, got c=inf"),
+    (["simulate", "--generator", "GEN", "--snr", "4000", "--trials", "10"],
+     "E_b/N_0 = 4000.0 dB: need finite c > 0, got c=inf"),
+    (["exponent", "--ensemble", "64,0.5", "--grid", "1e-320"],
+     "need finite c > 0, got c=inf"),
+], ids=["bounds", "simulate", "exponent"])
+def test_non_finite_channel_point_is_usage_error(gen_file, tmp_path, capsys, command,
+                                                 message):
+    # an E_b/N_0 that overflows c used to end in an OverflowError traceback
+    # (bounds, simulate) or in zeros "by convention" with exit 3 (exponent)
+    out = tmp_path / "x.out"
+    argv = [gen_file if a == "GEN" else a for a in command] + ["--out", str(out)]
+    assert run_cli(argv) == 2
+    assert not out.exists()
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # both sweeps
 # ---------------------------------------------------------------------------
@@ -489,7 +547,7 @@ def test_sweeps_call_through_cli_names(gen_file, tmp_path, monkeypatch):
     # Both sweeps look their bound and exponent functions up as attributes
     # of tsbounds.cli at call time, so a wrapper patched there (as the
     # benchmark's tracer does) sees every cell and every row.
-    names = ("tsb_block", "tsb_bit", "itsb", "ahp", "psi", "chernoff_tsb", "chernoff_psi",
+    names = ("tsb_block", "itsb", "ahp", "psi", "chernoff_tsb", "chernoff_psi",
              "tsb_exponent", "union_exponent", "gallager_rce")
     calls = dict.fromkeys(names, 0)
 
@@ -506,7 +564,8 @@ def test_sweeps_call_through_cli_names(gen_file, tmp_path, monkeypatch):
                     "--out", str(tmp_path / "b.csv")]) == 0
     assert run_cli(["exponent", "--generator", gen_file, "--grid", "0.5:0.6:0.1",
                     "--out", str(tmp_path / "e.csv")]) == 0
-    assert calls == dict.fromkeys(names, 2)
+    # tsb and tsb-bit both call tsb_block, on the code's and the bit spectrum
+    assert calls == dict.fromkeys(names, 2) | {"tsb_block": 4}
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closed_forms import repetition
 from tsbounds import codes
 from tsbounds.codes import (
     DistanceSpectrum,
     EnumerationCapError,
     GeneratorMatrix,
     GrowthRate,
-    bit_weight_transform,
     enumerate_spectrum,
     growth_rate,
     load_spectrum,
@@ -44,13 +44,12 @@ def counts_by_hand(gen: GeneratorMatrix) -> dict[tuple[int, int], int]:
 
 
 def test_repetition_code_spectrum():
-    gen = GeneratorMatrix(k=1, n=3, bits=np.array([[1, 1, 1]], dtype=np.uint8))
-    spec, io = enumerate_spectrum(gen)
+    spec, bit_spec = enumerate_spectrum(repetition(3))
     assert spec.d_min == 3
     assert spec.log_a[0] == 0.0
     assert spec.log_a[3] == 0.0
     assert all(spec.log_a[h] == -math.inf for h in (1, 2))
-    assert io.log_awh == {(0, 0): 0.0, (1, 3): 0.0}
+    assert bit_spec.log_a.tolist() == [-math.inf, -math.inf, -math.inf, 0.0]
 
 
 def test_hamming_spectrum(hamming_spec):
@@ -73,13 +72,37 @@ def test_golay_spectrum(golay_spec):
     assert golay_spec.d_min == 7
 
 
+def oracle_sums(gen: GeneratorMatrix) -> tuple[list[int], list[int]]:
+    """Per Hamming weight h, the hand count's sum_w A_wh and sum_w w A_wh."""
+    block, bit = [0] * (gen.n + 1), [0] * (gen.n + 1)
+    for (w, h), cnt in counts_by_hand(gen).items():
+        block[h] += cnt
+        bit[h] += w * cnt
+    return block, bit
+
+
 def test_enumeration_matches_pure_python_oracle(hamming74, golay2312):
+    # Both spectra are the hand count's marginals, weight by weight: A_h and
+    # A'_h = sum_w w A_wh / k, with -inf exactly where the count is 0.
     for gen in (hamming74, golay2312):
-        _, io = enumerate_spectrum(gen)
-        oracle = counts_by_hand(gen)
-        assert set(io.log_awh) == set(oracle)
-        for key, cnt in oracle.items():
-            assert io.log_awh[key] == pytest.approx(math.log(cnt), rel=1e-14)
+        spec, bit_spec = enumerate_spectrum(gen)
+        block, bit = oracle_sums(gen)
+        for h in range(gen.n + 1):
+            for got, count in ((spec.log_a[h], block[h]), (bit_spec.log_a[h], bit[h] / gen.k)):
+                if count == 0:
+                    assert got == -math.inf
+                else:
+                    assert got == pytest.approx(math.log(count), rel=1e-14, abs=1e-15)
+
+
+def test_bit_spectrum_is_the_exact_rational_log(hamming74, golay2312):
+    # every ln A'_h is the correctly rounded log of the exact rational
+    # sum_w w A_wh / k, not a log-sum-exp of per-(w, h) logs
+    for gen in (hamming74, golay2312):
+        _, bit_spec = enumerate_spectrum(gen)
+        _, bit = oracle_sums(gen)
+        want = [math.log(Fraction(s, gen.k)) if s else -math.inf for s in bit]
+        assert bit_spec.log_a.tolist() == want
 
 
 def test_total_codeword_count(hamming_spec, golay_spec):
@@ -88,16 +111,16 @@ def test_total_codeword_count(hamming_spec, golay_spec):
         assert total == pytest.approx(2.0**k, rel=1e-12)
 
 
-def test_iowef_marginal_reproduces_spectrum(hamming74):
-    spec, io = enumerate_spectrum(hamming74)
-    for h in range(spec.n + 1):
-        logs = [lv for (w, hh), lv in io.log_awh.items() if hh == h]
-        if not logs:
-            assert spec.log_a[h] == -math.inf
-            continue
-        m = max(logs)
-        marg = m + math.log(sum(math.exp(v - m) for v in logs))
-        assert marg == pytest.approx(spec.log_a[h], rel=1e-12, abs=1e-12)
+def test_spectra_totals_match_the_hand_count(hamming74, golay2312):
+    # summed over h, the block spectrum counts all 2^k messages and the bit
+    # spectrum averages their information weight: 2^k / 2 = 2^(k-1)
+    for gen in (hamming74, golay2312):
+        spec, bit_spec = enumerate_spectrum(gen)
+        block, bit = oracle_sums(gen)
+        assert sum(block) == 2**gen.k and Fraction(sum(bit), gen.k) == 2 ** (gen.k - 1)
+        for got, want in ((spec, 2**gen.k), (bit_spec, 2 ** (gen.k - 1))):
+            total = math.fsum(math.exp(v) for v in got.log_a if v > -math.inf)
+            assert total == pytest.approx(want, rel=1e-13)
 
 
 def test_row_equivalent_generators_share_spectrum(golay2312):
@@ -148,10 +171,10 @@ def test_parse_generator_rejects_malformed(text):
         parse_generator(text)
 
 
-def test_bit_weight_transform_hamming(hamming74, hamming_iowef):
-    spec, _ = enumerate_spectrum(hamming74)
-    bit_spec = bit_weight_transform(hamming_iowef)
+def test_bit_spectrum_hamming(hamming74, hamming_spec, hamming_bit_spec):
+    spec, bit_spec = hamming_spec, hamming_bit_spec
     assert bit_spec.kind == "bit"
+    assert (bit_spec.d_min, bit_spec.rate) == (spec.d_min, spec.rate)
     assert bit_spec.log_a[0] == -math.inf
     # Exact rational oracle from the independent enumeration.
     oracle = counts_by_hand(hamming74)
@@ -168,13 +191,12 @@ def test_bit_weight_transform_hamming(hamming74, hamming_iowef):
             assert a_h / 4 - 1e-12 <= a_bit <= a_h + 1e-12
 
 
-def test_bit_weight_transform_single_full_weight_row():
-    io_cls = type("IoStub", (), {})  # not needed; build a real Iowef
-    from tsbounds.codes import Iowef
-
-    io = Iowef(n=5, k=3, log_awh={(0, 0): 0.0, (3, 5): 0.0})
-    bit_spec = bit_weight_transform(io)
-    assert bit_spec.log_a[5] == pytest.approx(0.0, abs=1e-15)  # w/(nR) = 3/3 = 1
+def test_bit_spectrum_of_repetition_code_is_its_block_spectrum():
+    # the one nonzero message has w = k = 1: A'_h = (1/1) A_h for h = 1..n
+    for n in (3, 5, 8):
+        spec, bit_spec = enumerate_spectrum(repetition(n))
+        assert bit_spec.log_a[1:].tolist() == spec.log_a[1:].tolist()
+        assert bit_spec.log_a[0] == -math.inf
 
 
 def test_random_ensemble_spectrum_values():
@@ -274,7 +296,6 @@ def test_growth_rate_wrapper(hamming_spec):
     assert r(3 / 7) == growth_rate(hamming_spec, 3 / 7)
     r_ens = GrowthRate.from_spectrum(random_ensemble_spectrum(64, 0.5))
     assert r_ens.kind == "ensemble"
-    assert r_ens.rate == 0.5
     assert r_ens(0.5) == pytest.approx(0.5 * LN2, rel=1e-14)
 
 
@@ -311,6 +332,27 @@ def test_spectrum_io_validation(tmp_path):
         load_spectrum(str(path))
 
 
+def test_spectrum_rejects_rate_outside_unit_interval(hamming_spec):
+    for rate in (0.0, -1.0, 1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=re.escape("rate must lie in (0, 1]")):
+            DistanceSpectrum(n=7, log_a=hamming_spec.log_a, d_min=3, rate=rate)
+    assert DistanceSpectrum(n=7, log_a=hamming_spec.log_a, d_min=3, rate=1.0).rate == 1.0
+
+
+def test_load_spectrum_rejects_non_integral_sizes(tmp_path, hamming_spec):
+    path = tmp_path / "ham.json"
+    save_spectrum(hamming_spec, str(path))
+    good = path.read_text()
+    for field, value in (("n", "7.9"), ("d_min", "3.5"), ("n", '"7"'), ("d_min", "true")):
+        path.write_text(good.replace(f'"{field}": {getattr(hamming_spec, field)}',
+                                     f'"{field}": {value}'))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {field} must be an integer")):
+            load_spectrum(str(path))
+    # an integral float is an integer
+    path.write_text(good.replace('"n": 7', '"n": 7.0'))
+    assert load_spectrum(str(path)).n == 7
+
+
 def test_spectrum_validation_direct():
     with pytest.raises(ValueError):
         DistanceSpectrum(n=2, log_a=np.array([0.0, 0.0]), d_min=1)  # wrong length
@@ -320,15 +362,14 @@ def test_spectrum_validation_direct():
         DistanceSpectrum(n=2, log_a=np.zeros(3), d_min=1, kind="mystery")
 
 
-def test_spectrum_rejects_d_min_above_least_weight(tmp_path, hamming_spec, hamming_iowef):
+def test_spectrum_rejects_d_min_above_least_weight(tmp_path, hamming_spec, hamming_bit_spec):
     # A d_min above the least nonzero weight would let itsb drop the terms
     # below it and fall under the code's error probability.
     for d_min in (2, 4):
         with pytest.raises(ValueError, match=f"d_min={d_min} is not the least nonzero weight 3"):
             DistanceSpectrum(n=7, log_a=hamming_spec.log_a, d_min=d_min, rate=4 / 7)
-    bits = bit_weight_transform(hamming_iowef)
     with pytest.raises(ValueError, match="least nonzero weight 3"):
-        DistanceSpectrum(n=7, log_a=bits.log_a, d_min=4, kind="bit", rate=4 / 7)
+        DistanceSpectrum(n=7, log_a=hamming_bit_spec.log_a, d_min=4, kind="bit", rate=4 / 7)
     # no word of weight >= 1: any d_min in range; ensembles keep their
     # effective d_min
     DistanceSpectrum(n=4, log_a=np.array([0.0] + [-math.inf] * 4), d_min=1)
