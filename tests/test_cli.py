@@ -207,6 +207,15 @@ def test_bounds_usage_errors(gen_file, tmp_path):
                     "--grid", "0:4:2", "--bounds", "tsb"]) == 2
 
 
+def test_ensemble_above_the_cap_is_usage_error(capsys):
+    # An ensemble too long to build is refused before any binomial is
+    # computed, by each subcommand that takes one.
+    for argv in (["bounds", "--grid", "4", "--bounds", "tsb"],
+                 ["exponent", "--grid", "0.5"]):
+        assert run_cli(argv + ["--ensemble", "4000000,0.5"]) == 2
+        assert "n <= 65536" in capsys.readouterr().err
+
+
 def test_bounds_chernoff_dominates_exact(gen_file, tmp_path):
     out = tmp_path / "chernoff.csv"
     rc = run_cli(["bounds", "--generator", gen_file, "--grid", "2:2:1",

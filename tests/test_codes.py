@@ -222,6 +222,35 @@ def test_random_ensemble_binomials_are_exact(n):
     assert random_ensemble_spectrum(n, 0.5).log_a.tolist() == want
 
 
+def _listed_binomial_log_a(n, rate):
+    # The binomials held in one list, then logged: the reference for the
+    # streamed logs.
+    offset = n * (1.0 - rate) * LN2
+    comb = [1]
+    for h in range(n // 2):
+        comb.append(comb[-1] * (n - h) // (h + 1))
+    comb += comb[: (n + 1) // 2][::-1]
+    return [math.log(c) - offset for c in comb]
+
+
+def test_streamed_binomial_logs_match_the_listed_ones():
+    # Each log taken as the recurrence runs is the float the list form
+    # gives, at even and odd n up to 2048.
+    sizes = list(range(2, 130)) + [255, 256, 511, 512, 1023, 1024, 2047, 2048]
+    for n in sizes:
+        for rate in (0.3, 0.5, 0.8):
+            assert codes._binomial_log_a(n, rate).tolist() == _listed_binomial_log_a(n, rate)
+
+
+def test_ensemble_block_length_cap():
+    # The exact binomials cost time ~ n^2, so n is capped, and a longer
+    # ensemble is refused before any binomial is computed.
+    cap = codes.ENSEMBLE_CAP
+    for n in (cap + 1, 4_000_000):
+        with pytest.raises(ValueError, match=f"n <= {cap}"):
+            random_ensemble_spectrum(n, 0.5)
+
+
 def test_random_ensemble_effective_dmin():
     spec = random_ensemble_spectrum(128, 0.5)
     below = [h for h in range(1, spec.d_min) if spec.log_a[h] >= 0]
