@@ -27,7 +27,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -175,7 +175,7 @@ def solve_cone_radius(spec: DistanceSpectrum) -> float:
     weights = _interior_weights(spec)
     if not weights:
         raise NoSolutionError("spectrum has no interior weights 0 < h < n")
-    log_rhs = math.log(2.0) + wallis(n - 3, log=True)
+    log_rhs = math.log(2.0) + wallis(n - 3)
     total = logsumexp([float(spec.log_a[h]) for h in weights])
     if total <= math.log(2.0):
         raise NoSolutionError(
@@ -189,7 +189,7 @@ def solve_cone_radius(spec: DistanceSpectrum) -> float:
             _, theta = alpha_theta(h, geo)
             if theta is not None and theta > 0.0:
                 terms.append(
-                    float(spec.log_a[h]) + sin_power_integral(n - 3, theta, log=True)
+                    float(spec.log_a[h]) + sin_power_integral(n - 3, theta)
                 )
         if not terms:
             return -1e6  # below any attainable residual; keeps the sign
@@ -548,20 +548,19 @@ class _Engine:
         return self._refined(("pair", h), len(self.levels) - 1).value
 
     def _pair_low(self, h: int) -> float:
-        # The pair term as the first two rungs read it: exact for an
-        # included weight, its first level's estimate (see lower) for a
-        # prune-only one.
+        # Every partial sum's pair term: exact for an included weight, its
+        # first level's estimate (see lower) for a prune-only one.
         if h in self.plan.included:
             return self._pair_value(h)
         return _low(self._refined(("pair", h), 0))
 
     def orthant(self, key: tuple) -> float:
-        """Log of a lower estimate of term key that integrates nothing: the
-        layer search's first rung.  A pair key takes its pair term P (see
-        _pair_low).  A conditioned key (h, w, rho) takes P (1 - _KAPPA
-        rel_tol) - L_hi, L_hi an upper bound on the orthant L = Pr(X >=
-        sqrt(2hc), Y >= sqrt(2wc)) of standard normals X, Y at correlation
-        (sqrt(hw) + rho sqrt((n-h)(n-w))) / n (see _orthant_hi).
+        """Log of a lower estimate of conditioned term key = ("triple", h,
+        w, rho) that integrates nothing: the layer search's first rung.  It
+        is P (1 - _KAPPA rel_tol) - L_hi, P the pair term as _pair_low reads
+        it and L_hi an upper bound on the orthant L = Pr(X >= sqrt(2hc), Y
+        >= sqrt(2wc)) of standard normals X, Y at correlation (sqrt(hw) +
+        rho sqrt((n-h)(n-w))) / n (see _orthant_hi).
 
         The wedge W, the pair event's mass above the anchor line, is at
         most L.  With z1, z2, z3 the independent N(0, sigma^2) noise
@@ -574,34 +573,28 @@ class _Engine:
         So T = P - W >= P - L, above z1_lo too, where the terms stop.  The
         factor 1 - _KAPPA rel_tol covers the quadrature error of P and of
         the exact term, as _KAPPA times the error does on the other rungs."""
-        pair = self._pair_low(key[1])
-        if key[0] == "pair":
-            return _log(pair)
         _, h, w, rho = key
+        pair = self._pair_low(h)
         n, c = self.n, self.ch.c
         corr = (math.sqrt(h * w) + rho * math.sqrt((n - h) * (n - w))) / n
         wedge_hi = _orthant_hi(math.sqrt(2.0 * h * c), math.sqrt(2.0 * w * c), corr)
         return _log(pair * (1.0 - _KAPPA * self.tol.rel_tol) - wedge_hi)
 
     def bracketed(self, key: tuple) -> float:
-        """Log of a lower estimate of term key that integrates no z3 rule:
-        the layer search's second rung, in difference form.  A conditioned
-        term is T(h, w, rho) = P(h) - W(h, w, rho), W being the wedge: the
-        pair event's mass above the anchor line.  So layer w less tsb is its
-        added terms (the anchor P(w), ahp's extension self-term, less A_w
-        P(w)) less its savings, the sum of A_h W(h, w) over h != w; on
-        in-cone layers the added terms outweigh the savings many times over.
+        """Log of a lower estimate of conditioned term key that integrates
+        no z3 rule: the layer search's second rung, in difference form.  A
+        conditioned term is T(h, w, rho) = P(h) - W(h, w, rho), W the wedge,
+        so layer w less tsb is its added terms (the anchor P(w), ahp's
+        extension self-term, less A_w P(w)) less its savings, the sum of
+        A_h W(h, w) over h != w; on in-cone layers the added terms outweigh
+        the savings many times over.
 
-        A conditioned key, the extension self-term included, takes P -
-        (W_hi + _KAPPA * error + the pair event's mass below z1_lo), a pair
-        key P alone, P being the pair term as orthant reads it.  The
-        bracket bounds the wedge inside the cone, where the orthant rung
-        bounds it by two whole half-spaces, so it drops the layers whose
-        savings that rung overstates.  An unconverged bracket run gives no
-        estimate."""
+        The estimate is P - (W_hi + _KAPPA * error + the pair event's mass
+        below z1_lo), P as _pair_low reads it.  The bracket bounds the
+        wedge inside the cone, where the orthant rung bounds it by two whole
+        half-spaces, so it drops the layers whose savings that rung
+        overstates.  An unconverged bracket run gives no estimate."""
         pair = self._pair_low(key[1])
-        if key[0] == "pair":
-            return _log(pair)
         wedge = self._bracket(key)
         wedge_hi = wedge.value + _KAPPA * wedge.error + math.exp(self._log_tail(key[1]))
         return _log(pair - wedge_hi if wedge.converged else 0.0)
@@ -784,18 +777,17 @@ def _layer(eng: _Engine, spec: DistanceSpectrum, w: int, extend: bool) -> _Layer
 _PRUNE_MARGIN = 1e-12
 
 
-def _exceeds(logs, bound: float, ceilings: list | None = None) -> bool:
-    """Whether a partial sum of the log terms, drawn in order and lazily,
-    passes bound + _PRUNE_MARGIN (kept relative to bound, in linear scale).
-    Given ceilings, the logs of upper bounds on the same terms in the same
-    order, it stops drawing once the terms drawn and the ceilings of the
-    rest cannot pass."""
+def _exceeds(eng: _Engine, head: list, ranked: list, rung, bound: float) -> bool:
+    """The one pruning test: whether a partial sum of _estimates, drawn in
+    order and lazily, passes bound + _PRUNE_MARGIN (kept relative to bound,
+    in linear scale).  Drawing stops once the terms drawn and the ceilings
+    of the rest cannot pass, so a ceiling below its part (see _ranked) can
+    stop a sum early, never make it pass."""
     limit = math.exp(_PRUNE_MARGIN)
     rel = lambda x: math.exp(min(x - bound, 700.0)) if x > _NEG_INF else 0.0  # no overflow
-    caps = repeat(0.0) if ceilings is None else [rel(x) for x in ceilings]
-    reach = math.inf if ceilings is None else sum(caps)
-    total = 0.0
-    for cap, log_term in zip(caps, logs):  # a term is drawn only while it can pass
+    caps = [rel(x) for x in head + [top for top, *_ in ranked]]
+    reach, total = sum(caps), 0.0
+    for cap, log_term in zip(caps, _estimates(eng, head, ranked, rung)):  # drawn while it can pass
         part = rel(log_term)
         total += part
         reach -= cap - part
@@ -805,37 +797,46 @@ def _exceeds(logs, bound: float, ceilings: list | None = None) -> bool:
 
 
 def _ranked(eng: _Engine, layer: _Layer) -> list:
-    """The parts of every partial sum over layer: its anchor, then the
-    other parts largest upper bound (multiplicity times pair term) first."""
-    ranked = sorted(layer.parts, key=lambda p: (-(p[1] + _log(eng._pair_value(p[0]))), p[0]))
+    """The parts of every partial sum over layer as (ceiling, h, log_coeff,
+    key): the anchor, then the rest largest ceiling first.  A ceiling,
+    log_coeff plus the log of _Engine._pair_value(h), bounds its part (a
+    conditioned term lies inside its pair event), but for a prune-only
+    anchor (no codewords of its weight) and its extension self-term it is a
+    first-level estimate, not a bound.  An underestimate can only stop a
+    sum early and leave a layer unpruned; it never changes a result."""
+    ranked = sorted(((c + _log(eng._pair_value(h)), h, c, key) for h, c, key in layer.parts),
+                    key=lambda p: (-p[0], p[1]))
     if layer.anchor is not None:
-        ranked.insert(0, (layer.w, 0.0, layer.anchor))
+        ranked.insert(0, (_log(eng._pair_value(layer.w)), layer.w, 0.0, layer.anchor))
     return ranked
+
+
+def _estimates(eng: _Engine, head: list, ranked: list, rung):
+    """Lazily, the logs of lower estimates of the head terms and the ranked
+    parts: a pair part at _Engine._pair_low, a conditioned part at rung."""
+    return chain(head, (c + (_log(eng._pair_low(key[1])) if key[0] == "pair" else rung(key))
+                        for _, _, c, key in ranked))
 
 
 def _start(eng: _Engine, spec: DistanceSpectrum, extend: bool, head: list) -> int:
     """The layer the search assembles first.  For ahp, layer n: tsb's term
     list, whose pair terms a shared cache holds.  For psi, the layer its
-    bracket rung predicts: from d_min the walk moves to w + 1, up to layer
-    n, while layer w + 1's bracket sum is below layer w's.  A step first
-    sums layer w + 1's brackets lazily against an upper bound on layer w
-    that costs nothing, each term at its multiplicity times its pair term
-    (a conditioned term lies inside its pair event), the pair terms the
-    ranking reads anyway; the sum stops once it passes that bound, or once
-    the pair terms of the brackets left show that it cannot.  Only when
-    this cannot stop the walk does the step take layer w's bracket sum and
-    compare with it.  Every start gives the search's one result (see
-    _best_layer), so the prediction orders the visits and nothing else."""
+    estimates predict: from d_min the walk moves to w + 1, up to layer n,
+    until layer w + 1 passes a sum of layer w in _exceeds: its ceiling sum,
+    which costs nothing, on orthants and then on brackets, else its
+    bracket sum on brackets.  Every start gives the search's one result
+    (see _best_layer), so the prediction orders the visits and nothing
+    else."""
     if extend:
         return spec.n
     w = spec.d_min
-    brackets = lambda parts: chain(head, (c + eng.bracketed(key) for _, c, key in parts))
-    pairs = lambda parts: list(chain(head, (c + _log(eng._pair_value(h)) for h, c, _ in parts)))
     ranked = _ranked(eng, _layer(eng, spec, w, extend))
     while w < spec.n:
         above = _ranked(eng, _layer(eng, spec, w + 1, extend))
-        if (_exceeds(brackets(above), float(logsumexp(pairs(ranked))), pairs(above))
-                or _exceeds(brackets(above), float(logsumexp(list(brackets(ranked)))))):
+        tops = float(logsumexp(head + [top for top, *_ in ranked]))
+        if (any(_exceeds(eng, head, above, rung, tops) for rung in (eng.orthant, eng.bracketed))
+                or _exceeds(eng, head, above, eng.bracketed,
+                            float(logsumexp(list(_estimates(eng, head, ranked, eng.bracketed)))))):
             break
         w, ranked = w + 1, above
     return w
@@ -847,29 +848,28 @@ def _best_layer(eng: _Engine, spec: DistanceSpectrum, extend: bool) -> BoundResu
     of the envelope.
 
     Branch and bound: the incumbent layer, given by _start (n for ahp; for
-    psi the layer its brackets predict), is assembled first.  Every term
+    psi the layer its estimates predict), is assembled first.  Every term
     of a layer is nonnegative, so a partial sum of lower estimates of its
     terms bounds the layer's value from below; a layer is pruned once such
     a sum passes the best assembled value by _PRUNE_MARGIN, more than the
     rounding of either sum, so no layer that could win or tie is pruned.
-    The sum runs over the cap, the apex tail and the anchor first, then
-    the other terms largest upper bound first.  It is tried on rungs,
-    cheapest first: orthant estimates, which integrate nothing
-    (_Engine.orthant: each wedge is at most the bivariate-normal orthant
-    of its two codewords' half-spaces, in closed form), bracket estimates,
+    One test, _exceeds, decides every prune: the sum runs over the cap, the
+    apex tail, the anchor, then the other parts largest ceiling first (see
+    _ranked).  Pair parts enter at _Engine._pair_low, conditioned parts at
+    one rung's estimate, the rungs tried cheapest first: orthants, which
+    integrate nothing (_Engine.orthant: each wedge is at most the
+    bivariate-normal orthant of its two codewords' half-spaces), brackets,
     which integrate no z3 rule (_Engine.bracketed), then the term runs'
-    coarse estimates, level by level (_Engine.lower).  An estimate is
-    below its term when the run's true error is within _KAPPA times its
-    GK15 error estimate, which overstates it by orders of magnitude here.
-    A prune-only anchor, of a weight with no codewords, enters the first
-    two rungs coarse.
+    coarse estimates, level by level (_Engine.lower).  An estimate is below
+    its term when the run's true error is within _KAPPA times its GK15
+    error estimate, which overstates it by orders of magnitude here.
 
     A layer that no rung drops is assembled in full, and the smallest
     value wins, ties going to the smallest layer, exactly as when every
-    layer is assembled.
-    The layers outside the cone are one term list, tsb's (see _layer), so
-    they are searched once, as their smallest member; when it is
-    assembled, its tied copies count as pruned, being skipped unassembled.
+    layer is assembled.  The layers outside the cone are one term list,
+    tsb's (see _layer), so they are searched once, as their smallest
+    member; when it is assembled, its tied copies count as pruned, being
+    skipped unassembled.
     Which layers are pruned depends only on term values and the start,
     never on what the cache held before: an orthant or a bracket depends
     on its term alone, and an estimate is taken as of its level, not from
@@ -889,8 +889,7 @@ def _best_layer(eng: _Engine, spec: DistanceSpectrum, extend: bool) -> BoundResu
         layer = _layer(eng, spec, w, extend)
         if w != first:
             ranked = _ranked(eng, layer)
-            if any(_exceeds(chain(head, (c + rung(key) for _, c, key in ranked)), best)
-                   for rung in rungs):
+            if any(_exceeds(eng, head, ranked, rung, best) for rung in rungs):
                 continue
         vacuous = sum(key[0] == "pair" for _, _, key in layer.parts)
         found[w] = eng.assemble(layer, include_q=extend, ahp_layer=w, vacuous_terms=vacuous)

@@ -37,10 +37,13 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
+GRID_MAX = 10_000  # the most points a grid may hold; the largest documented sweep has 17
+
 
 def parse_grid(text: str) -> list[float]:
     """Parse "start:stop:step" into an inclusive grid; a bare number is a
-    single-point grid.  Every value must be finite."""
+    single-point grid.  Every value must be finite, and the point count is
+    checked against GRID_MAX before any point is made."""
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise ValueError(f"grid must be start:stop:step or a single value, got {text!r}")
@@ -54,8 +57,11 @@ def parse_grid(text: str) -> list[float]:
         raise ValueError(f"grid step must be positive, got {step}")
     if stop < start:
         raise ValueError(f"grid is empty: stop {stop} < start {start}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+    steps = (stop - start) / step + 1e-9
+    if not steps < GRID_MAX:  # an infinite count too
+        count = math.floor(steps) + 1 if math.isfinite(steps) else steps
+        raise ValueError(f"grid {text!r} has {count} points, more than {GRID_MAX}")
+    return [start + i * step for i in range(math.floor(steps) + 1)]
 
 
 def _thread_count(text: str) -> int:

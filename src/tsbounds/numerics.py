@@ -168,12 +168,13 @@ def _log_reg_inc_beta(a: float, b: float, log_x: float, log_1mx: float) -> float
     return math.log1p(-math.exp(log_tail))
 
 
-def sin_power_integral(m: int, theta: float, log: bool = False) -> float:
-    """Integral of sin(phi)**m over phi in [0, theta], theta in [0, pi/2].
+def sin_power_integral(m: int, theta: float) -> float:
+    """The natural log of the integral of sin(phi)**m over phi in [0,
+    theta], theta in [0, pi/2].
 
     Evaluated through the incomplete beta relation
-    integral = B(sin^2 theta; (m+1)/2, 1/2) / 2, computed in log domain so
-    large m does not underflow.  With log=True the natural log is returned.
+    integral = B(sin^2 theta; (m+1)/2, 1/2) / 2, in log domain so large m
+    does not underflow.
     """
     if m < 0 or m != int(m):
         raise ValueError(f"power must be a nonnegative integer, got m={m}")
@@ -182,32 +183,30 @@ def sin_power_integral(m: int, theta: float, log: bool = False) -> float:
     theta = min(theta, math.pi / 2.0)
     m = int(m)
     if theta == 0.0:
-        return -math.inf if log else 0.0
+        return -math.inf
     if m == 0:
-        return math.log(theta) if log else theta
-    if m == 1:
-        value = 2.0 * math.sin(theta / 2.0) ** 2  # 1 - cos(theta), cancellation-free
-        return math.log(value) if log else value
+        return math.log(theta)
+    if m == 1:  # 1 - cos(theta), cancellation-free, or theta^2 / 2 where that underflows
+        value = 2.0 * math.sin(theta / 2.0) ** 2
+        return math.log(value) if value > 0.0 else 2.0 * math.log(theta) - math.log(2.0)
     s, c = math.sin(theta), math.cos(theta)
     log_x = 2.0 * math.log(s)
     log_1mx = 2.0 * math.log(c) if c > 0.0 else -math.inf
     a = 0.5 * (m + 1)
-    log_i = _log_reg_inc_beta(a, 0.5, log_x, log_1mx)
-    log_value = log_i + wallis(m, log=True)
-    return log_value if log else math.exp(log_value)
+    return _log_reg_inc_beta(a, 0.5, log_x, log_1mx) + wallis(m)
 
 
-def wallis(m: int, log: bool = False) -> float:
-    """The complete integral of sin(phi)**m over [0, pi/2]."""
+def wallis(m: int) -> float:
+    """The natural log of the complete integral of sin(phi)**m over [0,
+    pi/2]."""
     if m < 0:
         raise ValueError(f"power must be nonnegative, got m={m}")
-    log_value = (
+    return (
         0.5 * math.log(math.pi)
         - math.log(2.0)
         + math.lgamma(0.5 * (m + 1))
         - math.lgamma(0.5 * m + 1.0)
     )
-    return log_value if log else math.exp(log_value)
 
 
 # ---------------------------------------------------------------------------

@@ -276,11 +276,11 @@ def _radius_residual(spec, r: float) -> float:
         _, theta = alpha_theta(h, geo)
         if theta is not None and theta > 0.0:
             terms.append(
-                float(spec.log_a[h]) + sin_power_integral(spec.n - 3, theta, log=True)
+                float(spec.log_a[h]) + sin_power_integral(spec.n - 3, theta)
             )
     if not terms:
         return NEG_INF
-    return float(logsumexp(terms)) - (math.log(2.0) + wallis(spec.n - 3, log=True))
+    return float(logsumexp(terms)) - (math.log(2.0) + wallis(spec.n - 3))
 
 
 def test_criterion_07_cone_radius_equation(hamming_spec, golay_spec, finite_grid):
@@ -346,7 +346,7 @@ def test_criterion_09_numeric_kernel_oracles():
     for i in range(500):
         m = int(rng.integers(0, 62))
         theta = float(rng.uniform(0.3, math.pi / 2.0))
-        mine = sin_power_integral(m, theta)
+        mine = math.exp(sin_power_integral(m, theta))
         # beta-function oracle; direct tanh-sinh quadrature at dps 30 can
         # itself be off ~1e-10 on the sin^m boundary layer, so it is used
         # only as a high-precision spot check of the oracle

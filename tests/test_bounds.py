@@ -101,9 +101,9 @@ def cone_residual(spec: DistanceSpectrum, r: float) -> float:
             continue
         _, theta = alpha_theta(h, geo)
         if theta is not None and theta > 0:
-            terms.append(float(spec.log_a[h]) + sin_power_integral(n - 3, theta, log=True))
+            terms.append(float(spec.log_a[h]) + sin_power_integral(n - 3, theta))
     lhs = logsumexp(terms)
-    rhs = math.log(2.0) + wallis(n - 3, log=True)
+    rhs = math.log(2.0) + wallis(n - 3)
     return lhs - rhs
 
 
@@ -135,7 +135,7 @@ def test_channel_point_derived_fields():
 
 def test_cone_rhs_n4_closed_form():
     # n=4: sqrt(pi) Gamma(1) / Gamma(1.5) = 2
-    assert 2.0 * wallis(1) == pytest.approx(2.0, rel=1e-15)
+    assert 2.0 * math.exp(wallis(1)) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_cone_radius_single_weight_sign_scan():
@@ -656,29 +656,28 @@ def test_layer_search_matches_exhaustive_on_ensembles():
                 _check_layer_search(bound, spec, ch, terms)
 
 
-def _pruned_search(bound, spec, ch, monkeypatch, start=None):
+def _pruned_search(bound, spec, ch, monkeypatch, start=None, ladder=False):
     """bound on a fresh cache, each layer it pruned, mapped to the rung
     that pruned it: "orthant" or "brackets" (the two difference-form
     rungs) or "coarse" (a coarse level of the term runs), and the layer it
-    started from.  The
-    search builds each layer once and then tries the rungs in that order,
-    one partial sum each.  Given start, the search starts there instead of
-    at the layer _start predicts; the prediction's own comparisons prune
-    nothing and are not counted."""
+    started from.  Given start, the search starts there instead of at the
+    layer _start predicts; the prediction's own comparisons prune nothing
+    and are not counted.  Given ladder, the search drops the two
+    difference-form rungs from its list: their sums are never drawn."""
     pruned, state = {}, {"walk": False}
     layer, exceeds, predict = bounds._layer, bounds._exceeds, bounds._start
 
     def layer_spy(eng, spec, w, extend):
-        state.update(w=w, rung=0)
+        state["w"] = w
         return layer(eng, spec, w, extend)
 
-    def exceeds_spy(logs, log_bound, *ceilings):
-        out = exceeds(logs, log_bound, *ceilings)
-        if state["walk"]:
-            return out
-        if out:
-            pruned[state["w"]] = ("orthant", "brackets", "coarse")[min(state["rung"], 2)]
-        state["rung"] += 1
+    def exceeds_spy(eng, head, ranked, rung, log_bound):
+        name = {eng.orthant: "orthant", eng.bracketed: "brackets"}.get(rung, "coarse")
+        if ladder and name != "coarse" and not state["walk"]:
+            return False
+        out = exceeds(eng, head, ranked, rung, log_bound)
+        if out and not state["walk"]:
+            pruned[state["w"]] = name
         return out
 
     def start_spy(*args):
@@ -698,16 +697,14 @@ def _pruned_search(bound, spec, ch, monkeypatch, start=None):
 def test_pruned_search_on_fresh_cache(case, hamming_spec, golay_spec, monkeypatch):
     # The pruned search on a fresh cache, so that it prunes on orthants, on
     # brackets and on the coarse estimates of term runs, not on exact
-    # cached terms, and the same search without the two difference-form
-    # rungs (orthants and brackets estimate nothing, so those rungs sum the
-    # cap and the apex tail alone), on the ladder alone.  Which layers are
+    # cached terms, and the same search with the two difference-form rungs
+    # dropped from its rung list, on the ladder alone.  Which layers are
     # pruned depends on the start, so the second search starts where the
-    # first started: without brackets, every bracket sum is the cap alone,
-    # and the prediction would walk to layer n.  Both return the same
-    # result bit for bit, layer accounting aside, and the difference-form
-    # rungs drop every layer the ladder drops and more: Hamming layer 5,
-    # Golay layer 13 and the n=32 ensemble's layer 17, which the ladder
-    # leaves to be assembled.  Each estimate is checked against its exact
+    # first started; the prediction is made of the rungs it drops.  Both
+    # return the same result bit for bit, layer accounting aside, and the
+    # difference-form rungs drop every layer the ladder drops and more:
+    # Hamming layer 5, Golay layer 13 and the n=32 ensemble's layer 17,
+    # which the ladder leaves to be assembled.  Each estimate is checked against its exact
     # term in test_rung_estimates_never_exceed_their_terms.
     if case in ("hamming", "golay"):
         spec, rate = {"hamming": (hamming_spec, R_HAMMING), "golay": (golay_spec, 12 / 23)}[case]
@@ -721,10 +718,7 @@ def test_pruned_search_on_fresh_cache(case, hamming_spec, golay_spec, monkeypatc
     for spec, ch in points:
         for bound in (ahp, psi):
             res, pruned, first = _pruned_search(bound, spec, ch, monkeypatch)
-            with monkeypatch.context() as m:
-                for rung in ("orthant", "bracketed"):
-                    m.setattr(bounds._Engine, rung, lambda self, key: NEG_INF)
-                ladder, on_ladder, _ = _pruned_search(bound, spec, ch, monkeypatch, first)
+            ladder, on_ladder, _ = _pruned_search(bound, spec, ch, monkeypatch, first, True)
             assert set(on_ladder) <= set(pruned)
             assert set(on_ladder.values()) <= {"coarse"}
             unpruned = dict(layers_assembled=None, layers_pruned=None)
@@ -812,21 +806,28 @@ def test_psi_assembles_only_its_predicted_layer(db, monkeypatch):
 # The ids are fixed names that carry older pins, so each case keeps its
 # name as its pin moves.
 @pytest.mark.parametrize("code, db, want", [
-    ("hamming", 2.0, 192_960), ("hamming", 4.0, 193_680), ("hamming", 6.0, 194_760),
-    ("golay", 2.0, 680_400), ("golay", 4.0, 677_880), ("golay", 6.0, 745_200),
+    ("hamming", 2.0, 177_120), ("hamming", 4.0, 177_840), ("hamming", 6.0, 178_920),
+    ("golay", 2.0, 680_400), ("golay", 4.0, 662_040), ("golay", 6.0, 729_360),
 ], ids=["hamming-2.0-208800", "hamming-4.0-209520", "hamming-6.0-210600",
         "golay-2.0-755280", "golay-4.0-752760", "golay-6.0-824400"])
 def test_psi_kernel_nodes_on_codes(code, db, want, hamming_spec, golay_spec, monkeypatch):
-    # d_min wins here, and the prediction stops on the pair terms' upper
-    # bound on layer d_min, having read the brackets of layer d_min + 1.
-    # The search would prune that layer on orthants alone, except on Golay
-    # at 2 dB, so the walk costs 15,840 nodes over a search that always
-    # started at d_min elsewhere.  Before the orthant rung and the bracket
-    # kernel's skipping of nodes where the line clears the disk the counts
-    # were 208,800 / 209,520 / 210,600 and 755,280 / 752,760 / 824,400.
+    # d_min wins here, and the prediction stops at d_min on estimates the
+    # search reads anyway, so psi costs exactly what a search pinned to
+    # start at d_min costs.  Before the walk and the search shared one
+    # pruning test the counts were 192,960 / 193,680 / 194,760 and
+    # 680,400 / 677,880 / 745,200: the walk read the brackets of layer
+    # d_min + 1, which the search prunes on orthants.  Before the orthant
+    # rung and the bracket kernel's skipping of nodes where the line clears
+    # the disk they were 208,800 / 209,520 / 210,600 and 755,280 / 752,760
+    # / 824,400.
     spec, rate = {"hamming": (hamming_spec, R_HAMMING), "golay": (golay_spec, 12 / 23)}[code]
+    ch = ChannelPoint.from_eb_n0_db(db, rate)
     nodes = _count_gammainc_nodes(monkeypatch)
-    psi(spec, ChannelPoint.from_eb_n0_db(db, rate))
+    psi(spec, ch)
+    assert nodes[0] == want
+    nodes[0] = 0
+    monkeypatch.setattr(bounds, "_start", lambda eng, spec, extend, head: spec.d_min)
+    psi(spec, ch)
     assert nodes[0] == want
 
 
@@ -951,26 +952,59 @@ def test_orthant_bounds_the_bivariate_normal_orthant(code, db, hamming_spec, gol
 
 @pytest.mark.parametrize("code", ["golay", "ens12"])
 def test_rung_estimates_never_exceed_their_terms(code, golay_spec):
-    # Each rung's estimate of a term, the orthant, the difference-form
-    # bracket and the term run's estimate at each coarse level, is at most
-    # the exact term: every anchor and part of every ahp and psi layer at
-    # 4 dB.  On Golay this takes in the conditioned extension self-terms of
-    # the prune-only weights 1-6, 9 and 10, whose pair term enters the
-    # difference form coarse.
+    # Every estimate a partial sum reads is at most its exact term, over
+    # every anchor and part of every ahp and psi layer at 4 dB: a pair key
+    # at _pair_low, a conditioned key at each rung, the orthant, the
+    # difference-form bracket and the term run's estimate at each coarse
+    # level.  On Golay this takes in the prune-only anchors and the
+    # conditioned extension self-terms of the prune-only weights 1-6, 9
+    # and 10, whose pair term enters the difference form coarse.
     spec, rate = ((golay_spec, 12 / 23) if code == "golay"
                   else (random_ensemble_spectrum(12, 0.5), 0.5))
     eng = Plan(spec).at(ChannelPoint.from_eb_n0_db(4.0, rate))
     keys = _layer_keys(eng, spec)
     finite = []
     for key in sorted(keys, key=repr):
-        estimates = [eng.orthant(key), eng.bracketed(key)]
-        estimates += [eng.lower(key, k) for k in range(len(eng.levels) - 1)]
+        if key[0] == "pair":
+            estimates = [bounds._log(eng._pair_low(key[1]))]
+        else:
+            estimates = [eng.orthant(key), eng.bracketed(key)]
+            estimates += [eng.lower(key, k) for k in range(len(eng.levels) - 1)]
         exact = eng.term(key).log_value
         assert all(e <= exact for e in estimates), (key, exact, estimates)
         finite += [key for e in estimates if e > NEG_INF]
+    pairs = {key for key in keys if key[0] == "pair"}
     prune_only = {("triple", w, w) for w in eng.plan.geom_included - set(eng.plan.included)}
-    assert len(finite) > 3 * len(keys)
+    assert pairs <= set(finite)
+    assert len(finite) - len(pairs) > 3 * len(keys - pairs)
     assert bool(prune_only & {key[:3] for key in finite}) == (code == "golay")
+
+
+@pytest.mark.parametrize("code, db", [("hamming", 2.0), ("golay", 4.0), ("ens12", 4.0),
+                                      ("ens16", 2.0)])
+def test_rungs_never_see_a_pair_key(code, db, hamming_spec, golay_spec, monkeypatch):
+    # A partial sum reads a pair part, the anchor among them, at
+    # _Engine._pair_low, so no rung is ever asked to estimate a pair key:
+    # tsb, itsb, ahp and psi on one cache.  psi's start walk once sent its
+    # pair parts through the rungs (6, 16 and 13 such calls on the first
+    # three).  The ladder is reached on the n=16, R=0.3 ensemble at 2 dB.
+    spec, rate = {"hamming": (hamming_spec, R_HAMMING), "golay": (golay_spec, 12 / 23),
+                  "ens12": (random_ensemble_spectrum(12, 0.5), 0.5),
+                  "ens16": (random_ensemble_spectrum(16, 0.3), 0.3)}[code]
+    seen = []
+    for name in ("orthant", "bracketed", "lower"):
+        def spy(self, key, *args, rung=getattr(bounds._Engine, name), name=name, **kwargs):
+            seen.append((name, key[0]))
+            return rung(self, key, *args, **kwargs)
+
+        monkeypatch.setattr(bounds._Engine, name, spy)
+    ch = ChannelPoint.from_eb_n0_db(db, rate)
+    terms = Plan(spec).at(ch)
+    for bound in (tsb_block, itsb, ahp, psi):
+        bound(spec, ch, terms=terms)
+    rungs = {"orthant", "bracketed"} | ({"lower"} if code == "ens16" else set())
+    assert {name for name, _ in seen} == rungs
+    assert {kind for _, kind in seen} == {"triple"}
 
 
 _ORTHANT_CODES = ["hamming", "golay"] + [(n, rate) for n in range(6, 25)
@@ -1029,11 +1063,13 @@ def test_psi_sandwich_on_repetition_codes(n):
         assert p.log_value == terms.cap_term().log_value
 
 
-def test_psi_never_requests_self_term(hamming_spec, monkeypatch):
+def test_psi_never_requests_self_term(hamming_spec, golay_spec, monkeypatch):
     # psi's value leaves the extension self-term, key (w, w, .), out,
     # so psi must not integrate it, not even to a coarse level or as a
-    # bracket (nor carry its quadrature error); ahp still does, which shows
-    # the spies see both kinds of request.
+    # bracket (nor carry its quadrature error), on Hamming at 4 dB and
+    # Golay at 2 dB.  On Golay psi runs brackets as well as terms, and ahp
+    # on Hamming brackets a self-term, which shows the spies see both kinds
+    # of request.
     calls = []
     refined, bracket = bounds._Engine._refined, bounds._Engine._bracket
 
@@ -1050,6 +1086,9 @@ def test_psi_never_requests_self_term(hamming_spec, monkeypatch):
     monkeypatch.setattr(bounds._Engine, "_bracket", bracket_spy)
     ch = ChannelPoint.from_eb_n0_db(4.0, R_HAMMING)
     psi(hamming_spec, ch)
+    assert all(h != w for _, h, w in calls)
+    calls.clear()
+    psi(golay_spec, ChannelPoint.from_eb_n0_db(2.0, 12 / 23))
     assert {kind for kind, _, _ in calls} == {"run", "bracket"}
     assert all(h != w for _, h, w in calls)
     calls.clear()
@@ -1402,7 +1441,8 @@ def test_no_zero_weight_z2_nodes(golay_spec, monkeypatch):
     # vacuous conditioned terms were keyed as their pair terms and
     # prune-only anchors left at their first level; the n=12 total was
     # 875,880 before psi started at its predicted layer.  The totals were
-    # 247,680 and 782,280 before the orthant rung.
+    # 247,680 and 782,280 before the orthant rung, and 193,680 and 663,480
+    # before psi's walk and the search shared one pruning test.
     nodes, kernel = bounds._Engine._panel_nodes, bounds._Engine._triple_given_z1
     weights, bracketed = [], []
 
@@ -1433,7 +1473,7 @@ def test_no_zero_weight_z2_nodes(golay_spec, monkeypatch):
     spec = random_ensemble_spectrum(12, 0.5)
     for bound in (tsb_block, itsb, ahp, psi):
         bound(spec, ChannelPoint.from_eb_n0_db(4.0, 0.5))
-    for found, total in ((golay, 193_680), (list(zip(weights, bracketed)), 663_480)):
+    for found, total in ((golay, 185_760), (list(zip(weights, bracketed)), 654_840)):
         assert sum(w.size for w, _ in found) == total
         assert any(b for _, b in found)
         assert all(np.all(w > 0.0) for w, _ in found)

@@ -57,6 +57,35 @@ def test_parse_grid():
     for text in ("nan", "inf", "0:inf:1", "0.5:nan:0.1", "0.5:0.6:inf"):
         with pytest.raises(ValueError, match="finite"):
             parse_grid(text)
+    assert len(parse_grid(f"1:{cli.GRID_MAX}:1")) == cli.GRID_MAX
+
+
+def test_grid_with_an_infinite_count_is_usage_error(capsys):
+    # Finite ends and step whose count overflows to inf: refused with the
+    # count named, by each subcommand, not an OverflowError traceback.
+    with pytest.raises(ValueError, match="has inf points"):
+        parse_grid("0:1e308:1e-308")
+    for argv in (["bounds", "--ensemble", "12,0.5", "--bounds", "tsb"],
+                 ["exponent", "--ensemble", "12,0.5"]):
+        assert run_cli(argv + ["--grid", "0:1e308:1e-308"]) == 2
+        assert "has inf points" in capsys.readouterr().err
+
+
+def test_grid_above_the_cap_is_refused_before_it_is_built(monkeypatch, capsys):
+    # A finite but huge count is refused with the count named before any
+    # point is made: range, which makes the points, is never reached.
+    def no_range(*args):
+        raise AssertionError(f"range{args} called")
+
+    monkeypatch.setattr(cli, "range", no_range, raising=False)
+    with pytest.raises(ValueError, match=f"8000000000 points, more than {cli.GRID_MAX}"):
+        parse_grid("0:8:1e-9")
+    with pytest.raises(ValueError, match=f"{cli.GRID_MAX + 1} points"):
+        parse_grid(f"0:{cli.GRID_MAX}:1")
+    for argv in (["bounds", "--ensemble", "12,0.5", "--bounds", "tsb"],
+                 ["exponent", "--ensemble", "12,0.5"]):
+        assert run_cli(argv + ["--grid", "0:8:1e-9"]) == 2
+        assert "8000000000 points" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

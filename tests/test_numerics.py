@@ -120,16 +120,19 @@ SIN_POWER_CASES = [
 
 @pytest.mark.parametrize("m,theta,value,logvalue", SIN_POWER_CASES)
 def test_sin_power_integral_reference(m, theta, value, logvalue):
-    assert sin_power_integral(m, theta) == pytest.approx(value, rel=1e-11)
-    assert sin_power_integral(m, theta, log=True) == pytest.approx(logvalue, rel=1e-11)
+    assert math.exp(sin_power_integral(m, theta)) == pytest.approx(value, rel=1e-11)
+    assert sin_power_integral(m, theta) == pytest.approx(logvalue, rel=1e-11)
 
 
 def test_sin_power_integral_edges():
-    assert sin_power_integral(17, 0.0) == 0.0
-    assert sin_power_integral(17, 0.0, log=True) == -math.inf
+    assert sin_power_integral(17, 0.0) == -math.inf
+    # 1 - cos(theta) underflows here; the log is that of theta^2 / 2.
+    for theta in (1e-300, 5e-324):
+        assert sin_power_integral(1, theta) == pytest.approx(2 * math.log(theta) - math.log(2.0))
     # Full range reduces to the complete integral for every parity.
     for m in (0, 1, 2, 5, 61, 200):
-        assert sin_power_integral(m, math.pi / 2) == pytest.approx(wallis(m), rel=1e-12)
+        full = math.exp(sin_power_integral(m, math.pi / 2))
+        assert full == pytest.approx(math.exp(wallis(m)), rel=1e-12)
     with pytest.raises(ValueError):
         sin_power_integral(-1, 0.5)
     with pytest.raises(ValueError):
@@ -137,12 +140,12 @@ def test_sin_power_integral_edges():
 
 
 def test_wallis_reference():
-    assert wallis(0) == pytest.approx(math.pi / 2, rel=1e-14)
-    assert wallis(1) == pytest.approx(1.0, rel=1e-14)
-    assert wallis(2) == pytest.approx(math.pi / 4, rel=1e-14)
-    assert wallis(5) == pytest.approx(8.0 / 15.0, rel=1e-14)
-    assert wallis(61) == pytest.approx(0.15981414117778535617, rel=1e-13)
-    assert wallis(200, log=True) == pytest.approx(math.log(0.088511983848219323521), rel=1e-13)
+    assert math.exp(wallis(0)) == pytest.approx(math.pi / 2, rel=1e-14)
+    assert math.exp(wallis(1)) == pytest.approx(1.0, rel=1e-14)
+    assert math.exp(wallis(2)) == pytest.approx(math.pi / 4, rel=1e-14)
+    assert math.exp(wallis(5)) == pytest.approx(8.0 / 15.0, rel=1e-14)
+    assert math.exp(wallis(61)) == pytest.approx(0.15981414117778535617, rel=1e-13)
+    assert wallis(200) == pytest.approx(math.log(0.088511983848219323521), rel=1e-13)
 
 
 @given(
@@ -153,7 +156,8 @@ def test_wallis_reference():
 @settings(max_examples=200, deadline=None)
 def test_sin_power_integral_monotone(m, t1, t2):
     lo, hi = sorted((t1, t2))
-    assert sin_power_integral(m, lo) <= sin_power_integral(m, hi) * (1 + 1e-12) + 1e-300
+    lo_value, hi_value = (math.exp(sin_power_integral(m, t)) for t in (lo, hi))
+    assert lo_value <= hi_value * (1 + 1e-12) + 1e-300
 
 
 # Infinite intervals are truncated where the integrand is below 1e-300.
