@@ -101,6 +101,8 @@ class ChannelPoint:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.c) and self.c > 0):
             raise ValueError(f"need finite c > 0, got c={self.c}")
+        if not math.isfinite(self.sigma_sq):
+            raise ValueError(f"noise variance 1/(2c) overflows at c={self.c}")
         if not 0 < self.rate <= 1:
             raise ValueError(f"need 0 < rate <= 1, got rate={self.rate}")
 

@@ -1,16 +1,17 @@
 """Monte-Carlo maximum-likelihood decoding over the BPSK-AWGN channel.
 
-Ground-truth oracle for the analytic bounds: exact ML decoding, with
-counter-based random numbers so the estimate is bit-identical for a fixed
-seed regardless of worker count or scheduling.  A rival codeword at Hamming
-distance w from the sent one can tie or win only if the w smallest
-agreements with the sent codeword sum to at most a rounding margin: the
-soft-decision optimality test of Taipale & Pursley (IEEE Trans. IT, 1991),
-made exact in floating point.  A trial whose d smallest agreements (d the
-minimum weight) sum past the margin cannot err and is decided without the
-codebook; each other trial is correlated only against the codewords within
-its distance bound, as in the candidate pruning of ordered-statistics
-decoding (Fossorier & Lin, IEEE Trans. IT, 1995).
+Ground-truth oracle for the analytic bounds: exact ML decoding, each chunk
+of trials drawn from its own SFC64 stream keyed by (seed, chunk index), so
+the estimate is bit-identical for a fixed seed regardless of worker count
+or scheduling.  A rival codeword at Hamming distance w from the sent one
+can tie or win only if the w smallest agreements with the sent codeword
+sum to at most a rounding margin: the soft-decision optimality test of
+Taipale & Pursley (IEEE Trans. IT, 1991), made exact in floating point.
+A trial whose d smallest agreements (d the minimum weight) sum past the
+margin cannot err and is decided without the codebook; each other trial is
+correlated only against the codewords within its distance bound, as in the
+candidate pruning of ordered-statistics decoding (Fossorier & Lin, IEEE
+Trans. IT, 1995).
 """
 
 from __future__ import annotations
@@ -174,7 +175,15 @@ def _decide(v: np.ndarray, sent: np.ndarray, book: _Codebook) -> tuple[int, int,
     linearity; when S_d > 0 the d-th smallest v_j is positive, so S_w >=
     S_d for every such w, and the bound at w = d covers them all.  A trial
     whose computed S_d (a partition sum) exceeds the margin is decoded
-    error-free without the codebook.
+    error-free without the codebook.  The screen runs in two stages, and
+    settles the same trials as the row margins alone: first against one
+    margin for the whole chunk, 8 * n^2 * eps * max|v|, then against each
+    row's own margin for the rows the first stage left.  The chunk margin
+    is twice 4 * n * eps * n * max|v|, and n * max|v| >= sum|y_j|; the
+    factor 2 covers the computed sum's rounding (below gamma_(n-1) of it),
+    so, rounding being monotone, no computed row margin exceeds the
+    computed chunk margin while the row sums of |v| are finite (as they are
+    for any draw at a finite sigma^2).
 
     Candidates.  Each other trial, a full decode, takes t, the largest w
     whose computed cumulative sum of sorted agreements S_w is within the
@@ -185,9 +194,13 @@ def _decide(v: np.ndarray, sent: np.ndarray, book: _Codebook) -> tuple[int, int,
     free, when t < d.  Trials are grouped by candidate count and decoded in
     blocks of rows; ties go to the rival and count as errors."""
     d, n = book.d, v.shape[1]
+    eps = np.finfo(np.float64).eps
     s_d = np.sum(np.partition(v, d - 1, axis=1)[:, :d], axis=1)
-    margin = 4.0 * n * np.finfo(np.float64).eps * np.sum(np.abs(v), axis=1)
-    full = np.flatnonzero(~(s_d > margin))
+    top = np.maximum(v.max(), -v.min())
+    rows = np.flatnonzero(~(s_d > 8.0 * n * n * eps * top))
+    v, sent = v[rows], sent[rows]
+    margin = 4.0 * n * eps * np.sum(np.abs(v), axis=1)
+    full = np.flatnonzero(~(s_d[rows] > margin))
     v, sent, margin = v[full], sent[full], margin[full]
     s_w = np.cumsum(np.sort(v, axis=1), axis=1)
     t = np.max(np.where(s_w <= margin[:, None], np.arange(1, n + 1), 0), axis=1)
@@ -207,6 +220,14 @@ def _decide(v: np.ndarray, sent: np.ndarray, book: _Codebook) -> tuple[int, int,
     return block_errors, bit_errors, len(full)
 
 
+def _chunk_rng(seed: int, chunk_idx: int) -> np.random.Generator:
+    """Chunk `chunk_idx`'s stream under `seed`: SFC64 seeded by a SeedSequence
+    with the chunk index as spawn key, whichever thread draws it."""
+    return np.random.Generator(
+        np.random.SFC64(np.random.SeedSequence(seed & _MASK64, spawn_key=(chunk_idx,)))
+    )
+
+
 def _chunk_counts(
     chunk_idx: int,
     m: int,
@@ -215,18 +236,18 @@ def _chunk_counts(
     seed: int,
     random_transmit: bool,
 ) -> tuple[int, int, int]:
-    rng = np.random.Generator(
-        np.random.Philox(key=[seed & _MASK64, chunk_idx & _MASK64])
-    )
+    rng = _chunk_rng(seed, chunk_idx)
     images = book.images
     n = images.shape[1]
     noise = rng.normal(0.0, sigma, size=(m, n))
     if random_transmit:
         sent = rng.integers(0, images.shape[0], size=m, dtype=np.int64)
+        signs = images[sent]
     else:
         sent = np.zeros(m, dtype=np.int64)
+        signs = images[0]  # broadcast: every row sent the zero codeword
     # The agreements in place: for s = +-1, fl(s + e) * s = fl(1 + s * e).
-    noise *= images[sent]
+    noise *= signs
     noise += 1.0
     return _decide(noise, sent, book)
 
@@ -250,7 +271,8 @@ def simulate_ml(
     (`_decide`).  Bit errors are counted on the information bits of the
     decoded codeword.
 
-    Randomness is counter-based, keyed by (seed, chunk index), so results
+    Each chunk of trials draws from its own SFC64 stream, keyed by (seed,
+    chunk index) through a SeedSequence spawn key (`_chunk_rng`), so results
     are reproducible and independent of the thread count.
     """
     if g.k > DECODING_CAP:

@@ -128,6 +128,13 @@ def test_channel_point_derived_fields():
         ChannelPoint(c=0.0, rate=0.5)
     with pytest.raises(ValueError):
         ChannelPoint(c=1.0, rate=1.5)
+    # sigma^2 = 1/(2c) overflows below c ~ 2.78e-309, named with its E_b/N_0
+    assert math.isfinite(ChannelPoint(c=2.8e-309, rate=0.5).sigma_sq)
+    with pytest.raises(ValueError, match="overflows"):
+        ChannelPoint(c=2.7e-309, rate=0.5)
+    with pytest.raises(ValueError, match=r"E_b/N_0 = -3084\.0 dB: noise variance"):
+        ChannelPoint.from_eb_n0_db(-3084.0, R_HAMMING)
+    assert math.isfinite(ChannelPoint.from_eb_n0_db(-3083.0, R_HAMMING).sigma_sq)
 
 
 # -- cone radius -----------------------------------------------------------

@@ -564,16 +564,38 @@ def test_invalid_spectrum_file_is_usage_error(gen_file, tmp_path, capsys, field,
      "E_b/N_0 = 4000.0 dB: need finite c > 0, got c=inf"),
     (["exponent", "--ensemble", "64,0.5", "--grid", "1e-320"],
      "need finite c > 0, got c=inf"),
-], ids=["bounds", "simulate", "exponent"])
+    (["bounds", "--generator", "GEN", "--grid=-3100", "--bounds", "tsb"],
+     "E_b/N_0 = -3100.0 dB: noise variance 1/(2c) overflows at c=5.7"),
+    (["simulate", "--generator", "GEN", "--snr=-3100", "--trials", "10000"],
+     "E_b/N_0 = -3100.0 dB: noise variance 1/(2c) overflows at c=5.7"),
+    (["exponent", "--ensemble", "64,0.3", "--grid", "1.5e308"],
+     "noise variance 1/(2c) overflows at c=2e-309"),
+], ids=["bounds", "simulate", "exponent", "bounds-variance", "simulate-variance",
+        "exponent-variance"])
 def test_non_finite_channel_point_is_usage_error(gen_file, tmp_path, capsys, command,
                                                  message):
     # an E_b/N_0 that overflows c used to end in an OverflowError traceback
-    # (bounds, simulate) or in zeros "by convention" with exit 3 (exponent)
+    # (bounds, simulate) or in zeros "by convention" with exit 3 (exponent);
+    # one that leaves sigma^2 = 1/(2c) infinite (c below ~2.8e-309) in a
+    # block error rate of 0 with exit 0 (simulate), exit 3 (bounds) or the
+    # c -> 0 row (exponent)
     out = tmp_path / "x.out"
     argv = [gen_file if a == "GEN" else a for a in command] + ["--out", str(out)]
     assert run_cli(argv) == 2
     assert not out.exists()
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ensemble, grid", [
+    ("64,0.5", "1.7e308"), ("64,0.3", "1e308"), ("64,0.3", "0.5:2.5:1"),
+])
+def test_exponent_keeps_grids_with_finite_noise_variance(tmp_path, ensemble, grid):
+    # the noise-variance check refuses an inverse E_b/N_0 only at or above
+    # about 2 R times the largest double, so only below R = 1/2
+    out = tmp_path / "x.csv"
+    assert run_cli(["exponent", "--ensemble", ensemble, "--grid", grid,
+                    "--out", str(out)]) == 0
+    assert out.exists()
 
 
 # ---------------------------------------------------------------------------

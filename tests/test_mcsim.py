@@ -3,6 +3,7 @@ the full correlation decoder as the oracle of the screened one."""
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,15 +42,16 @@ def oracle_decide(y: np.ndarray, sent: np.ndarray, images: np.ndarray) -> tuple[
 
 def oracle_estimate(g: GeneratorMatrix, ch: ChannelPoint, trials: int, seed: int,
                     transmit: str) -> McEstimate:
-    """simulate_ml with every trial fully decoded: the same counter-based
-    draws per chunk, decided by oracle_decide in sub-chunks of 32 (a
-    (32, 2^16) correlation block stays in cache)."""
+    """simulate_ml with every trial fully decoded: the same draws per chunk,
+    each from the chunk's keyed SFC64 stream (mcsim._chunk_rng), decided by
+    oracle_decide in sub-chunks of 32 (a (32, 2^16) correlation block stays
+    in cache)."""
     images = mcsim._codeword_images(g)
     sigma = math.sqrt(ch.sigma_sq)
     block_errors = bit_errors = 0
     for idx, start in enumerate(range(0, trials, mcsim._CHUNK)):
         m = min(mcsim._CHUNK, trials - start)
-        rng = np.random.Generator(np.random.Philox(key=[seed, idx]))
+        rng = mcsim._chunk_rng(seed, idx)
         noise = rng.normal(0.0, sigma, size=(m, g.n))
         if transmit == "random":
             sent = rng.integers(0, 1 << g.k, size=m, dtype=np.int64)
@@ -261,6 +263,15 @@ def test_rivals_tied_beyond_min_distance(hamming74):
     assert got == oracle_decide(y, sent, book.images) + (len(sent),)
 
 
+_REPETITION8 = GeneratorMatrix(1, 8, np.ones((1, 8), dtype=np.uint8))
+
+
+def _screen_miss_word() -> np.ndarray:
+    """The agreements of test_screen_miss_with_no_candidates."""
+    eps = np.finfo(np.float64).eps
+    return np.array([-1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.3 * eps, 1.0 + 64 * eps])
+
+
 def test_screen_miss_with_no_candidates(decoded_blocks):
     # Length-8 repetition code, d = 8: np.sum adds the partition's eight
     # agreements pairwise, the cumulative sum adds them in sorted order.
@@ -268,16 +279,136 @@ def test_screen_miss_with_no_candidates(decoded_blocks):
     # lost in 1 + L and S_8 = L, at the margin, so the screen fails; in
     # order, -1 + u rounds to -1 + ulp(1)/2 and S_8 = L + ulp(1)/2, past the
     # margin.  No weight is left to correlate: decoded error-free.
-    g = GeneratorMatrix(1, 8, np.ones((1, 8), dtype=np.uint8))
-    book = mcsim._codebook(g)
+    book = mcsim._codebook(_REPETITION8)
     eps = np.finfo(np.float64).eps
-    v = np.array([-1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.3 * eps, 1.0 + 64 * eps])
+    v = _screen_miss_word()
     assert 64 * eps <= 4.0 * 8 * eps * np.sum(np.abs(v)) < 64.5 * eps
     for sent in (0, 1):
         y = v * book.images[sent]
         got = mcsim._decide(v[None, :], np.array([sent]), book)
         assert got == oracle_decide(y[None, :], np.array([sent]), book.images) + (1,)
     assert decoded_blocks == []
+
+
+def one_stage_decide(v: np.ndarray, sent: np.ndarray, book) -> tuple[int, int, int]:
+    """mcsim._decide as it was before its two-stage screen: every row is
+    screened against its own margin 4 * n * eps * sum|v|."""
+    d, n = book.d, v.shape[1]
+    s_d = np.sum(np.partition(v, d - 1, axis=1)[:, :d], axis=1)
+    margin = 4.0 * n * np.finfo(np.float64).eps * np.sum(np.abs(v), axis=1)
+    full = np.flatnonzero(~(s_d > margin))
+    v, sent, margin = v[full], sent[full], margin[full]
+    s_w = np.cumsum(np.sort(v, axis=1), axis=1)
+    t = np.max(np.where(s_w <= margin[:, None], np.arange(1, n + 1), 0), axis=1)
+    sizes = book.within[t]
+    block_errors = 0
+    bit_errors = 0
+    for size in np.unique(sizes[sizes > 1]).tolist():
+        rows = np.flatnonzero(sizes == size)
+        step = max(1, (1 << 19) // size)
+        for lo in range(0, len(rows), step):
+            r = rows[lo:lo + step]
+            b, e = mcsim._decode_block(v[r], sent[r], book, size)
+            block_errors += b
+            bit_errors += e
+    return block_errors, bit_errors, len(full)
+
+
+def _margin_rows(book, code: str) -> tuple[list, list]:
+    """Agreement rows at the screen's and the candidates' margins, with
+    their sent messages: test_screen_miss_with_no_candidates' word on the
+    repetition code, and _crafted_word's and _far_word's margin cases on
+    Hamming and Golay."""
+    eps = np.finfo(np.float64).eps
+    images, n = book.images, book.images.shape[1]
+    if code == "repetition8":
+        # Four agreements -1 beside four near 1, so that S_8 = 252 eps lies
+        # just inside the margin 4 * 8 * eps * (8 + S_8) ~ 256 eps: sum|v| is
+        # n max|v| less S_8, as close to n max|v| as a row at the margin gets
+        balanced = np.array([-1.0] * 4 + [1.0] * 3 + [1.0 + 252 * eps])
+        return [_screen_miss_word(), _screen_miss_word(), balanced, balanced], [0, 1, 0, 1]
+    rows, sents = [], []
+    words = [lambda delta, s: _crafted_word(images, book.d, s, delta)]
+    words += [lambda delta, s, w=w, off=off: _far_word(images, w, s, delta, off)
+              for w, off in ({"hamming74": [(4, 3.0)],
+                              "golay2312": [(8, 8.0), (11, 8.0), (12, 8.0)]}[code])]
+    for word in words:
+        for sent in (0, 5):
+            margin = 4.0 * n * eps * np.sum(np.abs(word(0.0, sent)[0]))
+            for delta in (0.0, -margin / 4, margin / 4, 63 / 64 * margin, 4 * margin):
+                rows.append(word(delta, sent)[0] * images[sent])
+                sents.append(sent)
+    return rows, sents
+
+
+@pytest.fixture(scope="module")
+def screen_books(hamming74, golay2312):
+    return {"hamming74": mcsim._codebook(hamming74),
+            "golay2312": mcsim._codebook(golay2312),
+            "repetition8": mcsim._codebook(_REPETITION8)}
+
+
+@given(code=st.sampled_from(["hamming74", "golay2312", "repetition8"]),
+       seed=st.integers(0, 2**32 - 1), noise_rows=st.integers(0, 48),
+       ulp_k=st.integers(1, 2**20), big=st.one_of(st.none(), st.integers(0, 1000)))
+@settings(max_examples=150, deadline=None)
+def test_two_stage_screen_matches_one_stage(screen_books, code, seed, noise_rows, ulp_k,
+                                            big):
+    # One chunk: noisy rows scaled by 2^-1060 .. 2^60, so that the chunk
+    # margin 8 n^2 eps max|v| is far above most rows' own margins; rows at
+    # the screen's and the candidates' margins; rows whose every |v| is
+    # 1 + k ulp(1), where the computed sum |v| can round above n max|v|;
+    # and, in some chunks, one row of magnitude 2^big beside them all.
+    # The triple is the one-stage screen's, and the errors the full
+    # decoder's.
+    book = screen_books[code]
+    images, n = book.images, book.images.shape[1]
+    rng = np.random.default_rng(seed)
+    rows, sents = _margin_rows(book, code)
+    eps = np.finfo(np.float64).eps
+    for k in range(ulp_k, ulp_k + 8):
+        v = np.full(n, 1.0 + k * eps) * rng.choice([-1.0, 1.0], size=n)
+        rows.append(v)
+        sents.append(int(rng.integers(0, len(images))))
+    scale = np.ldexp(1.0, rng.integers(-1060, 61, size=noise_rows))
+    noisy = (1.0 + rng.normal(0.0, rng.uniform(0.3, 1.5), size=(noise_rows, n))) * scale[:, None]
+    rows.extend(noisy)
+    sents.extend(rng.integers(0, len(images), size=noise_rows).tolist())
+    if big is not None:
+        rows.append(np.ldexp(1.0 + rng.normal(0.0, 1.0, size=n), big))
+        sents.append(0)
+    order = rng.permutation(len(rows))
+    v = np.array(rows)[order]
+    sent = np.array(sents, dtype=np.int64)[order]
+    got = mcsim._decide(v, sent, book)
+    assert got == one_stage_decide(v, sent, book)
+    assert got[:2] == oracle_decide(v * images[sent], sent, images)
+
+
+def test_ulp_rows_sum_above_n_max():
+    # The 1 + k ulp(1) rows above are a real case: in Golay's n = 23 the
+    # computed sum of 23 equal magnitudes can exceed 23 times the magnitude,
+    # and the chunk margin still covers the row margin.
+    eps = np.finfo(np.float64).eps
+    above = 0
+    for k in range(1, 64):
+        v = np.full(23, 1.0 + k * eps)
+        total = np.sum(np.abs(v))
+        above += Fraction(float(total)) > 23 * Fraction(float(v[0]))
+        assert 8.0 * 23 * 23 * eps * v[0] >= 4.0 * 23 * eps * total
+    assert above > 0
+
+
+def test_chunk_streams_differ_by_chunk_and_seed():
+    # Each chunk's stream depends on (seed, chunk index) only: one draw is
+    # repeatable, and two chunks of one seed and two seeds draw apart.
+    draw = lambda seed, idx: mcsim._chunk_rng(seed, idx).normal(size=(4, 23))
+    assert np.array_equal(draw(7, 0), draw(7, 0))
+    assert np.array_equal(draw(-1, 3), draw(2**64 - 1, 3))
+    pairs = [((7, 0), (7, 1)), ((7, 1), (7, 2)), ((7, 0), (8, 0)), ((0, 5), (1, 5)),
+             ((7, 1), (1, 7))]
+    for a, b in pairs:
+        assert not np.any(draw(*a) == draw(*b)), (a, b)
 
 
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8), extra=st.integers(0, 8),
