@@ -178,16 +178,48 @@ GOLAY_BOUNDS_CSV = (
 )
 
 
+# Wider sweeps recorded the same way, so that most ksub values and both
+# kernel modes are pinned: the Golay and Hamming codes on 0:8:2 and the
+# n=12, rate-1/2 ensemble on 2:6:2, each with --threads 1.
+GOLAY_SWEEP_CSV = (
+    "eb_n0_db,c,tsb,log_tsb,itsb,log_itsb,ahp,log_ahp,psi,log_psi\n"
+    "0,0.52173913043478259,0.29579023136528415,-1.2181047537088905,0.29579023136528415,-1.2181047537088905,0.29579023136528415,-1.2181047537088905,0.21955130765467681,-1.5161693259243874\n"
+    "2,0.82690079606666789,0.059910179808698921,-2.8149088415771883,0.059910179808698921,-2.8149088415771883,0.059910179808698921,-2.8149088415771883,0.03294664301050116,-3.4128659045440219\n"
+    "4,1.3105494425267374,0.0026093711074148553,-5.9486460416953237,0.0026093711074148553,-5.9486460416953237,0.0026093711074148553,-5.9486460416953237,0.00080255146891985854,-7.1277145692910304\n"
+    "6,2.0770808898443334,1.0519415595846613e-05,-11.462287903923372,1.0519415595846613e-05,-11.462287903923372,1.0519415595846613e-05,-11.462287903923372,1.1134216797030422e-06,-13.708072689765375\n"
+    "8,3.2919513625053565,1.5299353258084466e-09,-20.298040373148933,1.5299353258084466e-09,-20.298040373148933,1.5299353258084466e-09,-20.298040373148933,4.3891340592719067e-11,-23.84930406831759\n"
+)
+HAMMING_SWEEP_CSV = (
+    "eb_n0_db,c,tsb,log_tsb,itsb,log_itsb,ahp,log_ahp,psi,log_psi\n"
+    "0,0.5714285714285714,0.18333048729003379,-1.6964648134167697,0.18333048729003379,-1.6964648134167697,0.18333048729003379,-1.6964648134167697,0.11496772775195011,-2.163103818246273\n"
+    "2,0.90565325283492204,0.065356563010782229,-2.727897415327404,0.065356563010782229,-2.727897415327404,0.065356563010782229,-2.727897415327404,0.0332211472496498,-3.4045686404851225\n"
+    "4,1.4353636751483314,0.012058727537198799,-4.4179666042614842,0.012058727537198799,-4.4179666042614842,0.012058727537198799,-4.4179666042614842,0.0043577044420792851,-5.4358098643834083\n"
+    "6,2.2748981174485556,0.00080683453772235057,-7.1223919445179291,0.00080683453772234981,-7.12239194451793,0.00080683453772235057,-7.1223919445179291,0.00018433637101275481,-8.5987483659722965\n"
+    "8,3.6054705398868188,1.1780720880552941e-05,-11.34904618632007,1.1780720880552941e-05,-11.34904618632007,1.1780720880552941e-05,-11.34904618632007,1.8713459947005095e-06,-13.18885260275521\n"
+)
+ENSEMBLE_SWEEP_CSV = (
+    "eb_n0_db,c,tsb,log_tsb,itsb,log_itsb,ahp,log_ahp,psi,log_psi\n"
+    "2,0.7924465962305568,0.14764697087066095,-1.9129311866094196,0.13003252943450161,-2.0399706334087204,0.14764697087066095,-1.9129311866094196,0.10143695696010493,-2.2883177871648614\n"
+    "4,1.2559432157547901,0.040530051084035977,-3.2057115779421226,0.030050912942966052,-3.5048622376648684,0.040530051084035977,-3.2057115779421226,0.028627368778316072,-3.5533920684505871\n"
+    "6,1.9905358527674861,0.0080146427127636404,-4.8264850712362852,0.0037009208376361244,-5.5991736152594225,0.0080146427127636404,-4.8264850712362852,0.0069217028524313955,-4.9730934626835701\n"
+)
+
+
 def test_bounds_csv_frozen(gen_file, golay2312, tmp_path):
     golay_file = tmp_path / "golay.gen"
     golay_file.write_text(
         "12 23\n" + "".join("".join(map(str, row)) + "\n" for row in golay2312.bits)
     )
-    for name, source, grid, want in (("hamming", gen_file, "2:4:2", HAMMING_BOUNDS_CSV),
-                                      ("golay", str(golay_file), "4", GOLAY_BOUNDS_CSV)):
+    hamming, golay = ["--generator", gen_file], ["--generator", str(golay_file)]
+    for name, source, grid, want in (("hamming", hamming, "2:4:2", HAMMING_BOUNDS_CSV),
+                                      ("golay", golay, "4", GOLAY_BOUNDS_CSV),
+                                      ("golay-sweep", golay, "0:8:2", GOLAY_SWEEP_CSV),
+                                      ("hamming-sweep", hamming, "0:8:2", HAMMING_SWEEP_CSV),
+                                      ("ensemble-sweep", ["--ensemble", "12,0.5"], "2:6:2",
+                                       ENSEMBLE_SWEEP_CSV)):
         out = tmp_path / f"{name}.csv"
-        argv = ["bounds", "--generator", source, "--grid", grid,
-                "--bounds", "tsb,itsb,ahp,psi", "--out", str(out)]
+        argv = ["bounds", *source, "--grid", grid,
+                "--bounds", "tsb,itsb,ahp,psi", "--threads", "1", "--out", str(out)]
         assert run_cli(argv) == 0
         assert out.read_text() == want
         assert not (tmp_path / f"{name}.csv.diag.json").exists()  # every cell converged
