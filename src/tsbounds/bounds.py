@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import gammainc, gammaincc, logsumexp, ndtr, owens_t
 
 from .codes import DistanceSpectrum
-from .geometry import ConeGeometry, alpha_theta, beta_h, l_line, rho_max_wh, rho_min_h, rho_ww
+from .geometry import ConeGeometry, alpha_theta, rho_max_wh, rho_min_h, rho_ww
 from .numerics import (QuadratureResult, Tolerance, adaptive_integrate, brentq,
                        log_q_function, sin_power_integral, wallis)
 
@@ -84,6 +84,8 @@ _OWEN_MAX = 12.0
 _OWEN_SLACK = 1e-10
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
+_GL_T = 0.5 * (_GL_X + 1.0)  # the rule on [0, 1], for the z3 integral
+_TEMPLATES = {k: (np.linspace(0.0, 1.0, k + 1)[:-1], np.tile(_GL_W, (k, 1))) for k in range(1, 9)}
 _LOG_Q10 = log_q_function(10.0)
 
 
@@ -345,6 +347,8 @@ class _Engine:
         self.n = geo.n
         self.sqrt_n = math.sqrt(geo.n)
         self.sigma = math.sqrt(ch.sigma_sq)
+        self.r_slope, self.phi_den = geo.r / self.sqrt_n, self.sigma * math.sqrt(2.0 * math.pi)
+        self.slope = [0.0] + [math.sqrt(h / (geo.n - h)) for h in range(1, geo.n)]
         self.z1_lo = -10.0 * self.sigma
         self.log_q_term = log_q_function(math.sqrt(2.0 * geo.n * ch.c))
         self._cache: dict[tuple, _Term] = {}
@@ -368,8 +372,7 @@ class _Engine:
     # -- scalar densities -------------------------------------------------
 
     def _phi(self, x):
-        s = self.sigma
-        return np.exp(-0.5 * (x / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
+        return np.exp(-0.5 * (x / self.sigma) ** 2) / self.phi_den
 
     def _g(self, dof_half: float, x):
         # Regularized lower-gamma mass; dof 0 is a point mass at the origin.
@@ -380,29 +383,27 @@ class _Engine:
     # -- composite Gauss-Legendre panels ----------------------------------
 
     def _panel_nodes(self, edges: list, ksub: int):
-        # Composite Gauss-Legendre nodes/weights (m, segments*ksub*24) on
-        # the z2 segments between consecutive (m,) edges that have positive
-        # width in some row, segment by segment in one build.
-        keep = [i for i in range(len(edges) - 1) if np.any(edges[i + 1] > edges[i])]
-        a = np.stack([edges[i] for i in keep], axis=1)
-        b = np.stack([edges[i + 1] for i in keep], axis=1)
-        frac = np.linspace(0.0, 1.0, ksub + 1)
-        width = (b - a)[..., None] / ksub
-        lo = a[..., None] + (b - a)[..., None] * frac[:-1]
-        mid = lo + 0.5 * width
-        half = 0.5 * width
-        z = mid[..., None] + half[..., None] * _GL_X
-        w = np.broadcast_to(half[..., None] * _GL_W, z.shape)
-        m = a.shape[0]
-        return z.reshape(m, -1), w.reshape(m, -1)
+        """Composite Gauss-Legendre nodes/weights (m, segments*ksub*24) on
+        the z2 segments between consecutive (m,) edges that have positive
+        width in some row, all in one build.  A node is a + (b - a) frac +
+        half + half x, half = (b - a) / ksub / 2, as for a segment built
+        alone; _TEMPLATES holds each ksub's fractions and weight rows."""
+        e = np.array(edges).T.copy()
+        d = e[:, 1:] - e[:, :-1]
+        keep = (d > 0.0).any(axis=0)  # b - a > 0 exactly where b > a
+        a, d, (frac, gl_w) = e[:, :-1][:, keep], d[:, keep], _TEMPLATES[ksub]
+        half = 0.5 * (d / ksub)
+        mid = (a[..., None] + d[..., None] * frac) + half[..., None]
+        z = mid[..., None] + half[..., None, None] * _GL_X
+        return z.reshape(a.shape[0], -1), (half[..., None, None] * gl_w).reshape(a.shape[0], -1)
 
     def _ksub(self, span: float) -> int:
-        return int(np.clip(math.ceil(span / (4.0 * self.sigma)), 1, 8))
+        return min(max(math.ceil(span / (4.0 * self.sigma)), 1), 8)
 
     # -- conditional (given z1) kernels -----------------------------------
 
     def _cap_given_z1(self, z1: np.ndarray) -> np.ndarray:
-        rz = np.asarray(self.geo.r_z1(z1), dtype=float)
+        rz = (self.sqrt_n - z1) * self.r_slope
         return gammaincc(0.5 * (self.n - 1), rz**2 / (2.0 * self.ch.sigma_sq))
 
     def _triple_given_z1(
@@ -420,7 +421,10 @@ class _Engine:
         only segments of positive width get nodes, all in one build.
         beta_h, r_z1, beta_ref and so both crossings all scale with
         sqrt(n) - z1, so a segment is empty in every z1 row or in none: no
-        node carries zero weight.
+        node carries zero weight.  The limits take sqrt(n) - z1 once and
+        the slopes r/sqrt(n) and sqrt(h/(n-h)) from the engine, which
+        computes them once: the operations of geometry's r_z1, beta_h and
+        l_line, so every node and mass is theirs bit for bit.
 
         gammainc runs only where its value is read.  The pair kernel takes
         the (n-2)-dof mass at every node and does no line work.  With a
@@ -438,62 +442,63 @@ class _Engine:
         between G(b) dPhi and G(a) dPhi, since G falls as |z3| grows.  Two
         pieces split at the midpoint m cost gammainc at |l| and m; one piece
         would make the lower bound G(s) dPhi = 0."""
-        rz = np.asarray(self.geo.r_z1(z1), dtype=float)
-        a = np.minimum(beta_h(z1, h, self.geo), rz)  # empty once beta_h passes the cone
-        span = float(np.max(rz - a, initial=0.0))
+        u = self.sqrt_n - z1
+        rz = u * self.r_slope
+        a = np.minimum(u * self.slope[h], rz)  # empty once beta_h passes the cone
+        span = float((rz - a).max(initial=0.0))
         if span <= 0.0:
             return np.zeros_like(rz)
-        edges = [a, rz]
+        rz_sq, edges = rz**2, [a, rz]
         if beta_ref is not None:
             # The regime of the z3 limit changes where the line crosses +-s;
             # those crossings are roots of a quadratic in z2.
-            disc = (1.0 - rho * rho) * (rz**2 - beta_ref**2)
-            root = np.sqrt(np.maximum(disc, 0.0))
-            c_lo = np.where(disc >= 0.0, np.clip(beta_ref * rho - root, a, rz), a)
-            c_hi = np.where(disc >= 0.0, np.clip(beta_ref * rho + root, a, rz), a)
+            disc = (1.0 - rho * rho) * (rz_sq - beta_ref**2)
+            root, cross = np.sqrt(np.maximum(disc, 0.0)), disc >= 0.0
+            c_lo = np.where(cross, np.minimum(np.maximum(beta_ref * rho - root, a), rz), a)
+            c_hi = np.where(cross, np.minimum(np.maximum(beta_ref * rho + root, a), rz), a)
             edges = [a, c_lo, c_hi, rz]
         z2, w2 = self._panel_nodes(edges, self._ksub(span))
 
         two_ss = 2.0 * self.ch.sigma_sq
-        s_sq = np.maximum(rz[:, None] ** 2 - z2**2, 0.0)
+        s_sq = np.maximum(rz_sq[:, None] - z2**2, 0.0)
         weight = w2 * self._phi(z2)
         if beta_ref is None:  # twice the half-disk mass, as the line's kernel sums it
             mass = 2.0 * (0.5 * self._g(0.5 * (self.n - 2), s_sq / two_ss))
-            return np.sum(weight * mass, axis=1)
+            return (weight * mass).sum(axis=1)
         s = np.sqrt(s_sq)
-        line = l_line(z2, beta_ref[:, None], rho)
+        line = (beta_ref[:, None] - rho * z2) / math.sqrt(1.0 - rho * rho)
         live = (w2 > 0.0) & (line > -s)
         cut = live & (line < s)
         if bracket:
             below = (w2 > 0.0) & (line < s)
-            w_hi = np.zeros_like(z2)  # the full disk where l <= -s, none where l >= s
+            w_hi = np.zeros(z2.shape)  # the full disk where l <= -s, none where l >= s
             w_hi[below] = self._g(0.5 * (self.n - 2), s_sq[below] / two_ss)
-            if np.any(cut):
+            if cut.any():
                 l_cut, s_cut, f = line[cut], s[cut], w_hi[cut]
                 u = np.abs(l_cut)
-                ends = np.stack([u, 0.5 * (u + s_cut), s_cut], axis=1)
-                g = self._g(0.5 * (self.n - 3), (s_sq[cut][:, None] - ends[:, :2] ** 2) / two_ss)
-                q = ndtr(-ends / self.sigma)  # upper tails: both ends >= 0
-                d_phi = q[:, :2] - q[:, 1:]
-                side_hi = np.minimum(g[:, 0] * d_phi[:, 0] + g[:, 1] * d_phi[:, 1], f)
-                w_hi[cut] = np.where(l_cut > 0.0, side_hi, f - g[:, 1] * d_phi[:, 0])
-            return np.sum(weight * w_hi, axis=1)
-        half_disk = np.zeros_like(z2)
+                ends = np.array([u, 0.5 * (u + s_cut), s_cut])
+                g = self._g(0.5 * (self.n - 3), (s_sq[cut] - ends[:2] ** 2) / two_ss)
+                tail = ndtr(-ends / self.sigma)  # upper tails: both ends >= 0
+                d_phi = tail[:2] - tail[1:]
+                side_hi = np.minimum(g[0] * d_phi[0] + g[1] * d_phi[1], f)
+                w_hi[cut] = np.where(l_cut > 0.0, side_hi, f - g[1] * d_phi[0])
+            return (weight * w_hi).sum(axis=1)
+        half_disk = np.zeros(z2.shape)
         half_disk[live] = 0.5 * self._g(0.5 * (self.n - 2), s_sq[live] / two_ss)
         hmass = 2.0 * half_disk
-        if np.any(cut):
-            # Odd part over [0, |l|] of the even z3 integrand, |l| < s here.
-            l_cut, s_sq_cut = line[cut], s_sq[cut]
+        if cut.any():
+            # Odd part over [0, |l|] of the even z3 integrand, |l| < s here;
+            # w3 and x, s^2 - z3^2 over 2 sigma^2, are built in place.
+            l_cut = line[cut]
             u = np.abs(l_cut)
-            z3 = u[:, None] * (0.5 * (_GL_X + 1.0))
+            z3 = u[:, None] * _GL_T
+            x = s_sq[cut][:, None] - z3**2
+            x /= two_ss
             w3 = (0.5 * u)[:, None] * _GL_W
-            inner3 = np.sum(
-                w3 * self._phi(z3)
-                * self._g(0.5 * (self.n - 3), (s_sq_cut[:, None] - z3**2) / two_ss),
-                axis=1,
-            )
-            hmass[cut] = half_disk[cut] + np.sign(l_cut) * inner3
-        return np.sum(weight * hmass, axis=1)
+            w3 *= self._phi(z3)
+            w3 *= self._g(0.5 * (self.n - 3), x)
+            hmass[cut] = half_disk[cut] + np.sign(l_cut) * w3.sum(axis=1)
+        return (weight * hmass).sum(axis=1)
 
     # -- outer z1 integrals ------------------------------------------------
 
@@ -507,7 +512,7 @@ class _Engine:
         else:
             _, h, w_ref, rho = key
             inner = lambda z1: self._triple_given_z1(
-                z1, h, beta_h(z1, w_ref, self.geo), rho, bracket=bracket)
+                z1, h, (self.sqrt_n - z1) * self.slope[w_ref], rho, bracket=bracket)
         return lambda z1: self._phi(z1) * inner(np.asarray(z1, dtype=float))
 
     def _refined(self, key: tuple, level: int):
@@ -603,7 +608,7 @@ class _Engine:
 
     def _log_tail(self, h: int) -> float:
         # Bound on a pair event's mass below z1_lo: z2 past beta_h there.
-        return _LOG_Q10 + log_q_function(float(beta_h(self.z1_lo, h, self.geo)) / self.sigma)
+        return _LOG_Q10 + log_q_function((self.sqrt_n - self.z1_lo) * self.slope[h] / self.sigma)
 
     def _outer(self, key: tuple) -> _Term:
         # The exact term; below z1_lo, the cap's tail or z2's past beta_h.

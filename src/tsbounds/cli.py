@@ -239,7 +239,12 @@ def cmd_exponent(args, sub) -> int:
     grid = parse_grid(args.grid)
     if any(x <= 0.0 for x in grid):
         sub.error("inverse E_b/N_0 values must be positive")
-    points = {inv: ChannelPoint(c=rate / inv, rate=rate) for inv in grid}
+    points = {}
+    for inv in grid:  # a refused point names its grid value, as from_eb_n0_db names the dB
+        try:
+            points[inv] = ChannelPoint(c=rate / inv, rate=rate)
+        except ValueError as exc:
+            raise ValueError(f"inverse E_b/N_0 = {inv}: {exc}") from None
 
     def row(inv: float):
         c = points[inv].c

@@ -45,7 +45,7 @@ from tsbounds.geometry import (
     rho_ww,
 )
 from tsbounds.mcsim import simulate_ml
-from tsbounds.numerics import Tolerance, q_function, sin_power_integral, wallis
+from tsbounds.numerics import Tolerance, gk15_rule, q_function, sin_power_integral, wallis
 
 NEG_INF = -math.inf
 DB_GRID = (0.0, 2.0, 4.0, 6.0, 8.0)
@@ -1210,6 +1210,45 @@ def _segment_nodes(eng, a, b, ksub):
     z = mid[:, :, None] + half[:, :, None] * bounds._GL_X[None, None, :]
     w = np.broadcast_to(half[:, :, None] * bounds._GL_W[None, None, :], z.shape)
     return z.reshape(a.shape[0], -1), w.reshape(a.shape[0], -1)
+
+
+@pytest.mark.parametrize("code", ["golay", "ens12"])
+def test_panel_nodes_match_segment_oracle(code, golay_spec):
+    # The node build covers all of a kernel call's segments at once; each
+    # segment's nodes and weights are the one-segment oracle's bit for bit,
+    # for every ksub and 1-3 segments, on the z1 rows of GK15 panels.  A
+    # segment of zero width in every row gets no nodes.
+    spec = golay_spec if code == "golay" else random_ensemble_spectrum(12, 0.5)
+    plan, n = Plan(spec), spec.n
+    eng = plan.at(ChannelPoint.from_eb_n0_db(4.0, 0.5))
+    for lo, hi in ((eng.z1_lo, math.sqrt(n)), (0.0, 0.5 * math.sqrt(n)), (-0.3, 0.1)):
+        z1 = gk15_rule(lo, hi, 1)[0][0]
+        rz = plan.geo.r_z1(z1)
+        for h in plan.included:
+            a = np.minimum(beta_h(z1, h, plan.geo), rz)
+            cuts = [a + (rz - a) * t for t in (0.3, 0.8)]
+            for edges in ([a, rz], [a, cuts[0], rz], [a, *cuts, rz], [a, a, cuts[1], rz]):
+                live = [(e0, e1) for e0, e1 in zip(edges, edges[1:]) if np.any(e1 > e0)]
+                for ksub in range(1, 9):
+                    z, w = eng._panel_nodes(edges, ksub)
+                    cols = ksub * len(bounds._GL_X)
+                    assert z.shape == w.shape == (len(z1), len(live) * cols)
+                    for i, (e0, e1) in enumerate(live):
+                        want_z, want_w = _segment_nodes(eng, e0, e1, ksub)
+                        assert np.array_equal(z[:, i * cols:(i + 1) * cols], want_z)
+                        assert np.array_equal(w[:, i * cols:(i + 1) * cols], want_w)
+
+
+def test_ksub_is_span_over_four_sigma_clamped_to_1_8(golay_spec):
+    eng = Plan(golay_spec).at(ChannelPoint.from_eb_n0_db(4.0, 12 / 23))
+    four_sigma = 4.0 * eng.sigma
+    for span in (0.0, 5e-324, 1e-300, 1e-9 * four_sigma):
+        assert eng._ksub(span) == 1
+    for span in (8.5 * four_sigma, 1e6, 1e300):
+        assert eng._ksub(span) == 8
+    for span in np.linspace(0.01, 7.99, 150) * four_sigma:
+        ksub = eng._ksub(float(span))
+        assert type(ksub) is int and ksub == math.ceil(span / four_sigma)
 
 
 def _parent_pair_given_z1(eng, z1, h):

@@ -595,13 +595,13 @@ def test_invalid_spectrum_file_is_usage_error(gen_file, tmp_path, capsys, field,
     (["simulate", "--generator", "GEN", "--snr", "4000", "--trials", "10"],
      "E_b/N_0 = 4000.0 dB: need finite c > 0, got c=inf"),
     (["exponent", "--ensemble", "64,0.5", "--grid", "1e-320"],
-     "need finite c > 0, got c=inf"),
+     "inverse E_b/N_0 = 1e-320: need finite c > 0, got c=inf"),
     (["bounds", "--generator", "GEN", "--grid=-3100", "--bounds", "tsb"],
      "E_b/N_0 = -3100.0 dB: noise variance 1/(2c) overflows at c=5.7"),
     (["simulate", "--generator", "GEN", "--snr=-3100", "--trials", "10000"],
      "E_b/N_0 = -3100.0 dB: noise variance 1/(2c) overflows at c=5.7"),
     (["exponent", "--ensemble", "64,0.3", "--grid", "1.5e308"],
-     "noise variance 1/(2c) overflows at c=2e-309"),
+     "inverse E_b/N_0 = 1.5e+308: noise variance 1/(2c) overflows at c=2e-309"),
 ], ids=["bounds", "simulate", "exponent", "bounds-variance", "simulate-variance",
         "exponent-variance"])
 def test_non_finite_channel_point_is_usage_error(gen_file, tmp_path, capsys, command,
@@ -610,7 +610,8 @@ def test_non_finite_channel_point_is_usage_error(gen_file, tmp_path, capsys, com
     # (bounds, simulate) or in zeros "by convention" with exit 3 (exponent);
     # one that leaves sigma^2 = 1/(2c) infinite (c below ~2.8e-309) in a
     # block error rate of 0 with exit 0 (simulate), exit 3 (bounds) or the
-    # c -> 0 row (exponent)
+    # c -> 0 row (exponent); each refusal names its grid value, the dB or
+    # the inverse E_b/N_0
     out = tmp_path / "x.out"
     argv = [gen_file if a == "GEN" else a for a in command] + ["--out", str(out)]
     assert run_cli(argv) == 2
