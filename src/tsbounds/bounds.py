@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from typing import NamedTuple
 
@@ -87,6 +87,26 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
 _GL_T = 0.5 * (_GL_X + 1.0)  # the rule on [0, 1], for the z3 integral
 _TEMPLATES = {k: (np.linspace(0.0, 1.0, k + 1)[:-1], np.tile(_GL_W, (k, 1))) for k in range(1, 9)}
 _LOG_Q10 = log_q_function(10.0)
+
+# Past x = max(a, 1), outside its a ~ x asymptotic band, scipy takes
+# P(a, x) as 1 - Q(a, x), which rounds to 1.0 once Q <= 2^-54.  The first x
+# with scipy's own Q(a, x) <= 2^-56 is a factor 4 below that: Q falls in x
+# and scipy's Q errs by far less than that factor, so gammainc is exactly
+# 1.0 from there on (DiDonato & Morris, ACM TOMS 12(4), 1986; the tests
+# check every dof a plan uses up to n = 2048).
+_Q_SATURATED = 2.0**-56
+
+
+@cache
+def _saturation(a: float) -> float:
+    """The first double x (to bisection's last bit) where gammaincc(a, x)
+    <= _Q_SATURATED: found once per dof, on first use."""
+    lo, hi = a, 2.0 * a + 64.0
+    while not gammaincc(a, hi) <= _Q_SATURATED:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if gammaincc(a, mid) <= _Q_SATURATED else (mid, hi)
+    return hi
 
 
 class NoSolutionError(ValueError):
@@ -376,9 +396,18 @@ class _Engine:
 
     def _g(self, dof_half: float, x):
         # Regularized lower-gamma mass; dof 0 is a point mass at the origin.
+        # gammainc runs only below its saturation point, where it is not
+        # 1.0 exactly; a NaN x still reaches it and comes back NaN.
         if dof_half <= 0.0:
             return np.ones_like(np.asarray(x, dtype=float))
-        return gammainc(dof_half, np.maximum(x, 0.0))
+        x = np.maximum(x, 0.0)
+        todo = ~(x >= _saturation(dof_half))
+        if todo.all():
+            return gammainc(dof_half, x)
+        out = np.ones(x.shape)
+        if todo.any():
+            out[todo] = gammainc(dof_half, x[todo])
+        return out
 
     # -- composite Gauss-Legendre panels ----------------------------------
 
@@ -423,10 +452,13 @@ class _Engine:
         sqrt(n) - z1, so a segment is empty in every z1 row or in none: no
         node carries zero weight.  The limits take sqrt(n) - z1 once and
         the slopes r/sqrt(n) and sqrt(h/(n-h)) from the engine, which
-        computes them once: the operations of geometry's r_z1, beta_h and
-        l_line, so every node and mass is theirs bit for bit.
+        computes them once: the operations of the closed forms r_z1, beta_h
+        and l_line the tests hold, so every node and mass is theirs bit for
+        bit.
 
-        gammainc runs only where its value is read.  The pair kernel takes
+        gammainc runs only where its value is read and is not exactly 1.0:
+        _g writes 1.0, gammainc's own value, at nodes past the dof's
+        saturation point, so no mass moves by a bit.  The pair kernel takes
         the (n-2)-dof mass at every node and does no line work.  With a
         line, that mass runs at live nodes (l > -s; bracket mode: l < s,
         where the wedge is not empty), and the 24-node z3 rule with (n-3)

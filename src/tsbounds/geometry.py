@@ -12,17 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "ConeGeometry",
-    "beta_h",
-    "delta_slope",
     "alpha_theta",
     "rho_min_h",
     "rho_max_wh",
     "rho_ww",
-    "l_line",
 ]
 
 
@@ -49,25 +44,6 @@ class ConeGeometry:
     def eta(self) -> float:
         """Squared tangent of the half-angle, r^2 / n."""
         return self.r * self.r / self.n
-
-    def r_z1(self, z1):
-        """Cross-section radius after a radial noise displacement z1: linear,
-        decreasing, and zero at the apex z1 = sqrt(n)."""
-        sqrt_n = math.sqrt(self.n)
-        return (sqrt_n - np.asarray(z1, dtype=float)) * (self.r / sqrt_n)
-
-
-def delta_slope(h: int, n: int) -> float:
-    """Slope sqrt(h/(n-h)) of the half-distance line for weight h."""
-    _check_interior_weight(h, n, "h")
-    return math.sqrt(h / (n - h))
-
-
-def beta_h(z1, h: int, geo: ConeGeometry):
-    """Half-distance threshold (sqrt(n) - z1) * sqrt(h/(n-h)) in the
-    cross-section plane at radial displacement z1."""
-    slope = delta_slope(h, geo.n)
-    return (math.sqrt(geo.n) - np.asarray(z1, dtype=float)) * slope
 
 
 def alpha_theta(h: int, geo: ConeGeometry) -> tuple[float, float | None]:
@@ -117,12 +93,3 @@ def rho_ww(w: int, n: int) -> float:
     1 - n/(w(n-w)).  Negative for small w; passed through unclamped."""
     _check_interior_weight(w, n, "w")
     return 1.0 - n / (w * (n - w))
-
-
-def l_line(z2, beta_ref, rho: float):
-    """Conditional threshold (beta_ref - rho * z2) / sqrt(1 - rho^2) for the
-    third noise coordinate, given the second lies at z2.  |rho| = 1 is a
-    genuine singularity and is rejected."""
-    if abs(rho) >= 1.0:
-        raise ValueError(f"correlation must satisfy |rho| < 1, got {rho}")
-    return (beta_ref - rho * np.asarray(z2, dtype=float)) / math.sqrt(1.0 - rho * rho)

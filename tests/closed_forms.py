@@ -1,6 +1,8 @@
 """Closed forms and search routines that only the tests use as references:
-the admissible correlation interval between two weights, the slope ratio
-zeta_wh, the conditioned-term exponent g_fn with its k = 0 face multiplier
+the kernel's limits as the engine forms them inline (the cone's section
+radius r_z1, the half-distance threshold beta_h with its slope delta_slope
+and the z3 line l_line), the admissible correlation interval between two
+weights, the slope ratio zeta_wh, the conditioned-term exponent g_fn with its k = 0 face multiplier
 and the multiplier search verify_kstar_zero (the k = 0 face degeneracy that
 chernoff_psi relies on, acceptance criterion 5), the same-weight sheared
 exponent profile whose stationary points the same check verifies, the
@@ -38,6 +40,35 @@ def rho_bounds(di: int, dj: int, n: int) -> tuple[float, float]:
         di * dj * (n - di) * (n - dj)
     )
     return lower, upper
+
+
+def r_z1(geo, z1):
+    """Cross-section radius of the cone after a radial noise displacement
+    z1: linear, decreasing, and zero at the apex z1 = sqrt(n)."""
+    sqrt_n = math.sqrt(geo.n)
+    return (sqrt_n - np.asarray(z1, dtype=float)) * (geo.r / sqrt_n)
+
+
+def delta_slope(h: int, n: int) -> float:
+    """Slope sqrt(h/(n-h)) of the half-distance line for weight h."""
+    _check_interior_weight(h, n, "h")
+    return math.sqrt(h / (n - h))
+
+
+def beta_h(z1, h: int, geo):
+    """Half-distance threshold (sqrt(n) - z1) * sqrt(h/(n-h)) in the
+    cross-section plane at radial displacement z1."""
+    slope = delta_slope(h, geo.n)
+    return (math.sqrt(geo.n) - np.asarray(z1, dtype=float)) * slope
+
+
+def l_line(z2, beta_ref, rho: float):
+    """Conditional threshold (beta_ref - rho * z2) / sqrt(1 - rho^2) for the
+    third noise coordinate, given the second lies at z2.  |rho| = 1 is a
+    genuine singularity and is rejected."""
+    if abs(rho) >= 1.0:
+        raise ValueError(f"correlation must satisfy |rho| < 1, got {rho}")
+    return (beta_ref - rho * np.asarray(z2, dtype=float)) / math.sqrt(1.0 - rho * rho)
 
 
 def zeta_wh(w: int, h: int, n: int) -> float:

@@ -24,9 +24,9 @@ import pytest
 from mpmath import mp
 from scipy.special import gammainc, gammaincc, logsumexp
 
-from closed_forms import (_g1, _g2, _tau_star, _xi_star, log_kernel, repetition,
-                          repetition_error, rho_bounds, rm1, rm1_error, simplex,
-                          simplex_error, verify_kstar_zero)
+from closed_forms import (_g1, _g2, _tau_star, _xi_star, delta_slope, log_kernel,
+                          repetition, repetition_error, rho_bounds, rm1, rm1_error,
+                          simplex, simplex_error, verify_kstar_zero)
 from tsbounds.bounds import (
     ChannelPoint,
     Plan,
@@ -45,7 +45,7 @@ from tsbounds.exponents import (
     tsb_exponent,
     union_exponent,
 )
-from tsbounds.geometry import ConeGeometry, alpha_theta, delta_slope
+from tsbounds.geometry import ConeGeometry, alpha_theta
 from tsbounds.mcsim import simulate_ml
 from tsbounds.numerics import (
     Tolerance,

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from mpmath import mp
 from scipy.integrate import quad
 from scipy.optimize import brentq as scipy_brentq
-from scipy.special import gammainc, logsumexp, ndtr
+from scipy.special import gammainc, gammaincc, logsumexp, ndtr
 
-from closed_forms import log_kernel, repetition, rho_bounds
+from closed_forms import (beta_h, delta_slope, l_line, log_kernel, r_z1, repetition,
+                          rho_bounds)
 from tsbounds import bounds
 from tsbounds.bounds import (
     BOUND_TOL,
@@ -37,9 +38,6 @@ from tsbounds.codes import (
 from tsbounds.geometry import (
     ConeGeometry,
     alpha_theta,
-    beta_h,
-    delta_slope,
-    l_line,
     rho_max_wh,
     rho_min_h,
     rho_ww,
@@ -781,15 +779,22 @@ def test_layer_search_integrates_fewer_terms(monkeypatch):
     assert panels[0] <= 404
 
 
-def _count_gammainc_nodes(monkeypatch) -> list[int]:
-    """Count the nodes of every gammainc evaluation the bounds make:
-    [nodes], updated in place."""
-    nodes = [0]
+def _count_kernel_nodes(monkeypatch) -> dict[str, int]:
+    """Count the chi-square masses the kernel requests through _Engine._g
+    and the nodes gammainc evaluates, which leaves out the saturated ones:
+    {"requested": .., "evaluated": ..}, updated in place."""
+    nodes = {"requested": 0, "evaluated": 0}
+    g = bounds._Engine._g
+
+    def g_spy(self, a, x):
+        nodes["requested"] += np.size(x)
+        return g(self, a, x)
 
     def spy(a, x):
-        nodes[0] += np.broadcast(a, x).size
+        nodes["evaluated"] += np.broadcast(a, x).size
         return gammainc(a, x)
 
+    monkeypatch.setattr(bounds._Engine, "_g", g_spy)
     monkeypatch.setattr(bounds, "gammainc", spy)
     return nodes
 
@@ -812,12 +817,14 @@ def test_psi_assembles_only_its_predicted_layer(db, monkeypatch):
 
 # The ids are fixed names that carry older pins, so each case keeps its
 # name as its pin moves.
-@pytest.mark.parametrize("code, db, want", [
-    ("hamming", 2.0, 177_120), ("hamming", 4.0, 177_840), ("hamming", 6.0, 178_920),
-    ("golay", 2.0, 680_400), ("golay", 4.0, 662_040), ("golay", 6.0, 729_360),
+@pytest.mark.parametrize("code, db, want, evaluated", [
+    ("hamming", 2.0, 177_120, 160_950), ("hamming", 4.0, 177_840, 159_549),
+    ("hamming", 6.0, 178_920, 158_129), ("golay", 2.0, 680_400, 657_640),
+    ("golay", 4.0, 662_040, 627_161), ("golay", 6.0, 729_360, 665_005),
 ], ids=["hamming-2.0-208800", "hamming-4.0-209520", "hamming-6.0-210600",
         "golay-2.0-755280", "golay-4.0-752760", "golay-6.0-824400"])
-def test_psi_kernel_nodes_on_codes(code, db, want, hamming_spec, golay_spec, monkeypatch):
+def test_psi_kernel_nodes_on_codes(code, db, want, evaluated, hamming_spec, golay_spec,
+                                   monkeypatch):
     # d_min wins here, and the prediction stops at d_min on estimates the
     # search reads anyway, so psi costs exactly what a search pinned to
     # start at d_min costs.  Before the walk and the search shared one
@@ -827,15 +834,17 @@ def test_psi_kernel_nodes_on_codes(code, db, want, hamming_spec, golay_spec, mon
     # rung and the bracket kernel's skipping of nodes where the line clears
     # the disk they were 208,800 / 209,520 / 210,600 and 755,280 / 752,760
     # / 824,400.
+    # The pins count the masses the kernel requests; gammainc evaluates
+    # the ones below their saturation point, `evaluated` of them.
     spec, rate = {"hamming": (hamming_spec, R_HAMMING), "golay": (golay_spec, 12 / 23)}[code]
     ch = ChannelPoint.from_eb_n0_db(db, rate)
-    nodes = _count_gammainc_nodes(monkeypatch)
+    nodes = _count_kernel_nodes(monkeypatch)
     psi(spec, ch)
-    assert nodes[0] == want
-    nodes[0] = 0
+    assert (nodes["requested"], nodes["evaluated"]) == (want, evaluated)
+    nodes.update(requested=0, evaluated=0)
     monkeypatch.setattr(bounds, "_start", lambda eng, spec, extend, head: spec.d_min)
     psi(spec, ch)
-    assert nodes[0] == want
+    assert (nodes["requested"], nodes["evaluated"]) == (want, evaluated)
 
 
 def _parent_layer_terms(eng, spec, w, extend):
@@ -1124,7 +1133,7 @@ def test_triple_term_full_disk_matches_symmetric_double_integral():
     geo = ConeGeometry(n, r)
     ch = ChannelPoint.from_eb_n0_db(2.0, R_HAMMING)
     ss = ch.sigma_sq
-    rz = float(geo.r_z1(z1))
+    rz = float(r_z1(geo, z1))
     beta = (math.sqrt(n) - z1) * delta_slope(h, n)
     beta_ref = rz * 1.5
 
@@ -1142,7 +1151,7 @@ def test_triple_term_matches_3d_monte_carlo():
     geo = ConeGeometry(n, r)
     ch = ChannelPoint(c=0.8, rate=0.4)
     sig = math.sqrt(ch.sigma_sq)
-    rz = float(geo.r_z1(z1))
+    rz = float(r_z1(geo, z1))
     beta_h = (math.sqrt(n) - z1) * delta_slope(h, n)
     beta_ref = (math.sqrt(n) - z1) * delta_slope(w, n)
     rho = rho_max_wh(w, h, n)
@@ -1223,7 +1232,7 @@ def test_panel_nodes_match_segment_oracle(code, golay_spec):
     eng = plan.at(ChannelPoint.from_eb_n0_db(4.0, 0.5))
     for lo, hi in ((eng.z1_lo, math.sqrt(n)), (0.0, 0.5 * math.sqrt(n)), (-0.3, 0.1)):
         z1 = gk15_rule(lo, hi, 1)[0][0]
-        rz = plan.geo.r_z1(z1)
+        rz = r_z1(plan.geo, z1)
         for h in plan.included:
             a = np.minimum(beta_h(z1, h, plan.geo), rz)
             cuts = [a + (rz - a) * t for t in (0.3, 0.8)]
@@ -1252,10 +1261,10 @@ def test_ksub_is_span_over_four_sigma_clamped_to_1_8(golay_spec):
 
 
 def _parent_pair_given_z1(eng, z1, h):
-    """The pair kernel as a kernel of its own, with gammainc at every node
-    of the one segment [beta_h, r_z1]: the reference for the conditioned
+    """The pair kernel as a kernel of its own, with the mass _g at every
+    node of the one segment [beta_h, r_z1]: the reference for the conditioned
     kernel's no-line case."""
-    rz = np.asarray(eng.geo.r_z1(z1), dtype=float)
+    rz = np.asarray(r_z1(eng.geo, z1), dtype=float)
     a = np.minimum(beta_h(z1, h, eng.geo), rz)
     span = float(np.max(rz - a, initial=0.0))
     if span <= 0.0:
@@ -1267,7 +1276,7 @@ def _parent_pair_given_z1(eng, z1, h):
 
 def _dense_triple_given_z1(eng, z1, h, beta_ref, rho, keep_empty=False, z3_nodes=24,
                            bracket=False):
-    """The conditioned kernel with gammainc at every node of its z2
+    """The conditioned kernel with the masses _g at every node of its z2
     segments, each segment built on its own, masked afterwards: the
     reference for the engine's kernel, which builds them in one and
     evaluates only where the value is used.  keep_empty also builds the
@@ -1278,7 +1287,7 @@ def _dense_triple_given_z1(eng, z1, h, beta_ref, rho, keep_empty=False, z3_nodes
     both pieces' ends at every node."""
     if beta_ref is None or (rho <= -1.0 + 1e-12 and not bracket):
         return _parent_pair_given_z1(eng, z1, h)
-    rz = np.asarray(eng.geo.r_z1(z1), dtype=float)
+    rz = np.asarray(r_z1(eng.geo, z1), dtype=float)
     a = np.minimum(beta_h(z1, h, eng.geo), rz)
     span = float(np.max(rz - a, initial=0.0))
     if span <= 0.0:
@@ -1332,7 +1341,7 @@ def test_triple_kernel_matches_dense_oracle(code, hamming_spec, golay_spec):
     plan = Plan(spec)
     eng = plan.at(ChannelPoint.from_eb_n0_db(4.0, 0.5))
     z1 = np.linspace(eng.z1_lo, math.sqrt(n), 37)[:-1]
-    rz = plan.geo.r_z1(z1)
+    rz = r_z1(plan.geo, z1)
     assert n - 1 not in plan.geom_included
     d, top = plan.included[0], max(plan.geom_included)
     cases = [
@@ -1419,6 +1428,62 @@ def test_bracket_kernel_brackets_the_exact_kernel(code, db, data, hamming_spec, 
         assert not np.any(w_hi)
 
 
+def test_gammainc_is_one_past_the_saturation_point():
+    # For every dof the kernel's masses use up to n = 2048, (n-2)/2 and
+    # (n-3)/2, the saturation point is the first x where scipy's Q(a, x)
+    # is at most 2^-56, and gammainc is exactly 1.0 from there on: at 256
+    # ulp steps and a fine step above it, over six decades and at inf.  It
+    # stays below a + 14 sqrt(a) + 45, the edge past which P(a, x) is 1 in
+    # double, so the skip acts on the kernel's nodes.  _g passes NaN on.
+    ulps, fine, decades = np.arange(256.0), 1.0 + 1e-5 * np.arange(1000.0), np.geomspace(1, 1e6)
+    for a in 0.5 * np.arange(1.0, 2047.0):
+        x = bounds._saturation(float(a))
+        assert gammaincc(a, x) <= 2.0**-56 < gammaincc(a, np.nextafter(x, 0.0)), a
+        assert x <= a + 14.0 * math.sqrt(a) + 45.0, a
+        past = np.concatenate([x + ulps * np.spacing(x), x * fine, x * decades, [math.inf]])
+        assert np.all(gammainc(a, past) == 1.0), a
+    eng = Plan(random_ensemble_spectrum(12, 0.5)).at(ChannelPoint.from_eb_n0_db(4.0, 0.5))
+    got = eng._g(4.5, np.array([math.nan, 1.0, 1e6, -1.0]))
+    assert np.isnan(got[0]) and np.array_equal(got[1:], gammainc(4.5, [1.0, 1e6, 0.0]))
+
+
+@given(
+    code=st.sampled_from(["hamming", "golay", "ens12"]),
+    db=st.sampled_from([0.0, 2.0, 4.0, 6.0, 8.0]),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_saturated_masses_are_the_kernel_bit_for_bit(code, db, data, hamming_spec, golay_spec):
+    # _g writes 1.0 past the saturation point without calling gammainc:
+    # pair, exact-line and bracket kernels equal, row by row and bit for
+    # bit, the kernels with the point at inf, where gammainc runs at every
+    # node.
+    spec, rate = {"hamming": (hamming_spec, R_HAMMING), "golay": (golay_spec, 12 / 23),
+                  "ens12": (random_ensemble_spectrum(12, 0.5), 0.5)}[code]
+    plan, n = Plan(spec), spec.n
+    eng = plan.at(ChannelPoint.from_eb_n0_db(db, rate))
+    cone = st.sampled_from(sorted(plan.geom_included))
+    h, w = data.draw(cone, label="h"), data.draw(cone, label="w")
+    own = rho_ww(w, n) if h == w else rho_max_wh(w, h, n)
+    rho = data.draw(st.one_of(st.just(own), st.floats(-1.0, 1.0, exclude_min=True,
+                                                      exclude_max=True)), label="rho")
+    steps = data.draw(st.lists(st.integers(-40, int(4 * math.sqrt(n) / eng.sigma)),
+                               min_size=1, max_size=8), label="z1 steps")
+    z1 = np.minimum(np.array(steps) * 0.25 * eng.sigma, math.sqrt(n) * (1.0 - 1e-12))
+    beta_ref = beta_h(z1, w, plan.geo)
+
+    def kernels():
+        return [eng._triple_given_z1(z1, h), eng._triple_given_z1(z1, h, beta_ref, rho),
+                eng._triple_given_z1(z1, h, beta_ref, rho, bracket=True)]
+
+    skipped = kernels()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bounds, "_saturation", lambda a: math.inf)
+        full = kernels()
+    for got, want in zip(skipped, full):
+        assert np.array_equal(got, want)
+
+
 @given(
     n=st.integers(4, 32),
     rate=st.sampled_from([0.25, 0.5, 0.75, 0.9]),
@@ -1462,14 +1527,14 @@ def test_vacuous_keys_are_the_pair_kernel_bit_for_bit(n, rate, db, data):
     steps = data.draw(st.lists(st.integers(-40, int(4 * math.sqrt(n) / eng.sigma)),
                                min_size=1, max_size=8), label="z1 steps")
     z1 = np.minimum(np.array(steps) * 0.25 * eng.sigma, math.sqrt(n) * (1.0 - 1e-12))
-    dofs = []
+    dofs, g = [], bounds._Engine._g
 
-    def spy(a, x):
+    def spy(self, a, x):
         dofs.append(a)
-        return gammainc(a, x)
+        return g(self, a, x)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(bounds, "gammainc", spy)
+        m.setattr(bounds._Engine, "_g", spy)
         with_line = eng._triple_given_z1(z1, h, beta_h(z1, w, plan.geo), rho)
     assert np.array_equal(with_line, eng._triple_given_z1(z1, h))
     assert 0.5 * (n - 3) not in dofs
@@ -1531,19 +1596,28 @@ def test_vacuous_conditioned_terms_cost_their_pair_nodes(golay_spec, monkeypatch
     # the half-disk mass, at exactly the nodes of the pair term, and the z3
     # rule at no node; the term is the pair term bit for bit.  The plan
     # keys it as the pair term, so once tsb has run it costs no node.
+    # The pins count the masses requested through _Engine._g; gammainc
+    # evaluates those below the saturation point.
     n = golay_spec.n
     ch = ChannelPoint.from_eb_n0_db(4.0, 12 / 23)
     eng = Plan(golay_spec).at(ch)
-    seen = []
+    seen, evaluated = [], [0]
+    g = bounds._Engine._g
+
+    def g_spy(self, a, x):
+        seen.append((a, np.size(x)))
+        return g(self, a, x)
 
     def spy(a, x):
-        seen.append((a, np.size(x)))
+        evaluated[0] += np.size(x)
         return gammainc(a, x)
 
+    monkeypatch.setattr(bounds._Engine, "_g", g_spy)
     monkeypatch.setattr(bounds, "gammainc", spy)
 
     def nodes(term):
         seen.clear()
+        evaluated[0] = 0
         term()
         assert sum(m for a, m in seen if a == 0.5 * (n - 3)) == 0
         return sum(m for a, m in seen if a == 0.5 * (n - 2))
@@ -1552,6 +1626,7 @@ def test_vacuous_conditioned_terms_cost_their_pair_nodes(golay_spec, monkeypatch
     assert nodes(lambda: eng.pair_term(8)) == 0
     for w, rho in ((14, rho_max_wh(14, 8, n)), (7, rho_min_h(8, 7, n))):
         assert nodes(lambda: eng.term(("triple", 8, w, rho))) == 9000
+        assert evaluated[0] == 8358
         own, cached = eng.term(("triple", 8, w, rho)), eng.pair_term(8)
         assert (own.log_value, own.log_error, own.converged) == (
             cached.log_value, cached.log_error, cached.converged)

@@ -8,26 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closed_forms import rho_bounds, zeta_wh
-from tsbounds.geometry import (
-    ConeGeometry,
-    alpha_theta,
-    beta_h,
-    delta_slope,
-    l_line,
-    rho_max_wh,
-    rho_min_h,
-    rho_ww,
-)
+from closed_forms import beta_h, delta_slope, l_line, r_z1, rho_bounds, zeta_wh
+from tsbounds.geometry import ConeGeometry, alpha_theta, rho_max_wh, rho_min_h, rho_ww
 
 
 def test_cone_geometry_basic():
     geo = ConeGeometry(n=16, r=3.0)
     assert geo.eta == pytest.approx(9.0 / 16.0, rel=1e-15)
-    assert geo.r_z1(0.0) == pytest.approx(3.0, rel=1e-15)
-    assert geo.r_z1(4.0) == pytest.approx(0.0, abs=1e-15)
+    assert r_z1(geo, 0.0) == pytest.approx(3.0, rel=1e-15)
+    assert r_z1(geo, 4.0) == pytest.approx(0.0, abs=1e-15)
     z = np.array([0.0, 1.0, 4.0])
-    rz = geo.r_z1(z)
+    rz = r_z1(geo, z)
     assert rz.shape == (3,)
     assert np.all(np.diff(rz) < 0)
     with pytest.raises(ValueError):
