@@ -402,11 +402,8 @@ class _Engine:
             return np.ones_like(np.asarray(x, dtype=float))
         x = np.maximum(x, 0.0)
         todo = ~(x >= _saturation(dof_half))
-        if todo.all():
-            return gammainc(dof_half, x)
         out = np.ones(x.shape)
-        if todo.any():
-            out[todo] = gammainc(dof_half, x[todo])
+        out[todo] = gammainc(dof_half, x[todo])
         return out
 
     # -- composite Gauss-Legendre panels ----------------------------------

@@ -1436,7 +1436,7 @@ def test_gammainc_is_one_past_the_saturation_point():
     # stays below a + 14 sqrt(a) + 45, the edge past which P(a, x) is 1 in
     # double, so the skip acts on the kernel's nodes.  _g passes NaN on.
     ulps, fine, decades = np.arange(256.0), 1.0 + 1e-5 * np.arange(1000.0), np.geomspace(1, 1e6)
-    for a in 0.5 * np.arange(1.0, 2047.0):
+    for a in 0.5 * np.arange(1.0, 2048.0):
         x = bounds._saturation(float(a))
         assert gammaincc(a, x) <= 2.0**-56 < gammaincc(a, np.nextafter(x, 0.0)), a
         assert x <= a + 14.0 * math.sqrt(a) + 45.0, a
